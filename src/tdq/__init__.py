@@ -49,6 +49,7 @@ from .special_functions import (
     bell_partial,
     bessel_j,
     bessel_j_prime,
+    bessel_modulus_sq,
     bessel_y,
     bessel_y_prime,
     dawson,

@@ -164,21 +164,30 @@ def cmd_rho(config: RunConfig) -> int:
     return 0
 
 
-def cmd_observables(config: RunConfig) -> int:
-    """Second moments, uncertainty product, and mean energy per (t, sigma0, n)."""
-    rows = []
+def _snapshots(config: RunConfig):
+    """(sigma0, n, t, snapshot) in row order (sigma0, n, t).
+
+    The Pinney amplitude depends on (sigma0, t) only, so it is computed
+    once per pair and shared by every n.
+    """
     grid = config.t_grid()
     for sigma0 in sorted(config.sigma0):
         params = config.params_for(sigma0)
         model = ConductivityModel.hyperbolic(params)
+        states = [rho_analytic(params, float(t)) for t in grid]
         for n in sorted(config.n):
-            for t in grid:
-                snap = make_snapshot(params, model, rho_analytic(params, float(t)), n)
-                _, _, q2, phi2 = moments(snap)
-                energy = energy_mean(snap)
-                rows.append((float(t), sigma0, n, q2, phi2,
-                             uncertainty_product(snap), energy,
-                             energy / (n + 0.5)))
+            for state in states:
+                yield sigma0, n, state.t, make_snapshot(params, model, state, n)
+
+
+def cmd_observables(config: RunConfig) -> int:
+    """Second moments, uncertainty product, and mean energy per (t, sigma0, n)."""
+    rows = []
+    for sigma0, n, t, snap in _snapshots(config):
+        _, _, q2, phi2 = moments(snap)
+        energy = energy_mean(snap)
+        rows.append((t, sigma0, n, q2, phi2, uncertainty_product(snap), energy,
+                     energy / (n + 0.5)))
     _write_table(config, ["t", "sigma0", "n", "q2", "phi2", "dq_dphi",
                           "energy", "energy_per_level"], rows)
     return 0
@@ -187,23 +196,17 @@ def cmd_observables(config: RunConfig) -> int:
 def cmd_density(config: RunConfig) -> int:
     """Probability density P(q) per (t, sigma0, n) over the charge grid."""
     rows = []
-    grid = config.t_grid()
     q_grid = config.q_grid()
     warnings.simplefilter("always", GridCoverageWarning)
-    for sigma0 in sorted(config.sigma0):
-        params = config.params_for(sigma0)
-        model = ConductivityModel.hyperbolic(params)
-        for n in sorted(config.n):
-            for t in grid:
-                snap = make_snapshot(params, model, rho_analytic(params, float(t)), n)
-                p = density_values(snap, q_grid)
-                norm = float(np.trapezoid(p, q_grid))
-                if abs(norm - 1.0) > 1e-6:
-                    print(f"warning: density norm {norm:.9f} off unit at "
-                          f"sigma0={_fmt(sigma0)}, n={n}, t={_fmt(float(t))}; "
-                          "widen the charge grid", file=sys.stderr)
-                for q, pv in zip(q_grid, p):
-                    rows.append((float(t), sigma0, n, float(q), float(pv)))
+    for sigma0, n, t, snap in _snapshots(config):
+        p = density_values(snap, q_grid)
+        norm = float(np.trapezoid(p, q_grid))
+        if abs(norm - 1.0) > 1e-6:
+            print(f"warning: density norm {norm:.9f} off unit at "
+                  f"sigma0={_fmt(sigma0)}, n={n}, t={_fmt(t)}; "
+                  "widen the charge grid", file=sys.stderr)
+        for q, pv in zip(q_grid, p):
+            rows.append((t, sigma0, n, float(q), float(pv)))
     _write_table(config, ["t", "sigma0", "n", "q", "P"], rows)
     return 0
 
@@ -211,19 +214,13 @@ def cmd_density(config: RunConfig) -> int:
 def cmd_info(config: RunConfig) -> int:
     """Entropy, disequilibrium, and complexity; H, D, C from quadrature."""
     rows = []
-    grid = config.t_grid()
-    for sigma0 in sorted(config.sigma0):
-        params = config.params_for(sigma0)
-        model = ConductivityModel.hyperbolic(params)
-        for n in sorted(config.n):
-            for t in grid:
-                snap = make_snapshot(params, model, rho_analytic(params, float(t)), n)
-                closed = _measures_closed_form(snap)
-                quad = _measures_quadrature(snap)
-                rows.append((float(t), sigma0, n,
-                             closed.entropy_S, quad.entropy_S, quad.H,
-                             closed.disequilibrium_D, quad.disequilibrium_D,
-                             quad.complexity_C))
+    for sigma0, n, t, snap in _snapshots(config):
+        closed = _measures_closed_form(snap)
+        quad = _measures_quadrature(snap)
+        rows.append((t, sigma0, n,
+                     closed.entropy_S, quad.entropy_S, quad.H,
+                     closed.disequilibrium_D, quad.disequilibrium_D,
+                     quad.complexity_C))
     _write_table(config, ["t", "sigma0", "n", "S_closed", "S_quad", "H",
                           "D_closed", "D_quad", "C"], rows)
     return 0

@@ -35,12 +35,14 @@ import numpy as np
 from .errors import EnvelopeError, PinneySingularityError, TimeMismatchError
 from .integrate import adaptive_simpson, solve_rk45
 from .special_functions import (
-    _bessel_j_any,
-    _bessel_y_any,
+    _bessel_jy,
     _check_bessel_envelope,
+    bessel_modulus_sq,
 )
 
 _RHO_GUARD = 1e-12
+# Bessel argument from which rho_analytic sums the modulus asymptotic series
+_MODULUS_ASYMPTOTIC_X = 20.0
 
 
 @dataclass(frozen=True)
@@ -174,11 +176,16 @@ def L_closed_form(params: SuperconductorParams, t: float) -> float:
 def rho_analytic(params: SuperconductorParams, t: float) -> PinneyState:
     """Exact Pinney amplitude for the hyperbolic model.
 
-    The slope follows from differentiating the closed form,
-        rho'/rho = p A/(A t + 1) + k A (J J' + Y Y') / (J^2 + Y^2),
-    with p = (1 - s)/2 and the Bessel derivative identities
-    C_nu' = C_{nu-1} - (nu/x) C_nu.  Valid for A t + 1 > 0, which allows
-    the slightly negative times used by finite-difference residual checks.
+    rho depends on the Bessel functions only through the modulus
+    M^2 = J_beta^2 + Y_beta^2 at u = k(A t + 1), and the slope only through
+    its derivative,
+        rho'/rho = p A/(A t + 1) + k A (dM^2/du) / (2 M^2),   p = (1 - s)/2.
+    For u >= 20, M^2 and dM^2/du come from the modulus asymptotic series
+    (`bessel_modulus_sq`), accurate to ~1e-15 relative.  Below that,
+    (J, Y) of orders beta and beta - 1 come from the ascending series and
+    dM^2/du = 2 (J J' + Y Y') with C_nu' = C_{nu-1} - (nu/x) C_nu.  Valid
+    for A t + 1 > 0, which allows the slightly negative times used by
+    finite-difference residual checks.
     """
     tau = params.A * t + 1.0
     if tau <= 0.0:
@@ -191,14 +198,19 @@ def rho_analytic(params: SuperconductorParams, t: float) -> PinneyState:
         raise EnvelopeError(
             f"rho_analytic outside Bessel envelope at sigma0={params.sigma0!r}, "
             f"t={t!r} (order {beta!r}, argument {u!r})") from exc
-    j = _bessel_j_any(beta, u)
-    y = _bessel_y_any(beta, u)
-    jp = _bessel_j_any(beta - 1.0, u) - (beta / u) * j
-    yp = _bessel_y_any(beta - 1.0, u) - (beta / u) * y
-    g = j * j + y * y
+    if u >= _MODULUS_ASYMPTOTIC_X:
+        g, g_slope = bessel_modulus_sq(beta, u)
+        half_g_slope = 0.5 * g_slope
+    else:
+        j, y = _bessel_jy(beta, u)
+        j_lower, y_lower = _bessel_jy(beta - 1.0, u)
+        jp = j_lower - (beta / u) * j
+        yp = y_lower - (beta / u) * y
+        g = j * j + y * y
+        half_g_slope = j * jp + y * yp
     p = 0.5 * (1.0 - params.decay_exponent)
     rho = math.sqrt(math.pi / (2.0 * params.A)) * tau ** p * math.sqrt(g)
-    rho_dot = rho * (p * params.A / tau + params.k * params.A * (j * jp + y * yp) / g)
+    rho_dot = rho * (p * params.A / tau + params.k * params.A * half_g_slope / g)
     return PinneyState(t=t, rho=rho, rho_dot=rho_dot, source="analytic")
 
 

@@ -87,6 +87,33 @@ def bessel_mp(kind: str, nu: float, x: float, dps: int = 40) -> float:
         return float(fn(mp.mpf(nu), mp.mpf(x)))
 
 
+def _modulus_mp(nu, x):
+    """(J^2 + Y^2, J J' + Y Y') as mpmath numbers, at the caller's precision."""
+    j, y = mp.besselj(nu, x), mp.bessely(nu, x)
+    jp, yp = mp.besselj(nu, x, 1), mp.bessely(nu, x, 1)
+    return j * j + y * y, j * jp + y * yp
+
+
+def bessel_modulus_mp(nu: float, x: float, dps: int = 40) -> tuple[float, float]:
+    """(J^2 + Y^2, 2 (J J' + Y Y')) at extended precision; the oscillating
+    products cancel by orders of magnitude, so they are not formed in binary64."""
+    with mp.workdps(dps):
+        g, half_slope = _modulus_mp(mp.mpf(nu), mp.mpf(x))
+        return float(g), float(2 * half_slope)
+
+
+def rho_mp(sigma0: float, t: float, dps: int = 40) -> tuple[float, float]:
+    """(rho, rho') of the hyperbolic model in figure units
+    (A = eps0 = c = lambdaL = 1, so the Bessel argument is t + 1), from
+    mpmath's J, Y and their derivatives instead of the modulus series."""
+    with mp.workdps(dps):
+        s = mp.mpf(sigma0)
+        beta, p, x = (1 + s) / 2, (1 - s) / 2, mp.mpf(t) + 1
+        g, half_slope = _modulus_mp(beta, x)
+        rho = mp.sqrt(mp.pi / 2) * x ** p * mp.sqrt(g)
+        return float(rho), float(rho * (p / x + half_slope / g))
+
+
 def trapezoid_moment(q: np.ndarray, p: np.ndarray, power: int) -> float:
     """integral q^power P(q) dq on a dense grid, trapezoid rule."""
     return float(np.trapezoid(p * q ** power, q))

@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+import oracles
+from tdq import cli
 from tdq.cli import main
 
 
@@ -64,6 +66,32 @@ class TestRho:
         for got, want in zip(column(header, rows, "rho"),
                              column(header, rows_ref, "rho")):
             assert got == pytest.approx(want, abs=1e-6)
+
+    def test_near_integer_order_at_large_argument(self, capsys):
+        # order (1 + sigma0)/2 within 5e-10 of 2, Bessel argument 41..50
+        code, out, _ = run(capsys, "rho", "--sigma0", "2.999999999",
+                           "--t0", "40", "--t1", "49", "--steps", "4")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert len(rows) == 4
+        for row in rows:
+            r = dict(zip(header, row))
+            rho, rho_dot = oracles.rho_mp(2.999999999, r["t"])
+            assert abs(r["rho"] - rho) <= 1e-14 * abs(rho)
+            assert abs(r["rho_dot"] - rho_dot) <= 1e-14 * abs(rho_dot)
+
+    def test_near_integer_order_at_small_argument(self, capsys):
+        # order (1 + sigma0)/2 within 5e-10 of 2, Bessel argument 1..19
+        code, out, _ = run(capsys, "rho", "--sigma0", "2.999999999",
+                           "--t0", "0", "--t1", "18", "--steps", "7")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert len(rows) == 7
+        for row in rows:
+            r = dict(zip(header, row))
+            rho, rho_dot = oracles.rho_mp(2.999999999, r["t"])
+            assert abs(r["rho"] - rho) <= 1e-14 * abs(rho)
+            assert abs(r["rho_dot"] - rho_dot) <= 1e-14 * abs(rho_dot)
 
     def test_sigma_sweep_sorted(self, capsys):
         code, out, _ = run(capsys, "rho", "--sigma0", "3,0.5", "--steps", "3")
@@ -138,6 +166,27 @@ class TestInfo:
             r = dict(zip(header, row))
             assert r["S_closed"] == pytest.approx(r["S_quad"], abs=1e-8)
             assert r["D_closed"] == pytest.approx(r["D_quad"], rel=1e-8)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("command", ["observables", "density", "info"])
+    def test_amplitude_once_per_sigma_and_time(self, command, capsys, monkeypatch):
+        calls = []
+        original = cli.rho_analytic
+
+        def counted(params, t):
+            calls.append((params.sigma0, t))
+            return original(params, t)
+
+        monkeypatch.setattr(cli, "rho_analytic", counted)
+        code, out, _ = run(capsys, command, "--sigma0", "0.5,2", "--n", "2,0,1",
+                           "--steps", "3", "--qpoints", "5")
+        assert code == 0
+        assert len(calls) == len(set(calls)) == 2 * 3
+        header, rows = parse_csv(out)
+        keys = [(r[header.index("sigma0")], r[header.index("n")], r[header.index("t")])
+                for r in rows]
+        assert keys == sorted(keys)
 
 
 class TestFormatsAndDeterminism:

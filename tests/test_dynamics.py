@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from tdq import dynamics
 from tdq.dynamics import (
     ClassicalState,
     ConductivityModel,
@@ -150,11 +152,41 @@ class TestRhoAnalytic:
         with pytest.raises(EnvelopeError, match="sigma0=2.0"):
             rho_analytic(params, 60.0)
 
+    def test_envelope_violation_order(self):
+        # beta = 10.5 is above the order limit even where the argument is large
+        params, _ = hyperbolic(20.0)
+        for t in (0.0, 30.0):
+            with pytest.raises(EnvelopeError, match="order 10.5"):
+                rho_analytic(params, t)
+
     def test_positive_rho(self):
         for sigma0 in (0.5, 1.5, 3.0):
             params, _ = hyperbolic(sigma0)
             for t in np.linspace(0.0, 5.0, 26):
                 assert rho_analytic(params, float(t)).rho > 0.0
+
+
+class TestRhoAnalyticAsymptotic:
+    """The modulus asymptotic branch, used from Bessel argument 20 up."""
+
+    @pytest.mark.parametrize("beta", [0.6, 1.0, 1.5, 2.0 - 5e-10, 2.25, 10.0])
+    @pytest.mark.parametrize("x", [20.0, 25.0, 33.3, 41.0, 50.0])
+    def test_against_extended_precision(self, beta, x):
+        sigma0 = 2.0 * beta - 1.0
+        params, _ = hyperbolic(sigma0)
+        state = rho_analytic(params, x - 1.0)
+        rho, rho_dot = oracles.rho_mp(sigma0, x - 1.0)
+        assert abs(state.rho - rho) <= 2e-15 * abs(rho)
+        assert abs(state.rho_dot - rho_dot) <= 5e-15 * abs(rho_dot)
+
+    @pytest.mark.parametrize("beta", [0.6, 0.77, 1.3, 2.25, 4.1, 7.3, 9.9])
+    def test_branches_agree_at_crossover(self, beta, monkeypatch):
+        params, _ = hyperbolic(2.0 * beta - 1.0)
+        asymptotic = rho_analytic(params, 19.0)
+        monkeypatch.setattr(dynamics, "_MODULUS_ASYMPTOTIC_X", math.inf)
+        series = rho_analytic(params, 19.0)
+        assert series.rho == pytest.approx(asymptotic.rho, rel=1e-13)
+        assert series.rho_dot == pytest.approx(asymptotic.rho_dot, rel=1e-13)
 
 
 class TestPinneyNumeric:

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from tdq.errors import DomainError, EnvelopeError
+from tdq.errors import ConvergenceError, DomainError, EnvelopeError
 from tdq.special_functions import (
+    _bessel_j_any,
+    _bessel_jy,
+    _bessel_y_any,
     bell_partial,
     bessel_j,
     bessel_j_prime,
+    bessel_modulus_sq,
     bessel_y,
     bessel_y_prime,
     dawson,
@@ -116,6 +120,23 @@ class TestBesselY:
                              - bessel_j_prime(nu, x) * bessel_y(nu, x))
                 assert wronskian == pytest.approx(2.0 / (math.pi * x), rel=1e-8)
 
+    @pytest.mark.parametrize("eps", [2.2e-16, -4e-16, 5e-10, -9e-7])
+    def test_near_integer_orders_against_extended_precision(self, eps):
+        # the reflection formula cancels here; the expansion about the
+        # integer order must not
+        for n in (0, 1, 2, 3, 7):
+            for nu in (n + eps, -(n + eps)):
+                for x in (0.3, 1.0, 5.0, 12.0, 19.9):
+                    assert _bessel_y_any(nu, x) == pytest.approx(
+                        oracles.bessel_mp("y", nu, x), rel=1e-11)
+
+    def test_wronskian_near_integer_orders(self):
+        for nu in (2.0 - 4e-16, 1.0 + 5e-10, 3.0 - 9e-7, 3.0 + 1.1e-6):
+            for x in (0.3, 1.0, 4.0, 12.0):
+                wronskian = (bessel_j(nu, x) * bessel_y_prime(nu, x)
+                             - bessel_j_prime(nu, x) * bessel_y(nu, x))
+                assert wronskian == pytest.approx(2.0 / (math.pi * x), rel=1e-8)
+
     @settings(deadline=None, max_examples=40)
     @given(nu=st.floats(min_value=0.05, max_value=4.0),
            x=st.floats(min_value=0.3, max_value=12.0))
@@ -123,6 +144,43 @@ class TestBesselY:
         wronskian = (bessel_j(nu, x) * bessel_y_prime(nu, x)
                      - bessel_j_prime(nu, x) * bessel_y(nu, x))
         assert wronskian == pytest.approx(2.0 / (math.pi * x), rel=1e-8)
+
+
+class TestBesselPair:
+    @pytest.mark.parametrize("nu", [0.75, -0.25, 0.0, 0.5, 1.0, 2.0, 2.3, -1.0])
+    @pytest.mark.parametrize("x", [0.5, 3.0, 12.0, 19.9])
+    def test_bit_identical_to_single_functions(self, nu, x):
+        # negative, integer (logarithmic Y series) and half-integer orders
+        assert _bessel_jy(nu, x) == (_bessel_j_any(nu, x), _bessel_y_any(nu, x))
+
+
+class TestBesselModulus:
+    @pytest.mark.parametrize("x", [20.0, 27.5, 50.0])
+    def test_terminating_half_integer_orders(self, x):
+        # M^2 = 2/(pi x) at order 1/2 and (2/(pi x))(1 + 1/x^2) at order 3/2
+        m2, slope = bessel_modulus_sq(0.5, x)
+        assert m2 == pytest.approx(2.0 / (math.pi * x), rel=1e-15)
+        assert slope == pytest.approx(-2.0 / (math.pi * x * x), rel=1e-15)
+        m2, slope = bessel_modulus_sq(1.5, x)
+        assert m2 == pytest.approx(2.0 / (math.pi * x) * (1.0 + 1.0 / x ** 2), rel=1e-15)
+        assert slope == pytest.approx(-2.0 / math.pi * (1.0 / x ** 2 + 3.0 / x ** 4),
+                                      rel=1e-15)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.6, 1.0, 3.7, 7.5, 10.0])
+    @pytest.mark.parametrize("x", [20.0, 31.0, 50.0])
+    def test_against_extended_precision(self, nu, x):
+        m2_ref, slope_ref = oracles.bessel_modulus_mp(nu, x)
+        m2, slope = bessel_modulus_sq(nu, x)
+        assert m2 == pytest.approx(m2_ref, rel=1e-15)
+        assert slope == pytest.approx(slope_ref, rel=4e-15)
+
+    def test_small_argument_raises(self):
+        with pytest.raises(ConvergenceError, match="nu=10.0, x=10.0"):
+            bessel_modulus_sq(10.0, 10.0)
+        with pytest.raises(ConvergenceError):
+            bessel_modulus_sq(math.nan, 30.0)
+        with pytest.raises(DomainError):
+            bessel_modulus_sq(1.0, 0.0)
 
 
 class TestHermite:
