@@ -23,11 +23,7 @@ from .information import (
     CoefficientVector,
     MeasureSet,
     coefficients,
-    complexity,
-    disequilibrium_closed_form,
-    disequilibrium_quadrature,
-    entropy_closed_form,
-    entropy_quadrature,
+    measures,
     measures_over_time,
 )
 from .observables import (
@@ -53,7 +49,6 @@ from .special_functions import (
     bessel_y,
     bessel_y_prime,
     dawson,
-    gamma_fn,
     gauss_legendre,
     hermite,
     hyp1f1_special,

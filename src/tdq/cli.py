@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from .dynamics import (
     rho_analytic,
     solve_pinney_numeric,
 )
-from .errors import ConfigError, DomainError, GridCoverageWarning
-from .information import _measures_closed_form, _measures_quadrature
+from .errors import ConfigError, DomainError
+from .information import measures
 from .observables import (
     density_values,
     energy_mean,
@@ -50,7 +50,7 @@ class RunConfig:
     """One fully resolved invocation."""
 
     command: str
-    sigma0: list[float]
+    sigma0: list[float] = field(default_factory=list)
     A: float = 1.0
     eps0: float = 1.0
     c: float = 1.0
@@ -69,12 +69,14 @@ class RunConfig:
     tol_verify: float = 1.0
 
     def validate(self) -> None:
-        if not self.sigma0:
-            raise ConfigError("sigma0 sweep must be non-empty")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, list) else [value]:
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"--{f.name.replace('_', '-')} must be finite, "
+                                      f"got {v!r}")
         if any(s < 0 for s in self.sigma0):
             raise ConfigError("sigma0 values must be >= 0")
-        if not self.n:
-            raise ConfigError("n sweep must be non-empty")
         if any(n < 0 for n in self.n):
             raise ConfigError("n values must be >= 0")
         if self.t0 < 0.0:
@@ -90,6 +92,8 @@ class RunConfig:
         for name in ("A", "eps0", "c", "lambdaL", "hbar"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be > 0")
+        if self.tol_verify <= 0.0:
+            raise ConfigError(f"--tol-verify must be > 0, got {self.tol_verify}")
 
     def t_grid(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.steps)
@@ -102,20 +106,17 @@ class RunConfig:
                                     c=self.c, lambdaL=self.lambdaL, hbar=self.hbar)
 
     def meta(self) -> str:
-        parts = [f"command={self.command}",
-                 "sigma0=" + ",".join(_fmt(v) for v in self.sigma0),
-                 f"A={_fmt(self.A)}", f"eps0={_fmt(self.eps0)}", f"c={_fmt(self.c)}",
-                 f"lambdaL={_fmt(self.lambdaL)}", f"hbar={_fmt(self.hbar)}"]
-        if self.command in ("observables", "density", "info"):
-            parts.append("n=" + ",".join(str(v) for v in self.n))
-        if self.command != "verify":
-            parts += [f"t0={_fmt(self.t0)}", f"t1={_fmt(self.t1)}",
-                      f"steps={self.steps}"]
-        if self.command == "density":
-            parts += [f"qmin={_fmt(self.qmin)}", f"qmax={_fmt(self.qmax)}",
-                      f"qpoints={self.qpoints}"]
-        if self.command == "rho":
-            parts.append(f"seed_from_analytic={self.seed_from_analytic}")
+        parts = [f"command={self.command}"]
+        for flag, commands, _ in _FLAGS:
+            if self.command not in commands or flag in ("--format", "--out"):
+                continue
+            name = flag[2:].replace("-", "_")
+            value = getattr(self, name)
+            if isinstance(value, list):
+                text = ",".join(_fmt(v) for v in value)
+            else:
+                text = str(value) if isinstance(value, bool) else _fmt(value)
+            parts.append(f"{name}={text}")
         return " ".join(parts)
 
 
@@ -197,7 +198,6 @@ def cmd_density(config: RunConfig) -> int:
     """Probability density P(q) per (t, sigma0, n) over the charge grid."""
     rows = []
     q_grid = config.q_grid()
-    warnings.simplefilter("always", GridCoverageWarning)
     for sigma0, n, t, snap in _snapshots(config):
         p = density_values(snap, q_grid)
         norm = float(np.trapezoid(p, q_grid))
@@ -215,8 +215,8 @@ def cmd_info(config: RunConfig) -> int:
     """Entropy, disequilibrium, and complexity; H, D, C from quadrature."""
     rows = []
     for sigma0, n, t, snap in _snapshots(config):
-        closed = _measures_closed_form(snap)
-        quad = _measures_quadrature(snap)
+        closed = measures(snap, "closed_form")
+        quad = measures(snap)
         rows.append((t, sigma0, n,
                      closed.entropy_S, quad.entropy_S, quad.H,
                      closed.disequilibrium_D, quad.disequilibrium_D,
@@ -249,56 +249,58 @@ def cmd_verify(config: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
+def _list_of(kind):
+    """argparse type: a non-empty comma-separated list of `kind` values."""
+    def parse(text: str) -> list:
+        try:
+            values = [kind(v) for v in text.split(",") if v != ""]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {kind.__name__} list {text!r}") from exc
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty {kind.__name__} list")
+        return values
+    return parse
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad int list {text!r}") from exc
+_TABLES = ("rho", "observables", "density", "info")
+_SWEEPS = ("observables", "density", "info")
 
+# Every flag, the subcommands that read it, and its argparse keywords; a
+# subcommand accepts only its own flags.  The '#' metadata line records a
+# command's flags in this order, all but --format and --out.  Defaults are
+# the RunConfig field defaults, overridden per command by _DEFAULTS.
+_FLAGS = (
+    ("--sigma0", _TABLES, {"type": _list_of(float),
+                           "help": "comma-separated conductivity amplitudes"}),
+    ("--A", _TABLES, {"type": float, "help": "conductivity decay rate"}),
+    ("--eps0", _TABLES, {"type": float, "help": "vacuum permittivity"}),
+    ("--c", _TABLES, {"type": float, "help": "light speed"}),
+    ("--lambdaL", _TABLES, {"type": float, "help": "London penetration depth"}),
+    ("--hbar", _TABLES, {"type": float, "help": "reduced Planck constant"}),
+    ("--n", _SWEEPS, {"type": _list_of(int), "help": "comma-separated quantum numbers"}),
+    ("--t0", _TABLES, {"type": float}),
+    ("--t1", _TABLES, {"type": float}),
+    ("--steps", _TABLES, {"type": int}),
+    ("--qmin", ("density",), {"type": float}),
+    ("--qmax", ("density",), {"type": float}),
+    ("--qpoints", ("density",), {"type": int}),
+    ("--seed-from-analytic", ("rho",), {
+        "action": "store_true",
+        "help": "integrate numerically from analytic initial values"}),
+    ("--format", _TABLES, {"dest": "fmt", "choices": ("csv", "json")}),
+    ("--out", _TABLES, {"help": "output path, '-' for stdout"}),
+    ("--tol-verify", ("verify",), {"type": float,
+                                   "help": "scale factor on every check tolerance"}),
+)
 
+# per-command figure defaults: sigma0 sweep, n sweep, time window
 _DEFAULTS = {
-    # per-command figure defaults: sigma0 sweep, n sweep, time window
-    "rho": (["2"], ["0"], 0.0, 5.0, 101),
-    "observables": (["0.4", "0.6", "0.8"], ["0"], 0.0, 5.0, 101),
-    "density": (["1.5"], ["0"], 0.0, 1.0, 3),
-    "info": (["2", "2.5", "3"], ["0"], 0.0, 2.0, 51),
-    "verify": (["2"], ["0"], 0.0, 5.0, 101),
+    "rho": {"sigma0": [2.0], "t0": 0.0, "t1": 5.0, "steps": 101},
+    "observables": {"sigma0": [0.4, 0.6, 0.8], "n": [0], "t0": 0.0, "t1": 5.0,
+                    "steps": 101},
+    "density": {"sigma0": [1.5], "n": [0], "t0": 0.0, "t1": 1.0, "steps": 3},
+    "info": {"sigma0": [2.0, 2.5, 3.0], "n": [0], "t0": 0.0, "t1": 2.0, "steps": 51},
 }
-
-
-def _add_common(sub: argparse.ArgumentParser, command: str) -> None:
-    sigmas, ns, t0, t1, steps = _DEFAULTS[command]
-    sub.add_argument("--sigma0", type=_float_list,
-                     default=[float(s) for s in sigmas],
-                     help="comma-separated conductivity amplitudes "
-                          f"(default {','.join(sigmas)})")
-    sub.add_argument("--A", type=float, default=1.0, help="conductivity decay rate")
-    sub.add_argument("--eps0", type=float, default=1.0, help="vacuum permittivity")
-    sub.add_argument("--c", type=float, default=1.0, help="light speed")
-    sub.add_argument("--lambdaL", type=float, default=1.0,
-                     help="London penetration depth")
-    sub.add_argument("--hbar", type=float, default=1.0, help="reduced Planck constant")
-    sub.add_argument("--n", type=_int_list, default=[int(v) for v in ns],
-                     help="comma-separated quantum numbers")
-    sub.add_argument("--t0", type=float, default=t0)
-    sub.add_argument("--t1", type=float, default=t1)
-    sub.add_argument("--steps", type=int, default=steps)
-    sub.add_argument("--qmin", type=float, default=-4.0)
-    sub.add_argument("--qmax", type=float, default=4.0)
-    sub.add_argument("--qpoints", type=int, default=401)
-    sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", default="-", help="output path, '-' for stdout")
-    sub.add_argument("--seed-from-analytic", action="store_true",
-                     help="rho: integrate numerically from analytic initial values")
-    sub.add_argument("--tol-verify", type=float, default=1.0,
-                     help="verify: scale factor on every check tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,7 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
         "verify": "run the full invariant/property suite",
     }
     for command, desc in descriptions.items():
-        _add_common(sub.add_parser(command, help=desc, description=desc), command)
+        command_parser = sub.add_parser(command, help=desc, description=desc,
+                                        argument_default=argparse.SUPPRESS)
+        for flag, commands, keywords in _FLAGS:
+            if command in commands:
+                command_parser.add_argument(flag, **keywords)
+        command_parser.set_defaults(**_DEFAULTS.get(command, {}))
     return parser
 
 
@@ -329,14 +336,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(command=args.command, sigma0=args.sigma0, A=args.A,
-                       eps0=args.eps0, c=args.c, lambdaL=args.lambdaL,
-                       hbar=args.hbar, n=args.n, t0=args.t0, t1=args.t1,
-                       steps=args.steps, qmin=args.qmin, qmax=args.qmax,
-                       qpoints=args.qpoints, fmt=args.fmt, out=args.out,
-                       seed_from_analytic=args.seed_from_analytic,
-                       tol_verify=args.tol_verify)
+    config = RunConfig(**vars(build_parser().parse_args(argv)))
     try:
         config.validate()
         return _COMMANDS[config.command](config)

@@ -28,6 +28,11 @@ implementations under test against that quadrature:
 Because P depends on time only through rho, S - ln(rho) and D * rho are
 constants of the motion; C is therefore time-independent and identical
 across conductivities, with C(n=0) = sqrt(e/2).
+
+Both ways are reached through one entry point, `measures(snapshot,
+method)` with method "quadrature" (the default) or "closed_form"; the
+MeasureSet it returns carries the same tag.  `measures_over_time` is the
+quadrature path along the exact amplitude on a time grid.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from .special_functions import (
 )
 
 _DENSITY_FLOOR = 1e-300
-_DEFAULT_POINTS = 512
+_QUADRATURE_POINTS = 512
 
 
 @dataclass(frozen=True)
@@ -113,7 +118,7 @@ def coefficients(n: int) -> CoefficientVector:
 # quadrature path (ground truth)
 # ---------------------------------------------------------------------------
 
-def _quadrature_panels(snapshot: QuantumSnapshot, n_points: int) -> list:
+def _quadrature_panels(snapshot: QuantumSnapshot) -> list:
     """Gauss-Legendre panels split at the density zeros.
 
     P ln P behaves like (q - r)^2 ln|q - r| at each wavefunction node r,
@@ -123,16 +128,15 @@ def _quadrature_panels(snapshot: QuantumSnapshot, n_points: int) -> list:
     radius = truncation_radius(snapshot)
     scale = math.sqrt(snapshot.hbar) * snapshot.rho
     edges = [-radius] + [scale * r for r in hermite(snapshot.n).roots] + [radius]
-    per_panel = max(128, -(-n_points // (len(edges) - 1)))
+    per_panel = max(128, -(-_QUADRATURE_POINTS // (len(edges) - 1)))
     return [gauss_legendre(per_panel, a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _measures_quadrature(snapshot: QuantumSnapshot,
-                         n_points: int = _DEFAULT_POINTS) -> MeasureSet:
+def _measures_quadrature(snapshot: QuantumSnapshot) -> MeasureSet:
     norm = 0.0
     entropy = 0.0
     diseq = 0.0
-    for rule in _quadrature_panels(snapshot, n_points):
+    for rule in _quadrature_panels(snapshot):
         p = density_values(snapshot, rule.nodes)
         norm += rule.dot(p)
         integrand = np.zeros_like(p)
@@ -145,18 +149,6 @@ def _measures_quadrature(snapshot: QuantumSnapshot,
             f"density norm {norm!r} deviates from 1 beyond 1e-6 "
             f"(n={snapshot.n}, t={snapshot.t!r})")
     return MeasureSet.build(snapshot.n, snapshot.t, entropy, diseq, "quadrature")
-
-
-def entropy_quadrature(snapshot: QuantumSnapshot,
-                       n_points: int = _DEFAULT_POINTS) -> MeasureSet:
-    """S = -∫ P ln P dq by Gauss-Legendre over the truncation interval."""
-    return _measures_quadrature(snapshot, n_points)
-
-
-def disequilibrium_quadrature(snapshot: QuantumSnapshot,
-                              n_points: int = _DEFAULT_POINTS) -> MeasureSet:
-    """D = ∫ P^2 dq by Gauss-Legendre over the truncation interval."""
-    return _measures_quadrature(snapshot, n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -215,35 +207,27 @@ def _measures_closed_form(snapshot: QuantumSnapshot) -> MeasureSet:
         "closed_form")
 
 
-def entropy_closed_form(snapshot: QuantumSnapshot) -> MeasureSet:
-    """Closed-form entropy, evaluated exactly as the formula prints.
+def measures(snapshot: QuantumSnapshot, method: str = "quadrature") -> MeasureSet:
+    """(S, H, D, C) of one snapshot by `method`, "quadrature" or "closed_form".
 
-    Matches quadrature for n <= 1; for n >= 2 the double-sum term leaves
-    an O(1) residual (suspected transcription defect), so callers should
-    treat the quadrature value as authoritative and this one as reported.
+    Quadrature is the ground truth.  The closed-form disequilibrium is
+    exact for n <= 12; the closed-form entropy, evaluated as printed,
+    matches quadrature only for n <= 1 (see the module docstring).
     """
-    return _measures_closed_form(snapshot)
-
-
-def disequilibrium_closed_form(snapshot: QuantumSnapshot) -> MeasureSet:
-    """Closed-form disequilibrium via Bell polynomials; exact for n <= 12."""
-    return _measures_closed_form(snapshot)
-
-
-def complexity(snapshot: QuantumSnapshot,
-               n_points: int = _DEFAULT_POINTS) -> MeasureSet:
-    """C = e^S * D from the quadrature pair (the ground-truth path)."""
-    return _measures_quadrature(snapshot, n_points)
+    if method == "quadrature":
+        return _measures_quadrature(snapshot)
+    if method == "closed_form":
+        return _measures_closed_form(snapshot)
+    raise ValueError(f"method must be 'quadrature' or 'closed_form', got {method!r}")
 
 
 def measures_over_time(params: SuperconductorParams,
                        model: ConductivityModel,
                        n: int,
-                       t_grid: Sequence[float],
-                       n_points: int = _DEFAULT_POINTS) -> list[MeasureSet]:
+                       t_grid: Sequence[float]) -> list[MeasureSet]:
     """Quadrature MeasureSet per grid time along the exact amplitude."""
     out = []
     for t in t_grid:
         snapshot = make_snapshot(params, model, rho_analytic(params, t), n)
-        out.append(_measures_quadrature(snapshot, n_points))
+        out.append(_measures_quadrature(snapshot))
     return out

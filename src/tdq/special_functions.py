@@ -54,22 +54,6 @@ _NEAR_INTEGER_ORDER = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# gamma
-# ---------------------------------------------------------------------------
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0.
-
-    Delegates to the libm implementation (correct to ~1 ulp, far inside
-    the 1e-12 relative contract on [0.5, 30]); this wrapper only pins
-    down the domain.
-    """
-    if x <= 0.0:
-        raise DomainError(f"gamma_fn requires x > 0, got {x!r}")
-    return math.gamma(x)
-
-
-# ---------------------------------------------------------------------------
 # Bessel functions of the first and second kind, real order
 # ---------------------------------------------------------------------------
 

@@ -23,12 +23,7 @@ from .dynamics import (
     solve_classical,
     solve_pinney_numeric,
 )
-from .information import (
-    _measures_closed_form,
-    _measures_quadrature,
-    coefficients,
-    measures_over_time,
-)
+from .information import coefficients, measures, measures_over_time
 from .observables import (
     QuantumSnapshot,
     density_values,
@@ -44,7 +39,6 @@ from .special_functions import (
     bessel_j_prime,
     bessel_y,
     bessel_y_prime,
-    gamma_fn,
     gauss_legendre,
     hermite,
     hyp1f1_special,
@@ -206,14 +200,6 @@ def check_hypergeometric_series(tol: float = 1e-9) -> CheckResult:
         worst = max(worst, abs(hyp1f1_special(z) - ref1) / max(abs(ref1), 1e-30))
         worst = max(worst, abs(hyp2f2_special(z) - ref2) / max(abs(ref2), 1e-30))
     return _result("hypergeometric_vs_rational_series", worst, tol)
-
-
-def check_gamma_recurrence(tol: float = 1e-12) -> CheckResult:
-    worst = 0.0
-    for x in np.linspace(0.5, 20.0, 40):
-        worst = max(worst, abs(gamma_fn(x + 1.0) - x * gamma_fn(x))
-                    / gamma_fn(x + 1.0))
-    return _result("gamma_recurrence", worst, tol)
 
 
 def check_quadrature_rule(tol: float = 1e-12) -> CheckResult:
@@ -415,8 +401,8 @@ def check_disequilibrium_scaling(tol: float = 1e-9) -> CheckResult:
 def check_diseq_closed_vs_quadrature(tol: float = 1e-8) -> CheckResult:
     worst = 0.0
     for _, _, snap in _snapshots((0.5, 2.0), (0, 1, 2, 3), (0.0, 1.0)):
-        closed = _measures_closed_form(snap).disequilibrium_D
-        quad = _measures_quadrature(snap).disequilibrium_D
+        closed = measures(snap, "closed_form").disequilibrium_D
+        quad = measures(snap).disequilibrium_D
         worst = max(worst, abs(closed - quad) / quad)
     return _result("diseq_closed_vs_quadrature", worst, tol)
 
@@ -426,12 +412,12 @@ def check_diseq_hand_values(tol: float = 1e-9) -> CheckResult:
     state = rho_analytic(params, 0.7)
     snap0 = make_snapshot(params, model, state, 0)
     hand0 = 1.0 / (state.rho * math.sqrt(2.0 * math.pi * params.hbar))
-    worst = abs(_measures_closed_form(snap0).disequilibrium_D - hand0) / hand0
+    worst = abs(measures(snap0, "closed_form").disequilibrium_D - hand0) / hand0
     unit = QuantumSnapshot(n=1, t=0.0, rho=1.0, rho_dot=0.0, L=1.0,
                            omega_sq=1.0, hbar=1.0)
     hand1 = 3.0 / (4.0 * math.sqrt(2.0 * math.pi))
     worst = max(worst,
-                abs(_measures_closed_form(unit).disequilibrium_D - hand1) / hand1)
+                abs(measures(unit, "closed_form").disequilibrium_D - hand1) / hand1)
     return _result("diseq_hand_values", worst, tol)
 
 
@@ -468,7 +454,7 @@ def check_complexity_ground_state(tol: float = 1e-9) -> CheckResult:
     target = math.sqrt(math.e / 2.0)
     worst = 0.0
     for _, _, snap in _snapshots((0.5, 2.0, 3.0), (0,), (0.0, 0.5, 2.0, 5.0)):
-        worst = max(worst, abs(_measures_quadrature(snap).complexity_C - target))
+        worst = max(worst, abs(measures(snap).complexity_C - target))
     return _result("complexity_ground_state_value", worst, tol,
                    note=f"target sqrt(e/2)={target:.12f}")
 
@@ -476,8 +462,8 @@ def check_complexity_ground_state(tol: float = 1e-9) -> CheckResult:
 def check_entropy_closed_n0(tol: float = 1e-9) -> CheckResult:
     worst = 0.0
     for _, _, snap in _snapshots((0.5, 2.0, 3.0), (0,), (0.0, 0.5, 2.0)):
-        closed = _measures_closed_form(snap).entropy_S
-        quad = _measures_quadrature(snap).entropy_S
+        closed = measures(snap, "closed_form").entropy_S
+        quad = measures(snap).entropy_S
         worst = max(worst, abs(closed - quad))
     return _result("entropy_closed_vs_quadrature_n0", worst, tol)
 
@@ -488,8 +474,8 @@ def check_entropy_closed_higher_n() -> CheckResult:
     residuals = {}
     for n in (1, 2, 3, 4):
         snap = make_snapshot(params, model, state, n)
-        closed = _measures_closed_form(snap).entropy_S
-        quad = _measures_quadrature(snap).entropy_S
+        closed = measures(snap, "closed_form").entropy_S
+        quad = measures(snap).entropy_S
         residuals[n] = closed - quad
     worst = max(abs(r) for r in residuals.values())
     detail = " ".join(f"n={n}:{r:+.3e}" for n, r in residuals.items())
@@ -502,7 +488,7 @@ def check_entropy_closed_higher_n() -> CheckResult:
 def check_lmc_bound() -> CheckResult:
     worst = 0.0
     for _, _, snap in _snapshots((0.5, 2.0, 3.0), (0, 1, 2, 3), (0.0, 1.0, 3.0)):
-        worst = max(worst, 1.0 - _measures_quadrature(snap).complexity_C)
+        worst = max(worst, 1.0 - measures(snap).complexity_C)
     return _result("lmc_complexity_lower_bound", worst, 1e-9, informational=True,
                    note="monitored, not asserted")
 
@@ -534,7 +520,6 @@ _ALL_CHECKS: tuple = (
     (check_hermite_roots, 1e-9),
     (check_bell_recurrence, 1e-12),
     (check_hypergeometric_series, 1e-9),
-    (check_gamma_recurrence, 1e-12),
     (check_quadrature_rule, 1e-12),
     (check_pinney_residual, 1e-6),
     (check_pinney_numeric_agreement, 1e-6),

@@ -20,13 +20,7 @@ from tdq.dynamics import (
     solve_classical,
     solve_pinney_numeric,
 )
-from tdq.information import (
-    disequilibrium_closed_form,
-    disequilibrium_quadrature,
-    entropy_closed_form,
-    entropy_quadrature,
-    measures_over_time,
-)
+from tdq.information import measures, measures_over_time
 from tdq.observables import (
     density_values,
     make_snapshot,
@@ -141,8 +135,8 @@ def test_criterion_5_dual_method_disequilibrium():
             state = rho_analytic(params, t)
             for n in range(4):
                 snap = make_snapshot(params, model, state, n)
-                closed = disequilibrium_closed_form(snap).disequilibrium_D
-                quad = disequilibrium_quadrature(snap).disequilibrium_D
+                closed = measures(snap, "closed_form").disequilibrium_D
+                quad = measures(snap).disequilibrium_D
                 worst = max(worst, abs(closed - quad) / quad)
     assert worst < 1e-8
     # hand-derived values
@@ -150,13 +144,13 @@ def test_criterion_5_dual_method_disequilibrium():
     state = rho_analytic(params, 0.9)
     snap0 = make_snapshot(params, model, state, 0)
     want0 = 1.0 / (state.rho * math.sqrt(2.0 * math.pi))
-    got0 = disequilibrium_closed_form(snap0).disequilibrium_D
+    got0 = measures(snap0, "closed_form").disequilibrium_D
     hand_worst = abs(got0 - want0) / want0
     from tdq.observables import QuantumSnapshot
     unit1 = QuantumSnapshot(n=1, t=0.0, rho=1.0, rho_dot=0.0, L=1.0,
                             omega_sq=1.0, hbar=1.0)
     want1 = 3.0 / (4.0 * math.sqrt(2.0 * math.pi))
-    got1 = disequilibrium_closed_form(unit1).disequilibrium_D
+    got1 = measures(unit1, "closed_form").disequilibrium_D
     hand_worst = max(hand_worst, abs(got1 - want1) / want1)
     assert hand_worst < 1e-9
     report("criterion 5 (dual-method disequilibrium)", max(worst, hand_worst), 1e-8)
@@ -179,13 +173,13 @@ def test_criterion_6_entropy_scaling_and_closed_form():
     params, model = hyperbolic(2.0)
     state = rho_analytic(params, 0.5)
     snap0 = make_snapshot(params, model, state, 0)
-    n0_residual = abs(entropy_closed_form(snap0).entropy_S
-                      - entropy_quadrature(snap0).entropy_S)
+    n0_residual = abs(measures(snap0, "closed_form").entropy_S
+                      - measures(snap0).entropy_S)
     assert n0_residual < 1e-9
     for n in (1, 2, 3):
         snap = make_snapshot(params, model, state, n)
-        residual = (entropy_closed_form(snap).entropy_S
-                    - entropy_quadrature(snap).entropy_S)
+        residual = (measures(snap, "closed_form").entropy_S
+                    - measures(snap).entropy_S)
         print(f"INFO criterion 6: closed-form entropy residual n={n}: "
               f"{residual:+.3e} (quadrature authoritative)")
     report("criterion 6 (entropy scaling; n=0 closed form)",

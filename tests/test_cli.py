@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -24,6 +27,19 @@ def parse_csv(text):
 def column(header, rows, name):
     idx = header.index(name)
     return [row[idx] for row in rows]
+
+
+DEFAULT_META = {
+    "rho": "command=rho sigma0=2 A=1 eps0=1 c=1 lambdaL=1 hbar=1 t0=0 t1=5 steps=101 "
+           "seed_from_analytic=False",
+    "observables": "command=observables sigma0=0.40000000000000002,0.59999999999999998,"
+                   "0.80000000000000004 A=1 eps0=1 c=1 lambdaL=1 hbar=1 n=0 t0=0 t1=5 "
+                   "steps=101",
+    "density": "command=density sigma0=1.5 A=1 eps0=1 c=1 lambdaL=1 hbar=1 n=0 t0=0 t1=1 "
+               "steps=3 qmin=-4 qmax=4 qpoints=401",
+    "info": "command=info sigma0=2,2.5,3 A=1 eps0=1 c=1 lambdaL=1 hbar=1 n=0 t0=0 t1=2 "
+            "steps=51",
+}
 
 
 class TestRho:
@@ -145,6 +161,13 @@ class TestDensity:
         assert code == 0
         assert "warning" in err.lower()
 
+    def test_leaves_warning_filters_unchanged(self, capsys):
+        before = list(warnings.filters)
+        code, _, _ = run(capsys, "density", "--qmin", "-0.5", "--qmax", "0.5",
+                         "--qpoints", "5")
+        assert code == 0
+        assert warnings.filters == before
+
 
 class TestInfo:
     def test_columns_and_complexity_constancy(self, capsys):
@@ -179,8 +202,9 @@ class TestSweep:
             return original(params, t)
 
         monkeypatch.setattr(cli, "rho_analytic", counted)
+        grid = ["--qpoints", "5"] if command == "density" else []
         code, out, _ = run(capsys, command, "--sigma0", "0.5,2", "--n", "2,0,1",
-                           "--steps", "3", "--qpoints", "5")
+                           "--steps", "3", *grid)
         assert code == 0
         assert len(calls) == len(set(calls)) == 2 * 3
         header, rows = parse_csv(out)
@@ -190,6 +214,12 @@ class TestSweep:
 
 
 class TestFormatsAndDeterminism:
+    @pytest.mark.parametrize("command", ["rho", "observables", "density", "info"])
+    def test_metadata_line_at_defaults(self, command, capsys):
+        code, out, _ = run(capsys, command)
+        assert code == 0
+        assert out.splitlines()[0] == "# " + DEFAULT_META[command]
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "rho", "--steps", "4", "--format", "json")
         assert code == 0
@@ -235,24 +265,71 @@ class TestExitCodes:
             main(["not-a-command"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["rho", "--qpoints", "5"],
+        ["observables", "--seed-from-analytic"],
+        ["verify", "--sigma0", "2"],
+        ["verify", "--format", "json"],
+    ])
+    def test_flag_of_another_command_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_non_finite_hbar_rejected(self, capsys):
+        code, out, err = run(capsys, "observables", "--hbar", "nan")
+        assert code == 2
+        assert out == ""
+        assert "--hbar" in err
+
+    def test_infinite_charge_grid_rejected(self, capsys):
+        code, out, err = run(capsys, "density", "--qmax", "inf", "--qpoints", "3")
+        assert code == 2
+        assert out == ""
+        assert "--qmax" in err
+
+    @pytest.mark.parametrize("scale", ["nan", "-1", "0"])
+    def test_bad_verify_tolerance_rejected(self, scale, capsys):
+        code, out, err = run(capsys, "verify", "--tol-verify", scale)
+        assert code == 2
+        assert out == ""
+        assert "--tol-verify" in err
+
+
+@pytest.fixture(scope="module")
+def verify_run():
+    """(exit code, stdout) of `tdq verify` with the given flags, each run once."""
+    runs = {}
+
+    def run_verify(*argv):
+        if argv not in runs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["verify", *argv])
+            runs[argv] = code, out.getvalue()
+        return runs[argv]
+
+    return run_verify
+
 
 class TestVerify:
-    def test_default_suite_passes(self, capsys):
-        code, out, _ = run(capsys, "verify")
+    def test_default_suite_passes(self, verify_run):
+        code, out = verify_run()
         assert code == 0
         assert "FAIL" not in out
         assert "checks passed" in out
         # measured ground-state complexity is reported next to its target
         assert "sqrt(e/2)" in out
 
-    def test_corrupted_tolerance_fails(self, capsys):
-        code, out, _ = run(capsys, "verify", "--tol-verify", "1e-4")
+    def test_corrupted_tolerance_fails(self, verify_run):
+        code, out = verify_run("--tol-verify", "1e-4")
         assert code == 1
         assert "FAIL" in out
         assert "failed checks" in out
 
-    def test_informational_checks_never_fail(self, capsys):
-        code, out, _ = run(capsys, "verify", "--tol-verify", "1e-4")
+    def test_informational_checks_never_fail(self, verify_run):
+        code, out = verify_run("--tol-verify", "1e-4")
         assert "INFO entropy_closed_vs_quadrature_higher_n" in out
         for line in out.splitlines():
             if "entropy_closed_vs_quadrature_higher_n" in line:

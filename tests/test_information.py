@@ -7,11 +7,7 @@ import oracles
 from tdq.dynamics import ConductivityModel, SuperconductorParams, rho_analytic
 from tdq.information import (
     coefficients,
-    complexity,
-    disequilibrium_closed_form,
-    disequilibrium_quadrature,
-    entropy_closed_form,
-    entropy_quadrature,
+    measures,
     measures_over_time,
 )
 from tdq.observables import QuantumSnapshot, make_snapshot
@@ -54,113 +50,120 @@ class TestCoefficients:
 
 class TestEntropyQuadrature:
     def test_ground_state_unit_width(self):
-        ms = entropy_quadrature(unit_snapshot(0))
+        ms = measures(unit_snapshot(0))
         assert ms.entropy_S == pytest.approx(0.5 + math.log(math.sqrt(math.pi)),
                                              abs=1e-9)
         assert ms.method == "quadrature"
 
     def test_general_gaussian_entropy(self):
         for rho, hbar in ((0.7, 1.0), (2.0, 1.0), (1.1, 2.5)):
-            ms = entropy_quadrature(unit_snapshot(0, rho=rho, hbar=hbar))
+            ms = measures(unit_snapshot(0, rho=rho, hbar=hbar))
             expected = 0.5 + math.log(math.sqrt(hbar * math.pi) * rho)
             assert ms.entropy_S == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("n", range(5))
     def test_reference_values(self, n):
         s_ref, _ = oracles.ENTROPY_DISEQ_X_UNITS[n]
-        ms = entropy_quadrature(unit_snapshot(n))
+        ms = measures(unit_snapshot(n))
         assert ms.entropy_S == pytest.approx(s_ref, abs=2e-9)
 
     def test_scaling_law(self):
         for n in (0, 1, 3):
-            base = entropy_quadrature(unit_snapshot(n)).entropy_S
+            base = measures(unit_snapshot(n)).entropy_S
             for rho in (0.5, 2.0):
-                shifted = entropy_quadrature(unit_snapshot(n, rho=rho)).entropy_S
+                shifted = measures(unit_snapshot(n, rho=rho)).entropy_S
                 assert shifted - base == pytest.approx(math.log(rho), abs=1e-9)
 
 
 class TestEntropyClosedForm:
     def test_ground_state_empty_sums(self):
         for rho in (0.6, 1.0, 3.0):
-            ms = entropy_closed_form(unit_snapshot(0, rho=rho))
+            ms = measures(unit_snapshot(0, rho=rho), "closed_form")
             assert ms.entropy_S == pytest.approx(
                 0.5 + math.log(math.sqrt(math.pi) * rho), rel=1e-14)
             assert ms.method == "closed_form"
 
     def test_matches_quadrature_n1(self):
-        closed = entropy_closed_form(unit_snapshot(1)).entropy_S
-        quad = entropy_quadrature(unit_snapshot(1)).entropy_S
+        closed = measures(unit_snapshot(1), "closed_form").entropy_S
+        quad = measures(unit_snapshot(1)).entropy_S
         assert abs(closed - quad) < 1e-6
 
     def test_rho_dependence_is_pure_log(self):
         for n in (1, 2, 4):
-            base = entropy_closed_form(unit_snapshot(n)).entropy_S
-            shifted = entropy_closed_form(unit_snapshot(n, rho=2.5)).entropy_S
+            base = measures(unit_snapshot(n), "closed_form").entropy_S
+            shifted = measures(unit_snapshot(n, rho=2.5), "closed_form").entropy_S
             assert shifted - base == pytest.approx(math.log(2.5), rel=1e-13)
 
     def test_higher_n_residual_is_reported_not_hidden(self):
         # the printed closed form drifts for n >= 2; quadrature is the
         # authority and the residual must stay visible, not be patched
-        closed = entropy_closed_form(unit_snapshot(2)).entropy_S
-        quad = entropy_quadrature(unit_snapshot(2)).entropy_S
+        closed = measures(unit_snapshot(2), "closed_form").entropy_S
+        quad = measures(unit_snapshot(2)).entropy_S
         assert closed - quad == pytest.approx(2.0, abs=1e-6)
 
 
 class TestDisequilibrium:
     def test_closed_form_ground_state(self):
         for rho, hbar in ((1.0, 1.0), (0.5, 1.0), (1.7, 2.0)):
-            ms = disequilibrium_closed_form(unit_snapshot(0, rho=rho, hbar=hbar))
+            ms = measures(unit_snapshot(0, rho=rho, hbar=hbar), "closed_form")
             assert ms.disequilibrium_D == pytest.approx(
                 1.0 / (rho * math.sqrt(2.0 * math.pi * hbar)), rel=1e-12)
 
     def test_closed_form_first_excited(self):
-        ms = disequilibrium_closed_form(unit_snapshot(1))
+        ms = measures(unit_snapshot(1), "closed_form")
         assert ms.disequilibrium_D == pytest.approx(
             3.0 / (4.0 * math.sqrt(2.0 * math.pi)), rel=1e-9)
 
     def test_quadrature_ground_state(self):
-        ms = disequilibrium_quadrature(unit_snapshot(0))
+        ms = measures(unit_snapshot(0))
         assert ms.disequilibrium_D == pytest.approx(1.0 / math.sqrt(2.0 * math.pi),
                                                     rel=1e-9)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_dual_method_equivalence(self, n):
         _, _, snap = snapshot_at(2.0, 0.6, n)
-        closed = disequilibrium_closed_form(snap).disequilibrium_D
-        quad = disequilibrium_quadrature(snap).disequilibrium_D
+        closed = measures(snap, "closed_form").disequilibrium_D
+        quad = measures(snap).disequilibrium_D
         assert closed == pytest.approx(quad, rel=1e-8)
 
     @pytest.mark.parametrize("n", range(5))
     def test_reference_values(self, n):
         _, d_ref = oracles.ENTROPY_DISEQ_X_UNITS[n]
-        ms = disequilibrium_closed_form(unit_snapshot(n))
+        ms = measures(unit_snapshot(n), "closed_form")
         assert ms.disequilibrium_D == pytest.approx(d_ref, rel=1e-12)
 
     def test_doubling_rho_halves_D(self):
         for n in (0, 2, 5):
-            d1 = disequilibrium_closed_form(unit_snapshot(n)).disequilibrium_D
-            d2 = disequilibrium_closed_form(unit_snapshot(n, rho=2.0)).disequilibrium_D
+            d1 = measures(unit_snapshot(n), "closed_form").disequilibrium_D
+            d2 = measures(unit_snapshot(n, rho=2.0), "closed_form").disequilibrium_D
             assert d2 == pytest.approx(0.5 * d1, rel=1e-13)
 
     def test_high_n_stable(self):
         # the Fraction path keeps n = 12 exact; quadrature agrees
         _, _, snap = snapshot_at(1.5, 0.3, 12)
-        closed = disequilibrium_closed_form(snap).disequilibrium_D
-        quad = disequilibrium_quadrature(snap).disequilibrium_D
+        closed = measures(snap, "closed_form").disequilibrium_D
+        quad = measures(snap).disequilibrium_D
         assert closed == pytest.approx(quad, rel=1e-8)
 
 
 class TestMeasureSet:
+    def test_method_tag_and_unknown_method(self):
+        snap = unit_snapshot(1)
+        assert measures(snap).method == "quadrature"
+        assert measures(snap, "closed_form").method == "closed_form"
+        with pytest.raises(ValueError, match="bogus"):
+            measures(snap, "bogus")
+
     def test_internal_consistency(self):
         _, _, snap = snapshot_at(2.0, 0.5, 1)
-        ms = complexity(snap)
+        ms = measures(snap)
         assert ms.H == pytest.approx(math.exp(ms.entropy_S), rel=1e-12)
         assert ms.complexity_C == pytest.approx(ms.H * ms.disequilibrium_D, rel=1e-12)
 
     def test_lmc_bound_monitored(self):
         for n in (0, 1, 2, 3):
             _, _, snap = snapshot_at(2.0, 1.0, n)
-            assert complexity(snap).complexity_C >= 1.0 - 1e-9
+            assert measures(snap).complexity_C >= 1.0 - 1e-9
 
 
 class TestComplexity:
@@ -168,7 +171,7 @@ class TestComplexity:
         target = math.sqrt(math.e / 2.0)
         for sigma0, t, hbar in ((0.5, 0.0, 1.0), (2.0, 1.3, 1.0), (3.0, 4.0, 2.0)):
             _, _, snap = snapshot_at(sigma0, t, 0, hbar=hbar)
-            assert complexity(snap).complexity_C == pytest.approx(target, abs=1e-9)
+            assert measures(snap).complexity_C == pytest.approx(target, abs=1e-9)
 
     def test_time_and_conductivity_independence(self):
         ts = np.linspace(0.0, 5.0, 11)

@@ -17,35 +17,11 @@ from tdq.special_functions import (
     bessel_y,
     bessel_y_prime,
     dawson,
-    gamma_fn,
     gauss_legendre,
     hermite,
     hyp1f1_special,
     hyp2f2_special,
 )
-
-
-class TestGamma:
-    def test_integer_and_half(self):
-        assert gamma_fn(1.0) == 1.0
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-
-    def test_recurrence_from_half(self):
-        # Gamma(4.5) lifted from Gamma(0.5) by Gamma(x+1) = x Gamma(x)
-        expected = math.sqrt(math.pi)
-        for k in (0.5, 1.5, 2.5, 3.5):
-            expected *= k
-        assert gamma_fn(4.5) == pytest.approx(expected, rel=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            gamma_fn(0.0)
-        with pytest.raises(DomainError):
-            gamma_fn(-2.5)
-
-    @given(st.floats(min_value=0.5, max_value=19.0))
-    def test_recurrence_property(self, x):
-        assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
 
 
 class TestBesselJ:
