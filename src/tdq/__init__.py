@@ -20,16 +20,12 @@ from .dynamics import (
     solve_pinney_numeric,
 )
 from .information import (
-    CoefficientVector,
     MeasureSet,
-    coefficients,
     measures,
     measures_over_time,
 )
 from .observables import (
-    DensityProfile,
     QuantumSnapshot,
-    density_profile,
     density_values,
     energy_mean,
     make_snapshot,
@@ -51,6 +47,7 @@ from .special_functions import (
     dawson,
     gauss_legendre,
     hermite,
+    hermite_function,
     hyp1f1_special,
     hyp2f2_special,
 )

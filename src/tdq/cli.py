@@ -60,8 +60,8 @@ class RunConfig:
     t0: float = 0.0
     t1: float = 5.0
     steps: int = 101
-    qmin: float = -4.0
-    qmax: float = 4.0
+    qmin: float = -6.0
+    qmax: float = 6.0
     qpoints: int = 401
     fmt: str = "csv"
     out: str = "-"
@@ -276,7 +276,7 @@ _FLAGS = (
     ("--eps0", _TABLES, {"type": float, "help": "vacuum permittivity"}),
     ("--c", _TABLES, {"type": float, "help": "light speed"}),
     ("--lambdaL", _TABLES, {"type": float, "help": "London penetration depth"}),
-    ("--hbar", _TABLES, {"type": float, "help": "reduced Planck constant"}),
+    ("--hbar", _SWEEPS, {"type": float, "help": "reduced Planck constant"}),
     ("--n", _SWEEPS, {"type": _list_of(int), "help": "comma-separated quantum numbers"}),
     ("--t0", _TABLES, {"type": float}),
     ("--t1", _TABLES, {"type": float}),

@@ -67,11 +67,6 @@ class SuperconductorParams:
         for name in ("A", "eps0", "c", "lambdaL", "hbar"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        s = self.decay_exponent
-        root_form = 0.5 * math.sqrt(1.0 + 2.0 * s + s * s)
-        if abs(root_form - self.beta) > 1e-14 * max(1.0, self.beta):
-            raise ValueError(
-                f"beta consistency check failed: {root_form!r} vs {self.beta!r}")
 
     @property
     def decay_exponent(self) -> float:
@@ -134,8 +129,7 @@ class ConductivityModel:
                        eps0: float = 1.0) -> "ConductivityModel":
         """User-tabulated model; L integrated numerically from t = 0."""
         def L(t: float) -> float:
-            return math.exp(adaptive_simpson(lambda u: sigma(u) / eps0, 0.0, t,
-                                             tol=1e-10))
+            return math.exp(adaptive_simpson(lambda u: sigma(u) / eps0, 0.0, t))
         return cls(kind="user-tabulated", sigma=sigma, sigma_dot=sigma_dot, L=L)
 
 
@@ -218,9 +212,7 @@ def solve_pinney_numeric(params: SuperconductorParams,
                          model: ConductivityModel,
                          rho0: float | None = None,
                          rho_dot0: float | None = None,
-                         t_grid: Sequence[float] = (),
-                         rtol: float = 1e-10,
-                         atol: float = 1e-10) -> list[PinneyState]:
+                         t_grid: Sequence[float] = ()) -> list[PinneyState]:
     """Integrate the Pinney equation on an ascending grid.
 
     Initial conditions default to the analytic values at the grid start
@@ -253,8 +245,7 @@ def solve_pinney_numeric(params: SuperconductorParams,
         if y[0] < _RHO_GUARD:
             raise PinneySingularityError(t)
 
-    states = solve_rk45(rhs, t_grid[0], (rho0, rho_dot0), t_grid,
-                        rtol=rtol, atol=atol, post_step=guard)
+    states = solve_rk45(rhs, t_grid[0], (rho0, rho_dot0), t_grid, post_step=guard)
     return [PinneyState(t=float(t), rho=float(y[0]), rho_dot=float(y[1]),
                         source="numeric")
             for t, y in zip(t_grid, states)]
@@ -264,9 +255,7 @@ def solve_classical(params: SuperconductorParams,
                     model: ConductivityModel,
                     q0: float,
                     q_dot0: float,
-                    t_grid: Sequence[float],
-                    rtol: float = 1e-10,
-                    atol: float = 1e-10) -> list[ClassicalState]:
+                    t_grid: Sequence[float]) -> list[ClassicalState]:
     """Integrate the damped charge equation on an ascending grid from 0."""
     eps0 = params.eps0
 
@@ -276,7 +265,7 @@ def solve_classical(params: SuperconductorParams,
                          -model.sigma(t) / eps0 * q_dot
                          - omega_sq(params, model, t) * q))
 
-    states = solve_rk45(rhs, t_grid[0], (q0, q_dot0), t_grid, rtol=rtol, atol=atol)
+    states = solve_rk45(rhs, t_grid[0], (q0, q_dot0), t_grid)
     return [ClassicalState(t=float(t), q=float(y[0]), q_dot=float(y[1]),
                            phi=model.L(float(t)) * float(y[1]))
             for t, y in zip(t_grid, states)]

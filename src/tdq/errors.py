@@ -39,7 +39,3 @@ class NormalizationError(RuntimeError):
 
 class ConfigError(ValueError):
     """Invalid run configuration."""
-
-
-class GridCoverageWarning(UserWarning):
-    """Charge grid too narrow: density normalization check failed."""

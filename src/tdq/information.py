@@ -19,10 +19,11 @@ implementations under test against that quadrature:
 
   * disequilibrium: D = (1/(rho sqrt(hbar))) sum_{j=0}^{2n}
         Gamma(j+1/2)/2^{j+1/2} * 4!/(2j+4)! * B_{2j+4,4}(a),
-    with Bell arguments a_i = i! c_{i-1}^{(n)} built from the normalized
-    Hermite coefficients c_l.  Factoring the irrational normalization out
-    of the homogeneous-degree-4 Bell polynomial leaves an exactly rational
-    sum, so this path is evaluated in integer/Fraction arithmetic and is
+    with Bell arguments a_i = i! q_{i-1} / sqrt(2^n n! sqrt(pi)) built from
+    the integer coefficients q_l of H_n (`hermite(n).coefficients`, zero
+    for l > n).  Factoring the irrational normalization out of the
+    homogeneous-degree-4 Bell polynomial leaves an exactly rational sum,
+    so this path is evaluated in integer/Fraction arithmetic and is
     immune to cancellation for every n <= 12.
 
 Because P depends on time only through rho, S - ln(rho) and D * rho are
@@ -85,33 +86,6 @@ class MeasureSet:
         return cls(n=n, t=t, entropy_S=entropy_S, H=H,
                    disequilibrium_D=disequilibrium_D,
                    complexity_C=H * disequilibrium_D, method=method)
-
-
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Polynomial coefficients c_l of the normalized Hermite function
-    H_n(x) / sqrt(2^n n! sqrt(pi)), zero-padded through l = 2n."""
-
-    n: int
-    c: tuple[float, ...]
-
-
-@lru_cache(maxsize=None)
-def coefficients(n: int) -> CoefficientVector:
-    """c_l^(n) = (-1)^{(3n-l)/2} n! 2^{l-1} [(-1)^l + (-1)^n]
-                 / (l! ((n-l)/2)! sqrt(2^n n! sqrt(pi)))
-    for 0 <= l <= n with l, n of equal parity; zero otherwise."""
-    norm = math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi))
-    values = []
-    for l in range(2 * n + 1):
-        if l > n or (l - n) % 2 != 0:
-            values.append(0.0)
-            continue
-        parity = (-1) ** l + (-1) ** n  # +/-2, never 0 here
-        num = (-1) ** ((3 * n - l) // 2) * math.factorial(n) * 2.0 ** (l - 1) * parity
-        den = math.factorial(l) * math.factorial((n - l) // 2) * norm
-        values.append(num / den)
-    return CoefficientVector(n=n, c=tuple(values))
 
 
 # ---------------------------------------------------------------------------

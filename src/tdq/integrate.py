@@ -31,17 +31,22 @@ _B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 
 _E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
       -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
+# per-component error tolerance of solve_rk45: atol + rtol |y|
+_RTOL = 1e-10
+_ATOL = 1e-10
 _SAFETY = 0.9
 _MIN_SCALE = 0.2
 _MAX_SCALE = 5.0
+# adaptive_simpson: tolerance of the whole-interval panel test (halved at
+# each bisection) and the bisection depth limit
+_SIMPSON_TOL = 1e-10
+_SIMPSON_MAX_DEPTH = 50
 
 
 def solve_rk45(rhs: Callable[[float, np.ndarray], np.ndarray],
                t0: float,
                y0: Sequence[float],
                t_eval: Sequence[float],
-               rtol: float = 1e-10,
-               atol: float = 1e-10,
                post_step: Callable[[float, np.ndarray], None] | None = None,
                ) -> np.ndarray:
     """Integrate y' = rhs(t, y) and return the states at t_eval.
@@ -95,7 +100,7 @@ def solve_rk45(rhs: Callable[[float, np.ndarray], np.ndarray],
             if _E[i] != 0.0:
                 err += h * _E[i] * k[i]
 
-        scale_den = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+        scale_den = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y5))
         err_norm = float(np.sqrt(np.mean((err / scale_den) ** 2)))
 
         if err_norm <= 1.0:
@@ -116,15 +121,13 @@ def solve_rk45(rhs: Callable[[float, np.ndarray], np.ndarray],
 
 def adaptive_simpson(f: Callable[[float], float],
                      a: float,
-                     b: float,
-                     tol: float = 1e-10,
-                     max_depth: int = 50) -> float:
+                     b: float) -> float:
     """Adaptive Simpson quadrature of f over [a, b]."""
     if a == b:
         return 0.0
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    return _simpson_rec(f, a, b, fa, fm, fb, whole, _SIMPSON_TOL, _SIMPSON_MAX_DEPTH)
 
 
 def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):

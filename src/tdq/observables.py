@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -37,11 +36,8 @@ from .dynamics import (
     omega_sq,
     rho_analytic,
 )
-from .errors import GridCoverageWarning
 from .integrate import adaptive_simpson
-from .special_functions import hermite
-
-_NORM_GUARD = 1e-6
+from .special_functions import hermite_function
 
 
 @dataclass(frozen=True)
@@ -55,15 +51,6 @@ class QuantumSnapshot:
     L: float
     omega_sq: float
     hbar: float
-
-
-@dataclass(frozen=True)
-class DensityProfile:
-    """Probability density sampled on an ascending charge grid."""
-
-    q_grid: np.ndarray
-    p_values: np.ndarray
-    snapshot: QuantumSnapshot
 
 
 def make_snapshot(params: SuperconductorParams,
@@ -103,8 +90,7 @@ def phase(params: SuperconductorParams,
         else:
             raise ValueError(
                 "phase needs rho_of_t for models without a closed-form amplitude")
-    integral = adaptive_simpson(
-        lambda u: 1.0 / (model.L(u) * rho_of_t(u) ** 2), 0.0, t, tol=1e-10)
+    integral = adaptive_simpson(lambda u: 1.0 / (model.L(u) * rho_of_t(u) ** 2), 0.0, t)
     return -(n + 0.5) * integral
 
 
@@ -115,51 +101,20 @@ def wavefunction(snapshot: QuantumSnapshot, q: float, theta: float = 0.0) -> com
     history; pass phase(...) for the full time-dependent solution.  The
     modulus is independent of theta and of the rho' term.
     """
-    n, rho, hbar = snapshot.n, snapshot.rho, snapshot.hbar
-    amplitude = (math.sqrt(math.pi) * math.sqrt(hbar)
-                 * math.factorial(n) * 2.0 ** n * rho) ** -0.5
-    xi = q / (math.sqrt(hbar) * rho)
-    width = (1j * snapshot.L / (2.0 * hbar)) * (
-        snapshot.rho_dot / rho + 1j / (snapshot.L * rho * rho))
-    return (amplitude * hermite(n).evaluate(xi)
-            * cmath.exp(width * q * q + 1j * theta))
-
-
-def _hermite_function_values(n: int, xi: np.ndarray) -> np.ndarray:
-    """Orthonormal Hermite functions h_n(xi) by the stable recurrence
-
-    h_0 = pi^{-1/4} e^{-xi^2/2},   h_1 = sqrt(2) xi h_0,
-    h_{k+1} = sqrt(2/(k+1)) xi h_k - sqrt(k/(k+1)) h_{k-1}.
-    """
-    h_prev = math.pi ** -0.25 * np.exp(-0.5 * xi * xi)
-    if n == 0:
-        return h_prev
-    h = math.sqrt(2.0) * xi * h_prev
-    for k in range(1, n):
-        h_prev, h = h, (math.sqrt(2.0 / (k + 1)) * xi * h
-                        - math.sqrt(k / (k + 1.0)) * h_prev)
-    return h
+    rho, hbar = snapshot.rho, snapshot.hbar
+    scale = math.sqrt(hbar) * rho
+    # h_n carries the real Gaussian factor e^{-q^2/(2 hbar rho^2)} and the
+    # normalization; only the rho' chirp and the phase are left
+    chirp = snapshot.L * snapshot.rho_dot / (2.0 * hbar * rho)
+    h = float(hermite_function(snapshot.n, q / scale))
+    return h / math.sqrt(scale) * cmath.exp(1j * (chirp * q * q + theta))
 
 
 def density_values(snapshot: QuantumSnapshot, q: np.ndarray) -> np.ndarray:
     """P(q, t) = |psi_n|^2 on an array of charge values (real closed form)."""
     scale = math.sqrt(snapshot.hbar) * snapshot.rho
-    h = _hermite_function_values(snapshot.n, np.asarray(q, dtype=float) / scale)
+    h = hermite_function(snapshot.n, np.asarray(q, dtype=float) / scale)
     return h * h / scale
-
-
-def density_profile(snapshot: QuantumSnapshot, q_grid: Sequence[float]) -> DensityProfile:
-    """Density on a grid; warns when the grid misses enough mass that the
-    trapezoid normalization check fails."""
-    q = np.asarray(q_grid, dtype=float)
-    p = density_values(snapshot, q)
-    norm = float(np.trapezoid(p, q))
-    if abs(norm - 1.0) > _NORM_GUARD:
-        warnings.warn(
-            f"density grid covers trapezoid mass {norm!r}, expected 1 within "
-            f"{_NORM_GUARD}; widen [qmin, qmax] or refine the grid",
-            GridCoverageWarning, stacklevel=2)
-    return DensityProfile(q_grid=q, p_values=p, snapshot=snapshot)
 
 
 def moments(snapshot: QuantumSnapshot) -> tuple[float, float, float, float]:

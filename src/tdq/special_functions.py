@@ -298,24 +298,31 @@ class HermiteTable:
     """Physicists' Hermite polynomial H_n: exact coefficients plus real roots.
 
     coefficients[k] multiplies x^k; roots are the n real zeros, ascending
-    and exactly symmetric about 0.
+    and exactly symmetric about 0.  Floating-point values come from
+    `hermite_function`.
     """
 
     n: int
     coefficients: tuple[int, ...]
     roots: tuple[float, ...]
 
-    def evaluate(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
 
-    def derivative(self, x: float) -> float:
-        # H_n' = 2n H_{n-1}
-        if self.n == 0:
-            return 0.0
-        return 2.0 * self.n * hermite(self.n - 1).evaluate(x)
+def hermite_function(n: int, xi: float | np.ndarray) -> float | np.ndarray:
+    """Orthonormal Hermite functions h_n(xi) by the stable recurrence
+
+    h_0 = pi^{-1/4} e^{-xi^2/2},   h_1 = sqrt(2) xi h_0,
+    h_{k+1} = sqrt(2/(k+1)) xi h_k - sqrt(k/(k+1)) h_{k-1},
+
+    so h_n = H_n e^{-xi^2/2} / sqrt(2^n n! sqrt(pi)).
+    """
+    h_prev = math.pi ** -0.25 * np.exp(-0.5 * xi * xi)
+    if n == 0:
+        return h_prev
+    h = math.sqrt(2.0) * xi * h_prev
+    for k in range(1, n):
+        h_prev, h = h, (math.sqrt(2.0 / (k + 1)) * xi * h
+                        - math.sqrt(k / (k + 1.0)) * h_prev)
+    return h
 
 
 def _hermite_coefficients(n: int) -> tuple[int, ...]:
@@ -340,7 +347,8 @@ def hermite(n: int) -> HermiteTable:
 
     Roots come from the eigenvalues of the symmetric Jacobi matrix of the
     Hermite recurrence (off-diagonal sqrt(k/2)), polished with one Newton
-    step on the exact polynomial and symmetrized pairwise.
+    step on h_n, with h_n' = sqrt(2n) h_{n-1} - xi h_n, and symmetrized
+    pairwise.
     """
     if n < 0:
         raise DomainError(f"hermite requires n >= 0, got {n!r}")
@@ -352,14 +360,11 @@ def hermite(n: int) -> HermiteTable:
     off = np.sqrt(np.arange(1, n) / 2.0)
     jacobi = np.diag(off, 1) + np.diag(off, -1)
     roots = np.linalg.eigvalsh(jacobi)
-    table = HermiteTable(n, coeffs, tuple(roots))
-    polished = []
-    for r in roots:
-        h = table.evaluate(r)
-        dh = table.derivative(r)
-        polished.append(r - h / dh if dh != 0.0 else r)
-    sym = [(polished[k] - polished[n - 1 - k]) / 2.0 for k in range(n)]
-    return HermiteTable(n, coeffs, tuple(sym))
+    h = hermite_function(n, roots)
+    dh = math.sqrt(2.0 * n) * hermite_function(n - 1, roots) - roots * h
+    polished = roots - h / dh
+    sym = (polished - polished[::-1]) / 2.0
+    return HermiteTable(n, coeffs, tuple(sym.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,14 @@ def rho_mp(sigma0: float, t: float, dps: int = 40) -> tuple[float, float]:
         return float(rho), float(rho * (p / x + half_slope / g))
 
 
+def hermite_root_error_mp(n: int, r: float, dps: int = 40) -> float:
+    """Newton step |H_n(r) / H_n'(r)| at extended precision, with mpmath's
+    H_n and H_n' = 2n H_{n-1}: the forward error of r as a root of H_n."""
+    with mp.workdps(dps):
+        x = mp.mpf(r)
+        return float(abs(mp.hermite(n, x) / (2 * n * mp.hermite(n - 1, x))))
+
+
 def trapezoid_moment(q: np.ndarray, p: np.ndarray, power: int) -> float:
     """integral q^power P(q) dq on a dense grid, trapezoid rule."""
     return float(np.trapezoid(p * q ** power, q))

@@ -30,13 +30,13 @@ def column(header, rows, name):
 
 
 DEFAULT_META = {
-    "rho": "command=rho sigma0=2 A=1 eps0=1 c=1 lambdaL=1 hbar=1 t0=0 t1=5 steps=101 "
+    "rho": "command=rho sigma0=2 A=1 eps0=1 c=1 lambdaL=1 t0=0 t1=5 steps=101 "
            "seed_from_analytic=False",
     "observables": "command=observables sigma0=0.40000000000000002,0.59999999999999998,"
                    "0.80000000000000004 A=1 eps0=1 c=1 lambdaL=1 hbar=1 n=0 t0=0 t1=5 "
                    "steps=101",
     "density": "command=density sigma0=1.5 A=1 eps0=1 c=1 lambdaL=1 hbar=1 n=0 t0=0 t1=1 "
-               "steps=3 qmin=-4 qmax=4 qpoints=401",
+               "steps=3 qmin=-6 qmax=6 qpoints=401",
     "info": "command=info sigma0=2,2.5,3 A=1 eps0=1 c=1 lambdaL=1 hbar=1 n=0 t0=0 t1=2 "
             "steps=51",
 }
@@ -156,6 +156,11 @@ class TestDensity:
                             for i in range(len(qs) - 1))
             assert trapezoid == pytest.approx(1.0, abs=1e-6)
 
+    def test_defaults_cover_the_density(self, capsys):
+        code, _, err = run(capsys, "density")
+        assert code == 0
+        assert err == ""
+
     def test_narrow_grid_warns_on_stderr(self, capsys):
         code, _, err = run(capsys, "density", "--qmin", "-0.5", "--qmax", "0.5")
         assert code == 0
@@ -256,6 +261,12 @@ class TestExitCodes:
         assert code == 2
         assert "sigma0=2" in err
 
+    def test_order_overflow_exits_2(self, capsys):
+        code, out, err = run(capsys, "rho", "--sigma0", "1e200", "--steps", "2")
+        assert code == 2
+        assert out == ""
+        assert "sigma0=1e+200" in err
+
     def test_negative_sigma_rejected(self, capsys):
         code, _, err = run(capsys, "rho", "--sigma0", "-1")
         assert code == 2
@@ -267,6 +278,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["rho", "--qpoints", "5"],
+        ["rho", "--hbar", "3"],
         ["observables", "--seed-from-analytic"],
         ["verify", "--sigma0", "2"],
         ["verify", "--format", "json"],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from tdq import dynamics
+from tdq import dynamics, verify
 from tdq.dynamics import (
     ClassicalState,
     ConductivityModel,
@@ -138,6 +138,10 @@ class TestRhoAnalytic:
         params, model = hyperbolic(sigma0)
         for t in np.linspace(0.0, 5.0, 6):
             assert pinney_residual_fd(params, model, float(t)) < 1e-6
+
+    def test_verify_pinney_residual_margin(self):
+        params, model = hyperbolic(3.0)
+        assert verify.pinney_residual(params, model, 0.0) < 1e-8
 
     def test_rho_dot_matches_finite_difference(self):
         params, _ = hyperbolic(2.5)

@@ -5,13 +5,9 @@ import pytest
 
 import oracles
 from tdq.dynamics import ConductivityModel, SuperconductorParams, rho_analytic
-from tdq.information import (
-    coefficients,
-    measures,
-    measures_over_time,
-)
+from tdq.information import measures, measures_over_time
 from tdq.observables import QuantumSnapshot, make_snapshot
-from tdq.special_functions import hermite
+from tdq.special_functions import hermite, hermite_function
 
 
 def snapshot_at(sigma0, t, n, **kwargs):
@@ -26,26 +22,17 @@ def unit_snapshot(n, rho=1.0, hbar=1.0, rho_dot=0.0):
 
 
 class TestCoefficients:
-    def test_ground_state(self):
-        assert coefficients(0).c == (math.pi ** -0.25,)
-
-    def test_parity_zeros(self):
-        assert coefficients(1).c[0] == 0.0
-        for n in range(9):
-            vec = coefficients(n)
-            assert len(vec.c) == 2 * n + 1
-            for l, c in enumerate(vec.c):
-                if l > n or (l - n) % 2 != 0:
-                    assert c == 0.0
+    """The closed-form D builds its Bell arguments from the integer
+    coefficients of H_n over sqrt(2^n n! sqrt(pi)); those must give the
+    orthonormal Hermite function the densities are made of."""
 
     @pytest.mark.parametrize("n", range(7))
     def test_reproduces_normalized_hermite(self, n):
-        vec = coefficients(n)
         norm = math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi))
         for x in (-1.7, -0.4, 0.0, 0.9, 2.2):
-            poly = sum(c * x ** l for l, c in enumerate(vec.c))
-            assert poly == pytest.approx(hermite(n).evaluate(x) / norm,
-                                         rel=1e-12, abs=1e-13)
+            poly = sum(q * x ** l for l, q in enumerate(hermite(n).coefficients))
+            assert poly / norm * math.exp(-0.5 * x * x) == pytest.approx(
+                hermite_function(n, x), rel=1e-12, abs=1e-13)
 
 
 class TestEntropyQuadrature:

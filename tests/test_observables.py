@@ -11,10 +11,8 @@ from tdq.dynamics import (
     SuperconductorParams,
     rho_analytic,
 )
-from tdq.errors import GridCoverageWarning
 from tdq.observables import (
     QuantumSnapshot,
-    density_profile,
     density_values,
     energy_mean,
     make_snapshot,
@@ -107,8 +105,8 @@ class TestDensity:
         _, _, snap = snapshot_at(1.5, 0.5, 2)
         half = np.linspace(0.04, 6.0, 150)
         grid = np.concatenate([-half[::-1], [0.0], half])  # bitwise symmetric
-        profile = density_profile(snap, grid)
-        assert np.array_equal(profile.p_values, profile.p_values[::-1])
+        p = density_values(snap, grid)
+        assert np.array_equal(p, p[::-1])
 
     def test_normalized_on_wide_grid(self):
         for n in range(5):
@@ -116,11 +114,6 @@ class TestDensity:
             q = dense_grid(snap)
             assert oracles.trapezoid_moment(q, density_values(snap, q), 0) == (
                 pytest.approx(1.0, abs=1e-8))
-
-    def test_grid_coverage_warning(self):
-        _, _, snap = snapshot_at(1.5, 0.5, 0)
-        with pytest.warns(GridCoverageWarning):
-            density_profile(snap, np.linspace(-0.5, 0.5, 101))
 
     def test_localization_grows_with_conductivity(self):
         # at t = 0.5 the sigma0 = 3 amplitude is smaller, so its ground
@@ -135,11 +128,10 @@ class TestDensity:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_node_count(self, n):
-        from tdq.special_functions import hermite
+        from tdq.special_functions import hermite, hermite_function
         _, _, snap = snapshot_at(1.5, 0.5, n)
         q = dense_grid(snap, 4001)
-        xi = q / (math.sqrt(snap.hbar) * snap.rho)
-        values = np.array([hermite(n).evaluate(x) for x in xi])
+        values = hermite_function(n, q / (math.sqrt(snap.hbar) * snap.rho))
         sign_changes = int(np.sum(np.signbit(values[1:]) != np.signbit(values[:-1])))
         assert sign_changes == n
         # and the density is machine-small at the corresponding charges

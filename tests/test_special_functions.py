@@ -19,6 +19,7 @@ from tdq.special_functions import (
     dawson,
     gauss_legendre,
     hermite,
+    hermite_function,
     hyp1f1_special,
     hyp2f2_special,
 )
@@ -180,11 +181,9 @@ class TestHermite:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_roots_symmetric_and_residual(self, n):
         table = hermite(n)
-        lead_scale = abs(table.coefficients[-1]) * max(
-            1.0, max(abs(r) for r in table.roots)) ** n
         for k, r in enumerate(table.roots):
             assert abs(r + table.roots[n - 1 - k]) < 1e-12
-            assert abs(table.evaluate(r)) / lead_scale < 1e-9
+            assert oracles.hermite_root_error_mp(n, r) <= 1e-15
 
     def test_roots_against_scipy(self):
         from scipy.special import roots_hermite
@@ -194,16 +193,11 @@ class TestHermite:
 
     def test_orthogonality(self):
         rule = gauss_legendre(200, -10.0, 10.0)
-        weight = np.exp(-rule.nodes ** 2)
-        for m in range(7):
-            hm = np.array([hermite(m).evaluate(x) for x in rule.nodes])
-            for n in range(7):
-                hn = np.array([hermite(n).evaluate(x) for x in rule.nodes])
-                got = rule.dot(hm * hn * weight)
-                want = math.sqrt(math.pi) * 2.0 ** n * math.factorial(n) if m == n else 0.0
-                scale = math.sqrt(
-                    math.pi * 2.0 ** (m + n) * math.factorial(m) * math.factorial(n))
-                assert abs(got - want) / scale < 1e-8
+        for m in range(13):
+            hm = hermite_function(m, rule.nodes)
+            for n in range(13):
+                got = rule.dot(hm * hermite_function(n, rule.nodes))
+                assert abs(got - (1.0 if m == n else 0.0)) < 1e-8
 
 
 class TestDawsonAndHypergeometric:
