@@ -19,11 +19,7 @@ from .dynamics import (
     solve_classical,
     solve_pinney_numeric,
 )
-from .information import (
-    MeasureSet,
-    measures,
-    measures_over_time,
-)
+from .information import MeasureSet, measures
 from .observables import (
     QuantumSnapshot,
     density_values,

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EnvelopeError, PinneySingularityError, TimeMismatchError
-from .integrate import adaptive_simpson, solve_rk45
+from .integrate import solve_rk45
 from .special_functions import (
     _bessel_jy,
     _check_bessel_envelope,
@@ -122,15 +122,6 @@ class ConductivityModel:
             sigma_dot=lambda t: 0.0,
             L=lambda t: math.exp(sigma0 * t / eps0),
         )
-
-    @classmethod
-    def from_callables(cls, sigma: Callable[[float], float],
-                       sigma_dot: Callable[[float], float],
-                       eps0: float = 1.0) -> "ConductivityModel":
-        """User-tabulated model; L integrated numerically from t = 0."""
-        def L(t: float) -> float:
-            return math.exp(adaptive_simpson(lambda u: sigma(u) / eps0, 0.0, t))
-        return cls(kind="user-tabulated", sigma=sigma, sigma_dot=sigma_dot, L=L)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Adaptive one-dimensional integrators.
 
-`adaptive_simpson` handles the smooth time integrals (phase accumulation,
-conductivity integrals for tabulated models).  `solve_rk45` is a
-Dormand-Prince 5(4) embedded pair with PI-free standard step control;
-output times are honored by capping the step at the next requested
-sample, so no interpolation error enters the reported trajectory.
+`adaptive_simpson` handles the smooth time integral of the phase.
+`solve_rk45` is a Dormand-Prince 5(4) embedded pair with PI-free standard
+step control; output times are honored by capping the step at the next
+requested sample, so no interpolation error enters the reported
+trajectory.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from .dynamics import (
     solve_classical,
     solve_pinney_numeric,
 )
-from .information import measures, measures_over_time
+from .information import measures
 from .observables import (
     QuantumSnapshot,
     density_values,
@@ -50,6 +50,10 @@ _FIGURE_SIGMAS = (0.4, 0.6, 0.8, 1.5, 2.0, 2.5, 3.0)
 # time step of the difference that gives rho'' from the analytic rho'; at
 # 1e-4 the residual is truncation-limited near 1e-6
 _PINNEY_FD_STEP = 1e-6
+# Gauss-Legendre nodes per panel of the direct q-space information
+# integral; plain panels converge only algebraically at the density zeros
+# (256 leave 5.5e-12, 512 give ~1e-13)
+_DIRECT_PANEL_NODES = 512
 
 
 @dataclass
@@ -365,27 +369,31 @@ def check_phase_derivative(tol: float = 1e-6) -> CheckResult:
 # information checks
 # ---------------------------------------------------------------------------
 
-def check_entropy_scaling(tol: float = 1e-9) -> CheckResult:
+def check_information_vs_density(tol: float = 1e-9) -> CheckResult:
+    """S, D and C of `measures` against -int P ln P and int P^2 of
+    `density_values` in q, on plain Gauss-Legendre panels split at the
+    density zeros sqrt(hbar) rho x_k: a path through neither the level
+    constants nor the rho scaling."""
+    snaps = [snap for _, _, snap in _snapshots((0.5, 3.0), (0, 1, 2), (0.0, 2.0))]
+    params = SuperconductorParams(sigma0=2.0, hbar=2.0)
+    model = ConductivityModel.hyperbolic(params)
+    snaps.append(make_snapshot(params, model, rho_analytic(params, 0.7), 2))
     worst = 0.0
-    ts = np.linspace(0.0, 2.0, 9)
-    for n in (0, 1, 2):
-        for sigma0 in (0.5, 2.0):
-            params, model = _hyperbolic(sigma0)
-            shifted = [m.entropy_S - math.log(rho_analytic(params, float(t)).rho)
-                       for t, m in zip(ts, measures_over_time(params, model, n, ts))]
-            worst = max(worst, max(shifted) - min(shifted))
-    return _result("entropy_scaling", worst, tol)
-
-
-def check_disequilibrium_scaling(tol: float = 1e-9) -> CheckResult:
-    worst = 0.0
-    ts = np.linspace(0.0, 2.0, 9)
-    for n in (0, 1, 2):
-        params, model = _hyperbolic(2.0)
-        products = [m.disequilibrium_D * rho_analytic(params, float(t)).rho
-                    for t, m in zip(ts, measures_over_time(params, model, n, ts))]
-        worst = max(worst, max(products) - min(products))
-    return _result("disequilibrium_scaling", worst, tol)
+    for snap in snaps:
+        radius = truncation_radius(snap)
+        scale = math.sqrt(snap.hbar) * snap.rho
+        edges = [-radius, *(scale * r for r in hermite(snap.n).roots), radius]
+        entropy = diseq = 0.0
+        for a, b in zip(edges, edges[1:]):
+            rule = gauss_legendre(_DIRECT_PANEL_NODES, a, b)
+            p = density_values(snap, rule.nodes)
+            entropy -= rule.dot(p * np.log(p))
+            diseq += rule.dot(p * p)
+        got = measures(snap)
+        worst = max(worst, abs(got.entropy_S - entropy),
+                    abs(got.disequilibrium_D / diseq - 1.0),
+                    abs(got.complexity_C / (math.exp(entropy) * diseq) - 1.0))
+    return _result("information_vs_density_quadrature", worst, tol)
 
 
 def check_diseq_closed_vs_quadrature(tol: float = 1e-8) -> CheckResult:
@@ -411,31 +419,13 @@ def check_diseq_hand_values(tol: float = 1e-9) -> CheckResult:
     return _result("diseq_hand_values", worst, tol)
 
 
-def check_complexity_constancy(tol: float = 1e-7) -> CheckResult:
-    worst = 0.0
-    c0_measured = None
-    ts = np.linspace(0.0, 5.0, 51)
-    for n in (0, 1, 2):
-        values = []
-        for sigma0 in (0.5, 2.0, 3.0):
-            params, model = _hyperbolic(sigma0)
-            values.extend(m.complexity_C
-                          for m in measures_over_time(params, model, n, ts))
-        worst = max(worst, max(values) - min(values))
-        if n == 0:
-            c0_measured = values[0]
-    target = math.sqrt(math.e / 2.0)
-    return _result("complexity_constancy", worst, tol,
-                   note=f"C(n=0)={c0_measured:.12f} target sqrt(e/2)={target:.12f}")
-
-
 def check_complexity_ground_state(tol: float = 1e-9) -> CheckResult:
     target = math.sqrt(math.e / 2.0)
-    worst = 0.0
-    for _, _, snap in _snapshots((0.5, 2.0, 3.0), (0,), (0.0, 0.5, 2.0, 5.0)):
-        worst = max(worst, abs(measures(snap).complexity_C - target))
+    values = [measures(snap).complexity_C
+              for _, _, snap in _snapshots((0.5, 2.0, 3.0), (0,), (0.0, 0.5, 2.0, 5.0))]
+    worst = max(abs(c - target) for c in values)
     return _result("complexity_ground_state_value", worst, tol,
-                   note=f"target sqrt(e/2)={target:.12f}")
+                   note=f"C(n=0)={values[0]:.12f} target sqrt(e/2)={target:.12f}")
 
 
 def check_entropy_closed_n0(tol: float = 1e-9) -> CheckResult:
@@ -476,9 +466,9 @@ def check_monotone_localization(tol: float = 0.0) -> CheckResult:
     worst = 0.0
     ts = np.linspace(0.5, 2.0, 7)
     for sigma0 in (2.0, 2.5, 3.0):
-        params, model = _hyperbolic(sigma0)
-        rhos = [rho_analytic(params, float(t)).rho for t in ts]
-        sets = measures_over_time(params, model, 0, ts)
+        snaps = [snap for _, _, snap in _snapshots((sigma0,), (0,), ts)]
+        rhos = [snap.rho for snap in snaps]
+        sets = [measures(snap) for snap in snaps]
         ds = [m.disequilibrium_D for m in sets]
         hs = [m.H for m in sets]
         for a, b in zip(rhos, rhos[1:]):
@@ -510,11 +500,9 @@ _ALL_CHECKS: tuple = (
     (check_uncertainty_floor, 1e-12),
     (check_density_nodes, None),
     (check_phase_derivative, 1e-6),
-    (check_entropy_scaling, 1e-9),
-    (check_disequilibrium_scaling, 1e-9),
+    (check_information_vs_density, 1e-9),
     (check_diseq_closed_vs_quadrature, 1e-8),
     (check_diseq_hand_values, 1e-9),
-    (check_complexity_constancy, 1e-7),
     (check_complexity_ground_state, 1e-9),
     (check_entropy_closed_n0, 1e-9),
     (check_entropy_closed_higher_n, None),

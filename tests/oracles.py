@@ -1,75 +1,21 @@
 """Independent oracles the tests compare against.
 
 Each oracle deliberately avoids the production code path it checks:
-partition enumeration instead of the Bell recurrence, trapezoid sums
-instead of Gauss-Legendre, extended-precision raw series instead of the
+trapezoid sums instead of Gauss-Legendre, mpmath instead of the
 double-double kernels, finite differences instead of analytic
-derivatives.
+derivatives.  The exact oracles (Bell partition enumeration, Fraction
+hypergeometric series) live in `tdq.verify`, whose users have no mpmath;
+tests import them from there.
 """
-
-import math
 
 import mpmath as mp
 import numpy as np
-
-
-def bell_enumeration(m: int, l: int, a) -> float:
-    """B_{m,l} as the explicit sum over partitions of m into l blocks:
-    sum over {j_i} with sum j_i = l and sum i j_i = m of
-    m!/(j_1! ... j_{m-l+1}!) prod (a_i/i!)^{j_i}."""
-    n_args = m - l + 1
-    total = 0.0
-
-    def recurse(i, blocks_left, weight_left, js):
-        nonlocal total
-        if i == n_args:
-            if blocks_left == 0 and weight_left == 0:
-                coeff = math.factorial(m)
-                prod = 1.0
-                for idx, j in enumerate(js, start=1):
-                    coeff //= math.factorial(j)
-                    prod *= (a[idx - 1] / math.factorial(idx)) ** j
-                total += coeff * prod
-            return
-        for j in range(min(blocks_left, weight_left // (i + 1)) + 1):
-            recurse(i + 1, blocks_left - j, weight_left - (i + 1) * j, js + [j])
-
-    recurse(0, l, m, [])
-    return total
 
 
 def dawson_trapezoid(x: float, points: int = 200001) -> float:
     """F(x) = integral_0^x e^{t^2 - x^2} dt by brute-force trapezoid."""
     t = np.linspace(0.0, x, points)
     return float(np.trapezoid(np.exp(t * t - x * x), t))
-
-
-def hyp1f1_raw_series(z: float, dps: int = 50) -> float:
-    """1F1(1;1/2;z) summed term by term at extended precision."""
-    with mp.workdps(dps):
-        term = mp.mpf(1)
-        total = mp.mpf(1)
-        zz = mp.mpf(z)
-        for m in range(2000):
-            term *= 2 * zz / (2 * m + 1)
-            total += term
-            if abs(term) < abs(total) * mp.mpf(10) ** (-dps):
-                break
-        return float(total)
-
-
-def hyp2f2_raw_series(z: float, dps: int = 50) -> float:
-    """2F2(1,1;3/2,2;z) summed term by term at extended precision."""
-    with mp.workdps(dps):
-        term = mp.mpf(1)
-        total = mp.mpf(1)
-        zz = mp.mpf(z)
-        for m in range(2000):
-            term *= 2 * zz * (m + 1) / mp.mpf((2 * m + 3) * (m + 2))
-            total += term
-            if abs(term) < abs(total) * mp.mpf(10) ** (-dps):
-                break
-        return float(total)
 
 
 def hyp2f2_dawson_integral(x: float, points: int = 4001) -> float:
@@ -136,4 +82,12 @@ ENTROPY_DISEQ_X_UNITS = {
     2: (1.49860923325172784, 0.255572398382167809),
     3: (1.60971184130165311, 0.229080137574260171),
     4: (1.69655063068037526, 0.210598863720214309),
+    5: (1.76806125323833305, 0.196664859816422814),
+    6: (1.82896849027283872, 0.185622740023398006),
+    7: (1.88208452090898122, 0.176563107420239995),
+    8: (1.92922335310885995, 0.168937126570086829),
+    9: (1.97162555496527060, 0.162390249334872949),
+    10: (2.01017812546743775, 0.156681303151012524),
+    11: (2.04553787958448284, 0.151639444108253882),
+    12: (2.07820516128983646, 0.147139619072136805),
 }

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-import oracles
+from tdq import verify
 from tdq.cli import main
 from tdq.dynamics import (
     ConductivityModel,
@@ -20,7 +20,7 @@ from tdq.dynamics import (
     solve_classical,
     solve_pinney_numeric,
 )
-from tdq.information import measures, measures_over_time
+from tdq.information import measures
 from tdq.observables import (
     density_values,
     make_snapshot,
@@ -44,6 +44,12 @@ FIGURE_SIGMAS = (0.4, 0.6, 0.8, 1.5, 2.0, 2.5, 3.0)
 def hyperbolic(sigma0):
     params = SuperconductorParams(sigma0=sigma0)
     return params, ConductivityModel.hyperbolic(params)
+
+
+def measures_along(params, model, n, ts):
+    """Quadrature measures at each grid time along the exact amplitude."""
+    return [measures(make_snapshot(params, model, rho_analytic(params, float(t)), n))
+            for t in ts]
 
 
 def report(criterion, residual, tolerance):
@@ -115,12 +121,11 @@ def test_criterion_4_complexity_constancy():
         values = []
         for sigma0 in (0.5, 2.0, 3.0):
             params, model = hyperbolic(sigma0)
-            values.extend(m.complexity_C
-                          for m in measures_over_time(params, model, n, ts))
+            values.extend(m.complexity_C for m in measures_along(params, model, n, ts))
         worst_spread = max(worst_spread, max(values) - min(values))
     assert worst_spread < 1e-7
     params, model = hyperbolic(2.0)
-    c0 = measures_over_time(params, model, 0, [0.0, 1.0])[0].complexity_C
+    c0 = measures_along(params, model, 0, [0.0, 1.0])[0].complexity_C
     target = math.sqrt(math.e / 2.0)
     assert abs(c0 - target) < 1e-7
     report("criterion 4 (complexity constancy; C0 = sqrt(e/2))",
@@ -163,7 +168,7 @@ def test_criterion_6_entropy_scaling_and_closed_form():
         for sigma0 in (0.5, 2.0, 3.0):
             params, model = hyperbolic(sigma0)
             shifted = [m.entropy_S - math.log(rho_analytic(params, float(t)).rho)
-                       for t, m in zip(ts, measures_over_time(params, model, n, ts))]
+                       for t, m in zip(ts, measures_along(params, model, n, ts))]
             worst = max(worst, max(shifted) - min(shifted))
             if n == 0:
                 target = 0.5 + math.log(math.sqrt(math.pi * params.hbar))
@@ -301,7 +306,7 @@ def test_criterion_9_special_function_substrate():
     for m in range(1, 9):
         for l in range(1, m + 1):
             got = bell_partial(m, l, args[: m - l + 1])
-            want = oracles.bell_enumeration(m, l, args[: m - l + 1])
+            want = verify._bell_by_partition_enumeration(m, l, args[: m - l + 1])
             worst_bell = max(worst_bell, abs(got - want) / max(1.0, abs(want)))
     assert worst_bell < 1e-12
 

@@ -331,8 +331,10 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
         assert "checks passed" in out
-        # measured ground-state complexity is reported next to its target
+        # measured ground-state complexity is reported next to its target,
+        # on exactly one line (the benchmark reads it from there)
         assert "sqrt(e/2)" in out
+        assert sum("C(n=0)=1.165821990799" in line for line in out.splitlines()) == 1
 
     def test_corrupted_tolerance_fails(self, verify_run):
         code, out = verify_run("--tol-verify", "1e-4")

@@ -26,11 +26,12 @@ def hyperbolic(sigma0, **kwargs):
     return params, ConductivityModel.hyperbolic(params)
 
 
-def pinney_residual_fd(params, model, t, h=1e-4):
-    rm = rho_analytic(params, t - h).rho
+def pinney_residual_fd(params, model, t, h=1e-3):
+    # rho'' from the fourth-order five-point stencil on rho alone, so the
+    # residual stays independent of the analytic rho'
+    rm2, rm1, rp1, rp2 = (rho_analytic(params, t + k * h).rho for k in (-2, -1, 1, 2))
     r0 = rho_analytic(params, t)
-    rp = rho_analytic(params, t + h).rho
-    rho_ddot = (rp - 2.0 * r0.rho + rm) / (h * h)
+    rho_ddot = (-rm2 + 16.0 * rm1 - 30.0 * r0.rho + 16.0 * rp1 - rp2) / (12.0 * h * h)
     L = model.L(t)
     return abs(rho_ddot
                + model.sigma(t) / params.eps0 * r0.rho_dot
@@ -86,14 +87,6 @@ class TestConductivityModel:
         assert model.sigma(3.0) == 0.7
         assert model.sigma_dot(3.0) == 0.0
         assert model.L(2.0) == pytest.approx(math.exp(0.7), rel=1e-14)
-
-    def test_tabulated_matches_closed_form(self):
-        params, reference = hyperbolic(2.0)
-        tabulated = ConductivityModel.from_callables(
-            sigma=lambda t: 2.0 / (t + 1.0),
-            sigma_dot=lambda t: -2.0 / (t + 1.0) ** 2)
-        for t in (0.0, 0.5, 1.0, 3.0):
-            assert tabulated.L(t) == pytest.approx(reference.L(t), rel=1e-9)
 
 
 class TestOmegaSq:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
+from tdq import information, verify
 from tdq.dynamics import ConductivityModel, SuperconductorParams, rho_analytic
-from tdq.information import measures, measures_over_time
+from tdq.information import MeasureSet, measures
 from tdq.observables import QuantumSnapshot, make_snapshot
 from tdq.special_functions import hermite, hermite_function
 
@@ -19,6 +20,12 @@ def snapshot_at(sigma0, t, n, **kwargs):
 def unit_snapshot(n, rho=1.0, hbar=1.0, rho_dot=0.0):
     return QuantumSnapshot(n=n, t=0.0, rho=rho, rho_dot=rho_dot, L=1.0,
                            omega_sq=1.0, hbar=hbar)
+
+
+def measures_along(params, model, n, ts):
+    """Quadrature measures at each grid time along the exact amplitude."""
+    return [measures(make_snapshot(params, model, rho_analytic(params, float(t)), n))
+            for t in ts]
 
 
 class TestCoefficients:
@@ -48,11 +55,11 @@ class TestEntropyQuadrature:
             expected = 0.5 + math.log(math.sqrt(hbar * math.pi) * rho)
             assert ms.entropy_S == pytest.approx(expected, abs=1e-9)
 
-    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("n", range(13))
     def test_reference_values(self, n):
         s_ref, _ = oracles.ENTROPY_DISEQ_X_UNITS[n]
         ms = measures(unit_snapshot(n))
-        assert ms.entropy_S == pytest.approx(s_ref, abs=2e-9)
+        assert ms.entropy_S == pytest.approx(s_ref, abs=1e-13)
 
     def test_scaling_law(self):
         for n in (0, 1, 3):
@@ -113,11 +120,13 @@ class TestDisequilibrium:
         quad = measures(snap).disequilibrium_D
         assert closed == pytest.approx(quad, rel=1e-8)
 
-    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("n", range(13))
     def test_reference_values(self, n):
         _, d_ref = oracles.ENTROPY_DISEQ_X_UNITS[n]
-        ms = measures(unit_snapshot(n), "closed_form")
-        assert ms.disequilibrium_D == pytest.approx(d_ref, rel=1e-12)
+        closed = measures(unit_snapshot(n), "closed_form")
+        assert closed.disequilibrium_D == pytest.approx(d_ref, rel=1e-12)
+        assert measures(unit_snapshot(n)).disequilibrium_D == pytest.approx(
+            d_ref, rel=1e-13)
 
     def test_doubling_rho_halves_D(self):
         for n in (0, 2, 5):
@@ -167,12 +176,13 @@ class TestComplexity:
             for sigma0 in (0.5, 2.0, 3.0):
                 params = SuperconductorParams(sigma0=sigma0)
                 model = ConductivityModel.hyperbolic(params)
-                values.extend(m.complexity_C
-                              for m in measures_over_time(params, model, n, ts))
+                values.extend(m.complexity_C for m in measures_along(params, model, n, ts))
             assert max(values) - min(values) < 1e-7
 
 
 class TestMeasuresOverTime:
+    """Quadrature measures along the exact amplitude on a time grid."""
+
     def test_figure_trends_and_rates(self):
         ts = np.linspace(0.0, 2.0, 9)
         h_by_sigma = {}
@@ -180,7 +190,7 @@ class TestMeasuresOverTime:
         for sigma0 in (2.0, 2.5, 3.0):
             params = SuperconductorParams(sigma0=sigma0)
             model = ConductivityModel.hyperbolic(params)
-            sets = measures_over_time(params, model, 0, ts)
+            sets = measures_along(params, model, 0, ts)
             hs = [m.H for m in sets]
             ds = [m.disequilibrium_D for m in sets]
             idx = len(ts) // 2
@@ -196,9 +206,27 @@ class TestMeasuresOverTime:
         params = SuperconductorParams(sigma0=2.0)
         model = ConductivityModel.hyperbolic(params)
         ts = np.linspace(0.0, 2.0, 9)
-        sets = measures_over_time(params, model, 1, ts)
+        sets = measures_along(params, model, 1, ts)
         rhos = [rho_analytic(params, float(t)).rho for t in ts]
         shifted = [m.entropy_S - math.log(r) for m, r in zip(sets, rhos)]
         products = [m.disequilibrium_D * r for m, r in zip(sets, rhos)]
         assert max(shifted) - min(shifted) < 1e-9
         assert max(products) - min(products) < 1e-9
+
+
+class TestInformationCheck:
+    def test_passes_with_margin(self):
+        result = verify.check_information_vs_density()
+        assert result.passed and result.residual < 1e-12
+
+    def test_fails_when_scaling_drops_sqrt_hbar(self, monkeypatch):
+        # the check integrates P in q directly, so a scaling step that
+        # forgets sqrt(hbar) must show at its hbar = 2 snapshot
+        def scaled_without_hbar(snapshot, s_n, d_n, method):
+            return MeasureSet.build(snapshot.n, snapshot.t, s_n + math.log(snapshot.rho),
+                                    d_n / snapshot.rho, method)
+
+        monkeypatch.setattr(information, "_scaled", scaled_without_hbar)
+        result = verify.check_information_vs_density()
+        assert not result.passed
+        assert result.residual > 0.1
