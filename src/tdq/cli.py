@@ -10,7 +10,9 @@ external tools.
 Determinism contract: identical flags give byte-identical output.  Rows
 are ordered lexicographically by (sigma0, n, t, q); floats are printed
 with 17 significant digits (binary64 round-trip); run metadata lives in
-'#' comment lines above the csv header.
+'#' comment lines above the csv header.  A table is computed whole and
+then written block by block; every field has the bytes `_fmt` gives its
+value, so the contract holds however the rows are grouped into blocks.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration
 or envelope violation.
@@ -19,6 +21,7 @@ or envelope violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -126,21 +129,59 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _write_table(config: RunConfig, columns: list[str], rows: list[tuple]) -> None:
-    if config.fmt == "csv":
-        lines = [f"# {config.meta()}", ",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {"meta": config.meta(), "columns": columns,
-                   "rows": [[(int(v) if isinstance(v, (int, np.integer)) else float(v))
-                             for v in row] for row in rows]}
-        text = json.dumps(payload, indent=1) + "\n"
-    if config.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(config.out, "w", newline="\n") as handle:
-            handle.write(text)
+@dataclass
+class _Table:
+    """A table's rows in blocks that share their leading values.
+
+    A block is (head, columns): each of its rows is the `width` head values
+    followed by one value from every column, and the columns share one
+    length.  len() is the number of rows.
+    """
+
+    width: int
+    blocks: list[tuple[tuple, tuple]] = field(default_factory=list)
+
+    def add(self, head: tuple, *columns) -> None:
+        self.blocks.append((head, columns))
+
+    def __len__(self) -> int:
+        return sum(len(columns[0]) for _, columns in self.blocks)
+
+    def __iter__(self):
+        """(head, rows) per block, the rows as tuples of Python scalars."""
+        for head, columns in self.blocks:
+            yield head, zip(*(np.asarray(c).tolist() for c in columns))
+
+
+def _write_table(config: RunConfig, columns: list[str], table: _Table) -> None:
+    """Write `table` under the header `columns`, csv one block at a time.
+
+    One `%` template per table formats the csv rows: `%d` for n and
+    `%.17g` (the bytes of `_fmt`) for every other column.  Each block's
+    head is formatted once, as the prefix of all its rows.
+    """
+    with (contextlib.nullcontext(sys.stdout) if config.out == "-"
+          else open(config.out, "w", newline="\n")) as handle:
+        if config.fmt == "json":
+            rows = [[int(v) if isinstance(v, (int, np.integer)) else float(v)
+                     for v in (*head, *row)] for head, block in table for row in block]
+            payload = {"meta": config.meta(), "columns": columns, "rows": rows}
+            handle.write(json.dumps(payload, indent=1) + "\n")
+            return
+        kinds = ["%d" if name == "n" else "%.17g" for name in columns]
+        head_template = "".join(kind + "," for kind in kinds[:table.width])
+        tail_template = ",".join(kinds[table.width:]) + "\n"
+        handle.write(f"# {config.meta()}\n{','.join(columns)}\n")
+        for head, rows in table:
+            prefix = head_template % head
+            handle.write("".join([prefix + tail_template % row for row in rows]))
+
+
+def _one_block(rows: list[tuple]) -> _Table:
+    """`rows` as a table of one block with an empty head."""
+    table = _Table(width=0)
+    table.add((), *zip(*rows))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +202,8 @@ def cmd_rho(config: RunConfig) -> int:
         for t, state in zip(grid, states):
             rows.append((float(t), sigma0, state.rho, state.rho_dot,
                          model.L(float(t)), omega_sq(params, model, float(t))))
-    _write_table(config, ["t", "sigma0", "rho", "rho_dot", "L", "omega_sq"], rows)
+    _write_table(config, ["t", "sigma0", "rho", "rho_dot", "L", "omega_sq"],
+                 _one_block(rows))
     return 0
 
 
@@ -190,13 +232,17 @@ def cmd_observables(config: RunConfig) -> int:
         rows.append((t, sigma0, n, q2, phi2, uncertainty_product(snap), energy,
                      energy / (n + 0.5)))
     _write_table(config, ["t", "sigma0", "n", "q2", "phi2", "dq_dphi",
-                          "energy", "energy_per_level"], rows)
+                          "energy", "energy_per_level"], _one_block(rows))
     return 0
 
 
 def cmd_density(config: RunConfig) -> int:
-    """Probability density P(q) per (t, sigma0, n) over the charge grid."""
-    rows = []
+    """Probability density P(q) per (t, sigma0, n) over the charge grid.
+
+    One block per (sigma0, n, t): its head is (t, sigma0, n), its columns
+    the charge grid, shared by every block, and P on it.
+    """
+    table = _Table(width=3)
     q_grid = config.q_grid()
     for sigma0, n, t, snap in _snapshots(config):
         p = density_values(snap, q_grid)
@@ -205,9 +251,8 @@ def cmd_density(config: RunConfig) -> int:
             print(f"warning: density norm {norm:.9f} off unit at "
                   f"sigma0={_fmt(sigma0)}, n={n}, t={_fmt(t)}; "
                   "widen the charge grid", file=sys.stderr)
-        for q, pv in zip(q_grid, p):
-            rows.append((t, sigma0, n, float(q), float(pv)))
-    _write_table(config, ["t", "sigma0", "n", "q", "P"], rows)
+        table.add((t, sigma0, n), q_grid, p)
+    _write_table(config, ["t", "sigma0", "n", "q", "P"], table)
     return 0
 
 
@@ -222,7 +267,7 @@ def cmd_info(config: RunConfig) -> int:
                      closed.disequilibrium_D, quad.disequilibrium_D,
                      quad.complexity_C))
     _write_table(config, ["t", "sigma0", "n", "S_closed", "S_quad", "H",
-                          "D_closed", "D_quad", "C"], rows)
+                          "D_closed", "D_quad", "C"], _one_block(rows))
     return 0
 
 

@@ -52,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NormalizationError
+from .errors import EnvelopeError, NormalizationError
 from .observables import QuantumSnapshot
 from .special_functions import (
     EULER_GAMMA,
@@ -68,6 +68,8 @@ _DENSITY_FLOOR = 1e-300
 # nodes per panel of the sine-mapped rule: 128 leave d_n off by ~8e-11,
 # 160 give s_n, d_n and the norm to ~1e-15 for every n <= 12
 _PANEL_NODES = 160
+# the disequilibrium sum reaches B_{4n+4,4}, and bell_partial stops at m = 60
+_MAX_CLOSED_FORM_N = 14
 
 
 @dataclass(frozen=True)
@@ -168,6 +170,9 @@ def _diseq_reduced_exact(n: int) -> Fraction:
 @lru_cache(maxsize=None)
 def _level_closed_form(n: int) -> tuple[float, float]:
     """(s_n, d_n) from the printed entropy and the exact disequilibrium."""
+    if n > _MAX_CLOSED_FORM_N:
+        raise EnvelopeError(
+            f"closed-form measures support n <= {_MAX_CLOSED_FORM_N}, got n={n}")
     roots = hermite(n).roots
     entropy = (n * EULER_GAMMA + n + 0.5
                + math.log(math.sqrt(math.pi) * math.factorial(n) * 2.0 ** n))

@@ -512,11 +512,17 @@ _ALL_CHECKS: tuple = (
 
 
 def run_checks(tol_scale: float = 1.0) -> list[CheckResult]:
-    """Run every check; stated tolerances are multiplied by tol_scale."""
+    """Run every check; stated tolerances are multiplied by tol_scale.
+
+    A check that raises fails with residual inf, named after its function
+    and with the exception in its note; the remaining checks still run.
+    """
     results = []
     for fn, base in _ALL_CHECKS:
-        if base is None:
-            results.append(fn())
-        else:
-            results.append(fn(base * tol_scale))
+        tol = 0.0 if base is None else base * tol_scale
+        try:
+            results.append(fn() if base is None else fn(tol))
+        except Exception as exc:  # a broken check must not stop the suite
+            results.append(_result(fn.__name__.removeprefix("check_"), math.inf, tol,
+                                   note=f"{type(exc).__name__}: {exc}"))
     return results

@@ -3,12 +3,16 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from tdq import cli
-from tdq.cli import main
+from tdq import cli, verify
+from tdq.cli import RunConfig, _fmt, main
+from tdq.errors import NormalizationError
 
 
 def run(capsys, *argv):
@@ -238,6 +242,7 @@ class TestFormatsAndDeterminism:
         ("info", "--steps", "4"),
         ("density", "--qpoints", "51"),
         ("observables", "--steps", "5", "--format", "json"),
+        ("density", "--sigma0", "0.5,3", "--n", "0,2", "--qpoints", "51", "--format", "json"),
     ])
     def test_byte_identical_reruns(self, argv, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -246,7 +251,113 @@ class TestFormatsAndDeterminism:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+# finite binary64 values at the edges of the format, as Python and numpy floats
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 1e17)
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_VALUES = st.one_of(_FLOATS, _FLOATS.map(np.float64))
+_LEVELS = st.integers(min_value=0, max_value=2**63 - 1)
+_NS = st.one_of(_LEVELS, _LEVELS.map(np.int64))
+
+
+def _csv_body(config, columns, table):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_table(config, columns, table)
+    lines = out.getvalue().split("\n")
+    assert lines[0] == "# " + config.meta()
+    assert lines[1] == ",".join(columns)
+    assert lines[-1] == ""
+    return lines[2:-1]
+
+
+# flags of each table command, small enough to run in a test
+TABLE_ARGVS = [
+    ("rho", "--steps", "5"),
+    ("observables", "--sigma0", "0.5,2", "--n", "0,3", "--steps", "4"),
+    ("density", "--qpoints", "7"),
+    ("info", "--n", "0,2", "--steps", "3"),
+]
+
+
+class TestTableWriter:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.tuples(_VALUES, _VALUES, _NS),
+                              st.lists(st.tuples(_VALUES, _VALUES), min_size=1,
+                                       max_size=6)),
+                    min_size=1, max_size=4))
+    def test_block_rows_format_like_fmt(self, blocks):
+        table = cli._Table(width=3)
+        rows = []
+        for head, tail in blocks:
+            table.add(head, [q for q, _ in tail], [p for _, p in tail])
+            rows.extend((*head, *row) for row in tail)
+        config = RunConfig(command="density", sigma0=[1.5])
+        lines = _csv_body(config, ["t", "sigma0", "n", "q", "P"], table)
+        assert lines == [",".join(_fmt(v) for v in row) for row in rows]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_VALUES, _VALUES, _NS, _VALUES, _VALUES),
+                    min_size=1, max_size=8))
+    def test_one_block_rows_format_like_fmt(self, rows):
+        config = RunConfig(command="observables", sigma0=[0.5])
+        lines = _csv_body(config, ["t", "sigma0", "n", "q2", "phi2"], cli._one_block(rows))
+        assert lines == [",".join(_fmt(v) for v in row) for row in rows]
+
+    @pytest.mark.parametrize("argv", TABLE_ARGVS)
+    def test_csv_fields_match_json_values(self, argv, capsys):
+        code, csv_out, _ = run(capsys, *argv)
+        assert code == 0
+        code, json_out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(json_out)
+        lines = csv_out.splitlines()
+        assert lines[0] == "# " + payload["meta"]
+        assert lines[1] == ",".join(payload["columns"])
+        body = lines[2:]
+        assert len(body) == len(payload["rows"])
+        for line, row in zip(body, payload["rows"]):
+            assert line.split(",") == [_fmt(v) for v in row]
+
+    @pytest.mark.parametrize("argv", TABLE_ARGVS)
+    def test_table_length_is_row_count(self, argv, capsys, monkeypatch):
+        lengths = []
+        original = cli._write_table
+
+        def spy(config, columns, table):
+            lengths.append(len(table))
+            return original(config, columns, table)
+
+        monkeypatch.setattr(cli, "_write_table", spy)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert lengths == [len(out.splitlines()) - 2]
+
+
 class TestExitCodes:
+    def test_mid_sweep_envelope_violation_writes_nothing(self, capsys):
+        code, out, err = run(capsys, "observables", "--sigma0", "1,30", "--steps", "3")
+        assert code == 2
+        assert out == ""
+        assert "sigma0=30" in err
+
+    def test_mid_sweep_envelope_violation_creates_no_file(self, capsys, tmp_path):
+        path = tmp_path / "density.csv"
+        code, out, err = run(capsys, "density", "--sigma0", "1,30", "--steps", "2",
+                             "--qpoints", "5", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert "sigma0=30" in err
+        assert not path.exists()
+
+    def test_level_beyond_closed_form_names_n(self, capsys):
+        code, out, err = run(capsys, "info", "--n", "15", "--steps", "2")
+        assert code == 2
+        assert out == ""
+        assert "n=15" in err
+        assert "n <= 14" in err
+
     def test_invalid_window(self, capsys):
         code, _, err = run(capsys, "rho", "--t0", "2", "--t1", "1")
         assert code == 2
@@ -348,3 +459,29 @@ class TestVerify:
         for line in out.splitlines():
             if "entropy_closed_vs_quadrature_higher_n" in line:
                 assert line.startswith("INFO")
+
+    def test_raising_check_is_reported_as_failure(self, monkeypatch):
+        monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "bench")
+        import outputs
+
+        def check_density_normalization(tol):
+            raise NormalizationError("density norm 0.5 deviates from 1")
+
+        checks = list(verify._ALL_CHECKS)
+        index = [fn.__name__ for fn, _ in checks].index("check_density_normalization")
+        checks[index] = (check_density_normalization, checks[index][1])
+        monkeypatch.setattr(verify, "_ALL_CHECKS", tuple(checks))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify"])
+        assert code == 1
+        lines = out.getvalue().splitlines()
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert len(failed) == 1
+        match = outputs._CHECK_LINE.match(failed[0])
+        assert match is not None
+        assert match.groups() == ("FAIL", "density_normalization", "inf", "1.0e-08")
+        assert "NormalizationError: density norm 0.5 deviates from 1" in failed[0]
+        assert sum(outputs._CHECK_LINE.match(line) is not None for line in lines) == len(checks)
+        assert lines[-2:] == [f"{len(checks) - 1}/{len(checks)} checks passed",
+                              "failed checks: density_normalization"]
