@@ -166,10 +166,12 @@ def rho_analytic(params: SuperconductorParams, t: float) -> PinneyState:
     its derivative,
         rho'/rho = p A/(A t + 1) + k A (dM^2/du) / (2 M^2),   p = (1 - s)/2.
     For u >= 20, M^2 and dM^2/du come from the modulus asymptotic series
-    (`bessel_modulus_sq`), accurate to ~1e-15 relative.  Below that,
-    (J, Y) of orders beta and beta - 1 come from the ascending series and
-    dM^2/du = 2 (J J' + Y Y') with C_nu' = C_{nu-1} - (nu/x) C_nu.  Valid
-    for A t + 1 > 0, which allows the slightly negative times used by
+    (`bessel_modulus_sq`), accurate to ~1e-15 relative.  Below that, one
+    call of the Bessel kernel `_bessel_jy` gives (J, Y, J', Y') at order
+    beta, and dM^2/du = 2 (J J' + Y Y'); against 40-digit mpmath over
+    beta in [0.5, 10], near-integer orders included, rho is within 1.7e-15
+    relative and rho' within 5.4e-15 of |rho'| + rho/(A t + 1).  Valid for
+    A t + 1 > 0, which allows the slightly negative times used by
     finite-difference residual checks.
     """
     tau = params.A * t + 1.0
@@ -187,10 +189,7 @@ def rho_analytic(params: SuperconductorParams, t: float) -> PinneyState:
         g, g_slope = bessel_modulus_sq(beta, u)
         half_g_slope = 0.5 * g_slope
     else:
-        j, y = _bessel_jy(beta, u)
-        j_lower, y_lower = _bessel_jy(beta - 1.0, u)
-        jp = j_lower - (beta / u) * j
-        yp = y_lower - (beta / u) * y
+        j, y, jp, yp = _bessel_jy(beta, u)
         g = j * j + y * y
         half_g_slope = j * jp + y * yp
     p = 0.5 * (1.0 - params.decay_exponent)

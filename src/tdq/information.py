@@ -26,7 +26,8 @@ shares the one scaling step:
         - 2 sum_k 2F2(1,1;3/2,2;-x_k^2) x_k^2
         + sum_k sum_i C(n,i) (-1)^i 2^i / i * 1F1(1;1/2;-x_k^2),
     summed over the roots x_k of H_n.  The double-sum term is evaluated
-    exactly as printed; it reproduces quadrature for n <= 1 but is known
+    as printed (its i-sum coefficient in exact rationals, then once per
+    root); it reproduces quadrature for n <= 1 but is known
     to drift for n >= 2, so the comparison is reported rather than
     asserted (the quadrature value is authoritative).  The
     disequilibrium is
@@ -176,12 +177,11 @@ def _level_closed_form(n: int) -> tuple[float, float]:
     roots = hermite(n).roots
     entropy = (n * EULER_GAMMA + n + 0.5
                + math.log(math.sqrt(math.pi) * math.factorial(n) * 2.0 ** n))
+    # the printed i-sum multiplies 1F1 by sum_i C(n, i) (-2)^i / i, which
+    # cancels from terms ~C(n, n/2) 2^n to a few units: sum it exactly
+    coef = float(sum(Fraction(math.comb(n, i) * (-2) ** i, i) for i in range(1, n + 1)))
     for x in roots:
-        entropy -= 2.0 * hyp2f2_special(-x * x) * x * x
-    for x in roots:
-        f11 = hyp1f1_special(-x * x)
-        for i in range(1, n + 1):
-            entropy += math.comb(n, i) * (-1.0) ** i * 2.0 ** i / i * f11
+        entropy += coef * hyp1f1_special(-x * x) - 2.0 * hyp2f2_special(-x * x) * x * x
     return entropy, float(_diseq_reduced_exact(n)) / math.sqrt(2.0 * math.pi)
 
 

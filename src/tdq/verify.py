@@ -37,6 +37,7 @@ from .special_functions import (
     bell_partial,
     bessel_j,
     bessel_j_prime,
+    bessel_modulus_sq,
     bessel_y,
     bessel_y_prime,
     gauss_legendre,
@@ -109,6 +110,20 @@ def check_bessel_half_integer(tol: float = 1e-12) -> CheckResult:
         for got, want in pairs:
             worst = max(worst, abs(got - want) / max(abs(want), 1e-30))
     return _result("bessel_half_integer_closed_forms", worst, tol)
+
+
+def check_bessel_modulus(tol: float = 1e-13) -> CheckResult:
+    """J^2 + Y^2 and 2 (J J' + Y Y') from the Bessel functions against the
+    modulus asymptotic series, which shares no code with them; relative."""
+    worst = 0.0
+    for x in (20.0, 30.0, 50.0):
+        for nu in (0.6, 2.0 - 5e-10, 2.0, 4.7, 10.0):
+            j, y = bessel_j(nu, x), bessel_y(nu, x)
+            m2, slope = bessel_modulus_sq(nu, x)
+            worst = max(worst, abs((j * j + y * y) / m2 - 1.0),
+                        abs(2.0 * (j * bessel_j_prime(nu, x) + y * bessel_y_prime(nu, x))
+                            / slope - 1.0))
+    return _result("bessel_modulus_vs_asymptotic", worst, tol)
 
 
 def check_hermite_orthogonality(tol: float = 1e-8) -> CheckResult:
@@ -197,7 +212,7 @@ def _hyp2f2_rational_series(z: float) -> float:
 
 def check_hypergeometric_series(tol: float = 1e-9) -> CheckResult:
     worst = 0.0
-    for z in (-0.25, -1.0, -4.0, -9.0, -25.0, -36.0):
+    for z in (-0.25, -1.0, -4.0, -9.0, -25.0, -5.3 ** 2, -36.0):
         ref1 = _hyp1f1_rational_series(z)
         ref2 = _hyp2f2_rational_series(z)
         worst = max(worst, abs(hyp1f1_special(z) - ref1) / max(abs(ref1), 1e-30))
@@ -485,6 +500,7 @@ def check_monotone_localization(tol: float = 0.0) -> CheckResult:
 _ALL_CHECKS: tuple = (
     (check_bessel_wronskian, 1e-8),
     (check_bessel_half_integer, 1e-12),
+    (check_bessel_modulus, 1e-13),
     (check_hermite_orthogonality, 1e-8),
     (check_hermite_roots, 1e-9),
     (check_bell_recurrence, 1e-12),

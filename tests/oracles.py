@@ -2,10 +2,10 @@
 
 Each oracle deliberately avoids the production code path it checks:
 trapezoid sums instead of Gauss-Legendre, mpmath instead of the
-double-double kernels, finite differences instead of analytic
-derivatives.  The exact oracles (Bell partition enumeration, Fraction
-hypergeometric series) live in `tdq.verify`, whose users have no mpmath;
-tests import them from there.
+continued fractions and sampling sums, finite differences instead of
+analytic derivatives.  The exact oracles (Bell partition enumeration,
+Fraction hypergeometric series) live in `tdq.verify`, whose users have
+no mpmath; tests import them from there.
 """
 
 import mpmath as mp
@@ -25,6 +25,34 @@ def hyp2f2_dawson_integral(x: float, points: int = 4001) -> float:
     from scipy.special import dawsn
     v = np.linspace(0.0, 1.0, points)
     return float(2.0 / x * np.trapezoid(dawsn(x * v), v))
+
+
+def dawson_mp(x: float, dps: int = 40) -> float:
+    """F(x) = (sqrt(pi)/2) e^{-x^2} erfi(x) at extended precision."""
+    with mp.workdps(dps):
+        X = mp.mpf(x)
+        return float(mp.sqrt(mp.pi) / 2 * mp.exp(-X * X) * mp.erfi(X))
+
+
+def hypergeometric_mp(z: float, dps: int = 40) -> tuple[float, float]:
+    """(1F1(1; 1/2; z), 2F2(1, 1; 3/2, 2; z)) from mpmath's own series."""
+    with mp.workdps(dps):
+        Z = mp.mpf(z)
+        return float(mp.hyp1f1(1, 0.5, Z)), float(mp.hyp2f2(1, 1, 1.5, 2, Z))
+
+
+def entropy_closed_form_mp(n: int, roots, dps: int = 40) -> float:
+    """The printed closed-form entropy of level n at unit rho, summed at
+    extended precision over the given (float) Hermite roots."""
+    with mp.workdps(dps):
+        ent = n * mp.euler + n + mp.mpf(1) / 2 + mp.log(
+            mp.sqrt(mp.pi) * mp.factorial(n) * mp.mpf(2) ** n)
+        coef = mp.fsum(mp.binomial(n, i) * (-2) ** i / mp.mpf(i)
+                       for i in range(1, n + 1))
+        for r in roots:
+            z = -mp.mpf(r) ** 2
+            ent += 2 * mp.hyp2f2(1, 1, 1.5, 2, z) * z + coef * mp.hyp1f1(1, 0.5, z)
+        return float(ent)
 
 
 def bessel_mp(kind: str, nu: float, x: float, dps: int = 40) -> float:

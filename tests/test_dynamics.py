@@ -186,6 +186,24 @@ class TestRhoAnalyticAsymptotic:
         assert series.rho_dot == pytest.approx(asymptotic.rho_dot, rel=1e-13)
 
 
+class TestRhoAnalyticNearIntegerOrder:
+    """Orders just off an integer, where Y through sin(beta pi) cancels."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    @pytest.mark.parametrize("offset", [1e-10, 1e-7, 1.0000001e-6, 2e-6, 1e-4,
+                                        -1e-10, -1e-7, -1.0000001e-6, -2e-6, -1e-4])
+    def test_against_extended_precision(self, n, offset):
+        sigma0 = 2.0 * (n + offset) - 1.0
+        params, _ = hyperbolic(sigma0)
+        for x in [0.7, 1.9, 2.1, 8.0, 19.5, *np.linspace(40.0, 50.0, 5)]:
+            state = rho_analytic(params, x - 1.0)
+            rho, rho_dot = oracles.rho_mp(sigma0, x - 1.0)
+            assert abs(state.rho - rho) <= 5e-15 * rho
+            # rho'/rho is a sum of p/x and the modulus slope, so the error
+            # of rho' scales with rho/x where the two cancel
+            assert abs(state.rho_dot - rho_dot) <= 5e-15 * (abs(rho_dot) + rho / x)
+
+
 class TestPinneyNumeric:
     def test_lc_equilibrium_fixed_point(self):
         params = SuperconductorParams(sigma0=0.0)

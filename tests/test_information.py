@@ -88,6 +88,14 @@ class TestEntropyClosedForm:
             shifted = measures(unit_snapshot(n, rho=2.5), "closed_form").entropy_S
             assert shifted - base == pytest.approx(math.log(2.5), rel=1e-13)
 
+    def test_printed_formula_against_extended_precision(self):
+        # the same formula over the same float roots, summed at 40 digits:
+        # what remains is the error of 1F1 and 2F2, not of the summation
+        for n in range(information._MAX_CLOSED_FORM_N + 1):
+            s_closed, _ = information._level_closed_form(n)
+            assert abs(s_closed - oracles.entropy_closed_form_mp(
+                n, hermite(n).roots)) <= 2e-14
+
     def test_higher_n_residual_is_reported_not_hidden(self):
         # the printed closed form drifts for n >= 2; quadrature is the
         # authority and the residual must stay visible, not be patched
