@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -304,6 +305,77 @@ class TestTableWriter:
         config = RunConfig(command="observables", sigma0=[0.5])
         lines = _csv_body(config, ["t", "sigma0", "n", "q2", "phi2"], cli._one_block(rows))
         assert lines == [",".join(_fmt(v) for v in row) for row in rows]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.sampled_from((1, 63, 64, 65, 129)), st.integers(1, 4))
+    def test_shared_grid_rows_format_like_fmt(self, data, points, count):
+        # Each block takes one of two grid objects, so runs of blocks that
+        # share a grid start, end and restart; the lengths cross the
+        # writer's chunk boundaries.  A column repeats up to 8 drawn values,
+        # which keeps examples cheap to generate and to shrink.
+        column = st.lists(_VALUES, min_size=1, max_size=8).map(
+            lambda values: [values[i % len(values)] for i in range(points)])
+        grids = [np.array(data.draw(column)), data.draw(column)]
+        table = cli._Table(width=3)
+        rows = []
+        for _ in range(count):
+            head = data.draw(st.tuples(_VALUES, _VALUES, _NS))
+            grid = grids[data.draw(st.integers(0, 1))]
+            p = data.draw(column)
+            table.add(head, grid, p)
+            rows.extend((*head, q, v) for q, v in zip(grid, p))
+        config = RunConfig(command="density", sigma0=[1.5])
+        lines = _csv_body(config, ["t", "sigma0", "n", "q", "P"], table)
+        assert lines == [",".join(_fmt(v) for v in row) for row in rows]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.tuples(_VALUES, _VALUES, _NS),
+                              st.lists(st.tuples(st.floats(), _VALUES), min_size=1,
+                                       max_size=6)),
+                    min_size=1, max_size=4))
+    def test_json_edge_values_match_one_indented_dump(self, blocks):
+        table = cli._Table(width=3)
+        rows = []
+        for head, tail in blocks:
+            table.add(head, [q for q, _ in tail], [p for _, p in tail])
+            rows.extend([float(head[0]), float(head[1]), int(head[2]), q, float(p)]
+                        for q, p in tail)
+        config = RunConfig(command="density", sigma0=[1.5], fmt="json")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._write_table(config, ["t", "sigma0", "n", "q", "P"], table)
+        payload = {"meta": config.meta(), "columns": ["t", "sigma0", "n", "q", "P"],
+                   "rows": rows}
+        assert out.getvalue() == json.dumps(payload, indent=1) + "\n"
+
+    @pytest.mark.parametrize("argv", TABLE_ARGVS)
+    def test_json_bytes_are_one_indented_dump(self, argv, capsys):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["meta", "columns", "rows"]
+        assert json.dumps(payload, indent=1) + "\n" == out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_does_not_grow_with_rows(self, fmt, tmp_path):
+        # density-shaped: 50 profiles of P on one shared 2001-point grid,
+        # 100050 rows (6.2 MB of csv, 7.6 MB of json)
+        rng = np.random.default_rng(0)
+        grid = np.linspace(-8.0, 8.0, 2001)
+        table = cli._Table(width=3)
+        for k in range(50):
+            table.add((0.5 + 0.03 * k, 1.5, k % 5), grid,
+                      np.exp(-grid**2) * rng.random(grid.size))
+        config = RunConfig(command="density", sigma0=[1.5], fmt=fmt,
+                           out=str(tmp_path / f"table.{fmt}"))
+        tracemalloc.start()
+        try:
+            cli._write_table(config, ["t", "sigma0", "n", "q", "P"], table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert (tmp_path / f"table.{fmt}").stat().st_size > 5 * 2**20
 
     @pytest.mark.parametrize("argv", TABLE_ARGVS)
     def test_csv_fields_match_json_values(self, argv, capsys):
