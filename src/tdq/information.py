@@ -30,14 +30,16 @@ shares the one scaling step:
     root); it reproduces quadrature for n <= 1 but is known
     to drift for n >= 2, so the comparison is reported rather than
     asserted (the quadrature value is authoritative).  The
-    disequilibrium is
-        d_n = sum_{j=0}^{2n} Gamma(j+1/2)/2^{j+1/2} * 4!/(2j+4)! * B_{2j+4,4}(a),
-    with Bell arguments a_i = i! q_{i-1} / sqrt(2^n n! sqrt(pi)) built from
-    the integer coefficients q_l of H_n (`hermite(n).coefficients`, zero
-    for l > n).  Factoring the irrational normalization out of the
-    homogeneous-degree-4 Bell polynomial leaves an exactly rational sum,
-    so it is evaluated in integer/Fraction arithmetic and is immune to
-    cancellation for every n <= 12.
+    disequilibrium is a sum of Gaussian moments of the integer polynomial
+    H_n^4, whose coefficients c_k come from the integer coefficients of
+    H_n (`hermite(n).coefficients`):
+        d_n = sum_{j=0}^{2n} (2j)! / (8^j j!) c_{2j} / ((2^n n!)^2 sqrt(2 pi)).
+    By sum_m B_{m,4}(a) x^m/m! = (sum_i a_i x^i/i!)^4/4! this is, term by
+    term, the printed sum
+        sum_j Gamma(j+1/2)/2^{j+1/2} * 4!/(2j+4)! * B_{2j+4,4}(a)
+    over partial Bell polynomials with a_i = i! q_{i-1} / sqrt(2^n n! sqrt(pi)).
+    Every factor is rational, so d_n is summed exactly in integer/Fraction
+    arithmetic and is immune to cancellation.
 
 Both ways are reached through one entry point, `measures(snapshot,
 method)` with method "quadrature" (the default) or "closed_form"; the
@@ -57,7 +59,6 @@ from .errors import EnvelopeError, NormalizationError
 from .observables import QuantumSnapshot
 from .special_functions import (
     EULER_GAMMA,
-    bell_partial,
     gauss_legendre,
     hermite,
     hermite_function,
@@ -69,7 +70,8 @@ _DENSITY_FLOOR = 1e-300
 # nodes per panel of the sine-mapped rule: 128 leave d_n off by ~8e-11,
 # 160 give s_n, d_n and the norm to ~1e-15 for every n <= 12
 _PANEL_NODES = 160
-# the disequilibrium sum reaches B_{4n+4,4}, and bell_partial stops at m = 60
+# the levels the closed-form tests cover: d_n against the printed Bell sum
+# and quadrature, S_closed against a 40-digit evaluation of the same formula
 _MAX_CLOSED_FORM_N = 14
 
 
@@ -146,25 +148,22 @@ def _measures_quadrature(snapshot: QuantumSnapshot) -> MeasureSet:
 def _diseq_reduced_exact(n: int) -> Fraction:
     """Exact rational value of D * rho * sqrt(hbar) * sqrt(2 pi).
 
-    Writing c_l = q_l / sqrt(2^n n! sqrt(pi)) with the integer Hermite
-    coefficients q_l, degree-4 homogeneity of B_{m,4} pulls the
-    normalization out and Gamma(j+1/2) = (2j)! sqrt(pi) / (4^j j!) makes
-    every remaining factor rational:
+    With the integer coefficients c_k of H_n^4 (two squarings of the
+    Hermite coefficients) and the Gaussian moments
+    integral x^{2j} e^{-2x^2} dx = (2j)! sqrt(pi) / (8^j j! sqrt(2)),
 
         D rho sqrt(hbar) = (1/sqrt(2 pi)) sum_j
-            (2j)! 4! / (8^j j! (2j+4)!) B_{2j+4,4}(i! q_{i-1}) / (2^n n!)^2.
+            (2j)! / (8^j j!) c_{2j} / (2^n n!)^2.
     """
-    q = hermite(n).coefficients
-
-    def q_at(l: int) -> int:
-        return q[l] if l <= n else 0
-
-    total = Fraction(0)
-    for j in range(2 * n + 1):
-        args = [math.factorial(i) * q_at(i - 1) for i in range(1, 2 * j + 2)]
-        bell = bell_partial(2 * j + 4, 4, args)
-        total += Fraction(math.factorial(2 * j) * 24 * bell,
-                          8 ** j * math.factorial(j) * math.factorial(2 * j + 4))
+    poly = hermite(n).coefficients
+    for _ in range(2):  # H_n -> H_n^2 -> H_n^4
+        square = [0] * (2 * len(poly) - 1)
+        for i, a in enumerate(poly):
+            for k, b in enumerate(poly):
+                square[i + k] += a * b
+        poly = square
+    total = sum(Fraction(math.factorial(2 * j) * poly[2 * j],
+                         8 ** j * math.factorial(j)) for j in range(2 * n + 1))
     return total / (2 ** n * math.factorial(n)) ** 2
 
 
@@ -193,8 +192,9 @@ def measures(snapshot: QuantumSnapshot, method: str = "quadrature") -> MeasureSe
     """(S, H, D, C) of one snapshot by `method`, "quadrature" or "closed_form".
 
     Quadrature is the ground truth.  The closed-form disequilibrium is
-    exact for n <= 12; the closed-form entropy, evaluated as printed,
-    matches quadrature only for n <= 1 (see the module docstring).
+    exact for n <= _MAX_CLOSED_FORM_N; the closed-form entropy, evaluated
+    as printed, matches quadrature only for n <= 1 (see the module
+    docstring).
     """
     if method == "quadrature":
         return _measures_quadrature(snapshot)

@@ -435,7 +435,7 @@ def bell_partial(m: int, l: int, a: Sequence) -> object:
     if not 1 <= l <= m:
         raise DomainError(f"bell_partial requires 1 <= l <= m, got m={m}, l={l}")
     if m > 60:
-        # the disequilibrium sum reaches m = 4n + 4 = 52 at n = 12
+        # the printed Bell form of d_n, a test oracle, needs m = 4n + 4 = 60 at n = 14
         raise EnvelopeError(f"bell_partial supports m <= 60, got m={m}")
     if len(a) < m - l + 1:
         raise DomainError(

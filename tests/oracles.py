@@ -5,11 +5,18 @@ trapezoid sums instead of Gauss-Legendre, mpmath instead of the
 continued fractions and sampling sums, finite differences instead of
 analytic derivatives.  The exact oracles (Bell partition enumeration,
 Fraction hypergeometric series) live in `tdq.verify`, whose users have
-no mpmath; tests import them from there.
+no mpmath; tests import them from there.  The printed Bell form of the
+disequilibrium is kept here, on `bell_partial`, whose recurrence verify
+checks against partition enumeration.
 """
+
+import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+
+from tdq.special_functions import bell_partial, hermite
 
 
 def dawson_trapezoid(x: float, points: int = 200001) -> float:
@@ -99,6 +106,24 @@ def hermite_root_error_mp(n: int, r: float, dps: int = 40) -> float:
 def trapezoid_moment(q: np.ndarray, p: np.ndarray, power: int) -> float:
     """integral q^power P(q) dq on a dense grid, trapezoid rule."""
     return float(np.trapezoid(p * q ** power, q))
+
+
+def diseq_printed_bell_sum(n: int) -> Fraction:
+    """D * rho * sqrt(hbar) * sqrt(2 pi) as the paper prints it, in exact
+    integers: sum_j (2j)! 4! / (8^j j! (2j+4)!) B_{2j+4,4}(i! q_{i-1})
+    / (2^n n!)^2 over the integer Hermite coefficients q_l."""
+    q = hermite(n).coefficients
+
+    def q_at(l: int) -> int:
+        return q[l] if l <= n else 0
+
+    total = Fraction(0)
+    for j in range(2 * n + 1):
+        args = [math.factorial(i) * q_at(i - 1) for i in range(1, 2 * j + 2)]
+        bell = bell_partial(2 * j + 4, 4, args)
+        total += Fraction(math.factorial(2 * j) * 24 * bell,
+                          8 ** j * math.factorial(j) * math.factorial(2 * j + 4))
+    return total / (2 ** n * math.factorial(n)) ** 2
 
 
 # Reference (S, D) of the charge density at rho = hbar = 1, from 40-digit

@@ -121,12 +121,18 @@ class TestDisequilibrium:
         assert ms.disequilibrium_D == pytest.approx(1.0 / math.sqrt(2.0 * math.pi),
                                                     rel=1e-9)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", range(information._MAX_CLOSED_FORM_N + 1))
     def test_dual_method_equivalence(self, n):
         _, _, snap = snapshot_at(2.0, 0.6, n)
         closed = measures(snap, "closed_form").disequilibrium_D
         quad = measures(snap).disequilibrium_D
-        assert closed == pytest.approx(quad, rel=1e-8)
+        assert closed == pytest.approx(quad, rel=1e-13)
+
+    def test_exact_sum_equals_printed_bell_sum(self):
+        # H_n^4 moments and the printed Bell form are the same rational
+        for n in range(information._MAX_CLOSED_FORM_N + 1):
+            exact = information._diseq_reduced_exact(n)
+            assert exact == oracles.diseq_printed_bell_sum(n)
 
     @pytest.mark.parametrize("n", range(13))
     def test_reference_values(self, n):
