@@ -1,20 +1,17 @@
 """Quantized charge in a superconductor with time-dependent conductivity.
 
-Core objects: SuperconductorParams / ConductivityModel describe the
-system, the dynamics module solves the Milne-Pinney amplitude (exactly
-via Bessel functions or numerically), observables evaluates the exact
-quantum states, and information computes Shannon entropy,
-disequilibrium, and statistical complexity.
+Core objects: SuperconductorParams describes the system, whose
+conductivity decays as sigma0/(A t + 1); the dynamics module solves the
+Milne-Pinney amplitude (exactly via Bessel functions or numerically),
+observables evaluates the exact quantum states, and information computes
+Shannon entropy, disequilibrium, and statistical complexity.
 """
 
 from .dynamics import (
     ClassicalState,
-    ConductivityModel,
     PinneyState,
     SuperconductorParams,
-    L_closed_form,
     invariant_value,
-    omega_sq,
     rho_analytic,
     solve_classical,
     solve_pinney_numeric,
@@ -32,9 +29,6 @@ from .observables import (
     wavefunction,
 )
 from .special_functions import (
-    HermiteTable,
-    QuadratureRule,
-    bell_partial,
     bessel_j,
     bessel_j_prime,
     bessel_modulus_sq,

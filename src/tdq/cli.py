@@ -32,13 +32,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dynamics import (
-    ConductivityModel,
-    SuperconductorParams,
-    omega_sq,
-    rho_analytic,
-    solve_pinney_numeric,
-)
+from .dynamics import SuperconductorParams, rho_analytic, solve_pinney_numeric
 from .errors import ConfigError, DomainError
 from .information import measures
 from .observables import (
@@ -249,14 +243,13 @@ def cmd_rho(config: RunConfig) -> int:
     grid = config.t_grid()
     for sigma0 in sorted(config.sigma0):
         params = config.params_for(sigma0)
-        model = ConductivityModel.hyperbolic(params)
         if config.seed_from_analytic:
-            states = solve_pinney_numeric(params, model, t_grid=grid)
+            states = solve_pinney_numeric(params, t_grid=grid)
         else:
             states = [rho_analytic(params, float(t)) for t in grid]
         for t, state in zip(grid, states):
             rows.append((float(t), sigma0, state.rho, state.rho_dot,
-                         model.L(float(t)), omega_sq(params, model, float(t))))
+                         params.L(float(t)), params.omega_sq(float(t))))
     _write_table(config, ["t", "sigma0", "rho", "rho_dot", "L", "omega_sq"],
                  _one_block(rows))
     return 0
@@ -271,11 +264,10 @@ def _snapshots(config: RunConfig):
     grid = config.t_grid()
     for sigma0 in sorted(config.sigma0):
         params = config.params_for(sigma0)
-        model = ConductivityModel.hyperbolic(params)
         states = [rho_analytic(params, float(t)) for t in grid]
         for n in sorted(config.n):
             for state in states:
-                yield sigma0, n, state.t, make_snapshot(params, model, state, n)
+                yield sigma0, n, state.t, make_snapshot(params, state, n)
 
 
 def cmd_observables(config: RunConfig) -> int:

@@ -12,14 +12,14 @@ the positive solution of the generalized Milne-Pinney equation
     rho'' + (L'/L) rho' + omega^2 rho = 1 / (L^2 rho^3),
     L(t) = exp(integral_0^t sigma/eps0),  L(0) = 1.
 
-For the hyperbolic conductivity sigma(t) = sigma0/(A t + 1) the Pinney
-equation has the exact solution
+The conductivity follows the hyperbolic law sigma(t) = sigma0/(A t + 1), so
+L(t) = (A t + 1)^s, and the Pinney equation has the exact solution
 
     rho(t) = sqrt(pi/(2A)) (At+1)^{(1-s)/2}
              [J_beta^2(k(At+1)) + Y_beta^2(k(At+1))]^{1/2},
 
 with s = sigma0/(A eps0), beta = (1+s)/2, k = c/(lambdaL A).  Both the
-exact formula and a general adaptive Runge-Kutta path are provided; the
+exact formula and an adaptive Runge-Kutta path are provided; the
 Lewis-Riesenfeld invariant ties the two trajectories together and is
 conserved along any consistent pair.
 """
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,7 +47,8 @@ _MODULUS_ASYMPTOTIC_X = 20.0
 
 @dataclass(frozen=True)
 class SuperconductorParams:
-    """Physical constants of one experiment.
+    """Physical constants of one experiment, and the time-dependent
+    coefficients sigma, L and omega^2 they fix.
 
     Figure units set A = eps0 = c = lambdaL = hbar = 1; sigma0 = 0 is the
     lossless LC limit.  lambdaL is taken as an input length, never derived
@@ -88,40 +89,21 @@ class SuperconductorParams:
         """Asymptotic squared frequency c^2 / lambdaL^2."""
         return (self.c / self.lambdaL) ** 2
 
+    def sigma(self, t: float) -> float:
+        """Conductivity sigma(t) = sigma0 / (A t + 1)."""
+        return self.sigma0 / (self.A * t + 1.0)
 
-@dataclass(frozen=True)
-class ConductivityModel:
-    """sigma(t), its derivative, and the accumulated factor L(t).
+    def sigma_dot(self, t: float) -> float:
+        """Time derivative -sigma0 A / (A t + 1)^2 of the conductivity."""
+        return -self.sigma0 * self.A / (self.A * t + 1.0) ** 2
 
-    L(t) = exp(integral_0^t sigma/eps0 dt'), so L(0) = 1 always; L is
-    non-decreasing whenever sigma >= 0.
-    """
+    def L(self, t: float) -> float:
+        """L(t) = exp(integral_0^t sigma/eps0 dt') = (A t + 1)^s; L(0) = 1."""
+        return (self.A * t + 1.0) ** self.decay_exponent
 
-    kind: str
-    sigma: Callable[[float], float]
-    sigma_dot: Callable[[float], float]
-    L: Callable[[float], float]
-
-    @classmethod
-    def hyperbolic(cls, params: SuperconductorParams) -> "ConductivityModel":
-        """sigma(t) = sigma0 / (A t + 1); L(t) = (A t + 1)^s in closed form."""
-        sigma0, A = params.sigma0, params.A
-        return cls(
-            kind="hyperbolic",
-            sigma=lambda t: sigma0 / (A * t + 1.0),
-            sigma_dot=lambda t: -sigma0 * A / (A * t + 1.0) ** 2,
-            L=lambda t: L_closed_form(params, t),
-        )
-
-    @classmethod
-    def constant(cls, sigma0: float, eps0: float = 1.0) -> "ConductivityModel":
-        """Constant conductivity; sigma0 = 0 gives the LC limit with L = 1."""
-        return cls(
-            kind="constant",
-            sigma=lambda t: sigma0,
-            sigma_dot=lambda t: 0.0,
-            L=lambda t: math.exp(sigma0 * t / eps0),
-        )
+    def omega_sq(self, t: float) -> float:
+        """omega^2(t) = c^2/lambdaL^2 + sigma_dot(t)/eps0; may be negative."""
+        return self.omega0_sq + self.sigma_dot(t) / self.eps0
 
 
 @dataclass(frozen=True)
@@ -148,18 +130,8 @@ class ClassicalState:
     phi: float
 
 
-def omega_sq(params: SuperconductorParams, model: ConductivityModel, t: float) -> float:
-    """omega^2(t) = c^2/lambdaL^2 + sigma_dot(t)/eps0; may be negative."""
-    return params.omega0_sq + model.sigma_dot(t) / params.eps0
-
-
-def L_closed_form(params: SuperconductorParams, t: float) -> float:
-    """L(t) = (A t + 1)^{sigma0/(A eps0)} for the hyperbolic model."""
-    return (params.A * t + 1.0) ** params.decay_exponent
-
-
 def rho_analytic(params: SuperconductorParams, t: float) -> PinneyState:
-    """Exact Pinney amplitude for the hyperbolic model.
+    """Exact Pinney amplitude.
 
     rho depends on the Bessel functions only through the modulus
     M^2 = J_beta^2 + Y_beta^2 at u = k(A t + 1), and the slope only through
@@ -199,23 +171,23 @@ def rho_analytic(params: SuperconductorParams, t: float) -> PinneyState:
 
 
 def solve_pinney_numeric(params: SuperconductorParams,
-                         model: ConductivityModel,
                          rho0: float | None = None,
                          rho_dot0: float | None = None,
                          t_grid: Sequence[float] = ()) -> list[PinneyState]:
     """Integrate the Pinney equation on an ascending grid.
 
-    Initial conditions default to the analytic values at the grid start
-    (normally t = 0) for the hyperbolic model; other models must supply
-    them.  Raises PinneySingularityError if rho crosses the 1e-12
-    positivity guard and StepSizeUnderflowError if the controller stalls.
+    The initial values (rho0, rho_dot0) are given together, or both
+    default to the analytic values at the grid start (normally t = 0).
+    Raises PinneySingularityError if rho crosses the 1e-12 positivity
+    guard and StepSizeUnderflowError if the controller stalls.
     """
     if len(t_grid) == 0:
         raise ValueError("t_grid must be a non-empty ascending grid")
-    if rho0 is None or rho_dot0 is None:
-        if model.kind != "hyperbolic":
-            raise ValueError(
-                "initial conditions are required for non-hyperbolic models")
+    if (rho0 is None) != (rho_dot0 is None):
+        missing = "rho0" if rho0 is None else "rho_dot0"
+        raise ValueError(f"{missing} is missing: give rho0 and rho_dot0 together "
+                         "or neither")
+    if rho0 is None:
         seed = rho_analytic(params, float(t_grid[0]))
         rho0, rho_dot0 = seed.rho, seed.rho_dot
     if rho0 <= 0.0:
@@ -225,9 +197,9 @@ def solve_pinney_numeric(params: SuperconductorParams,
 
     def rhs(t, y):
         rho, rho_dot = y
-        L = model.L(t)
-        acc = (-model.sigma(t) / eps0 * rho_dot
-               - omega_sq(params, model, t) * rho
+        L = params.L(t)
+        acc = (-params.sigma(t) / eps0 * rho_dot
+               - params.omega_sq(t) * rho
                + 1.0 / (L * L * rho * rho * rho))
         return np.array((rho_dot, acc))
 
@@ -242,7 +214,6 @@ def solve_pinney_numeric(params: SuperconductorParams,
 
 
 def solve_classical(params: SuperconductorParams,
-                    model: ConductivityModel,
                     q0: float,
                     q_dot0: float,
                     t_grid: Sequence[float]) -> list[ClassicalState]:
@@ -252,17 +223,16 @@ def solve_classical(params: SuperconductorParams,
     def rhs(t, y):
         q, q_dot = y
         return np.array((q_dot,
-                         -model.sigma(t) / eps0 * q_dot
-                         - omega_sq(params, model, t) * q))
+                         -params.sigma(t) / eps0 * q_dot
+                         - params.omega_sq(t) * q))
 
     states = solve_rk45(rhs, t_grid[0], (q0, q_dot0), t_grid)
     return [ClassicalState(t=float(t), q=float(y[0]), q_dot=float(y[1]),
-                           phi=model.L(float(t)) * float(y[1]))
+                           phi=params.L(float(t)) * float(y[1]))
             for t, y in zip(t_grid, states)]
 
 
 def invariant_value(params: SuperconductorParams,
-                    model: ConductivityModel,
                     cs: ClassicalState,
                     ps: PinneyState) -> float:
     """Lewis-Riesenfeld invariant I = [(q/rho)^2 + (rho phi - L rho' q)^2] / 2.
@@ -273,7 +243,7 @@ def invariant_value(params: SuperconductorParams,
     if abs(cs.t - ps.t) > 1e-12 * max(1.0, abs(cs.t)):
         raise TimeMismatchError(
             f"classical state at t={cs.t!r} but Pinney state at t={ps.t!r}")
-    L = model.L(cs.t)
+    L = params.L(cs.t)
     stretched = cs.q / ps.rho
     conjugate = ps.rho * cs.phi - L * ps.rho_dot * cs.q
     return 0.5 * (stretched * stretched + conjugate * conjugate)

@@ -25,17 +25,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .dynamics import (
-    ConductivityModel,
-    PinneyState,
-    SuperconductorParams,
-    omega_sq,
-    rho_analytic,
-)
+from .dynamics import PinneyState, SuperconductorParams, rho_analytic
 from .integrate import adaptive_simpson
 from .special_functions import hermite_function
 
@@ -54,13 +47,11 @@ class QuantumSnapshot:
 
 
 def make_snapshot(params: SuperconductorParams,
-                  model: ConductivityModel,
                   state: PinneyState,
                   n: int) -> QuantumSnapshot:
-    """Assemble a snapshot from a consistent (params, model, Pinney state) triple."""
+    """Assemble a snapshot from params and a Pinney state computed for them."""
     return QuantumSnapshot(n=n, t=state.t, rho=state.rho, rho_dot=state.rho_dot,
-                           L=model.L(state.t),
-                           omega_sq=omega_sq(params, model, state.t),
+                           L=params.L(state.t), omega_sq=params.omega_sq(state.t),
                            hbar=params.hbar)
 
 
@@ -70,27 +61,11 @@ def truncation_radius(snapshot: QuantumSnapshot) -> float:
         math.sqrt(2.0 * snapshot.n + 1.0) + 8.0)
 
 
-def phase(params: SuperconductorParams,
-          model: ConductivityModel,
-          n: int,
-          t: float,
-          rho_of_t: Callable[[float], float] | None = None) -> float:
-    """Phase theta_n(t) = -(n + 1/2) integral_0^t dt' / (L rho^2).
-
-    The amplitude trajectory comes from the closed form for the
-    hyperbolic model and from the equilibrium value omega0^{-1/2} for the
-    lossless constant model; any other model must pass rho_of_t.
-    """
-    if rho_of_t is None:
-        if model.kind == "hyperbolic":
-            rho_of_t = lambda u: rho_analytic(params, u).rho
-        elif model.kind == "constant" and model.sigma(0.0) == 0.0:
-            rho_eq = params.omega0_sq ** -0.25
-            rho_of_t = lambda u: rho_eq
-        else:
-            raise ValueError(
-                "phase needs rho_of_t for models without a closed-form amplitude")
-    integral = adaptive_simpson(lambda u: 1.0 / (model.L(u) * rho_of_t(u) ** 2), 0.0, t)
+def phase(params: SuperconductorParams, n: int, t: float) -> float:
+    """Phase theta_n(t) = -(n + 1/2) integral_0^t dt' / (L rho^2) along the
+    exact amplitude `rho_analytic`."""
+    integral = adaptive_simpson(
+        lambda u: 1.0 / (params.L(u) * rho_analytic(params, u).rho ** 2), 0.0, t)
     return -(n + 0.5) * integral
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -419,41 +419,6 @@ def hyp2f2_special(z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Partial (incomplete) Bell polynomials
-# ---------------------------------------------------------------------------
-
-def bell_partial(m: int, l: int, a: Sequence) -> object:
-    """Partial Bell polynomial B_{m,l}(a_1, ..., a_{m-l+1}).
-
-    Uses the recurrence
-        B_{m,l} = sum_{i=1}^{m-l+1} C(m-1, i-1) a_i B_{m-i,l-1},
-        B_{0,0} = 1, B_{m,0} = 0 for m > 0,
-    equivalent to the sum over partitions of m into l blocks.  Arithmetic
-    is generic: float arguments give floats, int/Fraction arguments give
-    exact results.
-    """
-    if not 1 <= l <= m:
-        raise DomainError(f"bell_partial requires 1 <= l <= m, got m={m}, l={l}")
-    if m > 60:
-        # the printed Bell form of d_n, a test oracle, needs m = 4n + 4 = 60 at n = 14
-        raise EnvelopeError(f"bell_partial supports m <= 60, got m={m}")
-    if len(a) < m - l + 1:
-        raise DomainError(
-            f"bell_partial needs {m - l + 1} arguments for (m={m}, l={l}), got {len(a)}")
-    zero = a[0] * 0
-    table = [[zero] * (l + 1) for _ in range(m + 1)]
-    table[0][0] = zero + 1
-    for mm in range(1, m + 1):
-        for ll in range(1, min(mm, l) + 1):
-            acc = zero
-            for i in range(1, mm - ll + 2):
-                if i <= len(a):
-                    acc = acc + math.comb(mm - 1, i - 1) * a[i - 1] * table[mm - i][ll - 1]
-            table[mm][ll] = acc
-    return table[m][l]
-
-
-# ---------------------------------------------------------------------------
 # Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------
 
@@ -463,7 +428,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: tuple[float, float]
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
         return float(np.dot(self.weights, f(self.nodes)))
@@ -517,6 +481,4 @@ def gauss_legendre(n_points: int, a: float, b: float) -> QuadratureRule:
         raise DomainError(f"gauss_legendre requires a < b, got a={a!r}, b={b!r}")
     x, w = _legendre_nodes_weights(n_points)
     half = 0.5 * (b - a)
-    return QuadratureRule(nodes=0.5 * (a + b) + half * x,
-                          weights=half * w,
-                          domain=(float(a), float(b)))
+    return QuadratureRule(nodes=0.5 * (a + b) + half * x, weights=half * w)

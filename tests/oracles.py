@@ -3,11 +3,11 @@
 Each oracle deliberately avoids the production code path it checks:
 trapezoid sums instead of Gauss-Legendre, mpmath instead of the
 continued fractions and sampling sums, finite differences instead of
-analytic derivatives.  The exact oracles (Bell partition enumeration,
-Fraction hypergeometric series) live in `tdq.verify`, whose users have
-no mpmath; tests import them from there.  The printed Bell form of the
-disequilibrium is kept here, on `bell_partial`, whose recurrence verify
-checks against partition enumeration.
+analytic derivatives.  The exact Fraction hypergeometric series live in
+`tdq.verify`, whose users have no mpmath; tests import them from there.
+The printed Bell form of the disequilibrium is kept here, on the partial
+Bell polynomial recurrence `bell_partial`, which the tests check against
+partition enumeration.
 """
 
 import math
@@ -16,7 +16,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from tdq.special_functions import bell_partial, hermite
+from tdq.errors import DomainError
+from tdq.special_functions import hermite
 
 
 def dawson_trapezoid(x: float, points: int = 200001) -> float:
@@ -106,6 +107,57 @@ def hermite_root_error_mp(n: int, r: float, dps: int = 40) -> float:
 def trapezoid_moment(q: np.ndarray, p: np.ndarray, power: int) -> float:
     """integral q^power P(q) dq on a dense grid, trapezoid rule."""
     return float(np.trapezoid(p * q ** power, q))
+
+
+def bell_partial(m: int, l: int, a):
+    """Partial Bell polynomial B_{m,l}(a_1, ..., a_{m-l+1}).
+
+    Uses the recurrence
+        B_{m,l} = sum_{i=1}^{m-l+1} C(m-1, i-1) a_i B_{m-i,l-1},
+        B_{0,0} = 1, B_{m,0} = 0 for m > 0,
+    equivalent to the sum over partitions of m into l blocks.  Arithmetic
+    is generic: float arguments give floats, int/Fraction arguments give
+    exact results.
+    """
+    if not 1 <= l <= m:
+        raise DomainError(f"bell_partial requires 1 <= l <= m, got m={m}, l={l}")
+    if len(a) < m - l + 1:
+        raise DomainError(
+            f"bell_partial needs {m - l + 1} arguments for (m={m}, l={l}), got {len(a)}")
+    zero = a[0] * 0
+    table = [[zero] * (l + 1) for _ in range(m + 1)]
+    table[0][0] = zero + 1
+    for mm in range(1, m + 1):
+        for ll in range(1, min(mm, l) + 1):
+            acc = zero
+            for i in range(1, mm - ll + 2):
+                if i <= len(a):
+                    acc = acc + math.comb(mm - 1, i - 1) * a[i - 1] * table[mm - i][ll - 1]
+            table[mm][ll] = acc
+    return table[m][l]
+
+
+def bell_by_partition_enumeration(m: int, l: int, a: list[float]) -> float:
+    """Direct sum over partitions of m into l blocks (the defining formula)."""
+    total = 0.0
+    n_args = m - l + 1
+
+    def recurse(i: int, blocks_left: int, weight_left: int, js: list[int]):
+        nonlocal total
+        if i == n_args:
+            if blocks_left == 0 and weight_left == 0:
+                coeff = math.factorial(m)
+                prod = 1.0
+                for idx, j in enumerate(js, start=1):
+                    coeff //= math.factorial(j)
+                    prod *= (a[idx - 1] / math.factorial(idx)) ** j
+                total += coeff * prod
+            return
+        for j in range(min(blocks_left, weight_left // (i + 1)) + 1):
+            recurse(i + 1, blocks_left - j, weight_left - (i + 1) * j, js + [j])
+
+    recurse(0, l, m, [])
+    return total
 
 
 def diseq_printed_bell_sum(n: int) -> Fraction:

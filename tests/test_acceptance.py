@@ -9,13 +9,11 @@ import math
 import numpy as np
 import pytest
 
-from tdq import verify
+import oracles
 from tdq.cli import main
 from tdq.dynamics import (
-    ConductivityModel,
     SuperconductorParams,
     invariant_value,
-    omega_sq,
     rho_analytic,
     solve_classical,
     solve_pinney_numeric,
@@ -29,7 +27,6 @@ from tdq.observables import (
     uncertainty_product,
 )
 from tdq.special_functions import (
-    bell_partial,
     bessel_j,
     bessel_j_prime,
     bessel_y,
@@ -41,14 +38,9 @@ from tdq.special_functions import (
 FIGURE_SIGMAS = (0.4, 0.6, 0.8, 1.5, 2.0, 2.5, 3.0)
 
 
-def hyperbolic(sigma0):
-    params = SuperconductorParams(sigma0=sigma0)
-    return params, ConductivityModel.hyperbolic(params)
-
-
-def measures_along(params, model, n, ts):
+def measures_along(params, n, ts):
     """Quadrature measures at each grid time along the exact amplitude."""
-    return [measures(make_snapshot(params, model, rho_analytic(params, float(t)), n))
+    return [measures(make_snapshot(params, rho_analytic(params, float(t)), n))
             for t in ts]
 
 
@@ -72,16 +64,16 @@ def test_criterion_1_pinney_substitution():
     worst = 0.0
     pairs = 0
     for sigma0 in FIGURE_SIGMAS:
-        params, model = hyperbolic(sigma0)
+        params = SuperconductorParams(sigma0=sigma0)
         for t in np.linspace(0.0, 5.0, 5):
             rm = rho_analytic(params, float(t) - h).rho
             r0 = rho_analytic(params, float(t))
             rp = rho_analytic(params, float(t) + h).rho
             rho_ddot = (rp - 2.0 * r0.rho + rm) / (h * h)
-            L = model.L(float(t))
+            L = params.L(float(t))
             residual = abs(rho_ddot
-                           + model.sigma(float(t)) / params.eps0 * r0.rho_dot
-                           + omega_sq(params, model, float(t)) * r0.rho
+                           + params.sigma(float(t)) / params.eps0 * r0.rho_dot
+                           + params.omega_sq(float(t)) * r0.rho
                            - 1.0 / (L * L * r0.rho ** 3))
             worst = max(worst, residual)
             pairs += 1
@@ -94,20 +86,20 @@ def test_criterion_2_analytic_numeric_agreement():
     grid = np.linspace(0.0, 5.0, 101)
     worst = 0.0
     for sigma0 in (0.5, 2.0, 3.0):
-        params, model = hyperbolic(sigma0)
-        for state in solve_pinney_numeric(params, model, t_grid=grid):
+        params = SuperconductorParams(sigma0=sigma0)
+        for state in solve_pinney_numeric(params, t_grid=grid):
             worst = max(worst, abs(state.rho - rho_analytic(params, state.t).rho))
     assert worst < 1e-6
     report("criterion 2 (analytic vs numeric Pinney)", worst, 1e-6)
 
 
 def test_criterion_3_invariant_conservation():
-    params, model = hyperbolic(2.0)
+    params = SuperconductorParams(sigma0=2.0)
     grid = np.linspace(0.0, 5.0, 101)
     worst = 0.0
     for q0, q_dot0 in ((1.0, 0.0), (0.0, 1.0), (0.7, -0.3)):
-        trajectory = solve_classical(params, model, q0, q_dot0, grid)
-        values = [invariant_value(params, model, cs, rho_analytic(params, cs.t))
+        trajectory = solve_classical(params, q0, q_dot0, grid)
+        values = [invariant_value(params, cs, rho_analytic(params, cs.t))
                   for cs in trajectory]
         worst = max(worst, max(abs(v - values[0]) for v in values) / abs(values[0]))
     assert worst < 1e-6
@@ -120,12 +112,12 @@ def test_criterion_4_complexity_constancy():
     for n in (0, 1, 2):
         values = []
         for sigma0 in (0.5, 2.0, 3.0):
-            params, model = hyperbolic(sigma0)
-            values.extend(m.complexity_C for m in measures_along(params, model, n, ts))
+            params = SuperconductorParams(sigma0=sigma0)
+            values.extend(m.complexity_C for m in measures_along(params, n, ts))
         worst_spread = max(worst_spread, max(values) - min(values))
     assert worst_spread < 1e-7
-    params, model = hyperbolic(2.0)
-    c0 = measures_along(params, model, 0, [0.0, 1.0])[0].complexity_C
+    params = SuperconductorParams(sigma0=2.0)
+    c0 = measures_along(params, 0, [0.0, 1.0])[0].complexity_C
     target = math.sqrt(math.e / 2.0)
     assert abs(c0 - target) < 1e-7
     report("criterion 4 (complexity constancy; C0 = sqrt(e/2))",
@@ -135,19 +127,19 @@ def test_criterion_4_complexity_constancy():
 def test_criterion_5_dual_method_disequilibrium():
     worst = 0.0
     for sigma0 in (0.5, 2.0):
-        params, model = hyperbolic(sigma0)
+        params = SuperconductorParams(sigma0=sigma0)
         for t in (0.0, 0.8):
             state = rho_analytic(params, t)
             for n in range(4):
-                snap = make_snapshot(params, model, state, n)
+                snap = make_snapshot(params, state, n)
                 closed = measures(snap, "closed_form").disequilibrium_D
                 quad = measures(snap).disequilibrium_D
                 worst = max(worst, abs(closed - quad) / quad)
     assert worst < 1e-8
     # hand-derived values
-    params, model = hyperbolic(2.0)
+    params = SuperconductorParams(sigma0=2.0)
     state = rho_analytic(params, 0.9)
-    snap0 = make_snapshot(params, model, state, 0)
+    snap0 = make_snapshot(params, state, 0)
     want0 = 1.0 / (state.rho * math.sqrt(2.0 * math.pi))
     got0 = measures(snap0, "closed_form").disequilibrium_D
     hand_worst = abs(got0 - want0) / want0
@@ -166,23 +158,23 @@ def test_criterion_6_entropy_scaling_and_closed_form():
     ts = np.linspace(0.0, 5.0, 26)
     for n in (0, 1, 2):
         for sigma0 in (0.5, 2.0, 3.0):
-            params, model = hyperbolic(sigma0)
+            params = SuperconductorParams(sigma0=sigma0)
             shifted = [m.entropy_S - math.log(rho_analytic(params, float(t)).rho)
-                       for t, m in zip(ts, measures_along(params, model, n, ts))]
+                       for t, m in zip(ts, measures_along(params, n, ts))]
             worst = max(worst, max(shifted) - min(shifted))
             if n == 0:
                 target = 0.5 + math.log(math.sqrt(math.pi * params.hbar))
                 worst = max(worst, max(abs(s - target) for s in shifted))
     assert worst < 1e-9
     # closed form: n = 0 must agree at 1e-9; n >= 1 is reported information
-    params, model = hyperbolic(2.0)
+    params = SuperconductorParams(sigma0=2.0)
     state = rho_analytic(params, 0.5)
-    snap0 = make_snapshot(params, model, state, 0)
+    snap0 = make_snapshot(params, state, 0)
     n0_residual = abs(measures(snap0, "closed_form").entropy_S
                       - measures(snap0).entropy_S)
     assert n0_residual < 1e-9
     for n in (1, 2, 3):
-        snap = make_snapshot(params, model, state, n)
+        snap = make_snapshot(params, state, n)
         residual = (measures(snap, "closed_form").entropy_S
                     - measures(snap).entropy_S)
         print(f"INFO criterion 6: closed-form entropy residual n={n}: "
@@ -196,11 +188,11 @@ def test_criterion_7_quantum_sanity():
     worst_q2 = 0.0
     worst_floor = 0.0
     for sigma0 in (0.5, 1.5, 3.0):
-        params, model = hyperbolic(sigma0)
+        params = SuperconductorParams(sigma0=sigma0)
         for t in (0.0, 0.5, 2.0):
             state = rho_analytic(params, t)
             for n in range(5):
-                snap = make_snapshot(params, model, state, n)
+                snap = make_snapshot(params, state, n)
                 radius = truncation_radius(snap)
                 rule = gauss_legendre(512, -radius, radius)
                 p = density_values(snap, rule.nodes)
@@ -213,11 +205,11 @@ def test_criterion_7_quantum_sanity():
     assert worst_q2 < 1e-7
     assert worst_floor < 1e-12
     # equality exactly when rho_dot = 0 (LC limit), strict otherwise
-    lc_params, lc_model = hyperbolic(0.0)
-    lc_snap = make_snapshot(lc_params, lc_model, rho_analytic(lc_params, 1.0), 2)
+    lc_params = SuperconductorParams(sigma0=0.0)
+    lc_snap = make_snapshot(lc_params, rho_analytic(lc_params, 1.0), 2)
     assert uncertainty_product(lc_snap) == pytest.approx(2.5, abs=1e-12)
-    params, model = hyperbolic(2.0)
-    moving = make_snapshot(params, model, rho_analytic(params, 0.5), 2)
+    params = SuperconductorParams(sigma0=2.0)
+    moving = make_snapshot(params, rho_analytic(params, 0.5), 2)
     assert uncertainty_product(moving) > 2.5 + 1e-6
     report("criterion 7 (normalization, moments, uncertainty floor)",
            max(worst_norm, worst_q2, worst_floor), 1e-7)
@@ -305,8 +297,8 @@ def test_criterion_9_special_function_substrate():
     args = [1.0, -2.0, 3.0, 0.5, -1.5, 2.5, 0.25, -0.75]
     for m in range(1, 9):
         for l in range(1, m + 1):
-            got = bell_partial(m, l, args[: m - l + 1])
-            want = verify._bell_by_partition_enumeration(m, l, args[: m - l + 1])
+            got = oracles.bell_partial(m, l, args[: m - l + 1])
+            want = oracles.bell_by_partition_enumeration(m, l, args[: m - l + 1])
             worst_bell = max(worst_bell, abs(got - want) / max(1.0, abs(want)))
     assert worst_bell < 1e-12
 

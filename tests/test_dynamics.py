@@ -8,12 +8,9 @@ import oracles
 from tdq import dynamics, verify
 from tdq.dynamics import (
     ClassicalState,
-    ConductivityModel,
     PinneyState,
     SuperconductorParams,
-    L_closed_form,
     invariant_value,
-    omega_sq,
     rho_analytic,
     solve_classical,
     solve_pinney_numeric,
@@ -21,21 +18,16 @@ from tdq.dynamics import (
 from tdq.errors import EnvelopeError, TimeMismatchError
 
 
-def hyperbolic(sigma0, **kwargs):
-    params = SuperconductorParams(sigma0=sigma0, **kwargs)
-    return params, ConductivityModel.hyperbolic(params)
-
-
-def pinney_residual_fd(params, model, t, h=1e-3):
+def pinney_residual_fd(params, t, h=1e-3):
     # rho'' from the fourth-order five-point stencil on rho alone, so the
     # residual stays independent of the analytic rho'
     rm2, rm1, rp1, rp2 = (rho_analytic(params, t + k * h).rho for k in (-2, -1, 1, 2))
     r0 = rho_analytic(params, t)
     rho_ddot = (-rm2 + 16.0 * rm1 - 30.0 * r0.rho + 16.0 * rp1 - rp2) / (12.0 * h * h)
-    L = model.L(t)
+    L = params.L(t)
     return abs(rho_ddot
-               + model.sigma(t) / params.eps0 * r0.rho_dot
-               + omega_sq(params, model, t) * r0.rho
+               + params.sigma(t) / params.eps0 * r0.rho_dot
+               + params.omega_sq(t) * r0.rho
                - 1.0 / (L * L * r0.rho ** 3))
 
 
@@ -61,47 +53,41 @@ class TestParams:
         assert abs(root_form - params.beta) <= 1e-14 * max(1.0, params.beta)
 
 
-class TestConductivityModel:
+class TestConductivityLaw:
     def test_hyperbolic_identity(self):
-        params, model = hyperbolic(3.0)
+        params = SuperconductorParams(sigma0=3.0)
         for t in np.linspace(0.0, 10.0, 21):
-            assert model.sigma(float(t)) * (params.A * t + 1.0) == pytest.approx(
+            assert params.sigma(float(t)) * (params.A * t + 1.0) == pytest.approx(
                 3.0, abs=1e-14)
 
-    def test_L_closed_form_values(self):
-        params, model = hyperbolic(2.0)
-        assert model.L(0.0) == 1.0
-        assert L_closed_form(params, 1.0) == pytest.approx(4.0, rel=1e-14)
-        params0, model0 = hyperbolic(0.0)
+    def test_L_values(self):
+        params = SuperconductorParams(sigma0=2.0)
+        assert params.L(0.0) == 1.0
+        assert params.L(1.0) == pytest.approx(4.0, rel=1e-14)
+        params0 = SuperconductorParams(sigma0=0.0)
         for t in (0.0, 1.0, 5.0):
-            assert model0.L(t) == 1.0
+            assert params0.L(t) == 1.0
 
     def test_L_monotone(self):
-        _, model = hyperbolic(1.5)
-        values = [model.L(float(t)) for t in np.linspace(0.0, 5.0, 11)]
+        params = SuperconductorParams(sigma0=1.5)
+        values = [params.L(float(t)) for t in np.linspace(0.0, 5.0, 11)]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert all(v > 0 for v in values)
-
-    def test_constant_model(self):
-        model = ConductivityModel.constant(0.7, eps0=2.0)
-        assert model.sigma(3.0) == 0.7
-        assert model.sigma_dot(3.0) == 0.0
-        assert model.L(2.0) == pytest.approx(math.exp(0.7), rel=1e-14)
 
 
 class TestOmegaSq:
     def test_negative_at_origin(self):
-        params, model = hyperbolic(3.0)
-        assert omega_sq(params, model, 0.0) == pytest.approx(-2.0, abs=1e-14)
+        params = SuperconductorParams(sigma0=3.0)
+        assert params.omega_sq(0.0) == pytest.approx(-2.0, abs=1e-14)
 
     def test_lc_limit(self):
-        params, model = hyperbolic(0.0)
+        params = SuperconductorParams(sigma0=0.0)
         for t in (0.0, 1.0, 7.0):
-            assert omega_sq(params, model, t) == 1.0
+            assert params.omega_sq(t) == 1.0
 
     def test_late_time_asymptote(self):
-        params, model = hyperbolic(3.0)
-        value = omega_sq(params, model, 100.0)
+        params = SuperconductorParams(sigma0=3.0)
+        value = params.omega_sq(100.0)
         assert abs(value - 1.0) < 3e-4
         assert value == pytest.approx(1.0 - 3.0 / 101.0 ** 2, rel=1e-12)
 
@@ -110,7 +96,7 @@ class TestRhoAnalytic:
     def test_value_at_zero_sigma2(self):
         # beta = 3/2, k = 1: with J^2 + Y^2 = (2/pi)(sin - cos)^2 + (2/pi)(cos + sin)^2
         # = 4/pi at x = 1, rho(0) = sqrt(pi/2) * sqrt(4/pi) = sqrt(2)
-        params, _ = hyperbolic(2.0)
+        params = SuperconductorParams(sigma0=2.0)
         state = rho_analytic(params, 0.0)
         j = math.sqrt(2.0 / math.pi) * (math.sin(1.0) - math.cos(1.0))
         y = -math.sqrt(2.0 / math.pi) * (math.cos(1.0) + math.sin(1.0))
@@ -120,7 +106,7 @@ class TestRhoAnalytic:
         assert state.source == "analytic"
 
     def test_lc_limit_constant(self):
-        params, _ = hyperbolic(0.0)
+        params = SuperconductorParams(sigma0=0.0)
         for t in (0.0, 0.5, 3.0):
             state = rho_analytic(params, t)
             assert state.rho == pytest.approx(1.0, abs=1e-13)
@@ -128,16 +114,16 @@ class TestRhoAnalytic:
 
     @pytest.mark.parametrize("sigma0", [0.4, 0.6, 0.8, 1.5, 2.0, 2.5, 3.0])
     def test_pinney_residual(self, sigma0):
-        params, model = hyperbolic(sigma0)
+        params = SuperconductorParams(sigma0=sigma0)
         for t in np.linspace(0.0, 5.0, 6):
-            assert pinney_residual_fd(params, model, float(t)) < 1e-6
+            assert pinney_residual_fd(params, float(t)) < 1e-6
 
     def test_verify_pinney_residual_margin(self):
-        params, model = hyperbolic(3.0)
-        assert verify.pinney_residual(params, model, 0.0) < 1e-8
+        params = SuperconductorParams(sigma0=3.0)
+        assert verify.pinney_residual(params, 0.0) < 1e-8
 
     def test_rho_dot_matches_finite_difference(self):
-        params, _ = hyperbolic(2.5)
+        params = SuperconductorParams(sigma0=2.5)
         h = 1e-5
         for t in (0.0, 0.7, 2.3, 5.0):
             fd = (rho_analytic(params, t + h).rho
@@ -145,20 +131,20 @@ class TestRhoAnalytic:
             assert rho_analytic(params, t).rho_dot == pytest.approx(fd, abs=1e-8)
 
     def test_envelope_violation_names_parameters(self):
-        params, _ = hyperbolic(2.0)
+        params = SuperconductorParams(sigma0=2.0)
         with pytest.raises(EnvelopeError, match="sigma0=2.0"):
             rho_analytic(params, 60.0)
 
     def test_envelope_violation_order(self):
         # beta = 10.5 is above the order limit even where the argument is large
-        params, _ = hyperbolic(20.0)
+        params = SuperconductorParams(sigma0=20.0)
         for t in (0.0, 30.0):
             with pytest.raises(EnvelopeError, match="order 10.5"):
                 rho_analytic(params, t)
 
     def test_positive_rho(self):
         for sigma0 in (0.5, 1.5, 3.0):
-            params, _ = hyperbolic(sigma0)
+            params = SuperconductorParams(sigma0=sigma0)
             for t in np.linspace(0.0, 5.0, 26):
                 assert rho_analytic(params, float(t)).rho > 0.0
 
@@ -170,7 +156,7 @@ class TestRhoAnalyticAsymptotic:
     @pytest.mark.parametrize("x", [20.0, 25.0, 33.3, 41.0, 50.0])
     def test_against_extended_precision(self, beta, x):
         sigma0 = 2.0 * beta - 1.0
-        params, _ = hyperbolic(sigma0)
+        params = SuperconductorParams(sigma0=sigma0)
         state = rho_analytic(params, x - 1.0)
         rho, rho_dot = oracles.rho_mp(sigma0, x - 1.0)
         assert abs(state.rho - rho) <= 2e-15 * abs(rho)
@@ -178,7 +164,7 @@ class TestRhoAnalyticAsymptotic:
 
     @pytest.mark.parametrize("beta", [0.6, 0.77, 1.3, 2.25, 4.1, 7.3, 9.9])
     def test_branches_agree_at_crossover(self, beta, monkeypatch):
-        params, _ = hyperbolic(2.0 * beta - 1.0)
+        params = SuperconductorParams(sigma0=2.0 * beta - 1.0)
         asymptotic = rho_analytic(params, 19.0)
         monkeypatch.setattr(dynamics, "_MODULUS_ASYMPTOTIC_X", math.inf)
         series = rho_analytic(params, 19.0)
@@ -194,7 +180,7 @@ class TestRhoAnalyticNearIntegerOrder:
                                         -1e-10, -1e-7, -1.0000001e-6, -2e-6, -1e-4])
     def test_against_extended_precision(self, n, offset):
         sigma0 = 2.0 * (n + offset) - 1.0
-        params, _ = hyperbolic(sigma0)
+        params = SuperconductorParams(sigma0=sigma0)
         for x in [0.7, 1.9, 2.1, 8.0, 19.5, *np.linspace(40.0, 50.0, 5)]:
             state = rho_analytic(params, x - 1.0)
             rho, rho_dot = oracles.rho_mp(sigma0, x - 1.0)
@@ -207,9 +193,8 @@ class TestRhoAnalyticNearIntegerOrder:
 class TestPinneyNumeric:
     def test_lc_equilibrium_fixed_point(self):
         params = SuperconductorParams(sigma0=0.0)
-        model = ConductivityModel.constant(0.0)
         grid = np.linspace(0.0, 10.0, 41)
-        states = solve_pinney_numeric(params, model, 1.0, 0.0, grid)
+        states = solve_pinney_numeric(params, 1.0, 0.0, grid)
         for state in states:
             assert state.rho == pytest.approx(1.0, abs=1e-9)
             assert state.source == "numeric"
@@ -217,8 +202,8 @@ class TestPinneyNumeric:
     def test_matches_analytic_when_seeded(self):
         grid = np.linspace(0.0, 5.0, 51)
         for sigma0 in (0.5, 2.0, 3.0):
-            params, model = hyperbolic(sigma0)
-            states = solve_pinney_numeric(params, model, t_grid=grid)
+            params = SuperconductorParams(sigma0=sigma0)
+            states = solve_pinney_numeric(params, t_grid=grid)
             worst = max(abs(s.rho - rho_analytic(params, s.t).rho) for s in states)
             assert worst < 1e-6
 
@@ -226,9 +211,8 @@ class TestPinneyNumeric:
         # undamped omega=1 with rho(0)=2, rho'(0)=0:
         # rho(t) = sqrt(4 cos^2 t + sin^2 t / 4)
         params = SuperconductorParams(sigma0=0.0)
-        model = ConductivityModel.constant(0.0)
         grid = np.linspace(0.0, math.pi, 33)
-        states = solve_pinney_numeric(params, model, 2.0, 0.0, grid)
+        states = solve_pinney_numeric(params, 2.0, 0.0, grid)
         for state in states:
             expected = math.sqrt(4.0 * math.cos(state.t) ** 2
                                  + 0.25 * math.sin(state.t) ** 2)
@@ -237,76 +221,75 @@ class TestPinneyNumeric:
         assert halfway.t == pytest.approx(math.pi / 2.0)
         assert halfway.rho == pytest.approx(0.5, abs=1e-8)
 
-    def test_initial_conditions_required_for_non_hyperbolic(self):
-        params = SuperconductorParams(sigma0=0.0)
-        model = ConductivityModel.constant(0.0)
-        with pytest.raises(ValueError, match="initial conditions"):
-            solve_pinney_numeric(params, model, t_grid=np.linspace(0.0, 1.0, 5))
+    @pytest.mark.parametrize("given, missing", [({"rho0": 5.0}, "rho_dot0"),
+                                                ({"rho_dot0": 0.3}, "rho0")])
+    def test_lone_initial_value_names_the_missing_one(self, given, missing):
+        params = SuperconductorParams(sigma0=2.0)
+        with pytest.raises(ValueError, match=f"^{missing} is missing"):
+            solve_pinney_numeric(params, t_grid=np.linspace(0.0, 1.0, 5), **given)
 
 
 class TestClassical:
     def test_undamped_cosine(self):
         params = SuperconductorParams(sigma0=0.0)
-        model = ConductivityModel.constant(0.0)
         grid = np.linspace(0.0, math.pi, 65)
-        states = solve_classical(params, model, 1.0, 0.0, grid)
+        states = solve_classical(params, 1.0, 0.0, grid)
         for state in states:
             assert state.q == pytest.approx(math.cos(state.t), abs=1e-8)
         assert abs(states[-1].q + 1.0) < 1e-8
 
     def test_null_solution(self):
-        params, model = hyperbolic(2.0)
-        states = solve_classical(params, model, 0.0, 0.0, np.linspace(0.0, 3.0, 13))
+        params = SuperconductorParams(sigma0=2.0)
+        states = solve_classical(params, 0.0, 0.0, np.linspace(0.0, 3.0, 13))
         assert all(state.q == 0.0 and state.q_dot == 0.0 for state in states)
 
     def test_damped_envelope_decays(self):
-        params, model = hyperbolic(2.0)
+        params = SuperconductorParams(sigma0=2.0)
         grid = np.linspace(0.0, 20.0, 201)
-        states = solve_classical(params, model, 1.0, 0.0, grid)
+        states = solve_classical(params, 1.0, 0.0, grid)
         # past the last extremum the charge amplitude must not grow
         tail = [abs(s.q) for s in states if s.t > 10.0]
         assert max(tail) < max(abs(s.q) for s in states[:50])
 
     def test_phi_is_L_times_qdot(self):
-        params, model = hyperbolic(1.5)
-        states = solve_classical(params, model, 0.3, -0.2, np.linspace(0.0, 4.0, 17))
+        params = SuperconductorParams(sigma0=1.5)
+        states = solve_classical(params, 0.3, -0.2, np.linspace(0.0, 4.0, 17))
         for state in states:
-            assert state.phi == pytest.approx(model.L(state.t) * state.q_dot,
+            assert state.phi == pytest.approx(params.L(state.t) * state.q_dot,
                                               rel=1e-12, abs=1e-15)
 
 
 class TestInvariant:
     def test_zero_state(self):
-        params, model = hyperbolic(2.0)
+        params = SuperconductorParams(sigma0=2.0)
         cs = ClassicalState(t=0.0, q=0.0, q_dot=0.0, phi=0.0)
-        assert invariant_value(params, model, cs, rho_analytic(params, 0.0)) == 0.0
+        assert invariant_value(params, cs, rho_analytic(params, 0.0)) == 0.0
 
     def test_static_oscillator_half(self):
         params = SuperconductorParams(sigma0=0.0)
-        model = ConductivityModel.constant(0.0)
         for t in (0.0, 0.7, 2.0):
             cs = ClassicalState(t=t, q=math.cos(t), q_dot=-math.sin(t),
                                 phi=-math.sin(t))
             ps = PinneyState(t=t, rho=1.0, rho_dot=0.0, source="analytic")
-            assert invariant_value(params, model, cs, ps) == pytest.approx(
+            assert invariant_value(params, cs, ps) == pytest.approx(
                 0.5, rel=1e-14)
 
     def test_conserved_along_trajectories(self):
-        params, model = hyperbolic(2.0)
+        params = SuperconductorParams(sigma0=2.0)
         grid = np.linspace(0.0, 5.0, 51)
         for q0, q_dot0 in ((1.0, 0.0), (0.0, 1.0), (0.7, -0.3)):
-            states = solve_classical(params, model, q0, q_dot0, grid)
-            values = [invariant_value(params, model, cs,
+            states = solve_classical(params, q0, q_dot0, grid)
+            values = [invariant_value(params, cs,
                                       rho_analytic(params, cs.t))
                       for cs in states]
             drift = max(abs(v - values[0]) for v in values) / abs(values[0])
             assert drift < 1e-6
 
     def test_time_mismatch(self):
-        params, model = hyperbolic(2.0)
+        params = SuperconductorParams(sigma0=2.0)
         cs = ClassicalState(t=1.0, q=1.0, q_dot=0.0, phi=0.0)
         with pytest.raises(TimeMismatchError):
-            invariant_value(params, model, cs, rho_analytic(params, 2.0))
+            invariant_value(params, cs, rho_analytic(params, 2.0))
 
 
 class TestStateValidation:
@@ -318,5 +301,5 @@ class TestStateValidation:
     @given(sigma0=st.floats(min_value=0.0, max_value=3.0),
            t=st.floats(min_value=0.0, max_value=5.0))
     def test_analytic_state_positive(self, sigma0, t):
-        params, _ = hyperbolic(sigma0)
+        params = SuperconductorParams(sigma0=sigma0)
         assert rho_analytic(params, t).rho > 0.0

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from tdq import information, verify
-from tdq.dynamics import ConductivityModel, SuperconductorParams, rho_analytic
+from tdq.dynamics import SuperconductorParams, rho_analytic
 from tdq.information import MeasureSet, measures
 from tdq.observables import QuantumSnapshot, make_snapshot
 from tdq.special_functions import hermite, hermite_function
@@ -13,8 +13,7 @@ from tdq.special_functions import hermite, hermite_function
 
 def snapshot_at(sigma0, t, n, **kwargs):
     params = SuperconductorParams(sigma0=sigma0, **kwargs)
-    model = ConductivityModel.hyperbolic(params)
-    return params, model, make_snapshot(params, model, rho_analytic(params, t), n)
+    return make_snapshot(params, rho_analytic(params, t), n)
 
 
 def unit_snapshot(n, rho=1.0, hbar=1.0, rho_dot=0.0):
@@ -22,9 +21,9 @@ def unit_snapshot(n, rho=1.0, hbar=1.0, rho_dot=0.0):
                            omega_sq=1.0, hbar=hbar)
 
 
-def measures_along(params, model, n, ts):
+def measures_along(params, n, ts):
     """Quadrature measures at each grid time along the exact amplitude."""
-    return [measures(make_snapshot(params, model, rho_analytic(params, float(t)), n))
+    return [measures(make_snapshot(params, rho_analytic(params, float(t)), n))
             for t in ts]
 
 
@@ -123,7 +122,7 @@ class TestDisequilibrium:
 
     @pytest.mark.parametrize("n", range(information._MAX_CLOSED_FORM_N + 1))
     def test_dual_method_equivalence(self, n):
-        _, _, snap = snapshot_at(2.0, 0.6, n)
+        snap = snapshot_at(2.0, 0.6, n)
         closed = measures(snap, "closed_form").disequilibrium_D
         quad = measures(snap).disequilibrium_D
         assert closed == pytest.approx(quad, rel=1e-13)
@@ -150,7 +149,7 @@ class TestDisequilibrium:
 
     def test_high_n_stable(self):
         # the Fraction path keeps n = 12 exact; quadrature agrees
-        _, _, snap = snapshot_at(1.5, 0.3, 12)
+        snap = snapshot_at(1.5, 0.3, 12)
         closed = measures(snap, "closed_form").disequilibrium_D
         quad = measures(snap).disequilibrium_D
         assert closed == pytest.approx(quad, rel=1e-8)
@@ -165,14 +164,14 @@ class TestMeasureSet:
             measures(snap, "bogus")
 
     def test_internal_consistency(self):
-        _, _, snap = snapshot_at(2.0, 0.5, 1)
+        snap = snapshot_at(2.0, 0.5, 1)
         ms = measures(snap)
         assert ms.H == pytest.approx(math.exp(ms.entropy_S), rel=1e-12)
         assert ms.complexity_C == pytest.approx(ms.H * ms.disequilibrium_D, rel=1e-12)
 
     def test_lmc_bound_monitored(self):
         for n in (0, 1, 2, 3):
-            _, _, snap = snapshot_at(2.0, 1.0, n)
+            snap = snapshot_at(2.0, 1.0, n)
             assert measures(snap).complexity_C >= 1.0 - 1e-9
 
 
@@ -180,7 +179,7 @@ class TestComplexity:
     def test_ground_state_universal_value(self):
         target = math.sqrt(math.e / 2.0)
         for sigma0, t, hbar in ((0.5, 0.0, 1.0), (2.0, 1.3, 1.0), (3.0, 4.0, 2.0)):
-            _, _, snap = snapshot_at(sigma0, t, 0, hbar=hbar)
+            snap = snapshot_at(sigma0, t, 0, hbar=hbar)
             assert measures(snap).complexity_C == pytest.approx(target, abs=1e-9)
 
     def test_time_and_conductivity_independence(self):
@@ -189,8 +188,7 @@ class TestComplexity:
             values = []
             for sigma0 in (0.5, 2.0, 3.0):
                 params = SuperconductorParams(sigma0=sigma0)
-                model = ConductivityModel.hyperbolic(params)
-                values.extend(m.complexity_C for m in measures_along(params, model, n, ts))
+                values.extend(m.complexity_C for m in measures_along(params, n, ts))
             assert max(values) - min(values) < 1e-7
 
 
@@ -203,8 +201,7 @@ class TestMeasuresOverTime:
         d_by_sigma = {}
         for sigma0 in (2.0, 2.5, 3.0):
             params = SuperconductorParams(sigma0=sigma0)
-            model = ConductivityModel.hyperbolic(params)
-            sets = measures_along(params, model, 0, ts)
+            sets = measures_along(params, 0, ts)
             hs = [m.H for m in sets]
             ds = [m.disequilibrium_D for m in sets]
             idx = len(ts) // 2
@@ -218,9 +215,8 @@ class TestMeasuresOverTime:
 
     def test_scaling_constants_along_grid(self):
         params = SuperconductorParams(sigma0=2.0)
-        model = ConductivityModel.hyperbolic(params)
         ts = np.linspace(0.0, 2.0, 9)
-        sets = measures_along(params, model, 1, ts)
+        sets = measures_along(params, 1, ts)
         rhos = [rho_analytic(params, float(t)).rho for t in ts]
         shifted = [m.entropy_S - math.log(r) for m, r in zip(sets, rhos)]
         products = [m.disequilibrium_D * r for m, r in zip(sets, rhos)]
@@ -230,7 +226,7 @@ class TestMeasuresOverTime:
 
 class TestInformationCheck:
     def test_passes_with_margin(self):
-        result = verify.check_information_vs_density()
+        result = verify.check_information_vs_density(1e-9)
         assert result.passed and result.residual < 1e-12
 
     def test_fails_when_scaling_drops_sqrt_hbar(self, monkeypatch):
@@ -241,6 +237,6 @@ class TestInformationCheck:
                                     d_n / snapshot.rho, method)
 
         monkeypatch.setattr(information, "_scaled", scaled_without_hbar)
-        result = verify.check_information_vs_density()
+        result = verify.check_information_vs_density(1e-9)
         assert not result.passed
         assert result.residual > 0.1

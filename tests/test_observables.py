@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from tdq.dynamics import (
-    ConductivityModel,
     PinneyState,
     SuperconductorParams,
     rho_analytic,
@@ -24,14 +23,9 @@ from tdq.observables import (
 )
 
 
-def hyperbolic(sigma0, **kwargs):
-    params = SuperconductorParams(sigma0=sigma0, **kwargs)
-    return params, ConductivityModel.hyperbolic(params)
-
-
 def snapshot_at(sigma0, t, n, **kwargs):
-    params, model = hyperbolic(sigma0, **kwargs)
-    return params, model, make_snapshot(params, model, rho_analytic(params, t), n)
+    params = SuperconductorParams(sigma0=sigma0, **kwargs)
+    return make_snapshot(params, rho_analytic(params, t), n)
 
 
 def dense_grid(snapshot, points=200001):
@@ -41,42 +35,32 @@ def dense_grid(snapshot, points=200001):
 
 class TestPhase:
     def test_zero_at_origin(self):
-        params, model = hyperbolic(2.0)
-        assert phase(params, model, 0, 0.0) == 0.0
+        params = SuperconductorParams(sigma0=2.0)
+        assert phase(params, 0, 0.0) == 0.0
 
     def test_lc_linear_phase(self):
         params = SuperconductorParams(sigma0=0.0)
-        model = ConductivityModel.constant(0.0)
-        assert phase(params, model, 0, 2.0) == pytest.approx(-1.0, rel=1e-10)
-        assert phase(params, model, 2, 1.0) == pytest.approx(-2.5, rel=1e-10)
+        assert phase(params, 0, 2.0) == pytest.approx(-1.0, rel=1e-10)
+        assert phase(params, 2, 1.0) == pytest.approx(-2.5, rel=1e-10)
 
     def test_derivative_matches_integrand(self):
-        params, model = hyperbolic(2.0)
+        params = SuperconductorParams(sigma0=2.0)
         h = 1e-4
         for n, t in ((0, 0.5), (1, 1.2)):
-            derivative = (phase(params, model, n, t + h)
-                          - phase(params, model, n, t - h)) / (2.0 * h)
+            derivative = (phase(params, n, t + h)
+                          - phase(params, n, t - h)) / (2.0 * h)
             state = rho_analytic(params, t)
             assert derivative == pytest.approx(
-                -(n + 0.5) / (model.L(t) * state.rho ** 2), abs=1e-6)
-
-    def test_requires_amplitude_for_general_model(self):
-        params = SuperconductorParams(sigma0=1.0)
-        model = ConductivityModel.constant(1.0)
-        with pytest.raises(ValueError, match="rho_of_t"):
-            phase(params, model, 0, 1.0)
-        # but an explicit trajectory is accepted
-        value = phase(params, model, 0, 1.0, rho_of_t=lambda u: 1.0)
-        assert value == pytest.approx(-0.5 * (1.0 - math.exp(-1.0)), rel=1e-9)
+                -(n + 0.5) / (params.L(t) * state.rho ** 2), abs=1e-6)
 
 
 class TestWavefunction:
     def test_odd_state_node_at_origin(self):
-        _, _, snap = snapshot_at(2.0, 0.5, 1)
+        snap = snapshot_at(2.0, 0.5, 1)
         assert wavefunction(snap, 0.0) == 0.0
 
     def test_modulus_ignores_phase_and_slope(self):
-        _, _, snap = snapshot_at(2.0, 0.5, 2)
+        snap = snapshot_at(2.0, 0.5, 2)
         for q in (-1.3, -0.4, 0.0, 0.7, 2.1):
             base = abs(wavefunction(snap, q)) ** 2
             with_phase = abs(wavefunction(snap, q, theta=0.7)) ** 2
@@ -85,7 +69,7 @@ class TestWavefunction:
                                          rel=1e-12, abs=1e-300)
 
     def test_closed_form_density(self):
-        _, _, snap = snapshot_at(3.0, 0.5, 1)
+        snap = snapshot_at(3.0, 0.5, 1)
         rho, hbar = snap.rho, snap.hbar
         for q in (-0.9, 0.3, 1.4):
             xi = q / (math.sqrt(hbar) * rho)
@@ -94,7 +78,7 @@ class TestWavefunction:
             assert abs(wavefunction(snap, q)) ** 2 == pytest.approx(expected, rel=1e-12)
 
     def test_ground_state_norm(self):
-        _, _, snap = snapshot_at(2.0, 1.0, 0)
+        snap = snapshot_at(2.0, 1.0, 0)
         q = dense_grid(snap, 20001)
         values = np.array([abs(wavefunction(snap, float(qq))) ** 2 for qq in q])
         assert float(np.trapezoid(values, q)) == pytest.approx(1.0, abs=1e-8)
@@ -102,7 +86,7 @@ class TestWavefunction:
 
 class TestDensity:
     def test_symmetric(self):
-        _, _, snap = snapshot_at(1.5, 0.5, 2)
+        snap = snapshot_at(1.5, 0.5, 2)
         half = np.linspace(0.04, 6.0, 150)
         grid = np.concatenate([-half[::-1], [0.0], half])  # bitwise symmetric
         p = density_values(snap, grid)
@@ -110,7 +94,7 @@ class TestDensity:
 
     def test_normalized_on_wide_grid(self):
         for n in range(5):
-            _, _, snap = snapshot_at(1.5, 0.5, n)
+            snap = snapshot_at(1.5, 0.5, n)
             q = dense_grid(snap)
             assert oracles.trapezoid_moment(q, density_values(snap, q), 0) == (
                 pytest.approx(1.0, abs=1e-8))
@@ -121,15 +105,15 @@ class TestDensity:
         narrow = rho_analytic(SuperconductorParams(sigma0=3.0), 0.5)
         wide = rho_analytic(SuperconductorParams(sigma0=0.5), 0.5)
         assert narrow.rho < wide.rho
-        _, _, snap3 = snapshot_at(3.0, 0.5, 0)
-        _, _, snap05 = snapshot_at(0.5, 0.5, 0)
+        snap3 = snapshot_at(3.0, 0.5, 0)
+        snap05 = snapshot_at(0.5, 0.5, 0)
         zero = np.array([0.0])
         assert density_values(snap3, zero)[0] > density_values(snap05, zero)[0]
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_node_count(self, n):
         from tdq.special_functions import hermite, hermite_function
-        _, _, snap = snapshot_at(1.5, 0.5, n)
+        snap = snapshot_at(1.5, 0.5, n)
         q = dense_grid(snap, 4001)
         values = hermite_function(n, q / (math.sqrt(snap.hbar) * snap.rho))
         sign_changes = int(np.sum(np.signbit(values[1:]) != np.signbit(values[:-1])))
@@ -148,7 +132,7 @@ class TestMoments:
         assert moments(snap)[2] == pytest.approx(0.5, abs=1e-15)
 
     def test_first_moments_vanish(self):
-        _, _, snap = snapshot_at(2.0, 0.5, 2)
+        snap = snapshot_at(2.0, 0.5, 2)
         q = dense_grid(snap)
         p = density_values(snap, q)
         assert moments(snap)[0] == 0.0
@@ -157,7 +141,7 @@ class TestMoments:
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_q2_matches_quadrature(self, n):
-        _, _, snap = snapshot_at(2.0, 0.7, n)
+        snap = snapshot_at(2.0, 0.7, n)
         q = dense_grid(snap)
         p = density_values(snap, q)
         assert moments(snap)[2] == pytest.approx(
@@ -176,17 +160,17 @@ class TestUncertainty:
         assert uncertainty_product(snap) == pytest.approx(0.7 * 3.5, rel=1e-15)
 
     def test_floor_and_strictness(self):
-        params, model = hyperbolic(2.0)
+        params = SuperconductorParams(sigma0=2.0)
         state = rho_analytic(params, 0.5)
-        snap = make_snapshot(params, model, state, 1)
+        snap = make_snapshot(params, state, 1)
         floor = params.hbar * 1.5
         assert uncertainty_product(snap) > floor + 1e-6  # rho_dot != 0 here
-        lc_params, lc_model = hyperbolic(0.0)
-        lc_snap = make_snapshot(lc_params, lc_model, rho_analytic(lc_params, 1.0), 1)
+        lc_params = SuperconductorParams(sigma0=0.0)
+        lc_snap = make_snapshot(lc_params, rho_analytic(lc_params, 1.0), 1)
         assert uncertainty_product(lc_snap) == pytest.approx(floor, abs=1e-12)
 
     def test_consistency_with_moments(self):
-        _, _, snap = snapshot_at(2.5, 1.3, 2)
+        snap = snapshot_at(2.5, 1.3, 2)
         _, _, q2, phi2 = moments(snap)
         assert uncertainty_product(snap) == pytest.approx(
             math.sqrt(q2 * phi2), rel=1e-12)
@@ -204,19 +188,18 @@ class TestUncertainty:
 
 class TestEnergy:
     def test_static_spectrum(self):
-        params, model = hyperbolic(0.0)
+        params = SuperconductorParams(sigma0=0.0)
         for n in range(4):
-            snap = make_snapshot(params, model, rho_analytic(params, 2.0), n)
+            snap = make_snapshot(params, rho_analytic(params, 2.0), n)
             assert energy_mean(snap) == pytest.approx(n + 0.5, rel=1e-12)
         scaled = SuperconductorParams(sigma0=0.0, c=2.0, hbar=3.0)
-        model2 = ConductivityModel.hyperbolic(scaled)
         state = PinneyState(t=0.0, rho=scaled.omega0_sq ** -0.25, rho_dot=0.0,
                             source="analytic")
-        snap = make_snapshot(scaled, model2, state, 1)
+        snap = make_snapshot(scaled, state, 1)
         assert energy_mean(snap) == pytest.approx(3.0 * 2.0 * 1.5, rel=1e-12)
 
     def test_decomposition_identity(self):
-        _, _, snap = snapshot_at(2.0, 0.8, 3)
+        snap = snapshot_at(2.0, 0.8, 3)
         _, _, q2, phi2 = moments(snap)
         expected = phi2 / (2.0 * snap.L ** 2) + 0.5 * snap.omega_sq * q2
         assert energy_mean(snap) == pytest.approx(expected, rel=1e-12)
@@ -224,8 +207,8 @@ class TestEnergy:
     def test_decay_and_sigma_ordering(self):
         per_level = {}
         for sigma0 in (0.4, 0.6, 0.8):
-            params, model = hyperbolic(sigma0)
-            values = [energy_mean(make_snapshot(params, model,
+            params = SuperconductorParams(sigma0=sigma0)
+            values = [energy_mean(make_snapshot(params,
                                                 rho_analytic(params, t), 0)) / 0.5
                       for t in (0.0, 3.0, 5.0)]
             per_level[sigma0] = values
@@ -236,17 +219,17 @@ class TestEnergy:
 
 class TestSnapshot:
     def test_assembly(self):
-        params, model = hyperbolic(2.0)
+        params = SuperconductorParams(sigma0=2.0)
         state = rho_analytic(params, 0.5)
-        snap = make_snapshot(params, model, state, 3)
+        snap = make_snapshot(params, state, 3)
         assert snap.n == 3
         assert snap.t == 0.5
         assert snap.rho == state.rho
-        assert snap.L == model.L(0.5)
+        assert snap.L == params.L(0.5)
         assert snap.hbar == params.hbar
 
     def test_truncation_radius_tail(self):
-        _, _, snap = snapshot_at(2.0, 0.5, 2)
+        snap = snapshot_at(2.0, 0.5, 2)
         r = truncation_radius(snap)
         tail = float(density_values(snap, np.array([r]))[0])
         assert tail < 1e-25
