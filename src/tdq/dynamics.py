@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import EnvelopeError, PinneySingularityError, TimeMismatchError
 from .integrate import solve_rk45
 from .special_functions import (
@@ -201,15 +199,14 @@ def solve_pinney_numeric(params: SuperconductorParams,
         acc = (-params.sigma(t) / eps0 * rho_dot
                - params.omega_sq(t) * rho
                + 1.0 / (L * L * rho * rho * rho))
-        return np.array((rho_dot, acc))
+        return (rho_dot, acc)
 
     def guard(t, y):
         if y[0] < _RHO_GUARD:
             raise PinneySingularityError(t)
 
     states = solve_rk45(rhs, t_grid[0], (rho0, rho_dot0), t_grid, post_step=guard)
-    return [PinneyState(t=float(t), rho=float(y[0]), rho_dot=float(y[1]),
-                        source="numeric")
+    return [PinneyState(t=float(t), rho=y[0], rho_dot=y[1], source="numeric")
             for t, y in zip(t_grid, states)]
 
 
@@ -222,13 +219,13 @@ def solve_classical(params: SuperconductorParams,
 
     def rhs(t, y):
         q, q_dot = y
-        return np.array((q_dot,
-                         -params.sigma(t) / eps0 * q_dot
-                         - params.omega_sq(t) * q))
+        return (q_dot,
+                -params.sigma(t) / eps0 * q_dot
+                - params.omega_sq(t) * q)
 
     states = solve_rk45(rhs, t_grid[0], (q0, q_dot0), t_grid)
-    return [ClassicalState(t=float(t), q=float(y[0]), q_dot=float(y[1]),
-                           phi=params.L(float(t)) * float(y[1]))
+    return [ClassicalState(t=float(t), q=y[0], q_dot=y[1],
+                           phi=params.L(float(t)) * y[1])
             for t, y in zip(t_grid, states)]
 
 

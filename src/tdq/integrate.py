@@ -4,14 +4,15 @@
 `solve_rk45` is a Dormand-Prince 5(4) embedded pair with PI-free standard
 step control; output times are honored by capping the step at the next
 requested sample, so no interpolation error enters the reported
-trajectory.
+trajectory.  Its states are tuples of floats and every step makes seven
+rhs calls: the systems here have two components, for which plain float
+arithmetic beats array overhead.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import ConvergenceError, StepSizeUnderflowError
 
@@ -30,6 +31,10 @@ _B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 
 # b5 - b4: weights of the embedded error estimate
 _E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
       -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
+# (index, coefficient) pairs of the nonzero entries, in stage order
+_A_NONZERO = tuple(tuple((j, a) for j, a in enumerate(row) if a != 0.0) for row in _A)
+_B5_NONZERO = tuple((i, b) for i, b in enumerate(_B5) if b != 0.0)
+_E_NONZERO = tuple((i, e) for i, e in enumerate(_E) if e != 0.0)
 
 # per-component error tolerance of solve_rk45: atol + rtol |y|
 _RTOL = 1e-10
@@ -43,37 +48,40 @@ _SIMPSON_TOL = 1e-10
 _SIMPSON_MAX_DEPTH = 50
 
 
-def solve_rk45(rhs: Callable[[float, np.ndarray], np.ndarray],
+def solve_rk45(rhs: Callable[[float, tuple[float, ...]], tuple[float, ...]],
                t0: float,
                y0: Sequence[float],
                t_eval: Sequence[float],
-               post_step: Callable[[float, np.ndarray], None] | None = None,
-               ) -> np.ndarray:
+               post_step: Callable[[float, tuple[float, ...]], None] | None = None,
+               ) -> list[tuple[float, ...]]:
     """Integrate y' = rhs(t, y) and return the states at t_eval.
 
-    t_eval must be ascending and start at t0.  post_step, if given, is
+    States are tuples of floats: rhs(t, y) takes and returns one, and the
+    result is a list with one state per entry of t_eval.  t_eval must be
+    finite, ascending and start at t0, and y0 finite; a bad value raises
+    ValueError naming it before rhs is first called.  Every step calls rhs
+    seven times (no first-same-as-last reuse).  post_step, if given, is
     called after every accepted step (guards may raise from it).
     Raises StepSizeUnderflowError if error control collapses the step.
     """
-    t_eval = np.asarray(t_eval, dtype=float)
-    if t_eval.ndim != 1 or len(t_eval) == 0:
+    t_eval = [float(v) for v in t_eval]
+    y = tuple(float(v) for v in y0)
+    for name, values in (("t_eval", t_eval), ("y0", y)):
+        for i, v in enumerate(values):
+            if not math.isfinite(v):
+                raise ValueError(f"{name}[{i}] must be finite, got {v!r}")
+    if len(t_eval) == 0:
         raise ValueError("t_eval must be a non-empty 1-d sequence")
-    if np.any(np.diff(t_eval) <= 0.0):
+    if any(b <= a for a, b in zip(t_eval, t_eval[1:])):
         raise ValueError("t_eval must be strictly ascending")
     if t_eval[0] != t0:
         raise ValueError(f"t_eval must start at t0={t0!r}")
 
-    y = np.asarray(y0, dtype=float).copy()
-    out = np.empty((len(t_eval), len(y)))
-    out[0] = y
-    if len(t_eval) == 1:
-        return out
-
+    out = [y]
     t = float(t0)
-    t_end = float(t_eval[-1])
     next_idx = 1
-    h = min(1e-2, (t_end - t0) / 10.0)
-    k = [np.empty_like(y) for _ in range(7)]
+    h = min(1e-2, (t_eval[-1] - t) / 10.0)
+    k = [None] * 7
 
     while next_idx < len(t_eval):
         lands_on_sample = False
@@ -84,24 +92,31 @@ def solve_rk45(rhs: Callable[[float, np.ndarray], np.ndarray],
         if h < 1e-13 * max(1.0, abs(t)):
             raise StepSizeUnderflowError(t)
 
+        # every sum adds (h * coefficient) * k_i stage by stage and skips
+        # zero coefficients: the operations of a vector axpy, in its order
         k[0] = rhs(t, y)
         for i in range(1, 7):
-            yi = y.copy()
-            for j, a in enumerate(_A[i]):
-                if a != 0.0:
-                    yi += h * a * k[j]
+            yi = y
+            for j, a in _A_NONZERO[i]:
+                ha = h * a
+                yi = tuple([v + ha * kv for v, kv in zip(yi, k[j])])
             k[i] = rhs(t + _C[i] * h, yi)
+        y5 = y
+        for i, b in _B5_NONZERO:
+            hb = h * b
+            y5 = tuple([v + hb * kv for v, kv in zip(y5, k[i])])
+        err = [0.0] * len(y)
+        for i, e in _E_NONZERO:
+            he = h * e
+            err = [v + he * kv for v, kv in zip(err, k[i])]
 
-        y5 = y.copy()
-        err = np.zeros_like(y)
-        for i in range(7):
-            if _B5[i] != 0.0:
-                y5 += h * _B5[i] * k[i]
-            if _E[i] != 0.0:
-                err += h * _E[i] * k[i]
-
-        scale_den = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y5))
-        err_norm = float(np.sqrt(np.mean((err / scale_den) ** 2)))
+        # RMS of err / (atol + rtol max(|y5|, |y|)), summed in component
+        # order; y5 goes first so that a NaN in it rejects the step
+        sq = 0.0
+        for r, a, b in zip(err, y5, y):
+            r = r / (_ATOL + _RTOL * max(abs(a), abs(b)))
+            sq += r * r
+        err_norm = math.sqrt(sq / len(y))
 
         if err_norm <= 1.0:
             t_new = target if lands_on_sample else t + h
@@ -109,7 +124,7 @@ def solve_rk45(rhs: Callable[[float, np.ndarray], np.ndarray],
             if post_step is not None:
                 post_step(t, y)
             if lands_on_sample:
-                out[next_idx] = y
+                out.append(y)
                 next_idx += 1
             factor = _MAX_SCALE if err_norm == 0.0 else min(
                 _MAX_SCALE, max(_MIN_SCALE, _SAFETY * err_norm ** -0.2))

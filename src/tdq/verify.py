@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -126,53 +125,73 @@ def check_hermite_orthogonality(tol: float) -> CheckResult:
     return _result("hermite_orthogonality", np.max(np.abs(gram - np.eye(13))), tol)
 
 
+def _horner(coefficients, p: int, q: int) -> int:
+    """q^d P(p/q) for the integer polynomial sum_i coefficients[i] x^i of
+    degree d, by Horner's rule in integers."""
+    value = coefficients[-1]
+    scale = q
+    for c in reversed(coefficients[:-1]):
+        value = value * p + c * scale
+        scale *= q
+    return value
+
+
+def _newton_step(coefficients, r: float) -> float:
+    """P(r) / P'(r) for an integer polynomial P, exact and rounded once.
+
+    With r = p/q and P of degree d, V = q^d P(r) and S = q^(d-1) P'(r) are
+    integers, so the step is the integer ratio V / (S q), without any gcd.
+    """
+    p, q = r.as_integer_ratio()
+    slope = [i * c for i, c in enumerate(coefficients)][1:]
+    return _horner(coefficients, p, q) / (_horner(slope, p, q) * q)
+
+
 def check_hermite_roots(tol: float) -> CheckResult:
-    """Forward error |H_n(r) / H_n'(r)| of every root of H_1..H_12, in exact
-    rationals from the integer coefficients, plus the pairwise symmetry."""
+    """Forward error |H_n(r) / H_n'(r)| of every root of H_1..H_12, exact
+    from the integer coefficients, plus the pairwise symmetry."""
     worst = 0.0
     for n in range(1, 13):
         table = hermite(n)
         for k, r in enumerate(table.roots):
-            x = Fraction(r)
-            value = sum(c * x ** i for i, c in enumerate(table.coefficients))
-            slope = sum(i * c * x ** (i - 1)
-                        for i, c in enumerate(table.coefficients) if i)
-            worst = max(worst, abs(float(value / slope)),
+            worst = max(worst, abs(_newton_step(table.coefficients, r)),
                         abs(r + table.roots[n - 1 - k]))
     return _result("hermite_root_residuals", worst, tol)
 
 
-def _hyp1f1_rational_series(z: float) -> float:
-    # 1F1(1;1/2;z): t_{m+1} = t_m * 2 z / (2m+1), exact rationals
-    zq = Fraction(z)
-    term = Fraction(1)
-    total = Fraction(1)
-    for m in range(400):
-        term *= 2 * zq / (2 * m + 1)
-        total += term
-        if abs(term) < Fraction(1, 10 ** 30) * abs(total):
-            break
-    return float(total)
+# Term ratios t_{m+1} / t_m = z rise(m) / fall(m), as (rise, fall), of
+# 1F1(1; 1/2; z) and 2F2(1, 1; 3/2, 2; z)
+_HYP1F1_TERMS = (lambda m: 2, lambda m: 2 * m + 1)
+_HYP2F2_TERMS = (lambda m: 2 * (m + 1), lambda m: (2 * m + 3) * (m + 2))
+# the series stop once |term| < 1e-30 |partial sum|
+_SERIES_STOP = 10 ** 30
 
 
-def _hyp2f2_rational_series(z: float) -> float:
-    # 2F2(1,1;3/2,2;z): t_{m+1} = t_m * 2 z (m+1) / ((2m+3)(m+2))
-    zq = Fraction(z)
-    term = Fraction(1)
-    total = Fraction(1)
+def _rational_series(z: float, rise, fall) -> float:
+    """sum_m t_m with t_0 = 1 and t_{m+1} = t_m z rise(m) / fall(m), for
+    integer-valued rise and fall, summed exactly and rounded once.
+
+    With z = p/q (q a power of two), the term and the partial sum are
+    integer numerators over one common integer denominator, kept without
+    any gcd; at most 400 terms are added.
+    """
+    p, q = z.as_integer_ratio()
+    term = total = denominator = 1
     for m in range(400):
-        term *= 2 * zq * (m + 1) / ((2 * m + 3) * (m + 2))
-        total += term
-        if abs(term) < Fraction(1, 10 ** 30) * abs(total):
+        scale = q * fall(m)
+        term *= p * rise(m)
+        denominator *= scale
+        total = total * scale + term
+        if abs(term) * _SERIES_STOP < abs(total):
             break
-    return float(total)
+    return total / denominator
 
 
 def check_hypergeometric_series(tol: float) -> CheckResult:
     worst = 0.0
     for z in (-0.25, -1.0, -4.0, -9.0, -25.0, -5.3 ** 2, -36.0):
-        ref1 = _hyp1f1_rational_series(z)
-        ref2 = _hyp2f2_rational_series(z)
+        ref1 = _rational_series(z, *_HYP1F1_TERMS)
+        ref2 = _rational_series(z, *_HYP2F2_TERMS)
         worst = max(worst, abs(hyp1f1_special(z) - ref1) / max(abs(ref1), 1e-30))
         worst = max(worst, abs(hyp2f2_special(z) - ref2) / max(abs(ref2), 1e-30))
     return _result("hypergeometric_vs_rational_series", worst, tol)

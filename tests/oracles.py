@@ -3,8 +3,10 @@
 Each oracle deliberately avoids the production code path it checks:
 trapezoid sums instead of Gauss-Legendre, mpmath instead of the
 continued fractions and sampling sums, finite differences instead of
-analytic derivatives.  The exact Fraction hypergeometric series live in
-`tdq.verify`, whose users have no mpmath; tests import them from there.
+analytic derivatives.  The Fraction hypergeometric series and Hermite
+Newton step are the plain exact forms of the integer-ratio oracles in
+`tdq.verify`, and `solve_rk45_numpy` is the array form of the tuple
+Dormand-Prince solver; the tests pin both pairs to identical floats.
 The printed Bell form of the disequilibrium is kept here, on the partial
 Bell polynomial recurrence `bell_partial`, which the tests check against
 partition enumeration.
@@ -12,12 +14,130 @@ partition enumeration.
 
 import math
 from fractions import Fraction
+from typing import Callable, Sequence
 
 import mpmath as mp
 import numpy as np
 
-from tdq.errors import DomainError
+from tdq.errors import DomainError, StepSizeUnderflowError
+from tdq.integrate import _A, _ATOL, _B5, _C, _E, _MAX_SCALE, _MIN_SCALE, _RTOL, _SAFETY
 from tdq.special_functions import hermite
+
+
+def solve_rk45_numpy(rhs: Callable[[float, np.ndarray], np.ndarray],
+                     t0: float,
+                     y0: Sequence[float],
+                     t_eval: Sequence[float],
+                     post_step: Callable[[float, np.ndarray], None] | None = None,
+                     ) -> np.ndarray:
+    """The numpy-vector Dormand-Prince solver that `tdq.integrate.solve_rk45`
+    replaced, kept verbatim: the tuple solver must reproduce its states bit
+    for bit and make the same rhs calls.  rhs takes and returns arrays.
+
+    t_eval must be ascending and start at t0.  post_step, if given, is
+    called after every accepted step (guards may raise from it).
+    Raises StepSizeUnderflowError if error control collapses the step.
+    """
+    t_eval = np.asarray(t_eval, dtype=float)
+    if t_eval.ndim != 1 or len(t_eval) == 0:
+        raise ValueError("t_eval must be a non-empty 1-d sequence")
+    if np.any(np.diff(t_eval) <= 0.0):
+        raise ValueError("t_eval must be strictly ascending")
+    if t_eval[0] != t0:
+        raise ValueError(f"t_eval must start at t0={t0!r}")
+
+    y = np.asarray(y0, dtype=float).copy()
+    out = np.empty((len(t_eval), len(y)))
+    out[0] = y
+    if len(t_eval) == 1:
+        return out
+
+    t = float(t0)
+    t_end = float(t_eval[-1])
+    next_idx = 1
+    h = min(1e-2, (t_end - t0) / 10.0)
+    k = [np.empty_like(y) for _ in range(7)]
+
+    while next_idx < len(t_eval):
+        lands_on_sample = False
+        target = t_eval[next_idx]
+        if t + h >= target:
+            h = target - t
+            lands_on_sample = True
+        if h < 1e-13 * max(1.0, abs(t)):
+            raise StepSizeUnderflowError(t)
+
+        k[0] = rhs(t, y)
+        for i in range(1, 7):
+            yi = y.copy()
+            for j, a in enumerate(_A[i]):
+                if a != 0.0:
+                    yi += h * a * k[j]
+            k[i] = rhs(t + _C[i] * h, yi)
+
+        y5 = y.copy()
+        err = np.zeros_like(y)
+        for i in range(7):
+            if _B5[i] != 0.0:
+                y5 += h * _B5[i] * k[i]
+            if _E[i] != 0.0:
+                err += h * _E[i] * k[i]
+
+        scale_den = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y5))
+        err_norm = float(np.sqrt(np.mean((err / scale_den) ** 2)))
+
+        if err_norm <= 1.0:
+            t_new = target if lands_on_sample else t + h
+            t, y = t_new, y5
+            if post_step is not None:
+                post_step(t, y)
+            if lands_on_sample:
+                out[next_idx] = y
+                next_idx += 1
+            factor = _MAX_SCALE if err_norm == 0.0 else min(
+                _MAX_SCALE, max(_MIN_SCALE, _SAFETY * err_norm ** -0.2))
+            h = h * factor
+        else:
+            h = h * max(_MIN_SCALE, _SAFETY * err_norm ** -0.2)
+    return out
+
+
+def hyp1f1_fraction_series(z: float) -> float:
+    """1F1(1; 1/2; z) summed in exact Fractions: t_{m+1} = t_m 2 z / (2m+1),
+    stopped once |term| < 1e-30 |sum| or after 400 terms."""
+    zq = Fraction(z)
+    term = Fraction(1)
+    total = Fraction(1)
+    for m in range(400):
+        term *= 2 * zq / (2 * m + 1)
+        total += term
+        if abs(term) < Fraction(1, 10 ** 30) * abs(total):
+            break
+    return float(total)
+
+
+def hyp2f2_fraction_series(z: float) -> float:
+    """2F2(1, 1; 3/2, 2; z) summed in exact Fractions:
+    t_{m+1} = t_m 2 z (m+1) / ((2m+3)(m+2)), same stop rule."""
+    zq = Fraction(z)
+    term = Fraction(1)
+    total = Fraction(1)
+    for m in range(400):
+        term *= 2 * zq * (m + 1) / ((2 * m + 3) * (m + 2))
+        total += term
+        if abs(term) < Fraction(1, 10 ** 30) * abs(total):
+            break
+    return float(total)
+
+
+def hermite_newton_step_fraction(n: int, r: float) -> float:
+    """H_n(r) / H_n'(r) in exact Fractions from the integer coefficients,
+    rounded once."""
+    coefficients = hermite(n).coefficients
+    x = Fraction(r)
+    value = sum(c * x ** i for i, c in enumerate(coefficients))
+    slope = sum(i * c * x ** (i - 1) for i, c in enumerate(coefficients) if i)
+    return float(value / slope)
 
 
 def dawson_trapezoid(x: float, points: int = 200001) -> float:

@@ -251,6 +251,12 @@ class TestClassical:
         tail = [abs(s.q) for s in states if s.t > 10.0]
         assert max(tail) < max(abs(s.q) for s in states[:50])
 
+    def test_non_finite_initial_value_is_named(self):
+        # used to surface as a StepSizeUnderflowError at t=0.0
+        params = SuperconductorParams(sigma0=2.0)
+        with pytest.raises(ValueError, match=r"^y0\[0\] must be finite"):
+            solve_classical(params, math.nan, 0.0, np.linspace(0.0, 1.0, 5))
+
     def test_phi_is_L_times_qdot(self):
         params = SuperconductorParams(sigma0=1.5)
         states = solve_classical(params, 0.3, -0.2, np.linspace(0.0, 4.0, 17))

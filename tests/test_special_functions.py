@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from tdq import verify
@@ -186,6 +186,25 @@ class TestHermite:
             assert abs(r + table.roots[n - 1 - k]) < 1e-12
             assert oracles.hermite_root_error_mp(n, r) <= 1e-15
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_integer_newton_step_matches_fractions(self, n):
+        table = hermite(n)
+        for r in table.roots:
+            assert verify._newton_step(table.coefficients, r) == \
+                oracles.hermite_newton_step_fraction(n, r)
+
+    @settings(deadline=None, max_examples=40)
+    @given(n=st.integers(min_value=1, max_value=12),
+           r=st.floats(min_value=-6.0, max_value=6.0))
+    def test_integer_newton_step_matches_fractions_anywhere(self, n, r):
+        try:
+            want = oracles.hermite_newton_step_fraction(n, r)
+        except ZeroDivisionError:  # r is a root of H_n' (r = 0 for even n)
+            with pytest.raises(ZeroDivisionError):
+                verify._newton_step(hermite(n).coefficients, r)
+            return
+        assert verify._newton_step(hermite(n).coefficients, r) == want
+
     def test_roots_against_scipy(self):
         from scipy.special import roots_hermite
         for n in (4, 9, 12):
@@ -230,7 +249,7 @@ class TestDawsonAndHypergeometric:
 
     def test_hyp1f1_extended_precision(self):
         assert hyp1f1_special(-4.0) == pytest.approx(
-            verify._hyp1f1_rational_series(-4.0), rel=1e-9)
+            oracles.hyp1f1_fraction_series(-4.0), rel=1e-9)
 
     def test_hyp1f1_guards(self):
         with pytest.raises(DomainError):
@@ -248,14 +267,29 @@ class TestDawsonAndHypergeometric:
 
     def test_hyp2f2_extended_precision(self):
         assert hyp2f2_special(-9.0) == pytest.approx(
-            verify._hyp2f2_rational_series(-9.0), rel=1e-12)
+            oracles.hyp2f2_fraction_series(-9.0), rel=1e-12)
 
     @pytest.mark.parametrize("z", [-0.25, -1.0, -4.0, -9.0, -16.0, -25.0, -36.0])
     def test_raw_series_equivalence_envelope(self, z):
         assert hyp1f1_special(z) == pytest.approx(
-            verify._hyp1f1_rational_series(z), rel=1e-9)
+            oracles.hyp1f1_fraction_series(z), rel=1e-9)
         assert hyp2f2_special(z) == pytest.approx(
-            verify._hyp2f2_rational_series(z), rel=1e-9)
+            oracles.hyp2f2_fraction_series(z), rel=1e-9)
+
+    @settings(deadline=None, max_examples=40)
+    @given(z=st.floats(min_value=-36.0, max_value=0.0))
+    @example(z=-0.25)
+    @example(z=-1.0)
+    @example(z=-4.0)
+    @example(z=-9.0)
+    @example(z=-25.0)
+    @example(z=-5.3 ** 2)
+    @example(z=-36.0)
+    def test_integer_ratio_series_match_fractions(self, z):
+        assert verify._rational_series(z, *verify._HYP1F1_TERMS) == \
+            oracles.hyp1f1_fraction_series(z)
+        assert verify._rational_series(z, *verify._HYP2F2_TERMS) == \
+            oracles.hyp2f2_fraction_series(z)
 
     def test_hyp2f2_guards(self):
         with pytest.raises(DomainError):
