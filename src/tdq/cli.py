@@ -69,16 +69,14 @@ class RunConfig:
     tol_verify: float = 1.0
 
     def validate(self) -> None:
+        """Check the flags no library object owns; SuperconductorParams and
+        QuantumSnapshot check the physical constants and n."""
         for f in fields(self):
             value = getattr(self, f.name)
             for v in value if isinstance(value, list) else [value]:
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ConfigError(f"--{f.name.replace('_', '-')} must be finite, "
                                       f"got {v!r}")
-        if any(s < 0 for s in self.sigma0):
-            raise ConfigError("sigma0 values must be >= 0")
-        if any(n < 0 for n in self.n):
-            raise ConfigError("n values must be >= 0")
         if self.t0 < 0.0:
             raise ConfigError(f"t0 must be >= 0, got {self.t0}")
         if not self.t1 > self.t0:
@@ -89,9 +87,6 @@ class RunConfig:
             raise ConfigError(f"qmin must be below qmax, got {self.qmin}, {self.qmax}")
         if self.qpoints < 2:
             raise ConfigError(f"qpoints must be >= 2, got {self.qpoints}")
-        for name in ("A", "eps0", "c", "lambdaL", "hbar"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be > 0")
         if self.tol_verify <= 0.0:
             raise ConfigError(f"--tol-verify must be > 0, got {self.tol_verify}")
 

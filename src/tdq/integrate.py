@@ -2,11 +2,11 @@
 
 `adaptive_simpson` handles the smooth time integral of the phase.
 `solve_rk45` is a Dormand-Prince 5(4) embedded pair with PI-free standard
-step control; output times are honored by capping the step at the next
-requested sample, so no interpolation error enters the reported
-trajectory.  Its states are tuples of floats and every step makes seven
-rhs calls: the systems here have two components, for which plain float
-arithmetic beats array overhead.
+step control, started at the first output time; output times are honored
+by capping the step at the next requested sample, so no interpolation
+error enters the reported trajectory.  Its states are tuples of floats and
+every step makes seven rhs calls: the systems here have two components,
+for which plain float arithmetic beats array overhead.
 """
 
 from __future__ import annotations
@@ -49,19 +49,18 @@ _SIMPSON_MAX_DEPTH = 50
 
 
 def solve_rk45(rhs: Callable[[float, tuple[float, ...]], tuple[float, ...]],
-               t0: float,
                y0: Sequence[float],
                t_eval: Sequence[float],
                post_step: Callable[[float, tuple[float, ...]], None] | None = None,
                ) -> list[tuple[float, ...]]:
-    """Integrate y' = rhs(t, y) and return the states at t_eval.
+    """Integrate y' = rhs(t, y) from y0 at t_eval[0]; return the states at t_eval.
 
     States are tuples of floats: rhs(t, y) takes and returns one, and the
     result is a list with one state per entry of t_eval.  t_eval must be
-    finite, ascending and start at t0, and y0 finite; a bad value raises
-    ValueError naming it before rhs is first called.  Every step calls rhs
-    seven times (no first-same-as-last reuse).  post_step, if given, is
-    called after every accepted step (guards may raise from it).
+    non-empty, finite and strictly ascending, and y0 finite; a bad value
+    raises ValueError naming it before rhs is first called.  Every step
+    calls rhs seven times (no first-same-as-last reuse).  post_step, if
+    given, is called after every accepted step (guards may raise from it).
     Raises StepSizeUnderflowError if error control collapses the step.
     """
     t_eval = [float(v) for v in t_eval]
@@ -74,11 +73,9 @@ def solve_rk45(rhs: Callable[[float, tuple[float, ...]], tuple[float, ...]],
         raise ValueError("t_eval must be a non-empty 1-d sequence")
     if any(b <= a for a, b in zip(t_eval, t_eval[1:])):
         raise ValueError("t_eval must be strictly ascending")
-    if t_eval[0] != t0:
-        raise ValueError(f"t_eval must start at t0={t0!r}")
 
     out = [y]
-    t = float(t0)
+    t = t_eval[0]
     next_idx = 1
     h = min(1e-2, (t_eval[-1] - t) / 10.0)
     k = [None] * 7

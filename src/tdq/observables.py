@@ -29,13 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import PinneyState, SuperconductorParams, rho_analytic
+from .errors import DomainError
 from .integrate import adaptive_simpson
 from .special_functions import hermite_function
 
 
 @dataclass(frozen=True)
 class QuantumSnapshot:
-    """Everything a fixed-time observable needs: n plus (t, rho, rho', L, omega^2)."""
+    """Everything a fixed-time observable needs: n >= 0 plus (t, rho, rho', L, omega^2)."""
 
     n: int
     t: float
@@ -44,6 +45,10 @@ class QuantumSnapshot:
     L: float
     omega_sq: float
     hbar: float
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise DomainError(f"quantum number must be >= 0, got n={self.n!r}")
 
 
 def make_snapshot(params: SuperconductorParams,

@@ -301,8 +301,10 @@ def hermite_function(n: int, xi: float | np.ndarray) -> float | np.ndarray:
     h_0 = pi^{-1/4} e^{-xi^2/2},   h_1 = sqrt(2) xi h_0,
     h_{k+1} = sqrt(2/(k+1)) xi h_k - sqrt(k/(k+1)) h_{k-1},
 
-    so h_n = H_n e^{-xi^2/2} / sqrt(2^n n! sqrt(pi)).
+    so h_n = H_n e^{-xi^2/2} / sqrt(2^n n! sqrt(pi)); n < 0 raises DomainError.
     """
+    if n < 0:
+        raise DomainError(f"hermite_function requires n >= 0, got n={n!r}")
     h_prev = math.pi ** -0.25 * np.exp(-0.5 * xi * xi)
     if n == 0:
         return h_prev
@@ -388,14 +390,20 @@ def dawson(x: float | np.ndarray) -> float | np.ndarray:
     return float(value) if np.ndim(x) == 0 else value
 
 
+def _hyp_x(z: float, name: str) -> float:
+    """x = sqrt(-z) for the hypergeometric argument z = -x^2; DomainError
+    unless z <= 0 (NaN included), EnvelopeError below -36."""
+    if not z <= 0.0:
+        raise DomainError(f"{name} requires z <= 0, got z={z!r}")
+    if z < -(_HYP_X_MAX ** 2):
+        raise EnvelopeError(f"{name} argument z={z!r} below -{_HYP_X_MAX**2}")
+    return math.sqrt(-z)
+
+
 def hyp1f1_special(z: float) -> float:
     """1F1(1; 1/2; z) for z = -x^2, |x| <= 6, as 1 - 2x F(x) with F the
     Dawson function; the raw alternating series would cancel at moderate |z|."""
-    if z > 0.0:
-        raise DomainError(f"hyp1f1_special is restricted to z <= 0, got {z!r}")
-    x = math.sqrt(-z)
-    if x > _HYP_X_MAX:
-        raise EnvelopeError(f"hyp1f1_special argument z={z!r} below -{_HYP_X_MAX**2}")
+    x = _hyp_x(z, "hyp1f1_special")
     return 1.0 - 2.0 * x * dawson(x)
 
 
@@ -407,13 +415,9 @@ def hyp2f2_special(z: float) -> float:
     40 Gauss-Legendre nodes (F is entire, so the rule converges
     geometrically).  z = 0 returns 1 exactly.
     """
-    if z > 0.0:
-        raise DomainError(f"hyp2f2_special is restricted to z <= 0, got {z!r}")
-    if z < -(_HYP_X_MAX ** 2):
-        raise EnvelopeError(f"hyp2f2_special argument z={z!r} below -{_HYP_X_MAX**2}")
-    if z == 0.0:
+    x = _hyp_x(z, "hyp2f2_special")
+    if x == 0.0:
         return 1.0
-    x = math.sqrt(-z)
     rule = gauss_legendre(_HYP2F2_NODES, 0.0, 1.0)
     return 2.0 / x * rule.dot(dawson(x * rule.nodes))
 

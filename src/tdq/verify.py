@@ -70,10 +70,6 @@ def _result(name: str, residual: float, tolerance: float,
                        informational=informational, note=note)
 
 
-def _params(sigma0: float) -> SuperconductorParams:
-    return SuperconductorParams(sigma0=sigma0)
-
-
 # ---------------------------------------------------------------------------
 # special-function checks
 # ---------------------------------------------------------------------------
@@ -233,7 +229,7 @@ def pinney_residual(params: SuperconductorParams, t: float) -> float:
 def check_pinney_residual(tol: float) -> CheckResult:
     worst = 0.0
     for sigma0 in _FIGURE_SIGMAS:
-        params = _params(sigma0)
+        params = SuperconductorParams(sigma0=sigma0)
         for t in np.linspace(0.0, 5.0, 11):
             worst = max(worst, pinney_residual(params, float(t)))
     return _result("pinney_residual_analytic", worst, tol)
@@ -243,7 +239,7 @@ def check_pinney_numeric_agreement(tol: float) -> CheckResult:
     worst = 0.0
     grid = np.linspace(0.0, 5.0, 51)
     for sigma0 in (0.5, 2.0, 3.0):
-        params = _params(sigma0)
+        params = SuperconductorParams(sigma0=sigma0)
         numeric = solve_pinney_numeric(params, t_grid=grid)
         for state in numeric:
             worst = max(worst, abs(state.rho - rho_analytic(params, state.t).rho))
@@ -251,7 +247,7 @@ def check_pinney_numeric_agreement(tol: float) -> CheckResult:
 
 
 def check_invariant_conservation(tol: float) -> CheckResult:
-    params = _params(2.0)
+    params = SuperconductorParams(sigma0=2.0)
     grid = np.linspace(0.0, 5.0, 51)
     worst = 0.0
     for q0, q_dot0 in ((1.0, 0.0), (0.0, 1.0), (0.7, -0.3)):
@@ -264,7 +260,7 @@ def check_invariant_conservation(tol: float) -> CheckResult:
 
 
 def check_lc_limit(tol: float) -> CheckResult:
-    params = _params(0.0)
+    params = SuperconductorParams(sigma0=0.0)
     target = params.omega0_sq ** -0.25
     worst = 0.0
     for t in np.linspace(0.0, 5.0, 11):
@@ -281,7 +277,7 @@ def check_lc_limit(tol: float) -> CheckResult:
 
 def _snapshots(sigmas, ns, ts):
     for sigma0 in sigmas:
-        params = _params(sigma0)
+        params = SuperconductorParams(sigma0=sigma0)
         for t in ts:
             state = rho_analytic(params, float(t))
             for n in ns:
@@ -323,14 +319,14 @@ def check_uncertainty_floor(tol: float) -> CheckResult:
     for snap in _snapshots((0.5, 2.0, 3.0), (0, 1, 2), (0.0, 0.5, 1.0, 2.0)):
         floor = snap.hbar * (snap.n + 0.5)
         worst = max(worst, floor - uncertainty_product(snap))
-    params = _params(0.0)
+    params = SuperconductorParams(sigma0=0.0)
     snap = make_snapshot(params, rho_analytic(params, 1.0), 1)
     worst = max(worst, abs(uncertainty_product(snap) - params.hbar * 1.5))
     return _result("uncertainty_floor", worst, tol)
 
 
 def check_density_nodes() -> CheckResult:
-    params = _params(1.5)
+    params = SuperconductorParams(sigma0=1.5)
     state = rho_analytic(params, 0.5)
     worst = 0.0
     for n in range(5):
@@ -344,7 +340,7 @@ def check_density_nodes() -> CheckResult:
 
 
 def check_phase_derivative(tol: float) -> CheckResult:
-    params = _params(2.0)
+    params = SuperconductorParams(sigma0=2.0)
     worst = 0.0
     h = 1e-4
     for n, t in ((0, 0.7), (1, 1.5)):
@@ -395,7 +391,7 @@ def check_diseq_closed_vs_quadrature(tol: float) -> CheckResult:
 
 
 def check_diseq_hand_values(tol: float) -> CheckResult:
-    params = _params(2.0)
+    params = SuperconductorParams(sigma0=2.0)
     state = rho_analytic(params, 0.7)
     snap0 = make_snapshot(params, state, 0)
     hand0 = 1.0 / (state.rho * math.sqrt(2.0 * math.pi * params.hbar))
@@ -427,7 +423,7 @@ def check_entropy_closed_n0(tol: float) -> CheckResult:
 
 
 def check_entropy_closed_higher_n() -> CheckResult:
-    params = _params(2.0)
+    params = SuperconductorParams(sigma0=2.0)
     state = rho_analytic(params, 0.5)
     residuals = {}
     for n in (1, 2, 3, 4):

@@ -453,6 +453,24 @@ class TestExitCodes:
     def test_negative_sigma_rejected(self, capsys):
         code, _, err = run(capsys, "rho", "--sigma0", "-1")
         assert code == 2
+        assert "sigma0=-1.0" in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["observables", "--n", "-1"], "n=-1"),
+        (["density", "--n", "-1"], "n=-1"),
+        (["info", "--n", "-1"], "n=-1"),
+        (["rho", "--A", "0"], "A=0.0"),
+        (["rho", "--A", "-1"], "A=-1.0"),
+    ])
+    def test_bad_level_or_constant_writes_nothing(self, argv, named, capsys, tmp_path):
+        # the library objects that own n and A reject them before any output
+        path = tmp_path / "table.csv"
+        for out_flags in ([], ["--out", str(path)]):
+            code, out, err = run(capsys, *argv, "--steps", "2", *out_flags)
+            assert code == 2
+            assert out == ""
+            assert named in err
+        assert not path.exists()
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -15,7 +15,7 @@ from tdq.dynamics import (
     solve_classical,
     solve_pinney_numeric,
 )
-from tdq.errors import EnvelopeError, TimeMismatchError
+from tdq.errors import DomainError, EnvelopeError, TimeMismatchError
 
 
 def pinney_residual_fd(params, t, h=1e-3):
@@ -37,6 +37,19 @@ class TestParams:
             SuperconductorParams(sigma0=-1.0)
         with pytest.raises(ValueError):
             SuperconductorParams(sigma0=1.0, lambdaL=0.0)
+
+    @pytest.mark.parametrize("name, value", [
+        *((name, value) for name in ("sigma0", "A", "eps0", "c", "lambdaL", "hbar")
+          for value in (math.nan, math.inf, -math.inf)),
+        *((name, 0.0) for name in ("A", "eps0", "c", "lambdaL", "hbar")),
+    ])
+    def test_bad_constant_names_the_field(self, name, value):
+        # NaN passes `< 0` and `<= 0` alike, and A=inf makes the Bessel
+        # argument NaN, so each must fail at construction
+        fields = {"sigma0": 1.0, name: value}
+        with pytest.raises(DomainError, match=f"^{name} must be finite and "
+                                              f"[>=]+ 0, got {name}={value!r}$"):
+            SuperconductorParams(**fields)
 
     def test_derived_quantities(self):
         params = SuperconductorParams(sigma0=2.0)
@@ -134,6 +147,13 @@ class TestRhoAnalytic:
         params = SuperconductorParams(sigma0=2.0)
         with pytest.raises(EnvelopeError, match="sigma0=2.0"):
             rho_analytic(params, 60.0)
+
+    @pytest.mark.parametrize("t", [-1.0, -2.0, math.nan])
+    def test_time_outside_the_domain_names_t(self, t):
+        # A t + 1 <= 0 puts the Bessel argument k (A t + 1) at or below 0
+        params = SuperconductorParams(sigma0=2.0)
+        with pytest.raises(EnvelopeError, match=f"sigma0=2.0, t={t!r}"):
+            rho_analytic(params, t)
 
     def test_envelope_violation_order(self):
         # beta = 10.5 is above the order limit even where the argument is large
@@ -256,6 +276,12 @@ class TestClassical:
         params = SuperconductorParams(sigma0=2.0)
         with pytest.raises(ValueError, match=r"^y0\[0\] must be finite"):
             solve_classical(params, math.nan, 0.0, np.linspace(0.0, 1.0, 5))
+
+    def test_empty_grid_is_named(self):
+        # the solver owns the grid check; nothing may index t_grid[0] first
+        params = SuperconductorParams(sigma0=2.0)
+        with pytest.raises(ValueError, match="^t_eval must be a non-empty"):
+            solve_classical(params, 1.0, 0.0, [])
 
     def test_phi_is_L_times_qdot(self):
         params = SuperconductorParams(sigma0=1.5)

@@ -22,34 +22,32 @@ def _rhs_never_called(t, y):
 class TestSolveRK45:
     def test_exponential_decay(self):
         grid = np.linspace(0.0, 5.0, 26)
-        out = solve_rk45(_decay, 0.0, [1.0], grid)
+        out = solve_rk45(_decay, [1.0], grid)
         for t, y in zip(grid, out):
             assert y[0] == pytest.approx(math.exp(-t), abs=1e-9)
 
     def test_harmonic_oscillator_energy(self):
         grid = np.linspace(0.0, 20.0, 41)
-        out = solve_rk45(lambda t, y: (y[1], -y[0]), 0.0, [1.0, 0.0], grid)
+        out = solve_rk45(lambda t, y: (y[1], -y[0]), [1.0, 0.0], grid)
         assert max(abs(q * q + p * p - 1.0) for q, p in out) < 1e-8
 
     def test_time_dependent_rhs(self):
         # y' = 2 t y  ->  y = exp(t^2)
         grid = np.linspace(0.0, 2.0, 9)
-        out = solve_rk45(lambda t, y: (2.0 * t * y[0],), 0.0, [1.0], grid)
+        out = solve_rk45(lambda t, y: (2.0 * t * y[0],), [1.0], grid)
         assert out[-1][0] == pytest.approx(math.exp(4.0), rel=1e-9)
 
     def test_samples_exactly_on_grid(self):
         seen = []
         grid = np.array([0.0, 0.3, 1.0, 2.5])
-        solve_rk45(_decay, 0.0, [1.0], grid,
+        solve_rk45(_decay, [1.0], grid,
                    post_step=lambda t, y: seen.append(t))
         for target in grid[1:]:
             assert target in seen
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="ascending"):
-            solve_rk45(_decay, 0.0, [1.0], [0.0, 1.0, 1.0])
-        with pytest.raises(ValueError, match="start at"):
-            solve_rk45(_decay, 0.0, [1.0], [0.5, 1.0])
+            solve_rk45(_decay, [1.0], [0.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("y0, t_eval, name", [
         ([1.0], [0.0, math.nan, 1.0], r"t_eval\[1\]"),
@@ -62,18 +60,22 @@ class TestSolveRK45:
         # a NaN sample used to pass the ascending check and an inf sample was
         # never landed on: both hung; a NaN state stalled the step control
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            solve_rk45(_rhs_never_called, 0.0, y0, t_eval)
+            solve_rk45(_rhs_never_called, y0, t_eval)
 
     def test_post_step_exception_propagates(self):
         def guard(t, y):
             if y[0] < 0.5:
                 raise StepSizeUnderflowError(t, "guard fired")
         with pytest.raises(StepSizeUnderflowError):
-            solve_rk45(_decay, 0.0, [1.0], np.linspace(0.0, 3.0, 7),
+            solve_rk45(_decay, [1.0], np.linspace(0.0, 3.0, 7),
                        post_step=guard)
 
+    def test_starts_at_first_sample(self):
+        out = solve_rk45(_decay, [1.0], [0.5, 1.5])
+        assert out[-1][0] == pytest.approx(math.exp(-1.0), abs=1e-9)
+
     def test_single_point_grid(self):
-        out = solve_rk45(_decay, 0.0, [2.0], [0.0])
+        out = solve_rk45(_decay, [2.0], [0.0])
         assert out == [(2.0,)]
 
 
@@ -94,7 +96,7 @@ class TestMatchesArraySolver:
         monkeypatch.setattr(dynamics, "solve_rk45", lambda *args, **kwargs: (
             calls.append((args, kwargs)) or solve_rk45(*args, **kwargs)))
         solve(SuperconductorParams(sigma0=sigma0), grid)
-        (rhs, t0, y0, t_eval, *rest), kwargs = calls[0]
+        (rhs, y0, t_eval, *rest), kwargs = calls[0]
         counts = [0, 0]
 
         def tuple_rhs(t, y):
@@ -105,8 +107,9 @@ class TestMatchesArraySolver:
             counts[1] += 1
             return np.array(rhs(t, y))
 
-        got = solve_rk45(tuple_rhs, t0, y0, t_eval, *rest, **kwargs)
-        want = oracles.solve_rk45_numpy(array_rhs, t0, y0, t_eval, *rest, **kwargs)
+        got = solve_rk45(tuple_rhs, y0, t_eval, *rest, **kwargs)
+        want = oracles.solve_rk45_numpy(array_rhs, t_eval[0], y0, t_eval, *rest,
+                                        **kwargs)
         assert got == [tuple(row) for row in want]
         assert all(type(v) is float for state in got for v in state)
         assert counts[0] == counts[1]

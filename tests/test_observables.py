@@ -10,6 +10,7 @@ from tdq.dynamics import (
     SuperconductorParams,
     rho_analytic,
 )
+from tdq.errors import DomainError
 from tdq.observables import (
     QuantumSnapshot,
     density_values,
@@ -218,6 +219,16 @@ class TestEnergy:
 
 
 class TestSnapshot:
+    @pytest.mark.parametrize("build", [
+        lambda: QuantumSnapshot(n=-1, t=0.0, rho=1.0, rho_dot=0.0, L=1.0,
+                                omega_sq=1.0, hbar=1.0),
+        lambda: snapshot_at(2.0, 0.5, -1),
+    ], ids=["QuantumSnapshot", "make_snapshot"])
+    def test_negative_level_names_n(self, build):
+        # a negative level would give <q^2> = hbar rho^2 (n + 1/2) < 0
+        with pytest.raises(DomainError, match="^quantum number must be >= 0, got n=-1$"):
+            build()
+
     def test_assembly(self):
         params = SuperconductorParams(sigma0=2.0)
         state = rho_analytic(params, 0.5)

@@ -196,11 +196,14 @@ class TestHermite:
     @settings(deadline=None, max_examples=40)
     @given(n=st.integers(min_value=1, max_value=12),
            r=st.floats(min_value=-6.0, max_value=6.0))
+    @example(n=2, r=5e-324)
     def test_integer_newton_step_matches_fractions_anywhere(self, n, r):
         try:
             want = oracles.hermite_newton_step_fraction(n, r)
-        except ZeroDivisionError:  # r is a root of H_n' (r = 0 for even n)
-            with pytest.raises(ZeroDivisionError):
+        except (ZeroDivisionError, OverflowError) as exc:
+            # ZeroDivisionError: r is a root of H_n' (r = 0 for even n);
+            # OverflowError: the step ~ -1/(4r) of even n exceeds a float
+            with pytest.raises(type(exc)):
                 verify._newton_step(hermite(n).coefficients, r)
             return
         assert verify._newton_step(hermite(n).coefficients, r) == want
@@ -210,6 +213,11 @@ class TestHermite:
         for n in (4, 9, 12):
             reference = roots_hermite(n)[0]
             assert np.allclose(hermite(n).roots, reference, atol=1e-12)
+
+    def test_negative_order_names_n(self):
+        # the recurrence alone would return h_1 for every n < 0
+        with pytest.raises(DomainError, match="^hermite_function requires n >= 0, got n=-1"):
+            hermite_function(-1, 0.5)
 
     def test_orthogonality(self):
         rule = gauss_legendre(200, -10.0, 10.0)
@@ -256,6 +264,13 @@ class TestDawsonAndHypergeometric:
             hyp1f1_special(0.5)
         with pytest.raises(EnvelopeError):
             hyp1f1_special(-40.0)
+
+    @pytest.mark.parametrize("fn", [hyp1f1_special, hyp2f2_special],
+                             ids=lambda fn: fn.__name__)
+    def test_nan_argument_names_z(self, fn):
+        # NaN fails `z <= 0` but also passes `z > 0`
+        with pytest.raises(DomainError, match=f"^{fn.__name__} requires z <= 0, got z=nan"):
+            fn(math.nan)
 
     def test_hyp2f2_at_zero(self):
         assert hyp2f2_special(0.0) == 1.0
