@@ -314,17 +314,14 @@ def cmd_info(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    """Run the invariant suite; exit 0 iff every non-informational check passes."""
+    """Run the invariant suite; exit 0 iff every check passes (an
+    informational check always does)."""
     results = run_checks(tol_scale=config.tol_verify)
-    failures = []
     for r in results:
         tag = "INFO" if r.informational else ("PASS" if r.passed else "FAIL")
-        line = f"{tag} {r.name:40s} residual={r.residual:.3e} tol={r.tolerance:.1e}"
-        if r.note:
-            line += f"  [{r.note}]"
-        print(line)
-        if not r.passed and not r.informational:
-            failures.append(r.name)
+        note = f"  [{r.note}]" if r.note else ""
+        print(f"{tag} {r.name:40s} residual={r.residual:.3e} tol={r.tolerance:.1e}{note}")
+    failures = [r.name for r in results if not r.passed]
     print(f"{len(results) - len(failures)}/{len(results)} checks passed")
     if failures:
         print("failed checks: " + ", ".join(failures))

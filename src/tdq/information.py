@@ -26,13 +26,13 @@ shares the one scaling step:
         - 2 sum_k 2F2(1,1;3/2,2;-x_k^2) x_k^2
         + sum_k sum_i C(n,i) (-1)^i 2^i / i * 1F1(1;1/2;-x_k^2),
     summed over the roots x_k of H_n.  The double-sum term is evaluated
-    as printed (its i-sum coefficient in exact rationals, then once per
-    root); it reproduces quadrature for n <= 1 but is known
-    to drift for n >= 2, so the comparison is reported rather than
-    asserted (the quadrature value is authoritative).  The
-    disequilibrium is a sum of Gaussian moments of the integer polynomial
-    H_n^4, whose coefficients c_k come from the integer coefficients of
-    H_n (`hermite(n).coefficients`):
+    as printed (its i-sum coefficient as the exact rational
+    -2 sum_{odd k <= n} 1/k, then once per root); it reproduces
+    quadrature for n <= 1 but is known to drift for n >= 2, so the
+    comparison is reported rather than asserted (the quadrature value is
+    authoritative).  The disequilibrium is a sum of Gaussian moments of
+    the integer polynomial H_n^4, whose coefficients c_k come from the
+    integer coefficients of H_n (`hermite(n).coefficients`):
         d_n = sum_{j=0}^{2n} (2j)! / (8^j j!) c_{2j} / ((2^n n!)^2 sqrt(2 pi)).
     By sum_m B_{m,4}(a) x^m/m! = (sum_i a_i x^i/i!)^4/4! this is, term by
     term, the printed sum
@@ -66,7 +66,6 @@ from .special_functions import (
     hyp2f2_special,
 )
 
-_DENSITY_FLOOR = 1e-300
 # nodes per panel of the sine-mapped rule: 128 leave d_n off by ~8e-11,
 # 160 give s_n, d_n and the norm to ~1e-15 for every n <= 12
 _PANEL_NODES = 160
@@ -124,11 +123,8 @@ def _level_quadrature(n: int) -> tuple[float, float]:
     for a, b in zip(edges, edges[1:]):
         p = hermite_function(n, a + (b - a) * mapped) ** 2
         w = (b - a) * weights
-        p_log_p = np.zeros_like(p)
-        mask = p > _DENSITY_FLOOR
-        p_log_p[mask] = p[mask] * np.log(p[mask])
         norm += float(w @ p)
-        entropy -= float(w @ p_log_p)
+        entropy -= float(w @ (p * np.log(p)))
         diseq += float(w @ (p * p))
     if abs(norm - 1.0) > 1e-6:
         raise NormalizationError(
@@ -167,6 +163,12 @@ def _diseq_reduced_exact(n: int) -> Fraction:
     return total / (2 ** n * math.factorial(n)) ** 2
 
 
+def _printed_isum_coefficient(n: int) -> Fraction:
+    """The printed i-sum's sum_i C(n, i) (-2)^i / i as -2 sum_{odd k <= n} 1/k,
+    from sum_i C(n, i) x^i / i = sum_{k=1}^n ((1 + x)^k - 1) / k at x = -2."""
+    return sum((Fraction(-2, k) for k in range(1, n + 1, 2)), Fraction(0))
+
+
 @lru_cache(maxsize=None)
 def _level_closed_form(n: int) -> tuple[float, float]:
     """(s_n, d_n) from the printed entropy and the exact disequilibrium."""
@@ -176,9 +178,7 @@ def _level_closed_form(n: int) -> tuple[float, float]:
     roots = hermite(n).roots
     entropy = (n * EULER_GAMMA + n + 0.5
                + math.log(math.sqrt(math.pi) * math.factorial(n) * 2.0 ** n))
-    # the printed i-sum multiplies 1F1 by sum_i C(n, i) (-2)^i / i, which
-    # cancels from terms ~C(n, n/2) 2^n to a few units: sum it exactly
-    coef = float(sum(Fraction(math.comb(n, i) * (-2) ** i, i) for i in range(1, n + 1)))
+    coef = float(_printed_isum_coefficient(n))
     for x in roots:
         entropy += coef * hyp1f1_special(-x * x) - 2.0 * hyp2f2_special(-x * x) * x * x
     return entropy, float(_diseq_reduced_exact(n)) / math.sqrt(2.0 * math.pi)

@@ -29,14 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import PinneyState, SuperconductorParams, rho_analytic
-from .errors import DomainError
 from .integrate import adaptive_simpson
-from .special_functions import hermite_function
+from .special_functions import _check_quantum_number, hermite_function
 
 
 @dataclass(frozen=True)
 class QuantumSnapshot:
-    """Everything a fixed-time observable needs: n >= 0 plus (t, rho, rho', L, omega^2)."""
+    """Everything a fixed-time observable needs: an integer n >= 0 plus
+    (t, rho, rho', L, omega^2)."""
 
     n: int
     t: float
@@ -47,8 +47,7 @@ class QuantumSnapshot:
     hbar: float
 
     def __post_init__(self):
-        if self.n < 0:
-            raise DomainError(f"quantum number must be >= 0, got n={self.n!r}")
+        _check_quantum_number(self.n)
 
 
 def make_snapshot(params: SuperconductorParams,
@@ -68,7 +67,8 @@ def truncation_radius(snapshot: QuantumSnapshot) -> float:
 
 def phase(params: SuperconductorParams, n: int, t: float) -> float:
     """Phase theta_n(t) = -(n + 1/2) integral_0^t dt' / (L rho^2) along the
-    exact amplitude `rho_analytic`."""
+    exact amplitude `rho_analytic`, for an integer n >= 0."""
+    _check_quantum_number(n)
     integral = adaptive_simpson(
         lambda u: 1.0 / (params.L(u) * rho_analytic(params, u).rho ** 2), 0.0, t)
     return -(n + 0.5) * integral

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -295,16 +294,21 @@ class HermiteTable:
     roots: tuple[float, ...]
 
 
+def _check_quantum_number(n: int) -> None:
+    """DomainError naming n unless n is an int or numpy integer >= 0."""
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise DomainError(f"quantum number must be an integer >= 0, got n={n!r}")
+
+
 def hermite_function(n: int, xi: float | np.ndarray) -> float | np.ndarray:
     """Orthonormal Hermite functions h_n(xi) by the stable recurrence
 
     h_0 = pi^{-1/4} e^{-xi^2/2},   h_1 = sqrt(2) xi h_0,
     h_{k+1} = sqrt(2/(k+1)) xi h_k - sqrt(k/(k+1)) h_{k-1},
 
-    so h_n = H_n e^{-xi^2/2} / sqrt(2^n n! sqrt(pi)); n < 0 raises DomainError.
+    so h_n = H_n e^{-xi^2/2} / sqrt(2^n n! sqrt(pi)).
     """
-    if n < 0:
-        raise DomainError(f"hermite_function requires n >= 0, got n={n!r}")
+    _check_quantum_number(n)
     h_prev = math.pi ** -0.25 * np.exp(-0.5 * xi * xi)
     if n == 0:
         return h_prev
@@ -340,8 +344,7 @@ def hermite(n: int) -> HermiteTable:
     step on h_n, with h_n' = sqrt(2n) h_{n-1} - xi h_n, and symmetrized
     pairwise.
     """
-    if n < 0:
-        raise DomainError(f"hermite requires n >= 0, got {n!r}")
+    _check_quantum_number(n)
     coeffs = _hermite_coefficients(n)
     if n == 0:
         return HermiteTable(0, coeffs, ())
@@ -432,9 +435,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
 
     def dot(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))

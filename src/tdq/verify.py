@@ -1,9 +1,10 @@
 """Self-verification suite: every module invariant as a named runtime check.
 
-Each check measures a residual against its stated tolerance and reports
-PASS/FAIL; informational checks (the closed-form entropy comparison for
-n >= 1 and the monitored LMC lower bound) never fail the run.  The whole
-suite is pure computation at desk scale and finishes in seconds.
+Every check is `check_<name>(tol) -> CheckResult`: it measures the residual
+<name> and passes when that is at most tol.  `run_checks` gives each check
+its base tolerance in `_ALL_CHECKS` times one scale factor.  The one
+informational check (closed-form entropy against quadrature for n >= 1)
+always passes.  The suite is pure computation and finishes in seconds.
 """
 
 from __future__ import annotations
@@ -58,16 +59,13 @@ class CheckResult:
     name: str
     residual: float
     tolerance: float
-    passed: bool
     informational: bool = False
     note: str = ""
 
-
-def _result(name: str, residual: float, tolerance: float,
-            informational: bool = False, note: str = "") -> CheckResult:
-    return CheckResult(name=name, residual=float(residual), tolerance=tolerance,
-                       passed=bool(residual <= tolerance) or informational,
-                       informational=informational, note=note)
+    @property
+    def passed(self) -> bool:
+        """Informational results always pass, others iff residual <= tolerance."""
+        return self.informational or bool(self.residual <= self.tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +79,10 @@ def check_bessel_wronskian(tol: float) -> CheckResult:
             wronskian = (bessel_j(nu, x) * bessel_y_prime(nu, x)
                          - bessel_j_prime(nu, x) * bessel_y(nu, x))
             worst = max(worst, abs(wronskian * math.pi * x / 2.0 - 1.0))
-    return _result("bessel_wronskian", worst, tol)
+    return CheckResult("bessel_wronskian", worst, tol)
 
 
-def check_bessel_half_integer(tol: float) -> CheckResult:
+def check_bessel_half_integer_closed_forms(tol: float) -> CheckResult:
     worst = 0.0
     for x in (0.5, 1.0, 2.0, 5.0, 10.0):
         pref = math.sqrt(2.0 / (math.pi * x))
@@ -96,10 +94,10 @@ def check_bessel_half_integer(tol: float) -> CheckResult:
         )
         for got, want in pairs:
             worst = max(worst, abs(got - want) / max(abs(want), 1e-30))
-    return _result("bessel_half_integer_closed_forms", worst, tol)
+    return CheckResult("bessel_half_integer_closed_forms", worst, tol)
 
 
-def check_bessel_modulus(tol: float) -> CheckResult:
+def check_bessel_modulus_vs_asymptotic(tol: float) -> CheckResult:
     """J^2 + Y^2 and 2 (J J' + Y Y') from the Bessel functions against the
     modulus asymptotic series, which shares no code with them; relative."""
     worst = 0.0
@@ -110,7 +108,7 @@ def check_bessel_modulus(tol: float) -> CheckResult:
             worst = max(worst, abs((j * j + y * y) / m2 - 1.0),
                         abs(2.0 * (j * bessel_j_prime(nu, x) + y * bessel_y_prime(nu, x))
                             / slope - 1.0))
-    return _result("bessel_modulus_vs_asymptotic", worst, tol)
+    return CheckResult("bessel_modulus_vs_asymptotic", worst, tol)
 
 
 def check_hermite_orthogonality(tol: float) -> CheckResult:
@@ -118,7 +116,7 @@ def check_hermite_orthogonality(tol: float) -> CheckResult:
     rule = gauss_legendre(200, -10.0, 10.0)
     values = np.array([hermite_function(n, rule.nodes) for n in range(13)])
     gram = (values * rule.weights) @ values.T
-    return _result("hermite_orthogonality", np.max(np.abs(gram - np.eye(13))), tol)
+    return CheckResult("hermite_orthogonality", np.max(np.abs(gram - np.eye(13))), tol)
 
 
 def _horner(coefficients, p: int, q: int) -> int:
@@ -143,7 +141,7 @@ def _newton_step(coefficients, r: float) -> float:
     return _horner(coefficients, p, q) / (_horner(slope, p, q) * q)
 
 
-def check_hermite_roots(tol: float) -> CheckResult:
+def check_hermite_root_residuals(tol: float) -> CheckResult:
     """Forward error |H_n(r) / H_n'(r)| of every root of H_1..H_12, exact
     from the integer coefficients, plus the pairwise symmetry."""
     worst = 0.0
@@ -152,7 +150,7 @@ def check_hermite_roots(tol: float) -> CheckResult:
         for k, r in enumerate(table.roots):
             worst = max(worst, abs(_newton_step(table.coefficients, r)),
                         abs(r + table.roots[n - 1 - k]))
-    return _result("hermite_root_residuals", worst, tol)
+    return CheckResult("hermite_root_residuals", worst, tol)
 
 
 # Term ratios t_{m+1} / t_m = z rise(m) / fall(m), as (rise, fall), of
@@ -183,29 +181,29 @@ def _rational_series(z: float, rise, fall) -> float:
     return total / denominator
 
 
-def check_hypergeometric_series(tol: float) -> CheckResult:
+def check_hypergeometric_vs_rational_series(tol: float) -> CheckResult:
     worst = 0.0
     for z in (-0.25, -1.0, -4.0, -9.0, -25.0, -5.3 ** 2, -36.0):
         ref1 = _rational_series(z, *_HYP1F1_TERMS)
         ref2 = _rational_series(z, *_HYP2F2_TERMS)
         worst = max(worst, abs(hyp1f1_special(z) - ref1) / max(abs(ref1), 1e-30))
         worst = max(worst, abs(hyp2f2_special(z) - ref2) / max(abs(ref2), 1e-30))
-    return _result("hypergeometric_vs_rational_series", worst, tol)
+    return CheckResult("hypergeometric_vs_rational_series", worst, tol)
 
 
 def check_quadrature_rule(tol: float) -> CheckResult:
     worst = 0.0
     rule = gauss_legendre(2, -1.0, 1.0)
-    worst = max(worst, abs(rule.integrate(lambda x: x * x) - 2.0 / 3.0))
+    worst = max(worst, abs(rule.dot(rule.nodes * rule.nodes) - 2.0 / 3.0))
     rule = gauss_legendre(200, -8.0, 8.0)
-    worst = max(worst, abs(rule.integrate(lambda x: np.exp(-x * x))
+    worst = max(worst, abs(rule.dot(np.exp(-rule.nodes * rule.nodes))
                            - math.sqrt(math.pi)) / math.sqrt(math.pi))
     rule = gauss_legendre(17, 0.0, 5.0)
     if np.any(rule.weights <= 0.0):
         worst = max(worst, 1.0)
     worst = max(worst, abs(float(np.sum(rule.weights)) - 5.0) / 5.0)
-    worst = max(worst, abs(rule.integrate(lambda x: np.ones_like(x)) - 5.0) / 5.0)
-    return _result("quadrature_rule", worst, tol)
+    worst = max(worst, abs(rule.dot(np.ones_like(rule.nodes)) - 5.0) / 5.0)
+    return CheckResult("quadrature_rule", worst, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +224,16 @@ def pinney_residual(params: SuperconductorParams, t: float) -> float:
                - 1.0 / (L * L * r0.rho ** 3))
 
 
-def check_pinney_residual(tol: float) -> CheckResult:
+def check_pinney_residual_analytic(tol: float) -> CheckResult:
     worst = 0.0
     for sigma0 in _FIGURE_SIGMAS:
         params = SuperconductorParams(sigma0=sigma0)
         for t in np.linspace(0.0, 5.0, 11):
             worst = max(worst, pinney_residual(params, float(t)))
-    return _result("pinney_residual_analytic", worst, tol)
+    return CheckResult("pinney_residual_analytic", worst, tol)
 
 
-def check_pinney_numeric_agreement(tol: float) -> CheckResult:
+def check_pinney_numeric_vs_analytic(tol: float) -> CheckResult:
     worst = 0.0
     grid = np.linspace(0.0, 5.0, 51)
     for sigma0 in (0.5, 2.0, 3.0):
@@ -243,7 +241,7 @@ def check_pinney_numeric_agreement(tol: float) -> CheckResult:
         numeric = solve_pinney_numeric(params, t_grid=grid)
         for state in numeric:
             worst = max(worst, abs(state.rho - rho_analytic(params, state.t).rho))
-    return _result("pinney_numeric_vs_analytic", worst, tol)
+    return CheckResult("pinney_numeric_vs_analytic", worst, tol)
 
 
 def check_invariant_conservation(tol: float) -> CheckResult:
@@ -256,7 +254,7 @@ def check_invariant_conservation(tol: float) -> CheckResult:
                   for cs in trajectory]
         base = values[0]
         worst = max(worst, max(abs(v - base) for v in values) / abs(base))
-    return _result("invariant_conservation", worst, tol)
+    return CheckResult("invariant_conservation", worst, tol)
 
 
 def check_lc_limit(tol: float) -> CheckResult:
@@ -268,7 +266,7 @@ def check_lc_limit(tol: float) -> CheckResult:
         worst = max(worst, abs(state.rho - target))
         worst = max(worst, abs(state.rho_dot))
         worst = max(worst, abs(params.omega_sq(float(t)) - params.omega0_sq))
-    return _result("lc_limit", worst, tol)
+    return CheckResult("lc_limit", worst, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +288,7 @@ def check_density_normalization(tol: float) -> CheckResult:
         radius = truncation_radius(snap)
         rule = gauss_legendre(512, -radius, radius)
         worst = max(worst, abs(rule.dot(density_values(snap, rule.nodes)) - 1.0))
-    return _result("density_normalization", worst, tol)
+    return CheckResult("density_normalization", worst, tol)
 
 
 def check_moment_consistency(tol: float) -> CheckResult:
@@ -302,7 +300,7 @@ def check_moment_consistency(tol: float) -> CheckResult:
         q2_quad = rule.dot(p * rule.nodes ** 2)
         _, _, q2, _ = moments(snap)
         worst = max(worst, abs(q2_quad - q2) / q2)
-    return _result("moment_consistency", worst, tol)
+    return CheckResult("moment_consistency", worst, tol)
 
 
 def check_uncertainty_identity(tol: float) -> CheckResult:
@@ -311,7 +309,7 @@ def check_uncertainty_identity(tol: float) -> CheckResult:
         _, _, q2, phi2 = moments(snap)
         product = math.sqrt(q2 * phi2)
         worst = max(worst, abs(uncertainty_product(snap) - product) / product)
-    return _result("uncertainty_identity", worst, tol)
+    return CheckResult("uncertainty_identity", worst, tol)
 
 
 def check_uncertainty_floor(tol: float) -> CheckResult:
@@ -322,10 +320,10 @@ def check_uncertainty_floor(tol: float) -> CheckResult:
     params = SuperconductorParams(sigma0=0.0)
     snap = make_snapshot(params, rho_analytic(params, 1.0), 1)
     worst = max(worst, abs(uncertainty_product(snap) - params.hbar * 1.5))
-    return _result("uncertainty_floor", worst, tol)
+    return CheckResult("uncertainty_floor", worst, tol)
 
 
-def check_density_nodes() -> CheckResult:
+def check_density_node_structure(tol: float) -> CheckResult:
     params = SuperconductorParams(sigma0=1.5)
     state = rho_analytic(params, 0.5)
     worst = 0.0
@@ -335,8 +333,8 @@ def check_density_nodes() -> CheckResult:
         grid = np.linspace(-radius, radius, 4001)
         values = hermite_function(n, grid / (math.sqrt(snap.hbar) * snap.rho))
         changes = int(np.sum(np.signbit(values[1:]) != np.signbit(values[:-1])))
-        worst = max(worst, abs(changes - n))
-    return _result("density_node_structure", worst, 0.0)
+        worst = max(worst, float(abs(changes - n)))
+    return CheckResult("density_node_structure", worst, tol)
 
 
 def check_phase_derivative(tol: float) -> CheckResult:
@@ -348,14 +346,14 @@ def check_phase_derivative(tol: float) -> CheckResult:
         state = rho_analytic(params, t)
         expected = -(n + 0.5) / (params.L(t) * state.rho ** 2)
         worst = max(worst, abs(derivative - expected))
-    return _result("phase_derivative", worst, tol)
+    return CheckResult("phase_derivative", worst, tol)
 
 
 # ---------------------------------------------------------------------------
 # information checks
 # ---------------------------------------------------------------------------
 
-def check_information_vs_density(tol: float) -> CheckResult:
+def check_information_vs_density_quadrature(tol: float) -> CheckResult:
     """S, D and C of `measures` against -int P ln P and int P^2 of
     `density_values` in q, on plain Gauss-Legendre panels split at the
     density zeros sqrt(hbar) rho x_k: a path through neither the level
@@ -378,7 +376,7 @@ def check_information_vs_density(tol: float) -> CheckResult:
         worst = max(worst, abs(got.entropy_S - entropy),
                     abs(got.disequilibrium_D / diseq - 1.0),
                     abs(got.complexity_C / (math.exp(entropy) * diseq) - 1.0))
-    return _result("information_vs_density_quadrature", worst, tol)
+    return CheckResult("information_vs_density_quadrature", worst, tol)
 
 
 def check_diseq_closed_vs_quadrature(tol: float) -> CheckResult:
@@ -387,7 +385,7 @@ def check_diseq_closed_vs_quadrature(tol: float) -> CheckResult:
         closed = measures(snap, "closed_form").disequilibrium_D
         quad = measures(snap).disequilibrium_D
         worst = max(worst, abs(closed - quad) / quad)
-    return _result("diseq_closed_vs_quadrature", worst, tol)
+    return CheckResult("diseq_closed_vs_quadrature", worst, tol)
 
 
 def check_diseq_hand_values(tol: float) -> CheckResult:
@@ -401,28 +399,28 @@ def check_diseq_hand_values(tol: float) -> CheckResult:
     hand1 = 3.0 / (4.0 * math.sqrt(2.0 * math.pi))
     worst = max(worst,
                 abs(measures(unit, "closed_form").disequilibrium_D - hand1) / hand1)
-    return _result("diseq_hand_values", worst, tol)
+    return CheckResult("diseq_hand_values", worst, tol)
 
 
-def check_complexity_ground_state(tol: float) -> CheckResult:
+def check_complexity_ground_state_value(tol: float) -> CheckResult:
     target = math.sqrt(math.e / 2.0)
     values = [measures(snap).complexity_C
               for snap in _snapshots((0.5, 2.0, 3.0), (0,), (0.0, 0.5, 2.0, 5.0))]
     worst = max(abs(c - target) for c in values)
-    return _result("complexity_ground_state_value", worst, tol,
-                   note=f"C(n=0)={values[0]:.12f} target sqrt(e/2)={target:.12f}")
+    return CheckResult("complexity_ground_state_value", worst, tol,
+                       note=f"C(n=0)={values[0]:.12f} target sqrt(e/2)={target:.12f}")
 
 
-def check_entropy_closed_n0(tol: float) -> CheckResult:
+def check_entropy_closed_vs_quadrature_n0(tol: float) -> CheckResult:
     worst = 0.0
     for snap in _snapshots((0.5, 2.0, 3.0), (0,), (0.0, 0.5, 2.0)):
         closed = measures(snap, "closed_form").entropy_S
         quad = measures(snap).entropy_S
         worst = max(worst, abs(closed - quad))
-    return _result("entropy_closed_vs_quadrature_n0", worst, tol)
+    return CheckResult("entropy_closed_vs_quadrature_n0", worst, tol)
 
 
-def check_entropy_closed_higher_n() -> CheckResult:
+def check_entropy_closed_vs_quadrature_higher_n(tol: float) -> CheckResult:
     params = SuperconductorParams(sigma0=2.0)
     state = rho_analytic(params, 0.5)
     residuals = {}
@@ -433,21 +431,22 @@ def check_entropy_closed_higher_n() -> CheckResult:
         residuals[n] = closed - quad
     worst = max(abs(r) for r in residuals.values())
     detail = " ".join(f"n={n}:{r:+.3e}" for n, r in residuals.items())
-    return _result("entropy_closed_vs_quadrature_higher_n", worst, 1e-6,
-                   informational=True,
-                   note="reported only (printed closed form drifts for n>=2): "
-                        + detail)
+    return CheckResult("entropy_closed_vs_quadrature_higher_n", worst, tol,
+                       informational=True,
+                       note="reported only (printed closed form drifts for n>=2): "
+                            + detail)
 
 
-def check_lmc_bound() -> CheckResult:
+def check_lmc_complexity_lower_bound(tol: float) -> CheckResult:
+    """How far C falls below 1: C = e^S D >= 1 by Jensen, -S = int P ln P <= ln
+    int P^2 (Lopez-Ruiz, Mancini and Calbet, Phys. Lett. A 209, 321 (1995))."""
     worst = 0.0
     for snap in _snapshots((0.5, 2.0, 3.0), (0, 1, 2, 3), (0.0, 1.0, 3.0)):
         worst = max(worst, 1.0 - measures(snap).complexity_C)
-    return _result("lmc_complexity_lower_bound", worst, 1e-9, informational=True,
-                   note="monitored, not asserted")
+    return CheckResult("lmc_complexity_lower_bound", worst, tol)
 
 
-def check_monotone_localization() -> CheckResult:
+def check_monotone_localization(tol: float) -> CheckResult:
     worst = 0.0
     ts = np.linspace(0.5, 2.0, 7)
     for sigma0 in (2.0, 2.5, 3.0):
@@ -462,52 +461,52 @@ def check_monotone_localization() -> CheckResult:
             worst = max(worst, a - b)  # D must increase
         for a, b in zip(hs, hs[1:]):
             worst = max(worst, b - a)  # H must decrease
-    return _result("monotone_localization", worst, 0.0)
+    return CheckResult("monotone_localization", worst, tol)
 
 
-# (check, base tolerance); a tolerance of None means the check is
-# structural (count/sign based) or informational and takes no tolerance.
+# (check, base tolerance); the count- and sign-based checks take 0.0.
 _ALL_CHECKS: tuple = (
     (check_bessel_wronskian, 1e-8),
-    (check_bessel_half_integer, 1e-12),
-    (check_bessel_modulus, 1e-13),
+    (check_bessel_half_integer_closed_forms, 1e-12),
+    (check_bessel_modulus_vs_asymptotic, 1e-13),
     (check_hermite_orthogonality, 1e-8),
-    (check_hermite_roots, 1e-9),
-    (check_hypergeometric_series, 1e-9),
+    (check_hermite_root_residuals, 1e-9),
+    (check_hypergeometric_vs_rational_series, 1e-9),
     (check_quadrature_rule, 1e-12),
-    (check_pinney_residual, 1e-6),
-    (check_pinney_numeric_agreement, 1e-6),
+    (check_pinney_residual_analytic, 1e-6),
+    (check_pinney_numeric_vs_analytic, 1e-6),
     (check_invariant_conservation, 1e-6),
     (check_lc_limit, 1e-12),
     (check_density_normalization, 1e-8),
     (check_moment_consistency, 1e-7),
     (check_uncertainty_identity, 1e-12),
     (check_uncertainty_floor, 1e-12),
-    (check_density_nodes, None),
+    (check_density_node_structure, 0.0),
     (check_phase_derivative, 1e-6),
-    (check_information_vs_density, 1e-9),
+    (check_information_vs_density_quadrature, 1e-9),
     (check_diseq_closed_vs_quadrature, 1e-8),
     (check_diseq_hand_values, 1e-9),
-    (check_complexity_ground_state, 1e-9),
-    (check_entropy_closed_n0, 1e-9),
-    (check_entropy_closed_higher_n, None),
-    (check_lmc_bound, None),
-    (check_monotone_localization, None),
+    (check_complexity_ground_state_value, 1e-9),
+    (check_entropy_closed_vs_quadrature_n0, 1e-9),
+    (check_entropy_closed_vs_quadrature_higher_n, 1e-6),
+    (check_lmc_complexity_lower_bound, 1e-9),
+    (check_monotone_localization, 0.0),
 )
 
 
 def run_checks(tol_scale: float = 1.0) -> list[CheckResult]:
-    """Run every check; stated tolerances are multiplied by tol_scale.
+    """Run every check at its base tolerance times tol_scale.
 
-    A check that raises fails with residual inf, named after its function
-    and with the exception in its note; the remaining checks still run.
+    A check that raises fails with residual inf under its own name (its
+    function name without `check_`) and with the exception in its note;
+    the remaining checks still run.
     """
     results = []
     for fn, base in _ALL_CHECKS:
-        tol = 0.0 if base is None else base * tol_scale
+        tol = base * tol_scale
         try:
-            results.append(fn() if base is None else fn(tol))
+            results.append(fn(tol))
         except Exception as exc:  # a broken check must not stop the suite
-            results.append(_result(fn.__name__.removeprefix("check_"), math.inf, tol,
-                                   note=f"{type(exc).__name__}: {exc}"))
+            results.append(CheckResult(fn.__name__.removeprefix("check_"), math.inf, tol,
+                                       note=f"{type(exc).__name__}: {exc}"))
     return results

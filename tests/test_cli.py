@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -14,6 +15,7 @@ import oracles
 from tdq import cli, verify
 from tdq.cli import RunConfig, _fmt, main
 from tdq.errors import NormalizationError
+from tdq.information import MeasureSet
 
 
 def run(capsys, *argv):
@@ -550,16 +552,46 @@ class TestVerify:
             if "entropy_closed_vs_quadrature_higher_n" in line:
                 assert line.startswith("INFO")
 
-    def test_raising_check_is_reported_as_failure(self, monkeypatch):
+    def test_informational_tolerance_scales(self, verify_run):
+        # --tol-verify scales every tolerance, the informational one too
+        _, out = verify_run("--tol-verify", "1e-4")
+        info = [line for line in out.splitlines() if line.startswith("INFO")]
+        assert len(info) == 1
+        assert " tol=1.0e-10 " in info[0]
+
+    def test_lmc_bound_is_asserted(self, verify_run, monkeypatch):
+        _, out = verify_run()
+        assert "PASS lmc_complexity_lower_bound " in out
+        below_one = MeasureSet.build(0, 0.0, 0.0, 0.9, "quadrature")
+        monkeypatch.setattr(verify, "measures", lambda snap: below_one)
+        result = verify.check_lmc_complexity_lower_bound(1e-9)
+        assert not result.passed
+        assert result.residual == pytest.approx(0.1)
+
+    def test_check_names_match_functions(self):
+        for fn, base in verify._ALL_CHECKS:
+            assert isinstance(base, float)
+            assert fn.__name__ == "check_" + fn(base).name
+
+    def test_raising_check_is_reported_as_failure(self, monkeypatch, verify_run):
         monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "bench")
         import outputs
 
-        def check_density_normalization(tol):
-            raise NormalizationError("density norm 0.5 deviates from 1")
+        def raising(fn):
+            @functools.wraps(fn)
+            def check(tol):
+                raise NormalizationError("density norm 0.5 deviates from 1")
+            return check
 
+        _, passing = verify_run()
         checks = list(verify._ALL_CHECKS)
-        index = [fn.__name__ for fn, _ in checks].index("check_density_normalization")
-        checks[index] = (check_density_normalization, checks[index][1])
+        names = [outputs._CHECK_LINE.match(line).group(2)
+                 for line in passing.splitlines()[:len(checks)]]
+        # one check whose function name always matched its result name, and
+        # one that was renamed to match it
+        broken = [names.index("hermite_root_residuals"), names.index("density_normalization")]
+        for index in broken:
+            checks[index] = (raising(checks[index][0]), checks[index][1])
         monkeypatch.setattr(verify, "_ALL_CHECKS", tuple(checks))
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -567,11 +599,11 @@ class TestVerify:
         assert code == 1
         lines = out.getvalue().splitlines()
         failed = [line for line in lines if line.startswith("FAIL")]
-        assert len(failed) == 1
-        match = outputs._CHECK_LINE.match(failed[0])
-        assert match is not None
-        assert match.groups() == ("FAIL", "density_normalization", "inf", "1.0e-08")
-        assert "NormalizationError: density norm 0.5 deviates from 1" in failed[0]
+        assert [outputs._CHECK_LINE.match(line).groups() for line in failed] == [
+            ("FAIL", "hermite_root_residuals", "inf", "1.0e-09"),
+            ("FAIL", "density_normalization", "inf", "1.0e-08")]
+        assert all("NormalizationError: density norm 0.5 deviates from 1" in line
+                   for line in failed)
         assert sum(outputs._CHECK_LINE.match(line) is not None for line in lines) == len(checks)
-        assert lines[-2:] == [f"{len(checks) - 1}/{len(checks)} checks passed",
-                              "failed checks: density_normalization"]
+        assert lines[-2:] == [f"{len(checks) - 2}/{len(checks)} checks passed",
+                              "failed checks: hermite_root_residuals, density_normalization"]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,6 +95,12 @@ class TestEntropyClosedForm:
             s_closed, _ = information._level_closed_form(n)
             assert abs(s_closed - oracles.entropy_closed_form_mp(
                 n, hermite(n).roots)) <= 2e-14
+
+    def test_isum_coefficient_matches_binomial_sum(self):
+        # -2 sum_{odd k <= n} 1/k is the printed sum_i C(n, i) (-2)^i / i exactly
+        for n in range(information._MAX_CLOSED_FORM_N + 1):
+            printed = sum(Fraction(math.comb(n, i) * (-2) ** i, i) for i in range(1, n + 1))
+            assert information._printed_isum_coefficient(n) == printed
 
     def test_higher_n_residual_is_reported_not_hidden(self):
         # the printed closed form drifts for n >= 2; quadrature is the
@@ -226,7 +233,7 @@ class TestMeasuresOverTime:
 
 class TestInformationCheck:
     def test_passes_with_margin(self):
-        result = verify.check_information_vs_density(1e-9)
+        result = verify.check_information_vs_density_quadrature(1e-9)
         assert result.passed and result.residual < 1e-12
 
     def test_fails_when_scaling_drops_sqrt_hbar(self, monkeypatch):
@@ -237,6 +244,6 @@ class TestInformationCheck:
                                     d_n / snapshot.rho, method)
 
         monkeypatch.setattr(information, "_scaled", scaled_without_hbar)
-        result = verify.check_information_vs_density(1e-9)
+        result = verify.check_information_vs_density_quadrature(1e-9)
         assert not result.passed
         assert result.residual > 0.1

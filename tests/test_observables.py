@@ -22,6 +22,7 @@ from tdq.observables import (
     uncertainty_product,
     wavefunction,
 )
+from tdq.special_functions import hermite, hermite_function
 
 
 def snapshot_at(sigma0, t, n, **kwargs):
@@ -113,7 +114,6 @@ class TestDensity:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_node_count(self, n):
-        from tdq.special_functions import hermite, hermite_function
         snap = snapshot_at(1.5, 0.5, n)
         q = dense_grid(snap, 4001)
         values = hermite_function(n, q / (math.sqrt(snap.hbar) * snap.rho))
@@ -226,8 +226,29 @@ class TestSnapshot:
     ], ids=["QuantumSnapshot", "make_snapshot"])
     def test_negative_level_names_n(self, build):
         # a negative level would give <q^2> = hbar rho^2 (n + 1/2) < 0
-        with pytest.raises(DomainError, match="^quantum number must be >= 0, got n=-1$"):
+        with pytest.raises(DomainError, match="^quantum number must be an integer >= 0, got n=-1$"):
             build()
+
+    @pytest.mark.parametrize("n, call", [
+        (2.5, lambda n: QuantumSnapshot(n=n, t=0.0, rho=1.0, rho_dot=0.0, L=1.0,
+                                        omega_sq=1.0, hbar=1.0)),
+        (2.0, lambda n: snapshot_at(2.0, 0.5, n)),
+        (-1, lambda n: phase(SuperconductorParams(sigma0=2.0), n, 1.0)),
+        (0.5, lambda n: phase(SuperconductorParams(sigma0=2.0), n, 1.0)),
+        (2.5, lambda n: hermite_function(n, 0.5)),
+        (-1, lambda n: hermite(n)),
+    ], ids=["QuantumSnapshot", "make_snapshot", "phase-negative", "phase-fraction",
+            "hermite_function", "hermite"])
+    def test_level_must_be_a_nonnegative_integer(self, n, call):
+        # phase(-1) would return minus the n = 0 phase, and a fractional level
+        # would give moments of a state that does not exist
+        with pytest.raises(DomainError,
+                           match=f"^quantum number must be an integer >= 0, got n={n!r}$"):
+            call(n)
+
+    def test_numpy_integer_level_accepted(self):
+        snap = snapshot_at(2.0, 0.5, np.int64(2))
+        assert moments(snap) == moments(snapshot_at(2.0, 0.5, 2))
 
     def test_assembly(self):
         params = SuperconductorParams(sigma0=2.0)

@@ -216,7 +216,7 @@ class TestHermite:
 
     def test_negative_order_names_n(self):
         # the recurrence alone would return h_1 for every n < 0
-        with pytest.raises(DomainError, match="^hermite_function requires n >= 0, got n=-1"):
+        with pytest.raises(DomainError, match="^quantum number must be an integer >= 0, got n=-1$"):
             hermite_function(-1, 0.5)
 
     def test_orthogonality(self):
@@ -356,16 +356,16 @@ class TestBellPartial:
 class TestGaussLegendre:
     def test_low_order_exactness(self):
         rule = gauss_legendre(2, -1.0, 1.0)
-        assert rule.integrate(lambda x: x * x) == pytest.approx(2.0 / 3.0, abs=1e-14)
+        assert rule.dot(rule.nodes * rule.nodes) == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     def test_gaussian_integral(self):
         rule = gauss_legendre(200, -8.0, 8.0)
-        assert rule.integrate(lambda x: np.exp(-x * x)) == pytest.approx(
+        assert rule.dot(np.exp(-rule.nodes * rule.nodes)) == pytest.approx(
             math.sqrt(math.pi), rel=1e-12)
 
     def test_constant(self):
         rule = gauss_legendre(5, 0.0, 5.0)
-        assert rule.integrate(lambda x: np.ones_like(x)) == pytest.approx(5.0, rel=1e-14)
+        assert rule.dot(np.ones_like(rule.nodes)) == pytest.approx(5.0, rel=1e-14)
 
     def test_rule_invariants(self):
         rule = gauss_legendre(37, -2.0, 3.0)
@@ -394,7 +394,7 @@ class TestGaussLegendre:
         coeffs = data.draw(st.lists(st.floats(min_value=-2.0, max_value=2.0),
                                     min_size=degree + 1, max_size=degree + 1))
         rule = gauss_legendre(n, -1.5, 2.0)
-        got = rule.integrate(lambda x: np.polynomial.polynomial.polyval(x, coeffs))
+        got = rule.dot(np.polynomial.polynomial.polyval(rule.nodes, coeffs))
         exact = sum(c / (k + 1) * (2.0 ** (k + 1) - (-1.5) ** (k + 1))
                     for k, c in enumerate(coeffs))
         assert got == pytest.approx(exact, rel=1e-11, abs=1e-11)
