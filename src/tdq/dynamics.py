@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, EnvelopeError, PinneySingularityError, TimeMismatchError
+from .errors import DomainError, PinneySingularityError, TimeMismatchError
 from .integrate import solve_rk45
 from .special_functions import (
     _bessel_jy,
@@ -151,12 +151,7 @@ def rho_analytic(params: SuperconductorParams, t: float) -> PinneyState:
     tau = params.A * t + 1.0
     beta, k = params.beta, params.k
     u = k * tau
-    try:
-        _check_bessel_envelope(beta, u)
-    except EnvelopeError as exc:
-        raise EnvelopeError(
-            f"rho_analytic outside Bessel envelope at sigma0={params.sigma0!r}, "
-            f"t={t!r} (order {beta!r}, argument {u!r})") from exc
+    _check_bessel_envelope(beta, u, f"rho_analytic at sigma0={params.sigma0!r}, t={t!r}: ")
     if u >= _MODULUS_ASYMPTOTIC_X:
         g, g_slope = bessel_modulus_sq(beta, u)
         half_g_slope = 0.5 * g_slope

@@ -1,6 +1,7 @@
 """Adaptive one-dimensional integrators.
 
-`adaptive_simpson` handles the smooth time integral of the phase.
+The package does not call `adaptive_simpson`: the tests integrate
+1/(L rho^2) with it as the oracle of the closed-form `observables.phase`.
 `solve_rk45` is a Dormand-Prince 5(4) embedded pair with PI-free standard
 step control, started at the first output time; output times are honored
 by capping the step at the next requested sample, so no interpolation

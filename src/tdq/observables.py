@@ -28,9 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PinneyState, SuperconductorParams, rho_analytic
-from .integrate import adaptive_simpson
-from .special_functions import _check_quantum_number, hermite_function
+from .dynamics import PinneyState, SuperconductorParams
+from .special_functions import (
+    _bessel_phase,
+    _check_bessel_envelope,
+    _check_quantum_number,
+    hermite_function,
+)
 
 
 @dataclass(frozen=True)
@@ -66,12 +70,22 @@ def truncation_radius(snapshot: QuantumSnapshot) -> float:
 
 
 def phase(params: SuperconductorParams, n: int, t: float) -> float:
-    """Phase theta_n(t) = -(n + 1/2) integral_0^t dt' / (L rho^2) along the
-    exact amplitude `rho_analytic`, for an integer n >= 0."""
+    """Phase theta_n(t) = -(n + 1/2) integral_0^t dt' / (L rho^2) for an
+    integer n >= 0, in closed form: with tau = A t + 1, L rho^2 =
+    (pi/(2A)) tau M_beta(k tau)^2, and the Wronskian makes 2/(pi x M^2) the
+    slope of theta_beta(x) = arg(J_beta(x) + i Y_beta(x)) (`_bessel_phase`), so
+
+        theta_n(t) = -(n + 1/2) [theta_beta(k tau) - theta_beta(k)]
+
+    (Lewis and Riesenfeld, J. Math. Phys. 10, 1458 (1969)).  EnvelopeError
+    names sigma0 and t if k or k tau is outside the Bessel envelope.
+    """
     _check_quantum_number(n)
-    integral = adaptive_simpson(
-        lambda u: 1.0 / (params.L(u) * rho_analytic(params, u).rho ** 2), 0.0, t)
-    return -(n + 0.5) * integral
+    beta, k = params.beta, params.k
+    u = k * (params.A * t + 1.0)
+    for x in (k, u):
+        _check_bessel_envelope(beta, x, f"phase at sigma0={params.sigma0!r}, t={t!r}: ")
+    return -(n + 0.5) * (_bessel_phase(beta, u) - _bessel_phase(beta, k))
 
 
 def wavefunction(snapshot: QuantumSnapshot, q: float, theta: float = 0.0) -> complex:

@@ -338,10 +338,13 @@ def check_density_node_structure(tol: float) -> CheckResult:
 
 
 def check_phase_derivative(tol: float) -> CheckResult:
-    params = SuperconductorParams(sigma0=2.0)
     worst = 0.0
     h = 1e-4
-    for n, t in ((0, 0.7), (1, 1.5)):
+    # the last two points have Bessel argument >= 20, where rho comes from
+    # the modulus series and the phase from the kernel's CF2
+    for sigma0, n, t in ((2.0, 0, 0.7), (2.0, 1, 1.5),
+                         (2.999999999, 0, 25.0), (0.5, 1, 40.0)):
+        params = SuperconductorParams(sigma0=sigma0)
         derivative = (phase(params, n, t + h) - phase(params, n, t - h)) / (2.0 * h)
         state = rho_analytic(params, t)
         expected = -(n + 0.5) / (params.L(t) * state.rho ** 2)

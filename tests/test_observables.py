@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from tdq.dynamics import (
     SuperconductorParams,
     rho_analytic,
 )
-from tdq.errors import DomainError
+from tdq.errors import DomainError, EnvelopeError
+from tdq.integrate import adaptive_simpson
 from tdq.observables import (
     QuantumSnapshot,
     density_values,
@@ -54,6 +56,39 @@ class TestPhase:
             state = rho_analytic(params, t)
             assert derivative == pytest.approx(
                 -(n + 0.5) / (params.L(t) * state.rho ** 2), abs=1e-6)
+
+
+class TestClosedFormPhase:
+    @staticmethod
+    def simpson_phase(params, n, t):
+        return -(n + 0.5) * adaptive_simpson(
+            lambda u: 1.0 / (params.L(u) * rho_analytic(params, u).rho ** 2), 0.0, t)
+
+    @pytest.mark.parametrize("sigma0", [0.0, 0.3, 1.0, 2.0, 3.0 - 1e-9, 3.0, 3.5])
+    def test_matches_simpson_oracle(self, sigma0):
+        # t = 18.5 and 19.5 put the Bessel argument t + 1 on either side of
+        # 20, where rho_analytic switches to the modulus series
+        params = SuperconductorParams(sigma0=sigma0)
+        for n, t in ((0, 0.1), (1, 3.0), (0, 18.5), (2, 19.5), (0, 48.0)):
+            assert phase(params, n, t) == pytest.approx(
+                self.simpson_phase(params, n, t), rel=1e-11)
+
+    def test_scaled_units(self):
+        params = SuperconductorParams(sigma0=1.3, A=0.5, eps0=2.0, c=3.0, lambdaL=1.5)
+        assert phase(params, 1, 4.0) == pytest.approx(
+            self.simpson_phase(params, 1, 4.0), rel=1e-11)
+
+    @pytest.mark.parametrize("t", [math.nan, -2.0, 60.0])
+    def test_outside_envelope_names_sigma0_and_t(self, t):
+        params = SuperconductorParams(sigma0=2.0)
+        with pytest.raises(EnvelopeError, match=re.escape(f"phase at sigma0=2.0, t={t!r}")):
+            phase(params, 0, t)
+
+    def test_start_outside_envelope(self):
+        # k = 60 fails at t = 0 itself, even where k (A t + 1) is back inside
+        params = SuperconductorParams(sigma0=2.0, c=60.0)
+        with pytest.raises(EnvelopeError, match="phase at sigma0=2.0, t=-0.5"):
+            phase(params, 0, -0.5)
 
 
 class TestWavefunction:

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from tdq import verify
+from tdq import special_functions, verify
 from tdq.errors import ConvergenceError, DomainError, EnvelopeError
 from tdq.special_functions import (
     _bessel_jy,
+    _bessel_phase,
+    _legendre_and_prev,
+    _legendre_nodes_weights,
     bessel_j,
     bessel_j_prime,
     bessel_modulus_sq,
@@ -159,6 +162,17 @@ class TestBesselModulus:
             bessel_modulus_sq(math.nan, 30.0)
         with pytest.raises(DomainError):
             bessel_modulus_sq(1.0, 0.0)
+
+
+class TestBesselPhase:
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0 - 5e-10, 2.0, 4.7, 10.0])
+    def test_continuous_and_increasing(self, nu):
+        # the slope 2/(pi x M^2) is at most 1 for nu >= 1/2, where x M^2
+        # falls to 2/pi, so no step of the grid moves the phase by more
+        # than the step: a branch slip of 2 pi would show
+        xs = np.linspace(0.0, 50.0, 2001)[1:]
+        steps = np.diff([-0.5 * math.pi, *(_bessel_phase(nu, x) for x in xs)])
+        assert np.all(steps >= 0.0) and np.all(steps <= 0.025 * (1.0 + 1e-9))
 
 
 class TestHermite:
@@ -386,6 +400,67 @@ class TestGaussLegendre:
             gauss_legendre(1, 0.0, 1.0)
         with pytest.raises(DomainError):
             gauss_legendre(10, 1.0, 1.0)
+
+    @pytest.mark.parametrize("n_points, a, b, named", [
+        (2.5, 0.0, 1.0, "n_points=2.5"),
+        (10.0, 0.0, 1.0, "n_points=10.0"),
+        (10, 0.0, math.inf, "b=inf"),
+        (10, -math.inf, math.inf, "a=-inf"),
+        (10, math.nan, 1.0, "a=nan"),
+    ])
+    def test_bad_argument_is_named(self, n_points, a, b, named):
+        # an infinite end gave NaN nodes and inf weights; a float count
+        # raised TypeError from inside numpy
+        with pytest.raises(DomainError, match=named):
+            gauss_legendre(n_points, a, b)
+
+    def test_numpy_integer_count_accepted(self):
+        rule = gauss_legendre(np.int64(17), 0.0, 5.0)
+        assert np.array_equal(rule.nodes, gauss_legendre(17, 0.0, 5.0).nodes)
+
+    @pytest.mark.parametrize("n, weight_error", [
+        (2, 2.3e-16), (3, 5.6e-16), (17, 1.3e-15), (40, 2.1e-14), (64, 9.3e-14),
+        (160, 2.0e-13), (200, 1.5e-14), (512, 1.2e-13), (2000, 4.1e-11)])
+    def test_against_mpmath(self, n, weight_error):
+        # weight_error: the worst relative weight error of the five-pass
+        # kernel this one replaced, at the same nodes; at the ends it is set
+        # by the rounding of the node, amplified by ~4/(1 - x^2)
+        x, w = _legendre_nodes_weights(n)
+        for i in sorted({0, 1, n // 4, n // 2 - 1, n // 2, n - 2, n - 1}):
+            node_error, relative_weight_error = oracles.legendre_node_errors_mp(n, x[i], w[i])
+            assert node_error <= 1e-16
+            assert relative_weight_error <= weight_error
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 160, 161, 511, 512])
+    def test_exact_symmetry_and_order(self, n):
+        x, w = _legendre_nodes_weights(n)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+        assert not x.flags.writeable and not w.flags.writeable
+        if n % 2:
+            centre = x[n // 2]
+            assert centre == 0.0 and math.copysign(1.0, centre) == 1.0
+
+    @pytest.mark.parametrize("n", [160, 200, 512, 2000])
+    def test_at_most_three_recurrence_passes(self, n, monkeypatch):
+        calls = []
+
+        def counting(order, x):
+            calls.append(order)
+            return _legendre_and_prev(order, x)
+
+        monkeypatch.setattr(special_functions, "_legendre_and_prev", counting)
+        _legendre_nodes_weights.__wrapped__(n)
+        assert len(calls) <= 3
+
+    @pytest.mark.parametrize("n", [2, 3, 40, 513])
+    def test_in_place_recurrence_is_bit_identical(self, n):
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, 257)
+        p_prev, p = np.ones_like(x), x.copy()
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        got, got_prev = _legendre_and_prev(n, x)
+        assert np.array_equal(got, p) and np.array_equal(got_prev, p_prev)
 
     @settings(deadline=None, max_examples=30)
     @given(n=st.integers(min_value=2, max_value=8), data=st.data())
