@@ -34,7 +34,6 @@ from .special_functions import (
     bessel_modulus_sq,
     bessel_y,
     bessel_y_prime,
-    dawson,
     gauss_legendre,
     hermite,
     hermite_function,

@@ -158,10 +158,15 @@ def _write_table(config: RunConfig, columns: list[str], table: _Table) -> None:
     """Write `table` under the header `columns`, one block at a time.
 
     The table is computed whole before this is called, so an invalid
-    configuration or envelope violation writes nothing.
+    configuration or envelope violation writes nothing.  ConfigError
+    names --out and the reason if that path cannot be opened.
     """
-    with (contextlib.nullcontext(sys.stdout) if config.out == "-"
-          else open(config.out, "w", newline="\n")) as handle:
+    try:
+        out = (contextlib.nullcontext(sys.stdout) if config.out == "-"
+               else open(config.out, "w", newline="\n"))
+    except OSError as exc:
+        raise ConfigError(f"--out {config.out!r} cannot be written: {exc.strerror}") from exc
+    with out as handle:
         if config.fmt == "json":
             _write_json(handle, config.meta(), columns, table)
         else:

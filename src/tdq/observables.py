@@ -30,6 +30,7 @@ import numpy as np
 
 from .dynamics import PinneyState, SuperconductorParams
 from .special_functions import (
+    _bessel_jy,
     _bessel_phase,
     _check_bessel_envelope,
     _check_quantum_number,
@@ -77,15 +78,22 @@ def phase(params: SuperconductorParams, n: int, t: float) -> float:
 
         theta_n(t) = -(n + 1/2) [theta_beta(k tau) - theta_beta(k)]
 
-    (Lewis and Riesenfeld, J. Math. Phys. 10, 1458 (1969)).  EnvelopeError
-    names sigma0 and t if k or k tau is outside the Bessel envelope.
+    (Lewis and Riesenfeld, J. Math. Phys. 10, 1458 (1969)).  Where k tau <
+    beta both phases sit near -pi/2 and their difference cancels, so it is
+    taken whole, as the argument of (J + iY)(k tau) (J - iY)(k), on the
+    branch nearest the difference of the two phases.  EnvelopeError names
+    sigma0 and t if k or k tau is outside the Bessel envelope.
     """
     _check_quantum_number(n)
     beta, k = params.beta, params.k
     u = k * (params.A * t + 1.0)
     for x in (k, u):
         _check_bessel_envelope(beta, x, f"phase at sigma0={params.sigma0!r}, t={t!r}: ")
-    return -(n + 0.5) * (_bessel_phase(beta, u) - _bessel_phase(beta, k))
+    j1, y1, _, _ = _bessel_jy(beta, k)
+    j2, y2, _, _ = _bessel_jy(beta, u)
+    near = _bessel_phase(beta, u, j2, y2) - _bessel_phase(beta, k, j1, y1)
+    delta = math.atan2(j1 * y2 - j2 * y1, j1 * j2 + y1 * y2)
+    return -(n + 0.5) * (delta + 2.0 * math.pi * round((near - delta) / (2.0 * math.pi)))
 
 
 def wavefunction(snapshot: QuantumSnapshot, q: float, theta: float = 0.0) -> complex:

@@ -9,8 +9,8 @@ which never divides by sin(nu pi), so integer and near-integer orders
 take the path of any other order.  The Bessel modulus J^2 + Y^2 and its
 derivative also have a non-oscillatory asymptotic series
 (`bessel_modulus_sq`), which replaces the kernel from argument 20 up where
-only the modulus is needed.  The Dawson function is Rybicki's sampling
-sum, and both hypergeometric instances are built on it.
+only the modulus is needed.  The two hypergeometric instances are their
+defining series, summed exactly in integers and rounded once.
 
 Supported envelopes are deliberately narrow (Bessel order <= 10,
 argument <= 50; hypergeometric arguments z = -x^2 with |x| <= 6) and are
@@ -36,13 +36,6 @@ _SERIES_MAX_TERMS = 600
 # largest first-neglected-term bound accepted when the modulus series is cut
 # at its smallest term
 _MODULUS_TRUNCATION_TOL = 1e-15
-# Rybicki's Dawson sum: sample spacing, odd sample offsets, and the Taylor
-# series (terms, argument bound) that replaces it near 0
-_DAWSON_H = 0.1
-_DAWSON_ODD = np.arange(1.0, 120.0, 2.0)
-_DAWSON_TAYLOR_X = 0.2
-_DAWSON_TAYLOR_TERMS = 10
-_HYP2F2_NODES = 40  # Gauss-Legendre nodes of the 2F2 Dawson integral
 _LEGENDRE_ROUNDING = 2.0 ** -54  # half an ulp in [0.5, 1)
 # below this argument Y comes from Temme's series, from it up from CF2
 _TEMME_X_MAX = 2.0
@@ -244,12 +237,12 @@ def bessel_modulus_sq(nu: float, x: float) -> tuple[float, float]:
     return scale * total, scale * slope / x
 
 
-def _bessel_phase(nu: float, x: float) -> float:
-    """Continuous arg(J_nu(x) + i Y_nu(x)), rising from -pi/2 at x -> 0:
-    atan2(Y, J) on the branch nearest the Debye estimate, which is
-    sqrt(x^2 - nu^2) - nu arccos(nu/x) - pi/4 for x > nu and -pi/2 below;
-    for order 0.5 to 10 and x <= 50 it stays within 0.53 of the phase."""
-    j, y, _, _ = _bessel_jy(nu, x)
+def _bessel_phase(nu: float, x: float, j: float, y: float) -> float:
+    """Continuous arg(J_nu(x) + i Y_nu(x)), rising from -pi/2 at x -> 0,
+    from j = J_nu(x) and y = Y_nu(x): atan2(y, j) on the branch nearest the
+    Debye estimate, which is sqrt(x^2 - nu^2) - nu arccos(nu/x) - pi/4 for
+    x > nu and -pi/2 below; for order 0.5 to 10 and x <= 50 it stays within
+    0.53 of the phase."""
     raw = math.atan2(y, j)
     estimate = (math.sqrt(x * x - nu * nu) - nu * math.acos(nu / x) - 0.25 * math.pi
                 if x > nu else -0.5 * math.pi)
@@ -373,68 +366,59 @@ def hermite(n: int) -> HermiteTable:
 
 
 # ---------------------------------------------------------------------------
-# Dawson function and the two fixed-parameter hypergeometric instances
+# The two fixed-parameter hypergeometric instances
 # ---------------------------------------------------------------------------
 
-def dawson(x: float | np.ndarray) -> float | np.ndarray:
-    """Dawson integral F(x) = exp(-x^2) * integral_0^x exp(t^2) dt.
+# Term ratios t_{m+1} / t_m = z rise(m) / fall(m), as (rise, fall), of
+# 1F1(1; 1/2; z) and 2F2(1, 1; 3/2, 2; z)
+_HYP1F1_TERMS = (lambda m: 2, lambda m: 2 * m + 1)
+_HYP2F2_TERMS = (lambda m: 2 * (m + 1), lambda m: (2 * m + 3) * (m + 2))
+# the series stop once |term| < 1e-30 |partial sum|
+_SERIES_STOP = 10 ** 30
+_HYP_MAX_TERMS = 400
 
-    Rybicki's sum (Computers in Physics 3, 85 (1989); Numerical Recipes
-    6.10): with |x| = n0 h + x' for the even n0 nearest |x|/h,
 
-        F(|x|) = (1/sqrt(pi)) sum_{m odd} exp(-(x' - m h)^2) / (n0 + m),
+def _rational_series(z: float, rise, fall) -> float:
+    """sum_m t_m with t_0 = 1 and t_{m+1} = t_m z rise(m) / fall(m), for
+    integer-valued rise and fall, summed exactly and rounded once.
 
-    here with h = 0.1 and |m| < 120, where both the sampling error
-    ~exp(-(pi/2h)^2) and the truncation are far below binary64; F is odd.
-    Below |x| = 0.2, where the sum cancels, the Taylor series
-    F = sum_k (-2x^2)^k x / (2k+1)!! is used.  Works elementwise on arrays.
+    With z = p/q (q a power of two), the term and the partial sum are
+    integer numerators over one common integer denominator, kept without
+    any gcd, so the alternating series loses nothing to cancellation.
+    ConvergenceError names z if 400 terms do not reach the stop; z = -36
+    needs 157.
     """
-    xs = np.asarray(x, dtype=float)
-    ax = np.abs(xs)[..., None]
-    n0 = 2.0 * np.floor(0.5 * ax / _DAWSON_H + 0.5)
-    shift = ax - n0 * _DAWSON_H
-    offsets = _DAWSON_ODD * _DAWSON_H
-    value = np.sum(np.exp(-(shift - offsets) ** 2) / (n0 + _DAWSON_ODD)
-                   + np.exp(-(shift + offsets) ** 2) / (n0 - _DAWSON_ODD), axis=-1)
-    small = np.abs(xs) < _DAWSON_TAYLOR_X
-    q = -2.0 * np.where(small, xs, 0.0) ** 2
-    series = 1.0
-    for k in range(_DAWSON_TAYLOR_TERMS, 0, -1):
-        series = 1.0 + series * q / (2 * k + 1)
-    value = np.where(small, xs * series, np.copysign(value / math.sqrt(math.pi), xs))
-    return float(value) if np.ndim(x) == 0 else value
+    p, q = z.as_integer_ratio()
+    term = total = denominator = 1
+    for m in range(_HYP_MAX_TERMS):
+        scale = q * fall(m)
+        term *= p * rise(m)
+        denominator *= scale
+        total = total * scale + term
+        if abs(term) * _SERIES_STOP < abs(total):
+            return total / denominator
+    raise ConvergenceError(
+        f"hypergeometric series did not converge in {_HYP_MAX_TERMS} terms for z={z!r}")
 
 
-def _hyp_x(z: float, name: str) -> float:
-    """x = sqrt(-z) for the hypergeometric argument z = -x^2; DomainError
-    unless z <= 0 (NaN included), EnvelopeError below -36."""
+def _check_hyp_argument(z: float, name: str) -> None:
+    """DomainError unless z <= 0 (NaN included), EnvelopeError below -36."""
     if not z <= 0.0:
         raise DomainError(f"{name} requires z <= 0, got z={z!r}")
     if z < -(_HYP_X_MAX ** 2):
         raise EnvelopeError(f"{name} argument z={z!r} below -{_HYP_X_MAX**2}")
-    return math.sqrt(-z)
 
 
 def hyp1f1_special(z: float) -> float:
-    """1F1(1; 1/2; z) for z = -x^2, |x| <= 6, as 1 - 2x F(x) with F the
-    Dawson function; the raw alternating series would cancel at moderate |z|."""
-    x = _hyp_x(z, "hyp1f1_special")
-    return 1.0 - 2.0 * x * dawson(x)
+    """1F1(1; 1/2; z) for -36 <= z <= 0, summed exactly and rounded once."""
+    _check_hyp_argument(z, "hyp1f1_special")
+    return _rational_series(z, *_HYP1F1_TERMS)
 
 
 def hyp2f2_special(z: float) -> float:
-    """2F2(1, 1; 3/2, 2; z) for z = -x^2, |x| <= 6.
-
-    Integrating the series term by term gives 2F2 = (2/x^2) int_0^x F(t) dt
-    with F the Dawson function, summed here as (2/x) int_0^1 F(x v) dv on
-    40 Gauss-Legendre nodes (F is entire, so the rule converges
-    geometrically).  z = 0 returns 1 exactly.
-    """
-    x = _hyp_x(z, "hyp2f2_special")
-    if x == 0.0:
-        return 1.0
-    rule = gauss_legendre(_HYP2F2_NODES, 0.0, 1.0)
-    return 2.0 / x * rule.dot(dawson(x * rule.nodes))
+    """2F2(1, 1; 3/2, 2; z) for -36 <= z <= 0, summed exactly and rounded once."""
+    _check_hyp_argument(z, "hyp2f2_special")
+    return _rational_series(z, *_HYP2F2_TERMS)
 
 
 # ---------------------------------------------------------------------------

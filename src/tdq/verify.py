@@ -40,8 +40,6 @@ from .special_functions import (
     gauss_legendre,
     hermite,
     hermite_function,
-    hyp1f1_special,
-    hyp2f2_special,
 )
 
 _FIGURE_SIGMAS = (0.4, 0.6, 0.8, 1.5, 2.0, 2.5, 3.0)
@@ -151,44 +149,6 @@ def check_hermite_root_residuals(tol: float) -> CheckResult:
             worst = max(worst, abs(_newton_step(table.coefficients, r)),
                         abs(r + table.roots[n - 1 - k]))
     return CheckResult("hermite_root_residuals", worst, tol)
-
-
-# Term ratios t_{m+1} / t_m = z rise(m) / fall(m), as (rise, fall), of
-# 1F1(1; 1/2; z) and 2F2(1, 1; 3/2, 2; z)
-_HYP1F1_TERMS = (lambda m: 2, lambda m: 2 * m + 1)
-_HYP2F2_TERMS = (lambda m: 2 * (m + 1), lambda m: (2 * m + 3) * (m + 2))
-# the series stop once |term| < 1e-30 |partial sum|
-_SERIES_STOP = 10 ** 30
-
-
-def _rational_series(z: float, rise, fall) -> float:
-    """sum_m t_m with t_0 = 1 and t_{m+1} = t_m z rise(m) / fall(m), for
-    integer-valued rise and fall, summed exactly and rounded once.
-
-    With z = p/q (q a power of two), the term and the partial sum are
-    integer numerators over one common integer denominator, kept without
-    any gcd; at most 400 terms are added.
-    """
-    p, q = z.as_integer_ratio()
-    term = total = denominator = 1
-    for m in range(400):
-        scale = q * fall(m)
-        term *= p * rise(m)
-        denominator *= scale
-        total = total * scale + term
-        if abs(term) * _SERIES_STOP < abs(total):
-            break
-    return total / denominator
-
-
-def check_hypergeometric_vs_rational_series(tol: float) -> CheckResult:
-    worst = 0.0
-    for z in (-0.25, -1.0, -4.0, -9.0, -25.0, -5.3 ** 2, -36.0):
-        ref1 = _rational_series(z, *_HYP1F1_TERMS)
-        ref2 = _rational_series(z, *_HYP2F2_TERMS)
-        worst = max(worst, abs(hyp1f1_special(z) - ref1) / max(abs(ref1), 1e-30))
-        worst = max(worst, abs(hyp2f2_special(z) - ref2) / max(abs(ref2), 1e-30))
-    return CheckResult("hypergeometric_vs_rational_series", worst, tol)
 
 
 def check_quadrature_rule(tol: float) -> CheckResult:
@@ -474,7 +434,6 @@ _ALL_CHECKS: tuple = (
     (check_bessel_modulus_vs_asymptotic, 1e-13),
     (check_hermite_orthogonality, 1e-8),
     (check_hermite_root_residuals, 1e-9),
-    (check_hypergeometric_vs_rational_series, 1e-9),
     (check_quadrature_rule, 1e-12),
     (check_pinney_residual_analytic, 1e-6),
     (check_pinney_numeric_vs_analytic, 1e-6),

@@ -2,11 +2,13 @@
 
 Each oracle deliberately avoids the production code path it checks:
 trapezoid sums instead of Gauss-Legendre, mpmath instead of the
-continued fractions and sampling sums, finite differences instead of
-analytic derivatives.  The Fraction hypergeometric series and Hermite
-Newton step are the plain exact forms of the integer-ratio oracles in
-`tdq.verify`, and `solve_rk45_numpy` is the array form of the tuple
-Dormand-Prince solver; the tests pin both pairs to identical floats.
+continued fractions and series, finite differences instead of analytic
+derivatives.  The Fraction hypergeometric series are the plain exact
+form of the integer-ratio series behind `tdq.special_functions`'
+`hyp1f1_special` and `hyp2f2_special`, the Fraction Hermite Newton step
+that of `tdq.verify`'s integer one, and `solve_rk45_numpy` is the array
+form of the tuple Dormand-Prince solver; the tests pin each pair to
+identical floats.
 The printed Bell form of the disequilibrium is kept here, on the partial
 Bell polynomial recurrence `bell_partial`, which the tests check against
 partition enumeration.
@@ -155,13 +157,6 @@ def hyp2f2_dawson_integral(x: float, points: int = 4001) -> float:
     return float(2.0 / x * np.trapezoid(dawsn(x * v), v))
 
 
-def dawson_mp(x: float, dps: int = 40) -> float:
-    """F(x) = (sqrt(pi)/2) e^{-x^2} erfi(x) at extended precision."""
-    with mp.workdps(dps):
-        X = mp.mpf(x)
-        return float(mp.sqrt(mp.pi) / 2 * mp.exp(-X * X) * mp.erfi(X))
-
-
 def hypergeometric_mp(z: float, dps: int = 40) -> tuple[float, float]:
     """(1F1(1; 1/2; z), 2F2(1, 1; 3/2, 2; z)) from mpmath's own series."""
     with mp.workdps(dps):
@@ -214,6 +209,25 @@ def rho_mp(sigma0: float, t: float, dps: int = 40) -> tuple[float, float]:
         g, half_slope = _modulus_mp(beta, x)
         rho = mp.sqrt(mp.pi / 2) * x ** p * mp.sqrt(g)
         return float(rho), float(rho * (p / x + half_slope / g))
+
+
+def phase_mp(sigma0: float, ts: Sequence[float], dps: int = 30) -> list[float]:
+    """theta_0(t) of the hyperbolic model in figure units for ascending
+    times ts: -(1/2) times the integral of 2/(pi x M^2), M^2 = J^2 + Y^2
+    from mpmath, over x in [1, t + 1], by mpmath's Gauss-Legendre rule on
+    the segments between consecutive times, accumulated."""
+    with mp.workdps(dps):
+        beta = (1 + mp.mpf(sigma0)) / 2
+
+        def slope(x):
+            return 2 / (mp.pi * x * (mp.besselj(beta, x) ** 2 + mp.bessely(beta, x) ** 2))
+
+        edges = [mp.mpf(1)] + [mp.mpf(t) + 1 for t in ts]
+        total, out = mp.mpf(0), []
+        for a, b in zip(edges, edges[1:]):
+            total += mp.quad(slope, [a, b], method="gauss-legendre")
+            out.append(float(-total / 2))
+        return out
 
 
 def hermite_root_error_mp(n: int, r: float, dps: int = 40) -> float:

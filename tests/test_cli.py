@@ -425,6 +425,15 @@ class TestExitCodes:
         assert "sigma0=30" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("name", ["missing/x.csv", "."])
+    def test_unwritable_out_names_the_flag(self, capsys, tmp_path, name):
+        path = tmp_path / name
+        code, out, err = run(capsys, "rho", "--steps", "2", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --out {str(path)!r} cannot be written: ")
+        assert "Traceback" not in err
+
     def test_level_beyond_closed_form_names_n(self, capsys):
         code, out, err = run(capsys, "info", "--n", "15", "--steps", "2")
         assert code == 2

@@ -91,6 +91,18 @@ class TestClosedFormPhase:
             phase(params, 0, -0.5)
 
 
+class TestPhaseOverOrderEnvelope:
+    @pytest.mark.parametrize("sigma0", [0.5, 3.0 - 1e-9, 10.0, 15.0, 19.0])
+    def test_matches_extended_precision(self, sigma0):
+        # sigma0 = 19 is Bessel order 10, the top of the envelope; at
+        # t = 0.01 both Bessel phases sit near -pi/2 and the phase is
+        # -2.4e-19 there
+        ts = (0.01, 0.5, 2.0, 12.0, 48.0)
+        params = SuperconductorParams(sigma0=sigma0)
+        for t, want in zip(ts, oracles.phase_mp(sigma0, ts)):
+            assert abs(phase(params, 0, t) / want - 1.0) <= 1e-13
+
+
 class TestWavefunction:
     def test_odd_state_node_at_origin(self):
         snap = snapshot_at(2.0, 0.5, 1)
