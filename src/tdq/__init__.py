@@ -24,6 +24,7 @@ from .observables import (
     make_snapshot,
     moments,
     phase,
+    snapshots,
     truncation_radius,
     uncertainty_product,
     wavefunction,

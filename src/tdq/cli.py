@@ -17,7 +17,8 @@ Every csv field has the bytes `_fmt` gives its value, so the contract
 holds however the rows are grouped into blocks and chunks.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration
-or envelope violation.
+or envelope violation, 141 (128 + SIGPIPE) when the reader closes stdout
+before the output is written.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import contextlib
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -38,8 +40,8 @@ from .information import measures
 from .observables import (
     density_values,
     energy_mean,
-    make_snapshot,
     moments,
+    snapshots,
     uncertainty_product,
 )
 from .verify import run_checks
@@ -256,28 +258,21 @@ def cmd_rho(config: RunConfig) -> int:
 
 
 def _snapshots(config: RunConfig):
-    """(sigma0, n, t, snapshot) in row order (sigma0, n, t).
-
-    The Pinney amplitude depends on (sigma0, t) only, so it is computed
-    once per pair and shared by every n.
-    """
+    """(sigma0, snapshot) in row order (sigma0, n, t)."""
     grid = config.t_grid()
     for sigma0 in sorted(config.sigma0):
-        params = config.params_for(sigma0)
-        states = [rho_analytic(params, float(t)) for t in grid]
-        for n in sorted(config.n):
-            for state in states:
-                yield sigma0, n, state.t, make_snapshot(params, state, n)
+        for snap in snapshots(config.params_for(sigma0), sorted(config.n), grid):
+            yield sigma0, snap
 
 
 def cmd_observables(config: RunConfig) -> int:
     """Second moments, uncertainty product, and mean energy per (t, sigma0, n)."""
     rows = []
-    for sigma0, n, t, snap in _snapshots(config):
+    for sigma0, snap in _snapshots(config):
         _, _, q2, phi2 = moments(snap)
         energy = energy_mean(snap)
-        rows.append((t, sigma0, n, q2, phi2, uncertainty_product(snap), energy,
-                     energy / (n + 0.5)))
+        rows.append((snap.t, sigma0, snap.n, q2, phi2, uncertainty_product(snap), energy,
+                     energy / (snap.n + 0.5)))
     _write_table(config, ["t", "sigma0", "n", "q2", "phi2", "dq_dphi",
                           "energy", "energy_per_level"], _one_block(rows))
     return 0
@@ -291,14 +286,14 @@ def cmd_density(config: RunConfig) -> int:
     """
     table = _Table(width=3)
     q_grid = config.q_grid()
-    for sigma0, n, t, snap in _snapshots(config):
+    for sigma0, snap in _snapshots(config):
         p = density_values(snap, q_grid)
         norm = float(np.trapezoid(p, q_grid))
         if abs(norm - 1.0) > 1e-6:
             print(f"warning: density norm {norm:.9f} off unit at "
-                  f"sigma0={_fmt(sigma0)}, n={n}, t={_fmt(t)}; "
+                  f"sigma0={_fmt(sigma0)}, n={snap.n}, t={_fmt(snap.t)}; "
                   "widen the charge grid", file=sys.stderr)
-        table.add((t, sigma0, n), q_grid, p)
+        table.add((snap.t, sigma0, snap.n), q_grid, p)
     _write_table(config, ["t", "sigma0", "n", "q", "P"], table)
     return 0
 
@@ -306,10 +301,10 @@ def cmd_density(config: RunConfig) -> int:
 def cmd_info(config: RunConfig) -> int:
     """Entropy, disequilibrium, and complexity; H, D, C from quadrature."""
     rows = []
-    for sigma0, n, t, snap in _snapshots(config):
+    for sigma0, snap in _snapshots(config):
         closed = measures(snap, "closed_form")
         quad = measures(snap)
-        rows.append((t, sigma0, n,
+        rows.append((snap.t, sigma0, snap.n,
                      closed.entropy_S, quad.entropy_S, quad.H,
                      closed.disequilibrium_D, quad.disequilibrium_D,
                      quad.complexity_C))
@@ -392,20 +387,23 @@ _DEFAULTS = {
 }
 
 
+# every subcommand: its handler and its help text
+_COMMANDS = {
+    "rho": (cmd_rho, "Pinney amplitude rho(t), slope, L(t), and omega^2(t)"),
+    "observables": (cmd_observables, "second moments, uncertainty product, mean energy"),
+    "density": (cmd_density, "charge-space probability density profiles"),
+    "info": (cmd_info, "Shannon entropy, disequilibrium, statistical complexity"),
+    "verify": (cmd_verify, "run the full invariant/property suite"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tdq",
         description="Charge quantization in a superconductor with "
                     "time-dependent conductivity: tabular data engine.")
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "rho": "Pinney amplitude rho(t), slope, L(t), and omega^2(t)",
-        "observables": "second moments, uncertainty product, mean energy",
-        "density": "charge-space probability density profiles",
-        "info": "Shannon entropy, disequilibrium, statistical complexity",
-        "verify": "run the full invariant/property suite",
-    }
-    for command, desc in descriptions.items():
+    for command, (_, desc) in _COMMANDS.items():
         command_parser = sub.add_parser(command, help=desc, description=desc,
                                         argument_default=argparse.SUPPRESS)
         for flag, commands, keywords in _FLAGS:
@@ -415,23 +413,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "rho": cmd_rho,
-    "observables": cmd_observables,
-    "density": cmd_density,
-    "info": cmd_info,
-    "verify": cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     config = RunConfig(**vars(build_parser().parse_args(argv)))
     try:
         config.validate()
-        return _COMMANDS[config.command](config)
+        code = _COMMANDS[config.command][0](config)
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+        return code
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so that the flush at
+        # exit cannot fail again, and exit as a SIGPIPE-killed process would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

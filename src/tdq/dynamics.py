@@ -114,7 +114,6 @@ class PinneyState:
     t: float
     rho: float
     rho_dot: float
-    source: str  # "analytic" or "numeric"
 
     def __post_init__(self):
         if not self.rho > 0.0:
@@ -162,7 +161,21 @@ def rho_analytic(params: SuperconductorParams, t: float) -> PinneyState:
     p = 0.5 * (1.0 - params.decay_exponent)
     rho = math.sqrt(math.pi / (2.0 * params.A)) * tau ** p * math.sqrt(g)
     rho_dot = rho * (p * params.A / tau + params.k * params.A * half_g_slope / g)
-    return PinneyState(t=t, rho=rho, rho_dot=rho_dot, source="analytic")
+    return PinneyState(t=t, rho=rho, rho_dot=rho_dot)
+
+
+def charge_acceleration(params: SuperconductorParams, t: float,
+                        q: float, q_dot: float) -> float:
+    """q'' = -(sigma/eps0) q' - omega^2 q, the damped charge equation at t."""
+    return -params.sigma(t) / params.eps0 * q_dot - params.omega_sq(t) * q
+
+
+def pinney_acceleration(params: SuperconductorParams, t: float,
+                        rho: float, rho_dot: float) -> float:
+    """rho'' from the Milne-Pinney equation: the charge equation's
+    acceleration plus 1/(L^2 rho^3), since L'/L = sigma/eps0."""
+    L = params.L(t)
+    return charge_acceleration(params, t, rho, rho_dot) + 1.0 / (L * L * rho * rho * rho)
 
 
 def solve_pinney_numeric(params: SuperconductorParams,
@@ -188,22 +201,15 @@ def solve_pinney_numeric(params: SuperconductorParams,
     if rho0 <= 0.0:
         raise ValueError(f"rho0 must be positive, got {rho0!r}")
 
-    eps0 = params.eps0
-
     def rhs(t, y):
-        rho, rho_dot = y
-        L = params.L(t)
-        acc = (-params.sigma(t) / eps0 * rho_dot
-               - params.omega_sq(t) * rho
-               + 1.0 / (L * L * rho * rho * rho))
-        return (rho_dot, acc)
+        return (y[1], pinney_acceleration(params, t, y[0], y[1]))
 
     def guard(t, y):
         if y[0] < _RHO_GUARD:
             raise PinneySingularityError(t)
 
     states = solve_rk45(rhs, (rho0, rho_dot0), t_grid, post_step=guard)
-    return [PinneyState(t=float(t), rho=y[0], rho_dot=y[1], source="numeric")
+    return [PinneyState(t=float(t), rho=y[0], rho_dot=y[1])
             for t, y in zip(t_grid, states)]
 
 
@@ -212,13 +218,8 @@ def solve_classical(params: SuperconductorParams,
                     q_dot0: float,
                     t_grid: Sequence[float]) -> list[ClassicalState]:
     """Integrate the damped charge equation on an ascending grid from t_grid[0]."""
-    eps0 = params.eps0
-
     def rhs(t, y):
-        q, q_dot = y
-        return (q_dot,
-                -params.sigma(t) / eps0 * q_dot
-                - params.omega_sq(t) * q)
+        return (y[1], charge_acceleration(params, t, y[0], y[1]))
 
     states = solve_rk45(rhs, (q0, q_dot0), t_grid)
     return [ClassicalState(t=float(t), q=y[0], q_dot=y[1],

@@ -1,8 +1,8 @@
 """Shannon entropy, disequilibrium, and LMC statistical complexity of the
 charge density.
 
-The density is P(q,t) = h_n(q/s)^2 / s with s = sqrt(hbar) rho(t), so
-with the level constants
+The density is P(q,t) = h_n(q/s)^2 / s with the width s = sqrt(hbar) rho(t)
+(`QuantumSnapshot.scale`), so with the level constants
 
     s_n = -integral h_n^2 ln h_n^2 dxi,     d_n = integral h_n^4 dxi
 
@@ -42,8 +42,8 @@ shares the one scaling step:
     arithmetic and is immune to cancellation.
 
 Both ways are reached through one entry point, `measures(snapshot,
-method)` with method "quadrature" (the default) or "closed_form"; the
-MeasureSet it returns carries the same tag.
+method)` with method "quadrature" (the default) or "closed_form", and
+both scale (s_n, d_n) by the snapshot's density width s in `_scaled`.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ _MAX_CLOSED_FORM_N = 14
 
 @dataclass(frozen=True)
 class MeasureSet:
-    """(S, H, D, C) at one time, tagged with how they were computed."""
+    """(S, H, D, C) of one snapshot."""
 
     n: int
     t: float
@@ -84,23 +84,16 @@ class MeasureSet:
     H: float
     disequilibrium_D: float
     complexity_C: float
-    method: str  # "closed_form" or "quadrature"
-
-    @classmethod
-    def build(cls, n: int, t: float, entropy_S: float, disequilibrium_D: float,
-              method: str) -> "MeasureSet":
-        H = math.exp(entropy_S)
-        return cls(n=n, t=t, entropy_S=entropy_S, H=H,
-                   disequilibrium_D=disequilibrium_D,
-                   complexity_C=H * disequilibrium_D, method=method)
 
 
-def _scaled(snapshot: QuantumSnapshot, s_n: float, d_n: float,
-            method: str) -> MeasureSet:
-    """S = s_n + ln s and D = d_n / s at the density width s = sqrt(hbar) rho."""
-    scale = math.sqrt(snapshot.hbar) * snapshot.rho
-    return MeasureSet.build(snapshot.n, snapshot.t, s_n + math.log(scale),
-                            d_n / scale, method)
+def _scaled(snapshot: QuantumSnapshot, s_n: float, d_n: float) -> MeasureSet:
+    """S = s_n + ln s, D = d_n / s, H = e^S and C = H D at the density
+    width s = `snapshot.scale`."""
+    scale = snapshot.scale
+    entropy, diseq = s_n + math.log(scale), d_n / scale
+    H = math.exp(entropy)
+    return MeasureSet(n=snapshot.n, t=snapshot.t, entropy_S=entropy, H=H,
+                      disequilibrium_D=diseq, complexity_C=H * diseq)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +126,7 @@ def _level_quadrature(n: int) -> tuple[float, float]:
 
 
 def _measures_quadrature(snapshot: QuantumSnapshot) -> MeasureSet:
-    return _scaled(snapshot, *_level_quadrature(snapshot.n), "quadrature")
+    return _scaled(snapshot, *_level_quadrature(snapshot.n))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +178,7 @@ def _level_closed_form(n: int) -> tuple[float, float]:
 
 
 def _measures_closed_form(snapshot: QuantumSnapshot) -> MeasureSet:
-    return _scaled(snapshot, *_level_closed_form(snapshot.n), "closed_form")
+    return _scaled(snapshot, *_level_closed_form(snapshot.n))
 
 
 def measures(snapshot: QuantumSnapshot, method: str = "quadrature") -> MeasureSet:

@@ -28,12 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PinneyState, SuperconductorParams
+from .dynamics import PinneyState, SuperconductorParams, rho_analytic
 from .special_functions import (
     _bessel_jy,
-    _bessel_phase,
     _check_bessel_envelope,
     _check_quantum_number,
+    _debye_phase,
     hermite_function,
 )
 
@@ -54,6 +54,11 @@ class QuantumSnapshot:
     def __post_init__(self):
         _check_quantum_number(self.n)
 
+    @property
+    def scale(self) -> float:
+        """Density width sqrt(hbar) rho: P(q) = h_n(q / scale)^2 / scale."""
+        return math.sqrt(self.hbar) * self.rho
+
 
 def make_snapshot(params: SuperconductorParams,
                   state: PinneyState,
@@ -64,24 +69,35 @@ def make_snapshot(params: SuperconductorParams,
                            hbar=params.hbar)
 
 
+def snapshots(params: SuperconductorParams, ns, ts):
+    """Snapshots for every n in ns and t in ts, n-major (all of ts for the
+    first n, then the next).  rho depends on t alone, so `rho_analytic` runs
+    once per t and every n shares it."""
+    states = [rho_analytic(params, float(t)) for t in ts]
+    for n in ns:
+        for state in states:
+            yield make_snapshot(params, state, n)
+
+
 def truncation_radius(snapshot: QuantumSnapshot) -> float:
-    """Half-width rho sqrt(hbar) (sqrt(2n+1) + 8) beyond which P < 1e-25."""
-    return snapshot.rho * math.sqrt(snapshot.hbar) * (
-        math.sqrt(2.0 * snapshot.n + 1.0) + 8.0)
+    """Half-width sqrt(hbar) rho (sqrt(2n+1) + 8) beyond which P < 1e-25."""
+    return snapshot.scale * (math.sqrt(2.0 * snapshot.n + 1.0) + 8.0)
 
 
 def phase(params: SuperconductorParams, n: int, t: float) -> float:
     """Phase theta_n(t) = -(n + 1/2) integral_0^t dt' / (L rho^2) for an
     integer n >= 0, in closed form: with tau = A t + 1, L rho^2 =
     (pi/(2A)) tau M_beta(k tau)^2, and the Wronskian makes 2/(pi x M^2) the
-    slope of theta_beta(x) = arg(J_beta(x) + i Y_beta(x)) (`_bessel_phase`), so
+    slope of the continuous theta_beta(x) = arg(J_beta(x) + i Y_beta(x)), so
 
         theta_n(t) = -(n + 1/2) [theta_beta(k tau) - theta_beta(k)]
 
-    (Lewis and Riesenfeld, J. Math. Phys. 10, 1458 (1969)).  Where k tau <
-    beta both phases sit near -pi/2 and their difference cancels, so it is
-    taken whole, as the argument of (J + iY)(k tau) (J - iY)(k), on the
-    branch nearest the difference of the two phases.  EnvelopeError names
+    (Lewis and Riesenfeld, J. Math. Phys. 10, 1458 (1969)).  The difference
+    is taken whole, as the argument of (J + iY)(k tau) (J - iY)(k) from two
+    kernel calls, so it does not cancel where both phases sit near -pi/2.
+    Its 2 pi branch is the one nearest the difference of the two Debye
+    estimates (`_debye_phase`): each is within 0.53 of theta_beta, so their
+    difference is within 1.06 < pi of the true one.  EnvelopeError names
     sigma0 and t if k or k tau is outside the Bessel envelope.
     """
     _check_quantum_number(n)
@@ -91,7 +107,7 @@ def phase(params: SuperconductorParams, n: int, t: float) -> float:
         _check_bessel_envelope(beta, x, f"phase at sigma0={params.sigma0!r}, t={t!r}: ")
     j1, y1, _, _ = _bessel_jy(beta, k)
     j2, y2, _, _ = _bessel_jy(beta, u)
-    near = _bessel_phase(beta, u, j2, y2) - _bessel_phase(beta, k, j1, y1)
+    near = _debye_phase(beta, u) - _debye_phase(beta, k)
     delta = math.atan2(j1 * y2 - j2 * y1, j1 * j2 + y1 * y2)
     return -(n + 0.5) * (delta + 2.0 * math.pi * round((near - delta) / (2.0 * math.pi)))
 
@@ -103,18 +119,17 @@ def wavefunction(snapshot: QuantumSnapshot, q: float, theta: float = 0.0) -> com
     history; pass phase(...) for the full time-dependent solution.  The
     modulus is independent of theta and of the rho' term.
     """
-    rho, hbar = snapshot.rho, snapshot.hbar
-    scale = math.sqrt(hbar) * rho
+    scale = snapshot.scale
     # h_n carries the real Gaussian factor e^{-q^2/(2 hbar rho^2)} and the
     # normalization; only the rho' chirp and the phase are left
-    chirp = snapshot.L * snapshot.rho_dot / (2.0 * hbar * rho)
+    chirp = snapshot.L * snapshot.rho_dot / (2.0 * snapshot.hbar * snapshot.rho)
     h = float(hermite_function(snapshot.n, q / scale))
     return h / math.sqrt(scale) * cmath.exp(1j * (chirp * q * q + theta))
 
 
 def density_values(snapshot: QuantumSnapshot, q: np.ndarray) -> np.ndarray:
     """P(q, t) = |psi_n|^2 on an array of charge values (real closed form)."""
-    scale = math.sqrt(snapshot.hbar) * snapshot.rho
+    scale = snapshot.scale
     h = hermite_function(snapshot.n, np.asarray(q, dtype=float) / scale)
     return h * h / scale
 

@@ -237,16 +237,14 @@ def bessel_modulus_sq(nu: float, x: float) -> tuple[float, float]:
     return scale * total, scale * slope / x
 
 
-def _bessel_phase(nu: float, x: float, j: float, y: float) -> float:
-    """Continuous arg(J_nu(x) + i Y_nu(x)), rising from -pi/2 at x -> 0,
-    from j = J_nu(x) and y = Y_nu(x): atan2(y, j) on the branch nearest the
-    Debye estimate, which is sqrt(x^2 - nu^2) - nu arccos(nu/x) - pi/4 for
-    x > nu and -pi/2 below; for order 0.5 to 10 and x <= 50 it stays within
-    0.53 of the phase."""
-    raw = math.atan2(y, j)
-    estimate = (math.sqrt(x * x - nu * nu) - nu * math.acos(nu / x) - 0.25 * math.pi
-                if x > nu else -0.5 * math.pi)
-    return raw + 2.0 * math.pi * round((estimate - raw) / (2.0 * math.pi))
+def _debye_phase(nu: float, x: float) -> float:
+    """Debye estimate of the continuous arg(J_nu(x) + i Y_nu(x)), which
+    rises from -pi/2 at x -> 0: sqrt(x^2 - nu^2) - nu arccos(nu/x) - pi/4
+    for x > nu and -pi/2 below.  For order 0.5 to 10 and x <= 50 it stays
+    within 0.53 of the phase."""
+    if x > nu:
+        return math.sqrt(x * x - nu * nu) - nu * math.acos(nu / x) - 0.25 * math.pi
+    return -0.5 * math.pi
 
 
 def _check_bessel_envelope(order: float, x: float, where: str = "") -> None:

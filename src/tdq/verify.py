@@ -9,6 +9,7 @@ always passes.  The suite is pure computation and finishes in seconds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ import numpy as np
 from .dynamics import (
     SuperconductorParams,
     invariant_value,
+    pinney_acceleration,
     rho_analytic,
     solve_classical,
     solve_pinney_numeric,
@@ -28,6 +30,7 @@ from .observables import (
     make_snapshot,
     moments,
     phase,
+    snapshots,
     truncation_radius,
     uncertainty_product,
 )
@@ -43,6 +46,9 @@ from .special_functions import (
 )
 
 _FIGURE_SIGMAS = (0.4, 0.6, 0.8, 1.5, 2.0, 2.5, 3.0)
+# a non-unit hbar: at it moment_consistency compares int q^2 P dq with
+# hbar rho^2 (n + 1/2), which fails if the density width loses sqrt(hbar)
+_HBAR2_PARAMS = SuperconductorParams(sigma0=2.0, hbar=2.0)
 # time step of the difference that gives rho'' from the analytic rho'; at
 # 1e-4 the residual is truncation-limited near 1e-6
 _PINNEY_FD_STEP = 1e-6
@@ -171,17 +177,13 @@ def check_quadrature_rule(tol: float) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def pinney_residual(params: SuperconductorParams, t: float) -> float:
-    """|rho'' + (L'/L) rho' + omega^2 rho - 1/(L^2 rho^3)| with rho'' the
-    central first difference of the analytic rho'."""
+    """|rho'' - `pinney_acceleration`| with rho'' the central first
+    difference of the analytic rho'."""
     h = _PINNEY_FD_STEP
     rho_ddot = (rho_analytic(params, t + h).rho_dot
                 - rho_analytic(params, t - h).rho_dot) / (2.0 * h)
     r0 = rho_analytic(params, t)
-    L = params.L(t)
-    return abs(rho_ddot
-               + params.sigma(t) / params.eps0 * r0.rho_dot
-               + params.omega_sq(t) * r0.rho
-               - 1.0 / (L * L * r0.rho ** 3))
+    return abs(rho_ddot - pinney_acceleration(params, t, r0.rho, r0.rho_dot))
 
 
 def check_pinney_residual_analytic(tol: float) -> CheckResult:
@@ -234,12 +236,9 @@ def check_lc_limit(tol: float) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def _snapshots(sigmas, ns, ts):
-    for sigma0 in sigmas:
-        params = SuperconductorParams(sigma0=sigma0)
-        for t in ts:
-            state = rho_analytic(params, float(t))
-            for n in ns:
-                yield make_snapshot(params, state, n)
+    """`snapshots` at every sigma0 in sigmas, in the figure units."""
+    return itertools.chain.from_iterable(
+        snapshots(SuperconductorParams(sigma0=sigma0), ns, ts) for sigma0 in sigmas)
 
 
 def check_density_normalization(tol: float) -> CheckResult:
@@ -253,7 +252,8 @@ def check_density_normalization(tol: float) -> CheckResult:
 
 def check_moment_consistency(tol: float) -> CheckResult:
     worst = 0.0
-    for snap in _snapshots((0.5, 2.0), (0, 1, 2), (0.0, 0.5, 2.0)):
+    for snap in itertools.chain(_snapshots((0.5, 2.0), (0, 1, 2), (0.0, 0.5, 2.0)),
+                                snapshots(_HBAR2_PARAMS, (2,), (0.7,))):
         radius = truncation_radius(snap)
         rule = gauss_legendre(512, -radius, radius)
         p = density_values(snap, rule.nodes)
@@ -284,16 +284,13 @@ def check_uncertainty_floor(tol: float) -> CheckResult:
 
 
 def check_density_node_structure(tol: float) -> CheckResult:
-    params = SuperconductorParams(sigma0=1.5)
-    state = rho_analytic(params, 0.5)
     worst = 0.0
-    for n in range(5):
-        snap = make_snapshot(params, state, n)
+    for snap in _snapshots((1.5,), range(5), (0.5,)):
         radius = truncation_radius(snap)
         grid = np.linspace(-radius, radius, 4001)
-        values = hermite_function(n, grid / (math.sqrt(snap.hbar) * snap.rho))
+        values = hermite_function(snap.n, grid / snap.scale)
         changes = int(np.sum(np.signbit(values[1:]) != np.signbit(values[:-1])))
-        worst = max(worst, float(abs(changes - n)))
+        worst = max(worst, float(abs(changes - snap.n)))
     return CheckResult("density_node_structure", worst, tol)
 
 
@@ -321,14 +318,11 @@ def check_information_vs_density_quadrature(tol: float) -> CheckResult:
     `density_values` in q, on plain Gauss-Legendre panels split at the
     density zeros sqrt(hbar) rho x_k: a path through neither the level
     constants nor the rho scaling."""
-    snaps = list(_snapshots((0.5, 3.0), (0, 1, 2), (0.0, 2.0)))
-    params = SuperconductorParams(sigma0=2.0, hbar=2.0)
-    snaps.append(make_snapshot(params, rho_analytic(params, 0.7), 2))
     worst = 0.0
-    for snap in snaps:
+    for snap in itertools.chain(_snapshots((0.5, 3.0), (0, 1, 2), (0.0, 2.0)),
+                                snapshots(_HBAR2_PARAMS, (2,), (0.7,))):
         radius = truncation_radius(snap)
-        scale = math.sqrt(snap.hbar) * snap.rho
-        edges = [-radius, *(scale * r for r in hermite(snap.n).roots), radius]
+        edges = [-radius, *(snap.scale * r for r in hermite(snap.n).roots), radius]
         entropy = diseq = 0.0
         for a, b in zip(edges, edges[1:]):
             rule = gauss_legendre(_DIRECT_PANEL_NODES, a, b)
@@ -384,14 +378,11 @@ def check_entropy_closed_vs_quadrature_n0(tol: float) -> CheckResult:
 
 
 def check_entropy_closed_vs_quadrature_higher_n(tol: float) -> CheckResult:
-    params = SuperconductorParams(sigma0=2.0)
-    state = rho_analytic(params, 0.5)
     residuals = {}
-    for n in (1, 2, 3, 4):
-        snap = make_snapshot(params, state, n)
+    for snap in _snapshots((2.0,), (1, 2, 3, 4), (0.5,)):
         closed = measures(snap, "closed_form").entropy_S
         quad = measures(snap).entropy_S
-        residuals[n] = closed - quad
+        residuals[snap.n] = closed - quad
     worst = max(abs(r) for r in residuals.values())
     detail = " ".join(f"n={n}:{r:+.3e}" for n, r in residuals.items())
     return CheckResult("entropy_closed_vs_quadrature_higher_n", worst, tol,

@@ -3,6 +3,9 @@ import functools
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from tdq import cli, verify
+from tdq import cli, observables, verify
 from tdq.cli import RunConfig, _fmt, main
 from tdq.errors import NormalizationError
 from tdq.information import MeasureSet
@@ -207,13 +210,13 @@ class TestSweep:
     @pytest.mark.parametrize("command", ["observables", "density", "info"])
     def test_amplitude_once_per_sigma_and_time(self, command, capsys, monkeypatch):
         calls = []
-        original = cli.rho_analytic
+        original = observables.rho_analytic
 
         def counted(params, t):
             calls.append((params.sigma0, t))
             return original(params, t)
 
-        monkeypatch.setattr(cli, "rho_analytic", counted)
+        monkeypatch.setattr(observables, "rho_analytic", counted)
         grid = ["--qpoints", "5"] if command == "density" else []
         code, out, _ = run(capsys, command, "--sigma0", "0.5,2", "--n", "2,0,1",
                            "--steps", "3", *grid)
@@ -521,6 +524,41 @@ class TestExitCodes:
         assert "--tol-verify" in err
 
 
+class TestClosedPipe:
+    """A reader that leaves early ends the run quietly with 141 (128 + SIGPIPE)."""
+
+    @staticmethod
+    def _start(*argv, stdout):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        return subprocess.Popen([sys.executable, "-m", "tdq.cli", *argv],
+                                stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_reader_closes_after_one_line(self, fmt):
+        # ~0.8 MB of rows overflow the pipe buffer, so the table is still
+        # being written when the reader closes its end
+        proc = self._start("density", "--sigma0", "1,2", "--n", "0,1", "--steps", "11",
+                           "--qmin", "-8", "--qmax", "8", "--format", fmt,
+                           stdout=subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b"")
+
+    def test_verify_into_a_closed_pipe(self):
+        # the suite's 2 kB report fits the pipe buffer and is written after
+        # every check has run, so a reader of one line could leave after the
+        # last write; closing the read end first makes the first write fail
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self._start("verify", stdout=write)
+        finally:
+            os.close(write)
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b"")
+
+
 @pytest.fixture(scope="module")
 def verify_run():
     """(exit code, stdout) of `tdq verify` with the given flags, each run once."""
@@ -571,7 +609,8 @@ class TestVerify:
     def test_lmc_bound_is_asserted(self, verify_run, monkeypatch):
         _, out = verify_run()
         assert "PASS lmc_complexity_lower_bound " in out
-        below_one = MeasureSet.build(0, 0.0, 0.0, 0.9, "quadrature")
+        below_one = MeasureSet(n=0, t=0.0, entropy_S=0.0, H=1.0, disequilibrium_D=0.9,
+                               complexity_C=0.9)
         monkeypatch.setattr(verify, "measures", lambda snap: below_one)
         result = verify.check_lmc_complexity_lower_bound(1e-9)
         assert not result.passed

@@ -116,7 +116,6 @@ class TestRhoAnalytic:
         expected = math.sqrt(math.pi / 2.0) * math.hypot(j, y)
         assert state.rho == pytest.approx(expected, rel=1e-12)
         assert state.rho == pytest.approx(math.sqrt(2.0), rel=1e-12)
-        assert state.source == "analytic"
 
     def test_lc_limit_constant(self):
         params = SuperconductorParams(sigma0=0.0)
@@ -217,7 +216,6 @@ class TestPinneyNumeric:
         states = solve_pinney_numeric(params, 1.0, 0.0, grid)
         for state in states:
             assert state.rho == pytest.approx(1.0, abs=1e-9)
-            assert state.source == "numeric"
 
     def test_matches_analytic_when_seeded(self):
         grid = np.linspace(0.0, 5.0, 51)
@@ -302,7 +300,7 @@ class TestInvariant:
         for t in (0.0, 0.7, 2.0):
             cs = ClassicalState(t=t, q=math.cos(t), q_dot=-math.sin(t),
                                 phi=-math.sin(t))
-            ps = PinneyState(t=t, rho=1.0, rho_dot=0.0, source="analytic")
+            ps = PinneyState(t=t, rho=1.0, rho_dot=0.0)
             assert invariant_value(params, cs, ps) == pytest.approx(
                 0.5, rel=1e-14)
 
@@ -327,7 +325,7 @@ class TestInvariant:
 class TestStateValidation:
     def test_pinney_state_requires_positive_rho(self):
         with pytest.raises(ValueError):
-            PinneyState(t=0.0, rho=0.0, rho_dot=0.0, source="numeric")
+            PinneyState(t=0.0, rho=0.0, rho_dot=0.0)
 
     @settings(deadline=None, max_examples=25)
     @given(sigma0=st.floats(min_value=0.0, max_value=3.0),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 import oracles
 from tdq import information, verify
 from tdq.dynamics import SuperconductorParams, rho_analytic
-from tdq.information import MeasureSet, measures
+from tdq.information import measures
 from tdq.observables import QuantumSnapshot, make_snapshot
 from tdq.special_functions import hermite, hermite_function
 
@@ -47,7 +48,6 @@ class TestEntropyQuadrature:
         ms = measures(unit_snapshot(0))
         assert ms.entropy_S == pytest.approx(0.5 + math.log(math.sqrt(math.pi)),
                                              abs=1e-9)
-        assert ms.method == "quadrature"
 
     def test_general_gaussian_entropy(self):
         for rho, hbar in ((0.7, 1.0), (2.0, 1.0), (1.1, 2.5)):
@@ -75,7 +75,6 @@ class TestEntropyClosedForm:
             ms = measures(unit_snapshot(0, rho=rho), "closed_form")
             assert ms.entropy_S == pytest.approx(
                 0.5 + math.log(math.sqrt(math.pi) * rho), rel=1e-14)
-            assert ms.method == "closed_form"
 
     def test_matches_quadrature_n1(self):
         closed = measures(unit_snapshot(1), "closed_form").entropy_S
@@ -164,9 +163,14 @@ class TestDisequilibrium:
 
 class TestMeasureSet:
     def test_method_tag_and_unknown_method(self):
+        # at unit width the measures are the level constants themselves,
+        # so each tag must select its own pair
         snap = unit_snapshot(1)
-        assert measures(snap).method == "quadrature"
-        assert measures(snap, "closed_form").method == "closed_form"
+        for method, level in (("quadrature", information._level_quadrature),
+                              ("closed_form", information._level_closed_form)):
+            ms = measures(snap, method)
+            assert (ms.entropy_S, ms.disequilibrium_D) == level(1)
+        assert measures(snap) == measures(snap, "quadrature")
         with pytest.raises(ValueError, match="bogus"):
             measures(snap, "bogus")
 
@@ -239,9 +243,10 @@ class TestInformationCheck:
     def test_fails_when_scaling_drops_sqrt_hbar(self, monkeypatch):
         # the check integrates P in q directly, so a scaling step that
         # forgets sqrt(hbar) must show at its hbar = 2 snapshot
-        def scaled_without_hbar(snapshot, s_n, d_n, method):
-            return MeasureSet.build(snapshot.n, snapshot.t, s_n + math.log(snapshot.rho),
-                                    d_n / snapshot.rho, method)
+        scaled = information._scaled
+
+        def scaled_without_hbar(snapshot, s_n, d_n):
+            return scaled(dataclasses.replace(snapshot, hbar=1.0), s_n, d_n)
 
         monkeypatch.setattr(information, "_scaled", scaled_without_hbar)
         result = verify.check_information_vs_density_quadrature(1e-9)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from tdq import observables, verify
 from tdq.dynamics import (
     PinneyState,
     SuperconductorParams,
@@ -20,6 +21,7 @@ from tdq.observables import (
     make_snapshot,
     moments,
     phase,
+    snapshots,
     truncation_radius,
     uncertainty_product,
     wavefunction,
@@ -241,8 +243,7 @@ class TestEnergy:
             snap = make_snapshot(params, rho_analytic(params, 2.0), n)
             assert energy_mean(snap) == pytest.approx(n + 0.5, rel=1e-12)
         scaled = SuperconductorParams(sigma0=0.0, c=2.0, hbar=3.0)
-        state = PinneyState(t=0.0, rho=scaled.omega0_sq ** -0.25, rho_dot=0.0,
-                            source="analytic")
+        state = PinneyState(t=0.0, rho=scaled.omega0_sq ** -0.25, rho_dot=0.0)
         snap = make_snapshot(scaled, state, 1)
         assert energy_mean(snap) == pytest.approx(3.0 * 2.0 * 1.5, rel=1e-12)
 
@@ -306,6 +307,29 @@ class TestSnapshot:
         assert snap.rho == state.rho
         assert snap.L == params.L(0.5)
         assert snap.hbar == params.hbar
+
+    def test_sweep_is_n_major_with_one_amplitude_per_time(self, monkeypatch):
+        calls = []
+
+        def counted(params, t):
+            calls.append(t)
+            return rho_analytic(params, t)
+
+        monkeypatch.setattr(observables, "rho_analytic", counted)
+        params = SuperconductorParams(sigma0=2.0, hbar=3.0)
+        sweep = list(snapshots(params, (2, 0), np.array([0.0, 0.5, 1.0])))
+        assert calls == [0.0, 0.5, 1.0]
+        assert [(snap.n, snap.t) for snap in sweep] == [
+            (2, 0.0), (2, 0.5), (2, 1.0), (0, 0.0), (0, 0.5), (0, 1.0)]
+        assert sweep[4] == make_snapshot(params, rho_analytic(params, 0.5), 0)
+        assert sweep[4].scale == math.sqrt(3.0) * sweep[4].rho
+
+    def test_moment_check_sees_a_width_without_sqrt_hbar(self, monkeypatch):
+        # every q-space density reads `scale`, so only a closed-form moment
+        # at hbar != 1 can show it wrong
+        assert verify.check_moment_consistency(1e-7).passed
+        monkeypatch.setattr(QuantumSnapshot, "scale", property(lambda snap: snap.rho))
+        assert not verify.check_moment_consistency(1e-7).passed
 
     def test_truncation_radius_tail(self):
         snap = snapshot_at(2.0, 0.5, 2)

@@ -9,7 +9,7 @@ from tdq import special_functions, verify
 from tdq.errors import ConvergenceError, DomainError, EnvelopeError
 from tdq.special_functions import (
     _bessel_jy,
-    _bessel_phase,
+    _debye_phase,
     _legendre_and_prev,
     _legendre_nodes_weights,
     bessel_j,
@@ -163,16 +163,18 @@ class TestBesselModulus:
             bessel_modulus_sq(1.0, 0.0)
 
 
-class TestBesselPhase:
+class TestDebyePhase:
     @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0 - 5e-10, 2.0, 4.7, 10.0])
-    def test_continuous_and_increasing(self, nu):
-        # the slope 2/(pi x M^2) is at most 1 for nu >= 1/2, where x M^2
-        # falls to 2/pi, so no step of the grid moves the phase by more
-        # than the step: a branch slip of 2 pi would show
+    def test_within_bound_of_the_phase(self, nu):
+        # `phase` takes its 2 pi branch from the difference of two
+        # estimates, which is safe while their errors sum to less than pi.
+        # The phase arg(J + iY) rises from -pi/2 with slope 2/(pi x M^2) <= 1
+        # for nu >= 1/2, so unwrapping atan2(Y, J) on steps of 0.025 follows it.
         xs = np.linspace(0.0, 50.0, 2001)[1:]
-        phases = (_bessel_phase(nu, x, *_bessel_jy(nu, x)[:2]) for x in xs)
-        steps = np.diff([-0.5 * math.pi, *phases])
-        assert np.all(steps >= 0.0) and np.all(steps <= 0.025 * (1.0 + 1e-9))
+        raw = [math.atan2(*_bessel_jy(nu, x)[1::-1]) for x in xs]
+        phases = np.unwrap([-0.5 * math.pi, *raw])[1:]
+        estimates = np.array([_debye_phase(nu, x) for x in xs])
+        assert np.max(np.abs(estimates - phases)) <= 0.53
 
 
 class TestHermite:
