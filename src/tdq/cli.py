@@ -397,24 +397,29 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `tdq` parser: every subcommand, so that help, choices and errors
+    name them all, but only the subparser of `command` gets its flags,
+    since one invocation parses one subcommand."""
     parser = argparse.ArgumentParser(
         prog="tdq",
         description="Charge quantization in a superconductor with "
                     "time-dependent conductivity: tabular data engine.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, desc) in _COMMANDS.items():
-        command_parser = sub.add_parser(command, help=desc, description=desc,
+    for name, (_, desc) in _COMMANDS.items():
+        command_parser = sub.add_parser(name, help=desc, description=desc,
                                         argument_default=argparse.SUPPRESS)
-        for flag, commands, keywords in _FLAGS:
-            if command in commands:
-                command_parser.add_argument(flag, **keywords)
-        command_parser.set_defaults(**_DEFAULTS.get(command, {}))
+        if name == command:
+            for flag, commands, keywords in _FLAGS:
+                if command in commands:
+                    command_parser.add_argument(flag, **keywords)
+            command_parser.set_defaults(**_DEFAULTS.get(command, {}))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    config = RunConfig(**vars(build_parser().parse_args(argv)))
+    argv = sys.argv[1:] if argv is None else argv
+    config = RunConfig(**vars(build_parser(argv[0] if argv else None).parse_args(argv)))
     try:
         config.validate()
         code = _COMMANDS[config.command][0](config)

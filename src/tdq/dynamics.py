@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DomainError, PinneySingularityError, TimeMismatchError
 from .integrate import solve_rk45
@@ -164,18 +164,32 @@ def rho_analytic(params: SuperconductorParams, t: float) -> PinneyState:
     return PinneyState(t=t, rho=rho, rho_dot=rho_dot)
 
 
-def charge_acceleration(params: SuperconductorParams, t: float,
-                        q: float, q_dot: float) -> float:
-    """q'' = -(sigma/eps0) q' - omega^2 q, the damped charge equation at t."""
-    return -params.sigma(t) / params.eps0 * q_dot - params.omega_sq(t) * q
+def equation_of_motion(params: SuperconductorParams, pinney: bool = False,
+                       ) -> Callable[[float, tuple[float, float]], tuple[float, float]]:
+    """The right-hand side (t, (x, x')) -> (x', x'') that `solve_rk45` integrates.
 
+    x'' = -(sigma/eps0) x' - omega^2 x is the damped charge equation; with
+    pinney=True it is the Milne-Pinney equation, which adds 1/(L^2 x^3)
+    since L'/L = sigma/eps0.  The constants are read from params once, when
+    the function is built, and each call evaluates tau = A t + 1 once; x''
+    has the bits of the same expression written with params.sigma,
+    params.omega_sq and params.L.
+    """
+    sigma0, A, eps0 = params.sigma0, params.A, params.eps0
+    omega0_sq, s = params.omega0_sq, params.decay_exponent
+    neg_sigma0_A = -sigma0 * A
 
-def pinney_acceleration(params: SuperconductorParams, t: float,
-                        rho: float, rho_dot: float) -> float:
-    """rho'' from the Milne-Pinney equation: the charge equation's
-    acceleration plus 1/(L^2 rho^3), since L'/L = sigma/eps0."""
-    L = params.L(t)
-    return charge_acceleration(params, t, rho, rho_dot) + 1.0 / (L * L * rho * rho * rho)
+    def rhs(t, y):
+        x, x_dot = y
+        tau = A * t + 1.0
+        x_ddot = (-(sigma0 / tau) / eps0 * x_dot
+                  - (omega0_sq + neg_sigma0_A / tau ** 2 / eps0) * x)
+        if pinney:
+            L = tau ** s
+            x_ddot += 1.0 / (L * L * x * x * x)
+        return (x_dot, x_ddot)
+
+    return rhs
 
 
 def solve_pinney_numeric(params: SuperconductorParams,
@@ -201,14 +215,12 @@ def solve_pinney_numeric(params: SuperconductorParams,
     if rho0 <= 0.0:
         raise ValueError(f"rho0 must be positive, got {rho0!r}")
 
-    def rhs(t, y):
-        return (y[1], pinney_acceleration(params, t, y[0], y[1]))
-
     def guard(t, y):
         if y[0] < _RHO_GUARD:
             raise PinneySingularityError(t)
 
-    states = solve_rk45(rhs, (rho0, rho_dot0), t_grid, post_step=guard)
+    states = solve_rk45(equation_of_motion(params, pinney=True), (rho0, rho_dot0),
+                        t_grid, post_step=guard)
     return [PinneyState(t=float(t), rho=y[0], rho_dot=y[1])
             for t, y in zip(t_grid, states)]
 
@@ -218,10 +230,7 @@ def solve_classical(params: SuperconductorParams,
                     q_dot0: float,
                     t_grid: Sequence[float]) -> list[ClassicalState]:
     """Integrate the damped charge equation on an ascending grid from t_grid[0]."""
-    def rhs(t, y):
-        return (y[1], charge_acceleration(params, t, y[0], y[1]))
-
-    states = solve_rk45(rhs, (q0, q_dot0), t_grid)
+    states = solve_rk45(equation_of_motion(params), (q0, q_dot0), t_grid)
     return [ClassicalState(t=float(t), q=y[0], q_dot=y[1],
                            phi=params.L(float(t)) * y[1])
             for t, y in zip(t_grid, states)]

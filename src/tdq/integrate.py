@@ -5,9 +5,13 @@ The package does not call `adaptive_simpson`: the tests integrate
 `solve_rk45` is a Dormand-Prince 5(4) embedded pair with PI-free standard
 step control, started at the first output time; output times are honored
 by capping the step at the next requested sample, so no interpolation
-error enters the reported trajectory.  Its states are tuples of floats and
-every step makes seven rhs calls: the systems here have two components,
-for which plain float arithmetic beats array overhead.
+error enters the reported trajectory.  Its state is exactly two floats,
+(x, x'), the shape of every system the package integrates: the stages,
+the fifth-order sum, the error estimate and its norm are written out in
+scalars, with the operations and order of a vector axpy, so the result
+is bit-identical to the array solver it replaced.  Every step makes seven
+rhs calls; the seventh stage is not reused as the next step's first
+(no first-same-as-last), so that rhs calls // 7 counts the steps.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from .errors import ConvergenceError, StepSizeUnderflowError
 
 # Dormand-Prince 5(4) tableau
 _C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
+_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0)
+# the last stage is evaluated at the fifth-order solution y5
 _A = (
     (),
     (1.0 / 5.0,),
@@ -26,16 +32,11 @@ _A = (
     (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
     (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
     (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
+    _B5[:6],
 )
-_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0)
 # b5 - b4: weights of the embedded error estimate
 _E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
       -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
-# (index, coefficient) pairs of the nonzero entries, in stage order
-_A_NONZERO = tuple(tuple((j, a) for j, a in enumerate(row) if a != 0.0) for row in _A)
-_B5_NONZERO = tuple((i, b) for i, b in enumerate(_B5) if b != 0.0)
-_E_NONZERO = tuple((i, e) for i, e in enumerate(_E) if e != 0.0)
 
 # per-component error tolerance of solve_rk45: atol + rtol |y|
 _RTOL = 1e-10
@@ -49,37 +50,47 @@ _SIMPSON_TOL = 1e-10
 _SIMPSON_MAX_DEPTH = 50
 
 
-def solve_rk45(rhs: Callable[[float, tuple[float, ...]], tuple[float, ...]],
+def solve_rk45(rhs: Callable[[float, tuple[float, float]], tuple[float, float]],
                y0: Sequence[float],
                t_eval: Sequence[float],
-               post_step: Callable[[float, tuple[float, ...]], None] | None = None,
-               ) -> list[tuple[float, ...]]:
+               post_step: Callable[[float, tuple[float, float]], None] | None = None,
+               ) -> list[tuple[float, float]]:
     """Integrate y' = rhs(t, y) from y0 at t_eval[0]; return the states at t_eval.
 
-    States are tuples of floats: rhs(t, y) takes and returns one, and the
-    result is a list with one state per entry of t_eval.  t_eval must be
-    non-empty, finite and strictly ascending, and y0 finite; a bad value
-    raises ValueError naming it before rhs is first called.  Every step
-    calls rhs seven times (no first-same-as-last reuse).  post_step, if
-    given, is called after every accepted step (guards may raise from it).
-    Raises StepSizeUnderflowError if error control collapses the step.
+    A state is a pair of floats (x, x'): rhs(t, y) takes and returns one,
+    and the result is a list with one state per entry of t_eval.  t_eval
+    must be non-empty, finite and strictly ascending, and y0 two finite
+    values; a bad value raises ValueError naming it before rhs is first
+    called.  Every step calls rhs seven times.  There is deliberately no
+    first-same-as-last reuse of the seventh stage: `bench/tracing.py`
+    counts steps as rhs calls // 7.  post_step, if given, is called after
+    every accepted step (guards may raise from it).  Raises
+    StepSizeUnderflowError if error control collapses the step.
     """
     t_eval = [float(v) for v in t_eval]
-    y = tuple(float(v) for v in y0)
-    for name, values in (("t_eval", t_eval), ("y0", y)):
+    y0 = tuple(float(v) for v in y0)
+    for name, values in (("t_eval", t_eval), ("y0", y0)):
         for i, v in enumerate(values):
             if not math.isfinite(v):
                 raise ValueError(f"{name}[{i}] must be finite, got {v!r}")
+    if len(y0) != 2:
+        raise ValueError(f"y0 must hold two values (x, x'), got {len(y0)}")
     if len(t_eval) == 0:
         raise ValueError("t_eval must be a non-empty 1-d sequence")
     if any(b <= a for a, b in zip(t_eval, t_eval[1:])):
         raise ValueError("t_eval must be strictly ascending")
 
-    out = [y]
+    # the zero entries a61 = b1, b6 and e1 are skipped below; c5 = c6 = 1
+    (_, c1, c2, c3, c4, _, _) = _C
+    (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
+     (a50, a51, a52, a53, a54), _) = _A
+    (b0, _, b2, b3, b4, b5, _) = _B5
+    (e0, _, e2, e3, e4, e5, e6) = _E
+    out = [y0]
     t = t_eval[0]
+    x, v = y0
     next_idx = 1
     h = min(1e-2, (t_eval[-1] - t) / 10.0)
-    k = [None] * 7
 
     while next_idx < len(t_eval):
         lands_on_sample = False
@@ -90,39 +101,47 @@ def solve_rk45(rhs: Callable[[float, tuple[float, ...]], tuple[float, ...]],
         if h < 1e-13 * max(1.0, abs(t)):
             raise StepSizeUnderflowError(t)
 
-        # every sum adds (h * coefficient) * k_i stage by stage and skips
-        # zero coefficients: the operations of a vector axpy, in its order
-        k[0] = rhs(t, y)
-        for i in range(1, 7):
-            yi = y
-            for j, a in _A_NONZERO[i]:
-                ha = h * a
-                yi = tuple([v + ha * kv for v, kv in zip(yi, k[j])])
-            k[i] = rhs(t + _C[i] * h, yi)
-        y5 = y
-        for i, b in _B5_NONZERO:
-            hb = h * b
-            y5 = tuple([v + hb * kv for v, kv in zip(y5, k[i])])
-        err = [0.0] * len(y)
-        for i, e in _E_NONZERO:
-            he = h * e
-            err = [v + he * kv for v, kv in zip(err, k[i])]
+        # each component adds (h * coefficient) * k_j stage by stage and
+        # skips the zero coefficients: the operations of a vector axpy, in
+        # its order.  The seventh stage's input is y5 itself.
+        kx0, kv0 = rhs(t, (x, v))
+        p0 = h * a10
+        kx1, kv1 = rhs(t + c1 * h, (x + p0 * kx0, v + p0 * kv0))
+        p0, p1 = h * a20, h * a21
+        kx2, kv2 = rhs(t + c2 * h, (x + p0 * kx0 + p1 * kx1,
+                                    v + p0 * kv0 + p1 * kv1))
+        p0, p1, p2 = h * a30, h * a31, h * a32
+        kx3, kv3 = rhs(t + c3 * h, (x + p0 * kx0 + p1 * kx1 + p2 * kx2,
+                                    v + p0 * kv0 + p1 * kv1 + p2 * kv2))
+        p0, p1, p2, p3 = h * a40, h * a41, h * a42, h * a43
+        kx4, kv4 = rhs(t + c4 * h, (x + p0 * kx0 + p1 * kx1 + p2 * kx2 + p3 * kx3,
+                                    v + p0 * kv0 + p1 * kv1 + p2 * kv2 + p3 * kv3))
+        p0, p1, p2, p3, p4 = h * a50, h * a51, h * a52, h * a53, h * a54
+        kx5, kv5 = rhs(t + h, (x + p0 * kx0 + p1 * kx1 + p2 * kx2 + p3 * kx3 + p4 * kx4,
+                               v + p0 * kv0 + p1 * kv1 + p2 * kv2 + p3 * kv3 + p4 * kv4))
+        p0, p2, p3, p4, p5 = h * b0, h * b2, h * b3, h * b4, h * b5
+        x5 = x + p0 * kx0 + p2 * kx2 + p3 * kx3 + p4 * kx4 + p5 * kx5
+        v5 = v + p0 * kv0 + p2 * kv2 + p3 * kv3 + p4 * kv4 + p5 * kv5
+        kx6, kv6 = rhs(t + h, (x5, v5))
+        p0, p2, p3, p4, p5, p6 = h * e0, h * e2, h * e3, h * e4, h * e5, h * e6
+        ex = p0 * kx0 + p2 * kx2 + p3 * kx3 + p4 * kx4 + p5 * kx5 + p6 * kx6
+        ev = p0 * kv0 + p2 * kv2 + p3 * kv3 + p4 * kv4 + p5 * kv5 + p6 * kv6
 
-        # RMS of err / (atol + rtol max(|y5|, |y|)), summed in component
-        # order; y5 goes first so that a NaN in it rejects the step
-        sq = 0.0
-        for r, a, b in zip(err, y5, y):
-            r = r / (_ATOL + _RTOL * max(abs(a), abs(b)))
-            sq += r * r
-        err_norm = math.sqrt(sq / len(y))
+        # RMS of err / (atol + rtol max(|y5|, |y|)); the max keeps |y5|
+        # unless |y| exceeds it, so that a NaN in y5 rejects the step
+        m, n = abs(x5), abs(x)
+        rx = ex / (_ATOL + _RTOL * (n if n > m else m))
+        m, n = abs(v5), abs(v)
+        rv = ev / (_ATOL + _RTOL * (n if n > m else m))
+        err_norm = math.sqrt((rx * rx + rv * rv) / 2)
 
         if err_norm <= 1.0:
             t_new = target if lands_on_sample else t + h
-            t, y = t_new, y5
+            t, x, v = t_new, x5, v5
             if post_step is not None:
-                post_step(t, y)
+                post_step(t, (x, v))
             if lands_on_sample:
-                out.append(y)
+                out.append((x, v))
                 next_idx += 1
             factor = _MAX_SCALE if err_norm == 0.0 else min(
                 _MAX_SCALE, max(_MIN_SCALE, _SAFETY * err_norm ** -0.2))

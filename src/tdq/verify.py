@@ -17,8 +17,8 @@ import numpy as np
 
 from .dynamics import (
     SuperconductorParams,
+    equation_of_motion,
     invariant_value,
-    pinney_acceleration,
     rho_analytic,
     solve_classical,
     solve_pinney_numeric,
@@ -177,13 +177,14 @@ def check_quadrature_rule(tol: float) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def pinney_residual(params: SuperconductorParams, t: float) -> float:
-    """|rho'' - `pinney_acceleration`| with rho'' the central first
-    difference of the analytic rho'."""
+    """|rho'' - the Pinney `equation_of_motion`| with rho'' the central
+    first difference of the analytic rho'."""
     h = _PINNEY_FD_STEP
     rho_ddot = (rho_analytic(params, t + h).rho_dot
                 - rho_analytic(params, t - h).rho_dot) / (2.0 * h)
     r0 = rho_analytic(params, t)
-    return abs(rho_ddot - pinney_acceleration(params, t, r0.rho, r0.rho_dot))
+    _, accel = equation_of_motion(params, pinney=True)(t, (r0.rho, r0.rho_dot))
+    return abs(rho_ddot - accel)
 
 
 def check_pinney_residual_analytic(tol: float) -> CheckResult:
@@ -209,11 +210,13 @@ def check_pinney_numeric_vs_analytic(tol: float) -> CheckResult:
 def check_invariant_conservation(tol: float) -> CheckResult:
     params = SuperconductorParams(sigma0=2.0)
     grid = np.linspace(0.0, 5.0, 51)
+    # the trajectories share params and the grid, so they share rho
+    amplitudes = [rho_analytic(params, float(t)) for t in grid]
     worst = 0.0
     for q0, q_dot0 in ((1.0, 0.0), (0.0, 1.0), (0.7, -0.3)):
         trajectory = solve_classical(params, q0, q_dot0, grid)
-        values = [invariant_value(params, cs, rho_analytic(params, cs.t))
-                  for cs in trajectory]
+        values = [invariant_value(params, cs, ps)
+                  for cs, ps in zip(trajectory, amplitudes)]
         base = values[0]
         worst = max(worst, max(abs(v - base) for v in values) / abs(base))
     return CheckResult("invariant_conservation", worst, tol)

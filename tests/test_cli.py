@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -410,6 +411,25 @@ class TestTableWriter:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert lengths == [len(out.splitlines()) - 2]
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_lists_exactly_the_commands_flags(self, command, capsys):
+        # the parser adds flags to the invoked subcommand only
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", capsys.readouterr().out))
+        assert listed == {"--help"} | {flag for flag, commands, _ in cli._FLAGS
+                                       if command in commands}
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(cli._COMMANDS) + "}" in out
 
 
 class TestExitCodes:

@@ -247,6 +247,64 @@ class TestPinneyNumeric:
             solve_pinney_numeric(params, t_grid=np.linspace(0.0, 1.0, 5), **given)
 
 
+class TestNonUnitConstants:
+    """The solvers' right-hand sides at constants where each one shows: a
+    misplaced eps0 or A is invisible at the unit constants of the figures."""
+
+    CONSTANTS = {"A": 0.5, "eps0": 2.0, "c": 3.0, "lambdaL": 1.5, "hbar": 0.7}
+    SIGMAS = (0.5, 2.0, 3.0)
+
+    @staticmethod
+    def solver_rhs(monkeypatch, solve, params):
+        """The rhs that `solve(params)` hands to `solve_rk45`."""
+        seen = []
+        real = dynamics.solve_rk45
+        monkeypatch.setattr(dynamics, "solve_rk45", lambda rhs, *args, **kwargs: (
+            seen.append(rhs) or real(rhs, *args, **kwargs)))
+        solve(params)
+        return seen[0]
+
+    @pytest.mark.parametrize("sigma0", SIGMAS)
+    def test_rhs_bits_match_the_params_expression(self, sigma0, monkeypatch):
+        params = SuperconductorParams(sigma0=sigma0, **self.CONSTANTS)
+        grid = np.linspace(0.0, 2.0, 3)
+        charge = self.solver_rhs(
+            monkeypatch, lambda p: solve_classical(p, 0.7, -0.3, grid), params)
+        pinney = self.solver_rhs(
+            monkeypatch, lambda p: solve_pinney_numeric(p, t_grid=grid), params)
+        mismatches = 0
+        for t in np.linspace(-0.5, 8.0, 20):
+            t = float(t)
+            L = params.L(t)
+            for x in np.linspace(-2.5, 3.0, 40):
+                x = float(x)
+                for v in np.linspace(-4.0, 4.0, 25):
+                    v = float(v)
+                    damped = -params.sigma(t) / params.eps0 * v - params.omega_sq(t) * x
+                    mismatches += charge(t, (x, v)) != (v, damped)
+                    mismatches += pinney(t, (x, v)) != (
+                        v, damped + 1.0 / (L * L * x * x * x))
+        assert mismatches == 0
+
+    @pytest.mark.parametrize("sigma0", SIGMAS)
+    def test_numeric_rho_matches_analytic(self, sigma0):
+        params = SuperconductorParams(sigma0=sigma0, **self.CONSTANTS)
+        states = solve_pinney_numeric(params, t_grid=np.linspace(0.0, 5.0, 51))
+        worst = max(abs(s.rho / rho_analytic(params, s.t).rho - 1.0) for s in states)
+        assert worst < 1e-6
+
+    @pytest.mark.parametrize("sigma0", SIGMAS)
+    def test_invariant_conserved(self, sigma0):
+        params = SuperconductorParams(sigma0=sigma0, **self.CONSTANTS)
+        grid = np.linspace(0.0, 5.0, 51)
+        amplitudes = [rho_analytic(params, float(t)) for t in grid]
+        for q0, q_dot0 in ((1.0, 0.0), (0.0, 1.0), (0.7, -0.3)):
+            values = [invariant_value(params, cs, ps) for cs, ps in
+                      zip(solve_classical(params, q0, q_dot0, grid), amplitudes)]
+            drift = max(abs(v - values[0]) for v in values) / abs(values[0])
+            assert drift < 1e-6
+
+
 class TestClassical:
     def test_undamped_cosine(self):
         params = SuperconductorParams(sigma0=0.0)

@@ -12,7 +12,8 @@ from tdq.integrate import adaptive_simpson, solve_rk45
 
 
 def _decay(t, y):
-    return (-y[0],)
+    # y = (exp(-t), exp(-2t)) from (1, 1) at t = 0
+    return (-y[0], -2.0 * y[1])
 
 
 def _rhs_never_called(t, y):
@@ -22,9 +23,10 @@ def _rhs_never_called(t, y):
 class TestSolveRK45:
     def test_exponential_decay(self):
         grid = np.linspace(0.0, 5.0, 26)
-        out = solve_rk45(_decay, [1.0], grid)
+        out = solve_rk45(_decay, [1.0, 1.0], grid)
         for t, y in zip(grid, out):
             assert y[0] == pytest.approx(math.exp(-t), abs=1e-9)
+            assert y[1] == pytest.approx(math.exp(-2.0 * t), abs=1e-9)
 
     def test_harmonic_oscillator_energy(self):
         grid = np.linspace(0.0, 20.0, 41)
@@ -32,28 +34,30 @@ class TestSolveRK45:
         assert max(abs(q * q + p * p - 1.0) for q, p in out) < 1e-8
 
     def test_time_dependent_rhs(self):
-        # y' = 2 t y  ->  y = exp(t^2)
+        # y' = (2 t y0, t y1)  ->  y = (exp(t^2), exp(t^2/2))
         grid = np.linspace(0.0, 2.0, 9)
-        out = solve_rk45(lambda t, y: (2.0 * t * y[0],), [1.0], grid)
+        out = solve_rk45(lambda t, y: (2.0 * t * y[0], t * y[1]), [1.0, 1.0], grid)
         assert out[-1][0] == pytest.approx(math.exp(4.0), rel=1e-9)
+        assert out[-1][1] == pytest.approx(math.exp(2.0), rel=1e-9)
 
     def test_samples_exactly_on_grid(self):
         seen = []
         grid = np.array([0.0, 0.3, 1.0, 2.5])
-        solve_rk45(_decay, [1.0], grid,
-                   post_step=lambda t, y: seen.append(t))
+        solve_rk45(_decay, [1.0, 1.0], grid,
+                   post_step=lambda t, y: seen.append((t, y)))
         for target in grid[1:]:
-            assert target in seen
+            assert target in [t for t, _ in seen]
+        assert all(type(y) is tuple and len(y) == 2 for _, y in seen)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="ascending"):
-            solve_rk45(_decay, [1.0], [0.0, 1.0, 1.0])
+            solve_rk45(_decay, [1.0, 1.0], [0.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("y0, t_eval, name", [
-        ([1.0], [0.0, math.nan, 1.0], r"t_eval\[1\]"),
-        ([1.0], [0.0, math.inf], r"t_eval\[1\]"),
-        ([1.0], [0.0, -math.inf], r"t_eval\[1\]"),
-        ([math.nan], [0.0, 1.0], r"y0\[0\]"),
+        ([1.0, 1.0], [0.0, math.nan, 1.0], r"t_eval\[1\]"),
+        ([1.0, 1.0], [0.0, math.inf], r"t_eval\[1\]"),
+        ([1.0, 1.0], [0.0, -math.inf], r"t_eval\[1\]"),
+        ([math.nan, 1.0], [0.0, 1.0], r"y0\[0\]"),
         ([1.0, math.inf], [0.0, 1.0], r"y0\[1\]"),
     ])
     def test_non_finite_input_raises_before_rhs(self, y0, t_eval, name):
@@ -62,21 +66,27 @@ class TestSolveRK45:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             solve_rk45(_rhs_never_called, y0, t_eval)
 
+    @pytest.mark.parametrize("y0", [[], [1.0], [1.0, 0.0, 0.0]], ids=len)
+    def test_state_of_other_than_two_values_raises_before_rhs(self, y0):
+        with pytest.raises(ValueError, match="^y0 must hold two values"):
+            solve_rk45(_rhs_never_called, y0, [0.0, 1.0])
+
     def test_post_step_exception_propagates(self):
         def guard(t, y):
-            if y[0] < 0.5:
+            if y[0] < 0.5 or y[1] < 0.5:
                 raise StepSizeUnderflowError(t, "guard fired")
         with pytest.raises(StepSizeUnderflowError):
-            solve_rk45(_decay, [1.0], np.linspace(0.0, 3.0, 7),
+            solve_rk45(_decay, [1.0, 1.0], np.linspace(0.0, 3.0, 7),
                        post_step=guard)
 
     def test_starts_at_first_sample(self):
-        out = solve_rk45(_decay, [1.0], [0.5, 1.5])
+        out = solve_rk45(_decay, [1.0, 1.0], [0.5, 1.5])
         assert out[-1][0] == pytest.approx(math.exp(-1.0), abs=1e-9)
+        assert out[-1][1] == pytest.approx(math.exp(-2.0), abs=1e-9)
 
     def test_single_point_grid(self):
-        out = solve_rk45(_decay, [2.0], [0.0])
-        assert out == [(2.0,)]
+        out = solve_rk45(_decay, [2.0, 3.0], [0.0])
+        assert out == [(2.0, 3.0)]
 
 
 class TestMatchesArraySolver:
