@@ -19,7 +19,8 @@ shares the one scaling step:
     u -> u - sin(2 pi u)/(2 pi), whose weight 1 - cos(2 pi u) vanishes to
     second order at both panel ends.  That absorbs the (xi - r)^2 ln|xi - r|
     singularity of h_n^2 ln h_n^2 at each root, and one node count
-    serves every panel and every n <= 12 to ~1e-15.
+    serves every panel and every n <= 12 to ~1e-15.  All n + 1 panels
+    are mapped at once, so h_n is evaluated once per level.
 
   * closed form: the entropy as printed at rho = hbar = 1,
         n gamma + n + 1/2 + ln(sqrt(pi) n! 2^n)
@@ -27,13 +28,14 @@ shares the one scaling step:
         + sum_k sum_i C(n,i) (-1)^i 2^i / i * 1F1(1;1/2;-x_k^2),
     summed over the roots x_k of H_n.  The double-sum term is evaluated
     as printed (its i-sum coefficient as the exact rational
-    -2 sum_{odd k <= n} 1/k, then once per root); it reproduces
+    -2 sum_{odd k <= n} 1/k).  The roots are exactly symmetric, so 1F1
+    and 2F2 are summed once per root pair +-x_k; the result reproduces
     quadrature for n <= 1 but is known to drift for n >= 2, so the
     comparison is reported rather than asserted (the quadrature value is
     authoritative).  The disequilibrium is a sum of Gaussian moments of
     the integer polynomial H_n^4, whose coefficients c_k come from the
     integer coefficients of H_n (`hermite(n).coefficients`):
-        d_n = sum_{j=0}^{2n} (2j)! / (8^j j!) c_{2j} / ((2^n n!)^2 sqrt(2 pi)).
+        d_n = sum_{j=0}^{2n} (2j-1)!! / 4^j c_{2j} / ((2^n n!)^2 sqrt(2 pi)).
     By sum_m B_{m,4}(a) x^m/m! = (sum_i a_i x^i/i!)^4/4! this is, term by
     term, the printed sum
         sum_j Gamma(j+1/2)/2^{j+1/2} * 4!/(2j+4)! * B_{2j+4,4}(a)
@@ -111,14 +113,15 @@ def _level_quadrature(n: int) -> tuple[float, float]:
     mapped = unit.nodes - np.sin(angle) / (2.0 * math.pi)
     weights = unit.weights * (1.0 - np.cos(angle))
     edge = math.sqrt(2.0 * n + 1.0) + 8.0
-    edges = [-edge, *hermite(n).roots, edge]
+    edges = np.array([-edge, *hermite(n).roots, edge])
+    widths = (edges[1:] - edges[:-1])[:, None]
+    p = hermite_function(n, edges[:-1, None] + widths * mapped) ** 2  # row k: panel k
+    w, p_log_p, p_sq = widths * weights, p * np.log(p), p * p
     norm = entropy = diseq = 0.0
-    for a, b in zip(edges, edges[1:]):
-        p = hermite_function(n, a + (b - a) * mapped) ** 2
-        w = (b - a) * weights
-        norm += float(w @ p)
-        entropy -= float(w @ (p * np.log(p)))
-        diseq += float(w @ (p * p))
+    for k in range(n + 1):  # 1-D dots in panel order, as a 2-D product may reorder
+        norm += float(w[k] @ p[k])
+        entropy -= float(w[k] @ p_log_p[k])
+        diseq += float(w[k] @ p_sq[k])
     if abs(norm - 1.0) > 1e-6:
         raise NormalizationError(
             f"density norm {norm!r} deviates from 1 beyond 1e-6 (n={n})")
@@ -139,10 +142,10 @@ def _diseq_reduced_exact(n: int) -> Fraction:
 
     With the integer coefficients c_k of H_n^4 (two squarings of the
     Hermite coefficients) and the Gaussian moments
-    integral x^{2j} e^{-2x^2} dx = (2j)! sqrt(pi) / (8^j j! sqrt(2)),
+    integral x^{2j} e^{-2x^2} dx = (2j-1)!! sqrt(pi) / (4^j sqrt(2)),
 
         D rho sqrt(hbar) = (1/sqrt(2 pi)) sum_j
-            (2j)! / (8^j j!) c_{2j} / (2^n n!)^2.
+            (2j-1)!! 4^{2n-j} c_{2j} / (4^{2n} (2^n n!)^2).
     """
     poly = hermite(n).coefficients
     for _ in range(2):  # H_n -> H_n^2 -> H_n^4
@@ -151,9 +154,11 @@ def _diseq_reduced_exact(n: int) -> Fraction:
             for k, b in enumerate(poly):
                 square[i + k] += a * b
         poly = square
-    total = sum(Fraction(math.factorial(2 * j) * poly[2 * j],
-                         8 ** j * math.factorial(j)) for j in range(2 * n + 1))
-    return total / (2 ** n * math.factorial(n)) ** 2
+    total, odd = 0, 1  # odd = (2j - 1)!!
+    for j in range(2 * n + 1):
+        total += odd * poly[2 * j] * 4 ** (2 * n - j)
+        odd *= 2 * j + 1
+    return Fraction(total, 4 ** (2 * n) * (2 ** n * math.factorial(n)) ** 2)
 
 
 def _printed_isum_coefficient(n: int) -> Fraction:
@@ -172,8 +177,11 @@ def _level_closed_form(n: int) -> tuple[float, float]:
     entropy = (n * EULER_GAMMA + n + 0.5
                + math.log(math.sqrt(math.pi) * math.factorial(n) * 2.0 ** n))
     coef = float(_printed_isum_coefficient(n))
+    # the roots are exactly antisymmetric, so +-x share one term, keyed by x^2
+    terms = {x * x: coef * hyp1f1_special(-x * x) - 2.0 * hyp2f2_special(-x * x) * x * x
+             for x in roots[n // 2:]}
     for x in roots:
-        entropy += coef * hyp1f1_special(-x * x) - 2.0 * hyp2f2_special(-x * x) * x * x
+        entropy += terms[x * x]
     return entropy, float(_diseq_reduced_exact(n)) / math.sqrt(2.0 * math.pi)
 
 

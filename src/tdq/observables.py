@@ -71,12 +71,13 @@ def make_snapshot(params: SuperconductorParams,
 
 def snapshots(params: SuperconductorParams, ns, ts):
     """Snapshots for every n in ns and t in ts, n-major (all of ts for the
-    first n, then the next).  rho depends on t alone, so `rho_analytic` runs
-    once per t and every n shares it."""
-    states = [rho_analytic(params, float(t)) for t in ts]
+    first n, then the next).  rho, L and omega^2 depend on t alone, so each
+    is computed once per t and every n shares it."""
+    states = [(s, params.L(s.t), params.omega_sq(s.t))
+              for s in (rho_analytic(params, float(t)) for t in ts)]
     for n in ns:
-        for state in states:
-            yield make_snapshot(params, state, n)
+        for s, L, omega_sq in states:
+            yield QuantumSnapshot(n, s.t, s.rho, s.rho_dot, L, omega_sq, params.hbar)
 
 
 def truncation_radius(snapshot: QuantumSnapshot) -> float:

@@ -12,6 +12,10 @@ identical floats.
 The printed Bell form of the disequilibrium is kept here, on the partial
 Bell polynomial recurrence `bell_partial`, which the tests check against
 partition enumeration.
+`level_closed_form_per_root` and `level_quadrature_per_panel` are the
+plain forms of `tdq.information`'s level constants, one series pair per
+root and one Hermite evaluation per panel; the tests pin the shared-work
+forms to the same floats.
 """
 
 import math
@@ -23,7 +27,15 @@ import numpy as np
 
 from tdq.errors import DomainError, StepSizeUnderflowError
 from tdq.integrate import _A, _ATOL, _B5, _C, _E, _MAX_SCALE, _MIN_SCALE, _RTOL, _SAFETY
-from tdq.special_functions import hermite
+from tdq.information import _PANEL_NODES, _printed_isum_coefficient
+from tdq.special_functions import (
+    EULER_GAMMA,
+    gauss_legendre,
+    hermite,
+    hermite_function,
+    hyp1f1_special,
+    hyp2f2_special,
+)
 
 
 def solve_rk45_numpy(rhs: Callable[[float, np.ndarray], np.ndarray],
@@ -310,6 +322,36 @@ def diseq_printed_bell_sum(n: int) -> Fraction:
         total += Fraction(math.factorial(2 * j) * 24 * bell,
                           8 ** j * math.factorial(j) * math.factorial(2 * j + 4))
     return total / (2 ** n * math.factorial(n)) ** 2
+
+
+def level_closed_form_per_root(n: int) -> tuple[float, float]:
+    """(s_n, d_n) from the printed entropy, summing 1F1 and 2F2 once per
+    root, and d_n from the printed Bell sum."""
+    roots = hermite(n).roots
+    entropy = (n * EULER_GAMMA + n + 0.5
+               + math.log(math.sqrt(math.pi) * math.factorial(n) * 2.0 ** n))
+    coef = float(_printed_isum_coefficient(n))
+    for x in roots:
+        entropy += coef * hyp1f1_special(-x * x) - 2.0 * hyp2f2_special(-x * x) * x * x
+    return entropy, float(diseq_printed_bell_sum(n)) / math.sqrt(2.0 * math.pi)
+
+
+def level_quadrature_per_panel(n: int) -> tuple[float, float]:
+    """(s_n, d_n) by the sine-mapped panels, each panel mapped and its
+    Hermite function evaluated on its own."""
+    unit = gauss_legendre(_PANEL_NODES, 0.0, 1.0)
+    angle = 2.0 * math.pi * unit.nodes
+    mapped = unit.nodes - np.sin(angle) / (2.0 * math.pi)
+    weights = unit.weights * (1.0 - np.cos(angle))
+    edge = math.sqrt(2.0 * n + 1.0) + 8.0
+    edges = [-edge, *hermite(n).roots, edge]
+    entropy = diseq = 0.0
+    for a, b in zip(edges, edges[1:]):
+        p = hermite_function(n, a + (b - a) * mapped) ** 2
+        w = (b - a) * weights
+        entropy -= float(w @ (p * np.log(p)))
+        diseq += float(w @ (p * p))
+    return entropy, diseq
 
 
 # Reference (S, D) of the charge density at rho = hbar = 1, from 40-digit

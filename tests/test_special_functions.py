@@ -195,11 +195,12 @@ class TestHermite:
         assert roots[1] == 0.0
         assert roots[2] == pytest.approx(math.sqrt(1.5), abs=1e-12)
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 15))
     def test_roots_symmetric_and_residual(self, n):
+        # exact symmetry: the closed-form entropy sums each root pair once
         table = hermite(n)
         for k, r in enumerate(table.roots):
-            assert abs(r + table.roots[n - 1 - k]) < 1e-12
+            assert r == -table.roots[n - 1 - k]
             assert oracles.hermite_root_error_mp(n, r) <= 1e-15
 
     @pytest.mark.parametrize("n", range(1, 13))
