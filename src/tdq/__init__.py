@@ -30,11 +30,8 @@ from .observables import (
     wavefunction,
 )
 from .special_functions import (
-    bessel_j,
-    bessel_j_prime,
+    bessel_jy,
     bessel_modulus_sq,
-    bessel_y,
-    bessel_y_prime,
     gauss_legendre,
     hermite,
     hermite_function,

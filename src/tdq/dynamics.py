@@ -150,7 +150,7 @@ def rho_analytic(params: SuperconductorParams, t: float) -> PinneyState:
     tau = params.A * t + 1.0
     beta, k = params.beta, params.k
     u = k * tau
-    _check_bessel_envelope(beta, u, f"rho_analytic at sigma0={params.sigma0!r}, t={t!r}: ")
+    _check_bessel_envelope(beta, u, "rho_analytic", params.sigma0, t)
     if u >= _MODULUS_ASYMPTOTIC_X:
         g, g_slope = bessel_modulus_sq(beta, u)
         half_g_slope = 0.5 * g_slope

@@ -58,7 +58,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EnvelopeError, NormalizationError
-from .observables import QuantumSnapshot
+from .observables import QuantumSnapshot, _truncation_edge
 from .special_functions import (
     EULER_GAMMA,
     gauss_legendre,
@@ -108,11 +108,11 @@ def _level_quadrature(n: int) -> tuple[float, float]:
 
     The outer edges sit at |xi| = sqrt(2n+1) + 8, beyond which h_n^2 < 1e-25.
     """
-    unit = gauss_legendre(_PANEL_NODES, 0.0, 1.0)
-    angle = 2.0 * math.pi * unit.nodes
-    mapped = unit.nodes - np.sin(angle) / (2.0 * math.pi)
-    weights = unit.weights * (1.0 - np.cos(angle))
-    edge = math.sqrt(2.0 * n + 1.0) + 8.0
+    nodes, weights = gauss_legendre(_PANEL_NODES, 0.0, 1.0)
+    angle = 2.0 * math.pi * nodes
+    mapped = nodes - np.sin(angle) / (2.0 * math.pi)
+    weights = weights * (1.0 - np.cos(angle))
+    edge = _truncation_edge(n)
     edges = np.array([-edge, *hermite(n).roots, edge])
     widths = (edges[1:] - edges[:-1])[:, None]
     p = hermite_function(n, edges[:-1, None] + widths * mapped) ** 2  # row k: panel k

@@ -80,9 +80,14 @@ def snapshots(params: SuperconductorParams, ns, ts):
             yield QuantumSnapshot(n, s.t, s.rho, s.rho_dot, L, omega_sq, params.hbar)
 
 
+def _truncation_edge(n: int) -> float:
+    """|xi| = sqrt(2n+1) + 8, beyond which h_n(xi)^2 < 1e-25."""
+    return math.sqrt(2.0 * n + 1.0) + 8.0
+
+
 def truncation_radius(snapshot: QuantumSnapshot) -> float:
     """Half-width sqrt(hbar) rho (sqrt(2n+1) + 8) beyond which P < 1e-25."""
-    return snapshot.scale * (math.sqrt(2.0 * snapshot.n + 1.0) + 8.0)
+    return snapshot.scale * _truncation_edge(snapshot.n)
 
 
 def phase(params: SuperconductorParams, n: int, t: float) -> float:
@@ -105,7 +110,7 @@ def phase(params: SuperconductorParams, n: int, t: float) -> float:
     beta, k = params.beta, params.k
     u = k * (params.A * t + 1.0)
     for x in (k, u):
-        _check_bessel_envelope(beta, x, f"phase at sigma0={params.sigma0!r}, t={t!r}: ")
+        _check_bessel_envelope(beta, x, "phase", params.sigma0, t)
     j1, y1, _, _ = _bessel_jy(beta, k)
     j2, y2, _, _ = _bessel_jy(beta, u)
     near = _debye_phase(beta, u) - _debye_phase(beta, k)

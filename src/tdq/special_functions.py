@@ -6,11 +6,13 @@ budgets instead of opaque library internals, and everything is plain
 binary64.  J and Y of real order come from one kernel, `_bessel_jy`
 (Steed's continued fractions with Temme's series for Y at small argument),
 which never divides by sin(nu pi), so integer and near-integer orders
-take the path of any other order.  The Bessel modulus J^2 + Y^2 and its
-derivative also have a non-oscillatory asymptotic series
-(`bessel_modulus_sq`), which replaces the kernel from argument 20 up where
-only the modulus is needed.  The two hypergeometric instances are their
-defining series, summed exactly in integers and rounded once.
+take the path of any other order; the public `bessel_jy` checks the
+envelope and returns the kernel's (J, Y, J', Y') whole.  The Bessel
+modulus J^2 + Y^2 and its derivative also have a non-oscillatory
+asymptotic series (`bessel_modulus_sq`), which replaces the kernel from
+argument 20 up where only the modulus is needed.  The two hypergeometric
+instances are their defining series, summed exactly in integers and
+rounded once.  `gauss_legendre` returns a plain (nodes, weights) pair.
 
 Supported envelopes are deliberately narrow (Bessel order <= 10,
 argument <= 50; hypergeometric arguments z = -x^2 with |x| <= 6) and are
@@ -182,16 +184,6 @@ def _bessel_jy(nu: float, x: float) -> tuple[float, float, float, float]:
     return sign * scale, y, sign * h * scale, nu * xi * y - y_next_order
 
 
-def _bessel_j_any(nu: float, x: float) -> float:
-    """J_nu(x) from the kernel; see `_bessel_jy`."""
-    return _bessel_jy(nu, x)[0]
-
-
-def _bessel_y_any(nu: float, x: float) -> float:
-    """Y_nu(x) from the kernel; see `_bessel_jy`."""
-    return _bessel_jy(nu, x)[1]
-
-
 def bessel_modulus_sq(nu: float, x: float) -> tuple[float, float]:
     """(M^2, dM^2/dx) for the Bessel modulus M_nu(x)^2 = J_nu^2 + Y_nu^2 at large x.
 
@@ -247,36 +239,28 @@ def _debye_phase(nu: float, x: float) -> float:
     return -0.5 * math.pi
 
 
-def _check_bessel_envelope(order: float, x: float, where: str = "") -> None:
-    """EnvelopeError led by `where` unless 0 <= order <= 10 and 0 < x <= 50."""
+def _check_bessel_envelope(order: float, x: float, caller: str = "",
+                           sigma0: float = 0.0, t: float = 0.0) -> None:
+    """EnvelopeError unless 0 <= order <= 10 and 0 < x <= 50; with a caller,
+    the message is led by "<caller> at sigma0=<sigma0>, t=<t>: "."""
     if not (0.0 <= order <= _BESSEL_ORDER_MAX and 0.0 < x <= _BESSEL_X_MAX):
+        where = f"{caller} at sigma0={sigma0!r}, t={t!r}: " if caller else ""
         raise EnvelopeError(
             f"{where}Bessel order {order!r} and argument {x!r} outside the supported "
             f"envelope [0, {_BESSEL_ORDER_MAX}] x (0, {_BESSEL_X_MAX}]")
 
 
-def bessel_j(order: float, x: float) -> float:
-    """Bessel function of the first kind J_order(x), 0 <= order <= 10, 0 < x <= 50."""
+def bessel_jy(order: float, x: float) -> tuple[float, float, float, float]:
+    """(J, Y, J', Y') of order `order` at x, 0 <= order <= 10, 0 < x <= 50,
+    from one run of the kernel `_bessel_jy`."""
     _check_bessel_envelope(order, x)
-    return _bessel_j_any(order, x)
+    return _bessel_jy(order, x)
 
 
-def bessel_y(order: float, x: float) -> float:
-    """Bessel function of the second kind Y_order(x), same envelope as bessel_j."""
-    _check_bessel_envelope(order, x)
-    return _bessel_y_any(order, x)
-
-
-def bessel_j_prime(order: float, x: float) -> float:
-    """dJ_order/dx, same envelope as bessel_j."""
-    _check_bessel_envelope(order, x)
-    return _bessel_jy(order, x)[2]
-
-
-def bessel_y_prime(order: float, x: float) -> float:
-    """dY_order/dx, same envelope as bessel_j."""
-    _check_bessel_envelope(order, x)
-    return _bessel_jy(order, x)[3]
+# Only `bench/tracing.py` refers to these two, wrapping them by name; no
+# package code calls them.
+_bessel_j_any = lambda nu, x: _bessel_jy(nu, x)[0]  # J_nu(x)
+_bessel_y_any = lambda nu, x: _bessel_jy(nu, x)[1]  # Y_nu(x)
 
 
 # ---------------------------------------------------------------------------
@@ -423,17 +407,6 @@ def hyp2f2_special(z: float) -> float:
 # Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights for an n-point Gauss-Legendre rule on [a, b]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def dot(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
-
-
 def _legendre_and_prev(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(P_n(x), P_{n-1}(x)) by Bonnet's recurrence, in place in three buffers;
     each step is ((2k-1) x P_{k-1} - (k-1) P_{k-2}) / k in that operation order."""
@@ -481,8 +454,9 @@ def _legendre_nodes_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_legendre(n_points: int, a: float, b: float) -> QuadratureRule:
-    """Gauss-Legendre rule with n_points nodes mapped to [a, b].
+def gauss_legendre(n_points: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the Gauss-Legendre rule with n_points nodes mapped
+    to [a, b], nodes ascending; integrate with float(np.dot(weights, values)).
 
     Exact for polynomials of degree <= 2 n_points - 1.
     """
@@ -493,4 +467,4 @@ def gauss_legendre(n_points: int, a: float, b: float) -> QuadratureRule:
         raise DomainError(f"gauss_legendre requires finite a < b, got a={a!r}, b={b!r}")
     x, w = _legendre_nodes_weights(n_points)
     half = 0.5 * (b - a)
-    return QuadratureRule(nodes=0.5 * (a + b) + half * x, weights=half * w)
+    return 0.5 * (a + b) + half * x, half * w

@@ -35,11 +35,8 @@ from .observables import (
     uncertainty_product,
 )
 from .special_functions import (
-    bessel_j,
-    bessel_j_prime,
+    bessel_jy,
     bessel_modulus_sq,
-    bessel_y,
-    bessel_y_prime,
     gauss_legendre,
     hermite,
     hermite_function,
@@ -80,8 +77,8 @@ def check_bessel_wronskian(tol: float) -> CheckResult:
     worst = 0.0
     for nu in (0.5, 1.0, 1.5, 2.3):
         for x in (0.5, 1.0, 2.0, 5.0, 10.0):
-            wronskian = (bessel_j(nu, x) * bessel_y_prime(nu, x)
-                         - bessel_j_prime(nu, x) * bessel_y(nu, x))
+            j, y, jp, yp = bessel_jy(nu, x)
+            wronskian = j * yp - jp * y
             worst = max(worst, abs(wronskian * math.pi * x / 2.0 - 1.0))
     return CheckResult("bessel_wronskian", worst, tol)
 
@@ -90,11 +87,13 @@ def check_bessel_half_integer_closed_forms(tol: float) -> CheckResult:
     worst = 0.0
     for x in (0.5, 1.0, 2.0, 5.0, 10.0):
         pref = math.sqrt(2.0 / (math.pi * x))
+        j_half, y_half, _, _ = bessel_jy(0.5, x)
+        j_three_halves, y_three_halves, _, _ = bessel_jy(1.5, x)
         pairs = (
-            (bessel_j(0.5, x), pref * math.sin(x)),
-            (bessel_y(0.5, x), -pref * math.cos(x)),
-            (bessel_j(1.5, x), pref * (math.sin(x) / x - math.cos(x))),
-            (bessel_y(1.5, x), -pref * (math.cos(x) / x + math.sin(x))),
+            (j_half, pref * math.sin(x)),
+            (y_half, -pref * math.cos(x)),
+            (j_three_halves, pref * (math.sin(x) / x - math.cos(x))),
+            (y_three_halves, -pref * (math.cos(x) / x + math.sin(x))),
         )
         for got, want in pairs:
             worst = max(worst, abs(got - want) / max(abs(want), 1e-30))
@@ -107,19 +106,18 @@ def check_bessel_modulus_vs_asymptotic(tol: float) -> CheckResult:
     worst = 0.0
     for x in (20.0, 30.0, 50.0):
         for nu in (0.6, 2.0 - 5e-10, 2.0, 4.7, 10.0):
-            j, y = bessel_j(nu, x), bessel_y(nu, x)
+            j, y, jp, yp = bessel_jy(nu, x)
             m2, slope = bessel_modulus_sq(nu, x)
             worst = max(worst, abs((j * j + y * y) / m2 - 1.0),
-                        abs(2.0 * (j * bessel_j_prime(nu, x) + y * bessel_y_prime(nu, x))
-                            / slope - 1.0))
+                        abs(2.0 * (j * jp + y * yp) / slope - 1.0))
     return CheckResult("bessel_modulus_vs_asymptotic", worst, tol)
 
 
 def check_hermite_orthogonality(tol: float) -> CheckResult:
     """Gram matrix of h_0..h_12 on a 200-point rule against the identity."""
-    rule = gauss_legendre(200, -10.0, 10.0)
-    values = np.array([hermite_function(n, rule.nodes) for n in range(13)])
-    gram = (values * rule.weights) @ values.T
+    nodes, weights = gauss_legendre(200, -10.0, 10.0)
+    values = np.array([hermite_function(n, nodes) for n in range(13)])
+    gram = (values * weights) @ values.T
     return CheckResult("hermite_orthogonality", np.max(np.abs(gram - np.eye(13))), tol)
 
 
@@ -159,16 +157,16 @@ def check_hermite_root_residuals(tol: float) -> CheckResult:
 
 def check_quadrature_rule(tol: float) -> CheckResult:
     worst = 0.0
-    rule = gauss_legendre(2, -1.0, 1.0)
-    worst = max(worst, abs(rule.dot(rule.nodes * rule.nodes) - 2.0 / 3.0))
-    rule = gauss_legendre(200, -8.0, 8.0)
-    worst = max(worst, abs(rule.dot(np.exp(-rule.nodes * rule.nodes))
+    nodes, weights = gauss_legendre(2, -1.0, 1.0)
+    worst = max(worst, abs(float(np.dot(weights, nodes * nodes)) - 2.0 / 3.0))
+    nodes, weights = gauss_legendre(200, -8.0, 8.0)
+    worst = max(worst, abs(float(np.dot(weights, np.exp(-nodes * nodes)))
                            - math.sqrt(math.pi)) / math.sqrt(math.pi))
-    rule = gauss_legendre(17, 0.0, 5.0)
-    if np.any(rule.weights <= 0.0):
+    nodes, weights = gauss_legendre(17, 0.0, 5.0)
+    if np.any(weights <= 0.0):
         worst = max(worst, 1.0)
-    worst = max(worst, abs(float(np.sum(rule.weights)) - 5.0) / 5.0)
-    worst = max(worst, abs(rule.dot(np.ones_like(rule.nodes)) - 5.0) / 5.0)
+    worst = max(worst, abs(float(np.sum(weights)) - 5.0) / 5.0)
+    worst = max(worst, abs(float(np.dot(weights, np.ones_like(nodes))) - 5.0) / 5.0)
     return CheckResult("quadrature_rule", worst, tol)
 
 
@@ -248,8 +246,8 @@ def check_density_normalization(tol: float) -> CheckResult:
     worst = 0.0
     for snap in _snapshots((0.5, 1.5, 3.0), range(5), (0.0, 0.5, 1.0, 2.0, 5.0)):
         radius = truncation_radius(snap)
-        rule = gauss_legendre(512, -radius, radius)
-        worst = max(worst, abs(rule.dot(density_values(snap, rule.nodes)) - 1.0))
+        nodes, weights = gauss_legendre(512, -radius, radius)
+        worst = max(worst, abs(float(np.dot(weights, density_values(snap, nodes))) - 1.0))
     return CheckResult("density_normalization", worst, tol)
 
 
@@ -258,9 +256,9 @@ def check_moment_consistency(tol: float) -> CheckResult:
     for snap in itertools.chain(_snapshots((0.5, 2.0), (0, 1, 2), (0.0, 0.5, 2.0)),
                                 snapshots(_HBAR2_PARAMS, (2,), (0.7,))):
         radius = truncation_radius(snap)
-        rule = gauss_legendre(512, -radius, radius)
-        p = density_values(snap, rule.nodes)
-        q2_quad = rule.dot(p * rule.nodes ** 2)
+        nodes, weights = gauss_legendre(512, -radius, radius)
+        p = density_values(snap, nodes)
+        q2_quad = float(np.dot(weights, p * nodes ** 2))
         _, _, q2, _ = moments(snap)
         worst = max(worst, abs(q2_quad - q2) / q2)
     return CheckResult("moment_consistency", worst, tol)
@@ -328,10 +326,10 @@ def check_information_vs_density_quadrature(tol: float) -> CheckResult:
         edges = [-radius, *(snap.scale * r for r in hermite(snap.n).roots), radius]
         entropy = diseq = 0.0
         for a, b in zip(edges, edges[1:]):
-            rule = gauss_legendre(_DIRECT_PANEL_NODES, a, b)
-            p = density_values(snap, rule.nodes)
-            entropy -= rule.dot(p * np.log(p))
-            diseq += rule.dot(p * p)
+            nodes, weights = gauss_legendre(_DIRECT_PANEL_NODES, a, b)
+            p = density_values(snap, nodes)
+            entropy -= float(np.dot(weights, p * np.log(p)))
+            diseq += float(np.dot(weights, p * p))
         got = measures(snap)
         worst = max(worst, abs(got.entropy_S - entropy),
                     abs(got.disequilibrium_D / diseq - 1.0),

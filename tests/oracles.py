@@ -339,10 +339,10 @@ def level_closed_form_per_root(n: int) -> tuple[float, float]:
 def level_quadrature_per_panel(n: int) -> tuple[float, float]:
     """(s_n, d_n) by the sine-mapped panels, each panel mapped and its
     Hermite function evaluated on its own."""
-    unit = gauss_legendre(_PANEL_NODES, 0.0, 1.0)
-    angle = 2.0 * math.pi * unit.nodes
-    mapped = unit.nodes - np.sin(angle) / (2.0 * math.pi)
-    weights = unit.weights * (1.0 - np.cos(angle))
+    nodes, weights = gauss_legendre(_PANEL_NODES, 0.0, 1.0)
+    angle = 2.0 * math.pi * nodes
+    mapped = nodes - np.sin(angle) / (2.0 * math.pi)
+    weights = weights * (1.0 - np.cos(angle))
     edge = math.sqrt(2.0 * n + 1.0) + 8.0
     edges = [-edge, *hermite(n).roots, edge]
     entropy = diseq = 0.0

@@ -27,10 +27,7 @@ from tdq.observables import (
     uncertainty_product,
 )
 from tdq.special_functions import (
-    bessel_j,
-    bessel_j_prime,
-    bessel_y,
-    bessel_y_prime,
+    bessel_jy,
     gauss_legendre,
     hermite_function,
 )
@@ -194,11 +191,12 @@ def test_criterion_7_quantum_sanity():
             for n in range(5):
                 snap = make_snapshot(params, state, n)
                 radius = truncation_radius(snap)
-                rule = gauss_legendre(512, -radius, radius)
-                p = density_values(snap, rule.nodes)
-                worst_norm = max(worst_norm, abs(rule.dot(p) - 1.0))
+                nodes, weights = gauss_legendre(512, -radius, radius)
+                p = density_values(snap, nodes)
+                worst_norm = max(worst_norm, abs(float(np.dot(weights, p)) - 1.0))
                 q2 = moments(snap)[2]
-                worst_q2 = max(worst_q2, abs(rule.dot(p * rule.nodes ** 2) - q2) / q2)
+                worst_q2 = max(worst_q2,
+                               abs(float(np.dot(weights, p * nodes ** 2)) - q2) / q2)
                 worst_floor = max(worst_floor,
                                   params.hbar * (n + 0.5) - uncertainty_product(snap))
     assert worst_norm < 1e-8
@@ -276,8 +274,8 @@ def test_criterion_9_special_function_substrate():
     worst_wronskian = 0.0
     for nu in (0.5, 1.0, 1.5, 2.3):
         for x in (0.5, 1.0, 2.0, 5.0, 10.0):
-            wronskian = (bessel_j(nu, x) * bessel_y_prime(nu, x)
-                         - bessel_j_prime(nu, x) * bessel_y(nu, x))
+            j, y, jp, yp = bessel_jy(nu, x)
+            wronskian = j * yp - jp * y
             worst_wronskian = max(worst_wronskian,
                                   abs(wronskian * math.pi * x / 2.0 - 1.0))
     assert worst_wronskian < 1e-8
@@ -285,11 +283,13 @@ def test_criterion_9_special_function_substrate():
     worst_half = 0.0
     for x in (0.5, 1.0, 2.0, 5.0):
         pref = math.sqrt(2.0 / (math.pi * x))
+        j_half, y_half, _, _ = bessel_jy(0.5, x)
+        j_three_halves, y_three_halves, _, _ = bessel_jy(1.5, x)
         for got, want in (
-                (bessel_j(0.5, x), pref * math.sin(x)),
-                (bessel_y(0.5, x), -pref * math.cos(x)),
-                (bessel_j(1.5, x), pref * (math.sin(x) / x - math.cos(x))),
-                (bessel_y(1.5, x), -pref * (math.cos(x) / x + math.sin(x)))):
+                (j_half, pref * math.sin(x)),
+                (y_half, -pref * math.cos(x)),
+                (j_three_halves, pref * (math.sin(x) / x - math.cos(x))),
+                (y_three_halves, -pref * (math.cos(x) / x + math.sin(x)))):
             worst_half = max(worst_half, abs(got - want) / abs(want))
     assert worst_half < 1e-12
 
@@ -302,12 +302,12 @@ def test_criterion_9_special_function_substrate():
             worst_bell = max(worst_bell, abs(got - want) / max(1.0, abs(want)))
     assert worst_bell < 1e-12
 
-    rule = gauss_legendre(200, -10.0, 10.0)
+    nodes, weights = gauss_legendre(200, -10.0, 10.0)
     worst_orth = 0.0
     for m in range(7):
-        hm = hermite_function(m, rule.nodes)
+        hm = hermite_function(m, nodes)
         for n in range(7):
-            got = rule.dot(hm * hermite_function(n, rule.nodes))
+            got = float(np.dot(weights, hm * hermite_function(n, nodes)))
             worst_orth = max(worst_orth, abs(got - (1.0 if m == n else 0.0)))
     assert worst_orth < 1e-8
     report("criterion 9 (special-function substrate)",

@@ -448,6 +448,16 @@ class TestExitCodes:
         assert "sigma0=30" in err
         assert not path.exists()
 
+    def test_envelope_violation_stderr_in_full(self, capsys):
+        # the default sweep's first t past the envelope, at sigma0 = 0.4
+        code, out, err = run(capsys, "observables", "--t1", "60")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: rho_analytic at sigma0=0.4, t=49.199999999999996: Bessel order 0.7 "
+            "and argument 50.199999999999996 outside the supported envelope "
+            "[0, 10.0] x (0, 50.0]\n")
+
     @pytest.mark.parametrize("name", ["missing/x.csv", "."])
     def test_unwritable_out_names_the_flag(self, capsys, tmp_path, name):
         path = tmp_path / name

@@ -154,6 +154,18 @@ class TestRhoAnalytic:
         with pytest.raises(EnvelopeError, match=f"sigma0=2.0, t={t!r}"):
             rho_analytic(params, t)
 
+    @pytest.mark.parametrize("sigma0, t, order, u", [
+        (2.0, 60.0, "1.5", "61.0"),  # argument >= 20: the modulus-series branch
+        (20.0, 1.0, "10.5", "2.0"),  # argument < 20: the kernel branch
+    ])
+    def test_envelope_message_in_full(self, sigma0, t, order, u):
+        params = SuperconductorParams(sigma0=sigma0)
+        with pytest.raises(EnvelopeError) as info:
+            rho_analytic(params, t)
+        assert str(info.value) == (
+            f"rho_analytic at sigma0={sigma0!r}, t={t!r}: Bessel order {order} and "
+            f"argument {u} outside the supported envelope [0, 10.0] x (0, 50.0]")
+
     def test_envelope_violation_order(self):
         # beta = 10.5 is above the order limit even where the argument is large
         params = SuperconductorParams(sigma0=20.0)

@@ -86,6 +86,13 @@ class TestClosedFormPhase:
         with pytest.raises(EnvelopeError, match=re.escape(f"phase at sigma0=2.0, t={t!r}")):
             phase(params, 0, t)
 
+    def test_envelope_message_in_full(self):
+        with pytest.raises(EnvelopeError) as info:
+            phase(SuperconductorParams(sigma0=2.0), 0, 60.0)
+        assert str(info.value) == (
+            "phase at sigma0=2.0, t=60.0: Bessel order 1.5 and argument 61.0 "
+            "outside the supported envelope [0, 10.0] x (0, 50.0]")
+
     def test_start_outside_envelope(self):
         # k = 60 fails at t = 0 itself, even where k (A t + 1) is back inside
         params = SuperconductorParams(sigma0=2.0, c=60.0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,11 +13,8 @@ from tdq.special_functions import (
     _debye_phase,
     _legendre_and_prev,
     _legendre_nodes_weights,
-    bessel_j,
-    bessel_j_prime,
+    bessel_jy,
     bessel_modulus_sq,
-    bessel_y,
-    bessel_y_prime,
     gauss_legendre,
     hermite,
     hermite_function,
@@ -28,73 +26,70 @@ from tdq.special_functions import (
 class TestBesselJ:
     def test_half_order_closed_form(self):
         x = math.pi / 2.0
-        assert bessel_j(0.5, x) == pytest.approx(2.0 / math.pi, rel=1e-13)
+        assert bessel_jy(0.5, x)[0] == pytest.approx(2.0 / math.pi, rel=1e-13)
 
     def test_small_argument_limit(self):
-        assert abs(bessel_j(0.0, 1e-8) - 1.0) < 1e-15
+        assert abs(bessel_jy(0.0, 1e-8)[0] - 1.0) < 1e-15
 
     def test_three_halves_closed_form(self):
         x = 2.0
         expected = math.sqrt(2.0 / (math.pi * x)) * (math.sin(x) / x - math.cos(x))
-        assert bessel_j(1.5, x) == pytest.approx(expected, rel=1e-12)
+        assert bessel_jy(1.5, x)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_envelope(self):
-        with pytest.raises(EnvelopeError):
-            bessel_j(11.0, 1.0)
-        with pytest.raises(EnvelopeError):
-            bessel_j(1.0, 0.0)
-        with pytest.raises(EnvelopeError):
-            bessel_j(1.0, 51.0)
-        with pytest.raises(EnvelopeError):
-            bessel_j(-0.5, 1.0)
+        for order, x in ((11.0, 1.0), (1.0, 0.0), (1.0, 51.0), (-0.5, 1.0), (math.nan, 1.0)):
+            message = (f"Bessel order {order!r} and argument {x!r} outside the "
+                       "supported envelope [0, 10.0] x (0, 50.0]")
+            with pytest.raises(EnvelopeError, match=f"^{re.escape(message)}$"):
+                bessel_jy(order, x)
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 0.7, 1.0, 1.75, 2.0, 2.3, 10.0])
     @pytest.mark.parametrize("x", [0.1, 1.0, 6.0, 25.0, 50.0])
     def test_against_extended_precision(self, nu, x):
-        assert bessel_j(nu, x) == pytest.approx(
+        assert bessel_jy(nu, x)[0] == pytest.approx(
             oracles.bessel_mp("j", nu, x), rel=1e-10, abs=1e-13)
 
     def test_against_scipy_grid(self):
         from scipy.special import jv
         for nu in (0.0, 0.25, 0.9, 1.0, 1.5, 3.0):
             for x in (0.3, 2.0, 9.5):
-                assert bessel_j(nu, x) == pytest.approx(float(jv(nu, x)),
-                                                        rel=1e-10, abs=1e-12)
+                assert bessel_jy(nu, x)[0] == pytest.approx(float(jv(nu, x)),
+                                                            rel=1e-10, abs=1e-12)
 
 
 class TestBesselY:
     def test_half_order_closed_form(self):
         for x in (0.5, 1.0, 2.0, 7.0):
             expected = -math.sqrt(2.0 / (math.pi * x)) * math.cos(x)
-            assert bessel_y(0.5, x) == pytest.approx(expected, rel=1e-12)
+            assert bessel_jy(0.5, x)[1] == pytest.approx(expected, rel=1e-12)
 
     def test_three_halves_closed_form(self):
         x = 2.0
         expected = -math.sqrt(2.0 / (math.pi * x)) * (math.cos(x) / x + math.sin(x))
-        assert bessel_y(1.5, x) == pytest.approx(expected, rel=1e-9)
+        assert bessel_jy(1.5, x)[1] == pytest.approx(expected, rel=1e-9)
 
     def test_integer_orders_against_scipy(self):
         from scipy.special import yn
         for n in (0, 1, 2, 5):
             for x in (0.2, 1.0, 4.0, 10.0, 30.0):
-                assert bessel_y(float(n), x) == pytest.approx(float(yn(n, x)),
-                                                              rel=1e-9, abs=1e-12)
+                assert bessel_jy(float(n), x)[1] == pytest.approx(float(yn(n, x)),
+                                                                  rel=1e-9, abs=1e-12)
 
     def test_non_integer_against_extended_precision(self):
         for nu in (0.7, 0.75, 0.9, 1.25, 2.3):
             for x in (0.5, 2.0, 10.0, 50.0):
-                assert bessel_y(nu, x) == pytest.approx(
+                assert bessel_jy(nu, x)[1] == pytest.approx(
                     oracles.bessel_mp("y", nu, x), rel=1e-9, abs=1e-12)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            bessel_y(1.0, -1.0)
+            bessel_jy(1.0, -1.0)
 
     def test_wronskian_spec_grid(self):
         for nu in (0.5, 1.0, 1.5, 2.3):
             for x in (0.5, 1.0, 2.0, 5.0, 10.0):
-                wronskian = (bessel_j(nu, x) * bessel_y_prime(nu, x)
-                             - bessel_j_prime(nu, x) * bessel_y(nu, x))
+                j, y, jp, yp = bessel_jy(nu, x)
+                wronskian = j * yp - jp * y
                 assert wronskian == pytest.approx(2.0 / (math.pi * x), rel=1e-8)
 
     @pytest.mark.parametrize("eps", [2.2e-16, -4e-16, 5e-10, -9e-7])
@@ -105,22 +100,22 @@ class TestBesselY:
                 if nu < 0.0:
                     continue
                 for x in (0.3, 1.0, 5.0, 12.0, 19.9):
-                    assert bessel_y(nu, x) == pytest.approx(
+                    assert bessel_jy(nu, x)[1] == pytest.approx(
                         oracles.bessel_mp("y", nu, x), rel=1e-11)
 
     def test_wronskian_near_integer_orders(self):
         for nu in (2.0 - 4e-16, 1.0 + 5e-10, 3.0 - 9e-7, 3.0 + 1.1e-6):
             for x in (0.3, 1.0, 4.0, 12.0):
-                wronskian = (bessel_j(nu, x) * bessel_y_prime(nu, x)
-                             - bessel_j_prime(nu, x) * bessel_y(nu, x))
+                j, y, jp, yp = bessel_jy(nu, x)
+                wronskian = j * yp - jp * y
                 assert wronskian == pytest.approx(2.0 / (math.pi * x), rel=1e-8)
 
     @settings(deadline=None, max_examples=40)
     @given(nu=st.floats(min_value=0.05, max_value=4.0),
            x=st.floats(min_value=0.3, max_value=12.0))
     def test_wronskian_property(self, nu, x):
-        wronskian = (bessel_j(nu, x) * bessel_y_prime(nu, x)
-                     - bessel_j_prime(nu, x) * bessel_y(nu, x))
+        j, y, jp, yp = bessel_jy(nu, x)
+        wronskian = j * yp - jp * y
         assert wronskian == pytest.approx(2.0 / (math.pi * x), rel=1e-8)
 
 
@@ -128,10 +123,26 @@ class TestBesselPair:
     @pytest.mark.parametrize("nu", [0.75, 0.0, 0.5, 1.0, 2.0, 2.3])
     @pytest.mark.parametrize("x", [0.5, 3.0, 12.0, 19.9])
     def test_bit_identical_to_single_functions(self, nu, x):
-        # each public function is one component of the kernel, on both
-        # sides of the Temme/CF2 split at x = 2
-        assert _bessel_jy(nu, x) == (bessel_j(nu, x), bessel_y(nu, x),
-                                     bessel_j_prime(nu, x), bessel_y_prime(nu, x))
+        # the public call returns the kernel's four results unchanged, on
+        # both sides of the Temme/CF2 split at x = 2
+        assert bessel_jy(nu, x) == _bessel_jy(nu, x)
+
+    @pytest.mark.parametrize("check, kernel_runs", [
+        (verify.check_bessel_wronskian, 20),
+        (verify.check_bessel_half_integer_closed_forms, 10),
+        (verify.check_bessel_modulus_vs_asymptotic, 15),
+    ])
+    def test_verify_runs_the_kernel_once_per_point(self, check, kernel_runs, monkeypatch):
+        # each (order, argument) takes its (J, Y, J', Y') from one kernel run
+        calls = []
+
+        def counting(nu, x):
+            calls.append((nu, x))
+            return _bessel_jy(nu, x)
+
+        monkeypatch.setattr(special_functions, "_bessel_jy", counting)
+        assert check(dict(verify._ALL_CHECKS)[check]).passed
+        assert len(calls) == len(set(calls)) == kernel_runs
 
 
 class TestBesselModulus:
@@ -237,11 +248,11 @@ class TestHermite:
             hermite_function(-1, 0.5)
 
     def test_orthogonality(self):
-        rule = gauss_legendre(200, -10.0, 10.0)
+        nodes, weights = gauss_legendre(200, -10.0, 10.0)
         for m in range(13):
-            hm = hermite_function(m, rule.nodes)
+            hm = hermite_function(m, nodes)
             for n in range(13):
-                got = rule.dot(hm * hermite_function(n, rule.nodes))
+                got = float(np.dot(weights, hm * hermite_function(n, nodes)))
                 assert abs(got - (1.0 if m == n else 0.0)) < 1e-8
 
 
@@ -367,31 +378,31 @@ class TestBellPartial:
 
 class TestGaussLegendre:
     def test_low_order_exactness(self):
-        rule = gauss_legendre(2, -1.0, 1.0)
-        assert rule.dot(rule.nodes * rule.nodes) == pytest.approx(2.0 / 3.0, abs=1e-14)
+        nodes, weights = gauss_legendre(2, -1.0, 1.0)
+        assert float(np.dot(weights, nodes * nodes)) == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     def test_gaussian_integral(self):
-        rule = gauss_legendre(200, -8.0, 8.0)
-        assert rule.dot(np.exp(-rule.nodes * rule.nodes)) == pytest.approx(
+        nodes, weights = gauss_legendre(200, -8.0, 8.0)
+        assert float(np.dot(weights, np.exp(-nodes * nodes))) == pytest.approx(
             math.sqrt(math.pi), rel=1e-12)
 
     def test_constant(self):
-        rule = gauss_legendre(5, 0.0, 5.0)
-        assert rule.dot(np.ones_like(rule.nodes)) == pytest.approx(5.0, rel=1e-14)
+        nodes, weights = gauss_legendre(5, 0.0, 5.0)
+        assert float(np.dot(weights, np.ones_like(nodes))) == pytest.approx(5.0, rel=1e-14)
 
     def test_rule_invariants(self):
-        rule = gauss_legendre(37, -2.0, 3.0)
-        assert np.all(rule.weights > 0.0)
-        assert float(np.sum(rule.weights)) == pytest.approx(5.0, rel=1e-12)
-        assert np.all(np.diff(rule.nodes) > 0)
-        assert rule.nodes[0] > -2.0 and rule.nodes[-1] < 3.0
+        nodes, weights = gauss_legendre(37, -2.0, 3.0)
+        assert np.all(weights > 0.0)
+        assert float(np.sum(weights)) == pytest.approx(5.0, rel=1e-12)
+        assert np.all(np.diff(nodes) > 0)
+        assert nodes[0] > -2.0 and nodes[-1] < 3.0
 
     def test_against_scipy(self):
         from scipy.special import roots_legendre
         x_ref, w_ref = roots_legendre(64)
-        rule = gauss_legendre(64, -1.0, 1.0)
-        assert np.allclose(rule.nodes, x_ref, atol=1e-14)
-        assert np.allclose(rule.weights, w_ref, atol=1e-14)
+        nodes, weights = gauss_legendre(64, -1.0, 1.0)
+        assert np.allclose(nodes, x_ref, atol=1e-14)
+        assert np.allclose(weights, w_ref, atol=1e-14)
 
     def test_guards(self):
         with pytest.raises(DomainError):
@@ -412,9 +423,21 @@ class TestGaussLegendre:
         with pytest.raises(DomainError, match=named):
             gauss_legendre(n_points, a, b)
 
+    @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (-2.5, 7.25)])
+    @pytest.mark.parametrize("n", [2, 17, 160, 512])
+    def test_plain_pair_of_the_mapped_rule(self, n, a, b):
+        # bit for bit the [-1, 1] rule's affine map onto [a, b]
+        x, w = _legendre_nodes_weights(n)
+        half = 0.5 * (b - a)
+        rule = gauss_legendre(n, a, b)
+        assert type(rule) is tuple and len(rule) == 2
+        nodes, weights = rule
+        assert np.array_equal(nodes, 0.5 * (a + b) + half * x)
+        assert np.array_equal(weights, half * w)
+
     def test_numpy_integer_count_accepted(self):
-        rule = gauss_legendre(np.int64(17), 0.0, 5.0)
-        assert np.array_equal(rule.nodes, gauss_legendre(17, 0.0, 5.0).nodes)
+        nodes, _ = gauss_legendre(np.int64(17), 0.0, 5.0)
+        assert np.array_equal(nodes, gauss_legendre(17, 0.0, 5.0)[0])
 
     @pytest.mark.parametrize("n, weight_error", [
         (2, 2.3e-16), (3, 5.6e-16), (17, 1.3e-15), (40, 2.1e-14), (64, 9.3e-14),
@@ -466,8 +489,8 @@ class TestGaussLegendre:
         degree = data.draw(st.integers(min_value=0, max_value=2 * n - 1))
         coeffs = data.draw(st.lists(st.floats(min_value=-2.0, max_value=2.0),
                                     min_size=degree + 1, max_size=degree + 1))
-        rule = gauss_legendre(n, -1.5, 2.0)
-        got = rule.dot(np.polynomial.polynomial.polyval(rule.nodes, coeffs))
+        nodes, weights = gauss_legendre(n, -1.5, 2.0)
+        got = float(np.dot(weights, np.polynomial.polynomial.polyval(nodes, coeffs)))
         exact = sum(c / (k + 1) * (2.0 ** (k + 1) - (-1.5) ** (k + 1))
                     for k, c in enumerate(coeffs))
         assert got == pytest.approx(exact, rel=1e-11, abs=1e-11)
