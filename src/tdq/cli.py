@@ -16,9 +16,11 @@ the bytes of one `json.dumps(..., indent=1)`.
 Every csv field has the bytes `_fmt` gives its value, so the contract
 holds however the rows are grouped into blocks and chunks.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid configuration
-or envelope violation, 141 (128 + SIGPIPE) when the reader closes stdout
-before the output is written.
+Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
+envelope violation or a solver that gave up (a Pinney singularity, a
+collapsed RK45 step, a series that did not converge, a density that lost
+its norm), 141 (128 + SIGPIPE) when the reader closes stdout before the
+output is written.
 """
 
 from __future__ import annotations
@@ -35,7 +37,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dynamics import SuperconductorParams, rho_analytic, solve_pinney_numeric
-from .errors import ConfigError, DomainError
+from .errors import (
+    ConfigError,
+    ConvergenceError,
+    DomainError,
+    NormalizationError,
+    PinneySingularityError,
+    StepSizeUnderflowError,
+)
 from .information import measures
 from .observables import (
     density_values,
@@ -425,7 +434,8 @@ def main(argv: list[str] | None = None) -> int:
         code = _COMMANDS[config.command][0](config)
         sys.stdout.flush()  # a closed pipe must fail here, not at exit
         return code
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, PinneySingularityError, StepSizeUnderflowError,
+            ConvergenceError, NormalizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -19,8 +19,9 @@ shares the one scaling step:
     u -> u - sin(2 pi u)/(2 pi), whose weight 1 - cos(2 pi u) vanishes to
     second order at both panel ends.  That absorbs the (xi - r)^2 ln|xi - r|
     singularity of h_n^2 ln h_n^2 at each root, and one node count
-    serves every panel and every n <= 12 to ~1e-15.  All n + 1 panels
-    are mapped at once, so h_n is evaluated once per level.
+    serves every panel and every n <= 12 to ~1e-15.  The mapped rule is
+    built once; all n + 1 panels are mapped at once, so h_n is evaluated
+    once per level.
 
   * closed form: the entropy as printed at rho = hbar = 1,
         n gamma + n + 1/2 + ln(sqrt(pi) n! 2^n)
@@ -29,7 +30,8 @@ shares the one scaling step:
     summed over the roots x_k of H_n.  The double-sum term is evaluated
     as printed (its i-sum coefficient as the exact rational
     -2 sum_{odd k <= n} 1/k).  The roots are exactly symmetric, so 1F1
-    and 2F2 are summed once per root pair +-x_k; the result reproduces
+    and 2F2 are summed together, in one fixed-point pass (`_hyp_pair`)
+    per root pair +-x_k, both correctly rounded; the result reproduces
     quadrature for n <= 1 but is known to drift for n >= 2, so the
     comparison is reported rather than asserted (the quadrature value is
     authoritative).  The disequilibrium is a sum of Gaussian moments of
@@ -61,11 +63,10 @@ from .errors import EnvelopeError, NormalizationError
 from .observables import QuantumSnapshot, _truncation_edge
 from .special_functions import (
     EULER_GAMMA,
+    _hyp_pair,
     gauss_legendre,
     hermite,
     hermite_function,
-    hyp1f1_special,
-    hyp2f2_special,
 )
 
 # nodes per panel of the sine-mapped rule: 128 leave d_n off by ~8e-11,
@@ -103,15 +104,25 @@ def _scaled(snapshot: QuantumSnapshot, s_n: float, d_n: float) -> MeasureSet:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def _sine_mapped_panel() -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the _PANEL_NODES-point rule on [0, 1] mapped
+    through u -> u - sin(2 pi u)/(2 pi), built once and read-only."""
+    nodes, weights = gauss_legendre(_PANEL_NODES, 0.0, 1.0)
+    angle = 2.0 * math.pi * nodes
+    mapped = nodes - np.sin(angle) / (2.0 * math.pi)
+    weights = weights * (1.0 - np.cos(angle))
+    mapped.setflags(write=False)
+    weights.setflags(write=False)
+    return mapped, weights
+
+
+@lru_cache(maxsize=None)
 def _level_quadrature(n: int) -> tuple[float, float]:
     """(s_n, d_n) by sine-mapped Gauss-Legendre panels split at the roots.
 
     The outer edges sit at |xi| = sqrt(2n+1) + 8, beyond which h_n^2 < 1e-25.
     """
-    nodes, weights = gauss_legendre(_PANEL_NODES, 0.0, 1.0)
-    angle = 2.0 * math.pi * nodes
-    mapped = nodes - np.sin(angle) / (2.0 * math.pi)
-    weights = weights * (1.0 - np.cos(angle))
+    mapped, weights = _sine_mapped_panel()
     edge = _truncation_edge(n)
     edges = np.array([-edge, *hermite(n).roots, edge])
     widths = (edges[1:] - edges[:-1])[:, None]
@@ -178,8 +189,10 @@ def _level_closed_form(n: int) -> tuple[float, float]:
                + math.log(math.sqrt(math.pi) * math.factorial(n) * 2.0 ** n))
     coef = float(_printed_isum_coefficient(n))
     # the roots are exactly antisymmetric, so +-x share one term, keyed by x^2
-    terms = {x * x: coef * hyp1f1_special(-x * x) - 2.0 * hyp2f2_special(-x * x) * x * x
-             for x in roots[n // 2:]}
+    terms = {}
+    for x in roots[n // 2:]:
+        f11, f22 = _hyp_pair(*(-x * x).as_integer_ratio())
+        terms[x * x] = coef * f11 - 2.0 * f22 * x * x
     for x in roots:
         entropy += terms[x * x]
     return entropy, float(_diseq_reduced_exact(n)) / math.sqrt(2.0 * math.pi)

@@ -11,8 +11,9 @@ envelope and returns the kernel's (J, Y, J', Y') whole.  The Bessel
 modulus J^2 + Y^2 and its derivative also have a non-oscillatory
 asymptotic series (`bessel_modulus_sq`), which replaces the kernel from
 argument 20 up where only the modulus is needed.  The two hypergeometric
-instances are their defining series, summed exactly in integers and
-rounded once.  `gauss_legendre` returns a plain (nodes, weights) pair.
+instances share one term sequence, summed together in one fixed-point
+integer pass under an error bound and correctly rounded (`_hyp_pair`).
+`gauss_legendre` returns a plain (nodes, weights) pair.
 
 Supported envelopes are deliberately narrow (Bessel order <= 10,
 argument <= 50; hypergeometric arguments z = -x^2 with |x| <= 6) and are
@@ -351,36 +352,70 @@ def hermite(n: int) -> HermiteTable:
 # The two fixed-parameter hypergeometric instances
 # ---------------------------------------------------------------------------
 
-# Term ratios t_{m+1} / t_m = z rise(m) / fall(m), as (rise, fall), of
-# 1F1(1; 1/2; z) and 2F2(1, 1; 3/2, 2; z)
-_HYP1F1_TERMS = (lambda m: 2, lambda m: 2 * m + 1)
-_HYP2F2_TERMS = (lambda m: 2 * (m + 1), lambda m: (2 * m + 3) * (m + 2))
-# the series stop once |term| < 1e-30 |partial sum|
-_SERIES_STOP = 10 ** 30
+# 1F1(1; 1/2; z) and 2F2(1, 1; 3/2, 2; z) are summed in fixed point with
+# the terms scaled by 2^bits: 160 bits first, doubled until the error bound
+# decides the rounding
+_HYP_START_BITS = 160
+# once the term ratio is at most 1/2, the sums stop at the first scaled term
+# of magnitude at most 2^70, which leaves a bound near 2^(78 - bits)
+_HYP_TAIL_BITS = 70
 _HYP_MAX_TERMS = 400
+# (2m + 1, m + 1) for the terms m = 1, 2, ... of the budget: the term
+# ratio's divisor, and 2F2's divisor, which is also the count of terms summed
+_HYP_STEPS = tuple((2 * m + 1, m + 1) for m in range(1, _HYP_MAX_TERMS))
 
 
-def _rational_series(z: float, rise, fall) -> float:
-    """sum_m t_m with t_0 = 1 and t_{m+1} = t_m z rise(m) / fall(m), for
-    integer-valued rise and fall, summed exactly and rounded once.
+def _hyp_pair(p: int, q: int, bits: int = _HYP_START_BITS) -> tuple[float, float]:
+    """(1F1(1; 1/2; z), 2F2(1, 1; 3/2, 2; z)) at the exact z = p/q, both
+    correctly rounded.  q must be a power of two, as in the ratio of a
+    binary64 (`float.as_integer_ratio`) or of its exact square.
 
-    With z = p/q (q a power of two), the term and the partial sum are
-    integer numerators over one common integer denominator, kept without
-    any gcd, so the alternating series loses nothing to cancellation.
-    ConvergenceError names z if 400 terms do not reach the stop; z = -36
-    needs 157.
+    Both are sums over one sequence, c_0 = 1 and c_m = c_{m-1} 2z/(2m+1):
+    1F1 = sum (2m+1) c_m and 2F2 = sum c_m/(m+1) (Dawson's 1F1(1; 3/2; z)
+    is sum c_m).  c_m 2^bits is carried as an integer C_m, one floor
+    division per term, so with r_m = |2z|/(2m+1) its error obeys
+    e_m <= r_m e_{m-1} + 1.  The r_m fall with m, so every product of
+    consecutive r_m is at most P, the product of those above 1 (the
+    largest |c_m|), and e_m <= m P.  Summing M + 1 terms therefore costs
+    each sum at most (M+1)^2 (M P + 1), the 2F2 term's own floor included.
+    The sums stop once r_{M+1} <= 1/2 and |C_M| <= 2^70; then the 1F1 tail
+    2z sum_{j>=M} c_j and the 2F2 tail are at most (2|2z| + 1)(|C_M| + M P)
+    scaled.  If the sums plus and minus the whole bound do not round to the
+    same doubles, the pass is repeated at twice the bits; int/int division
+    is correctly rounded, so the test is exact.  ConvergenceError names z
+    if 400 terms do not reach the tail; z = -36 needs 146 at 160 bits and
+    326 at 640.
     """
-    p, q = z.as_integer_ratio()
-    term = total = denominator = 1
-    for m in range(_HYP_MAX_TERMS):
-        scale = q * fall(m)
-        term *= p * rise(m)
-        denominator *= scale
-        total = total * scale + term
-        if abs(term) * _SERIES_STOP < abs(total):
-            return total / denominator
-    raise ConvergenceError(
-        f"hypergeometric series did not converge in {_HYP_MAX_TERMS} terms for z={z!r}")
+    shift = q.bit_length() - 1
+    two_p = 2 * p
+    abs_2z = abs(two_p / q)
+    # r_{m+1} <= 1/2 iff 2m + 3 >= ceil(4|p|/q)
+    tail_odd = -(-4 * abs(p) // q) - 2
+    tail_term = 1 << _HYP_TAIL_BITS
+    peak = 1.0
+    for odd, _ in _HYP_STEPS:
+        if odd >= abs_2z:
+            break
+        peak *= abs_2z / odd
+    while True:
+        term = one = sum11 = sum22 = 1 << bits
+        for odd, terms in _HYP_STEPS:
+            term = (term * two_p >> shift) // odd
+            sum11 += odd * term
+            sum22 += term // terms
+            if odd >= tail_odd and -tail_term <= term <= tail_term:
+                break
+        else:
+            raise ConvergenceError(f"hypergeometric series did not converge in "
+                                   f"{_HYP_MAX_TERMS} terms for z={p / q!r}")
+        err = (terms - 1) * peak
+        # doubled for the rounding of the float bookkeeping
+        bound = int(2.0 * (terms * terms * (err + 1.0)
+                           + (2.0 * abs_2z + 1.0) * (tail_term + err))) + 2
+        f11, f22 = (sum11 - bound) / one, (sum22 - bound) / one
+        if f11 == (sum11 + bound) / one and f22 == (sum22 + bound) / one:
+            return f11, f22
+        bits *= 2
 
 
 def _check_hyp_argument(z: float, name: str) -> None:
@@ -392,15 +427,15 @@ def _check_hyp_argument(z: float, name: str) -> None:
 
 
 def hyp1f1_special(z: float) -> float:
-    """1F1(1; 1/2; z) for -36 <= z <= 0, summed exactly and rounded once."""
+    """1F1(1; 1/2; z) for -36 <= z <= 0, correctly rounded (`_hyp_pair`)."""
     _check_hyp_argument(z, "hyp1f1_special")
-    return _rational_series(z, *_HYP1F1_TERMS)
+    return _hyp_pair(*z.as_integer_ratio())[0]
 
 
 def hyp2f2_special(z: float) -> float:
-    """2F2(1, 1; 3/2, 2; z) for -36 <= z <= 0, summed exactly and rounded once."""
+    """2F2(1, 1; 3/2, 2; z) for -36 <= z <= 0, correctly rounded (`_hyp_pair`)."""
     _check_hyp_argument(z, "hyp2f2_special")
-    return _rational_series(z, *_HYP2F2_TERMS)
+    return _hyp_pair(*z.as_integer_ratio())[1]
 
 
 # ---------------------------------------------------------------------------

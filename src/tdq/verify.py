@@ -40,6 +40,8 @@ from .special_functions import (
     gauss_legendre,
     hermite,
     hermite_function,
+    hyp1f1_special,
+    hyp2f2_special,
 )
 
 _FIGURE_SIGMAS = (0.4, 0.6, 0.8, 1.5, 2.0, 2.5, 3.0)
@@ -168,6 +170,27 @@ def check_quadrature_rule(tol: float) -> CheckResult:
     worst = max(worst, abs(float(np.sum(weights)) - 5.0) / 5.0)
     worst = max(worst, abs(float(np.dot(weights, np.ones_like(nodes))) - 5.0) / 5.0)
     return CheckResult("quadrature_rule", worst, tol)
+
+
+def check_hypergeometric_vs_quadrature(tol: float) -> CheckResult:
+    """1F1(1; 1/2; -x^2) and 2F2(1, 1; 3/2, 2; -x^2) at the positive roots
+    of H_12 and at x = 6 against Gauss-Legendre integrals on [0, 1], which
+    share no code with their series: with v = 1 - u^2,
+
+        1F1 = 1 - 2 x^2 int e^{-x^2 v} du,   2F2 = x^-2 int -expm1(-x^2 v) / v du.
+
+    1F1 changes sign near x = 0.92, so its error is absolute; 2F2's is
+    relative."""
+    nodes, weights = gauss_legendre(200, 0.0, 1.0)
+    v = (1.0 - nodes) * (1.0 + nodes)
+    worst = 0.0
+    for x in (*hermite(12).roots[6:], 6.0):
+        x2 = x * x
+        f11 = 1.0 - 2.0 * x2 * float(np.dot(weights, np.exp(-x2 * v)))
+        f22 = float(np.dot(weights, -np.expm1(-x2 * v) / v)) / x2
+        worst = max(worst, abs(hyp1f1_special(-x2) - f11),
+                    abs(hyp2f2_special(-x2) / f22 - 1.0))
+    return CheckResult("hypergeometric_vs_quadrature", worst, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +450,7 @@ _ALL_CHECKS: tuple = (
     (check_hermite_orthogonality, 1e-8),
     (check_hermite_root_residuals, 1e-9),
     (check_quadrature_rule, 1e-12),
+    (check_hypergeometric_vs_quadrature, 2e-13),
     (check_pinney_residual_analytic, 1e-6),
     (check_pinney_numeric_vs_analytic, 1e-6),
     (check_invariant_conservation, 1e-6),

@@ -3,12 +3,12 @@
 Each oracle deliberately avoids the production code path it checks:
 trapezoid sums instead of Gauss-Legendre, mpmath instead of the
 continued fractions and series, finite differences instead of analytic
-derivatives.  The Fraction hypergeometric series are the plain exact
-form of the integer-ratio series behind `tdq.special_functions`'
-`hyp1f1_special` and `hyp2f2_special`, the Fraction Hermite Newton step
-that of `tdq.verify`'s integer one, and `solve_rk45_numpy` is the array
-form of the tuple Dormand-Prince solver; the tests pin each pair to
-identical floats.
+derivatives.  The Fraction hypergeometric series are the exact sums
+that the fixed-point pass behind `tdq.special_functions`'
+`hyp1f1_special` and `hyp2f2_special` rounds, the Fraction Hermite Newton
+step is the plain form of `tdq.verify`'s integer one, and
+`solve_rk45_numpy` is the array form of the tuple Dormand-Prince solver;
+the tests pin each pair to identical floats.
 The printed Bell form of the disequilibrium is kept here, on the partial
 Bell polynomial recurrence `bell_partial`, which the tests check against
 partition enumeration.
@@ -116,7 +116,7 @@ def solve_rk45_numpy(rhs: Callable[[float, np.ndarray], np.ndarray],
     return out
 
 
-def hyp1f1_fraction_series(z: float) -> float:
+def hyp1f1_fraction_series(z: float | Fraction) -> float:
     """1F1(1; 1/2; z) summed in exact Fractions: t_{m+1} = t_m 2 z / (2m+1),
     stopped once |term| < 1e-30 |sum| or after 400 terms."""
     zq = Fraction(z)
@@ -130,7 +130,7 @@ def hyp1f1_fraction_series(z: float) -> float:
     return float(total)
 
 
-def hyp2f2_fraction_series(z: float) -> float:
+def hyp2f2_fraction_series(z: float | Fraction) -> float:
     """2F2(1, 1; 3/2, 2; z) summed in exact Fractions:
     t_{m+1} = t_m 2 z (m+1) / ((2m+3)(m+2)), same stop rule."""
     zq = Fraction(z)

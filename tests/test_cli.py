@@ -18,7 +18,12 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from tdq import cli, observables, verify
 from tdq.cli import RunConfig, _fmt, main
-from tdq.errors import NormalizationError
+from tdq.errors import (
+    ConvergenceError,
+    NormalizationError,
+    PinneySingularityError,
+    StepSizeUnderflowError,
+)
 from tdq.information import MeasureSet
 
 
@@ -466,6 +471,29 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"error: --out {str(path)!r} cannot be written: ")
         assert "Traceback" not in err
+
+    def test_pinney_singularity_exits_2_without_traceback(self, capsys):
+        # the numeric Pinney path at order 10 drives rho through its guard
+        code, out, err = run(capsys, "rho", "--seed-from-analytic", "--sigma0", "19",
+                             "--t1", "15", "--steps", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: rho fell below the singularity guard at t=13.94")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("exc", [
+        PinneySingularityError(1.5), StepSizeUnderflowError(1.5),
+        ConvergenceError("series did not converge"),
+        NormalizationError("density norm deviates"),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_solver_errors_exit_2(self, exc, capsys, monkeypatch):
+        def failing(params, t):
+            raise exc
+
+        monkeypatch.setattr(cli, "rho_analytic", failing)
+        code, out, err = run(capsys, "rho", "--steps", "2")
+        assert (code, out, err) == (2, "", f"error: {exc}\n")
 
     def test_level_beyond_closed_form_names_n(self, capsys):
         code, out, err = run(capsys, "info", "--n", "15", "--steps", "2")

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -320,14 +321,46 @@ class TestDawsonAndHypergeometric:
     @example(z=-25.0)
     @example(z=-5.3 ** 2)
     @example(z=-36.0)
+    @example(z=-0.0)
+    @example(z=-5e-324)
     def test_integer_ratio_series_match_fractions(self, z):
         assert hyp1f1_special(z) == oracles.hyp1f1_fraction_series(z)
         assert hyp2f2_special(z) == oracles.hyp2f2_fraction_series(z)
 
+    @pytest.mark.parametrize("n", range(15))
+    def test_pair_at_exact_squared_roots(self, n):
+        # the entropy's Dawson term needs the series at -x^2 exactly, not
+        # at the rounded -x*x: z = -p^2/q^2 for each root x = p/q of H_n
+        for x in hermite(n).roots:
+            p, q = x.as_integer_ratio()
+            z = Fraction(-p * p, q * q)
+            assert special_functions._hyp_pair(-p * p, q * q) == (
+                oracles.hyp1f1_fraction_series(z), oracles.hyp2f2_fraction_series(z))
+
+    @pytest.mark.parametrize("z", [-1e-300, -0.3, -0.8540326565981969, -5.3 ** 2, -36.0])
+    def test_pair_precision_doubling_keeps_the_result(self, z):
+        # from 8 bits the error bound cannot decide the rounding until the
+        # scale has doubled past the 2^70 tail cut, so every pass but the
+        # last is rejected; -0.854... is the float nearest the zero of 1F1
+        ratio = z.as_integer_ratio()
+        assert special_functions._hyp_pair(*ratio, bits=8) == \
+            special_functions._hyp_pair(*ratio)
+
     def test_series_out_of_terms_names_z(self):
         # far outside the envelope the terms still grow after 400 of them
         with pytest.raises(ConvergenceError, match=r"z=-10000\.0$"):
-            special_functions._rational_series(-1e4, *special_functions._HYP1F1_TERMS)
+            special_functions._hyp_pair(*(-1e4).as_integer_ratio())
+
+    def test_quadrature_check_passes_with_margin(self):
+        result = verify.check_hypergeometric_vs_quadrature(2e-13)
+        assert result.passed and result.residual < 1e-14
+
+    def test_quadrature_check_fails_on_perturbed_hyp2f2(self, monkeypatch):
+        monkeypatch.setattr(verify, "hyp2f2_special",
+                            lambda z: hyp2f2_special(z) * (1.0 + 1e-12))
+        result = verify.check_hypergeometric_vs_quadrature(2e-13)
+        assert not result.passed
+        assert result.residual > 5e-13
 
     def test_hyp2f2_guards(self):
         with pytest.raises(DomainError):
