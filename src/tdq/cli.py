@@ -11,10 +11,11 @@ Determinism contract: identical flags give byte-identical output.  Rows
 are ordered lexicographically by (sigma0, n, t, q); floats are printed
 with 17 significant digits (binary64 round-trip); run metadata lives in
 '#' comment lines above the csv header.  A table is computed whole and
-then streamed block by block: csv in chunks of at most 64 rows, json as
-the bytes of one `json.dumps(..., indent=1)`.
+then streamed block by block: csv as one string per block, its floats
+formatted by one array call of `float17.format_17g`, json as the bytes of
+one `json.dumps(..., indent=1)`.
 Every csv field has the bytes `_fmt` gives its value, so the contract
-holds however the rows are grouped into blocks and chunks.
+holds however the rows are grouped into blocks.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 envelope violation or a solver that gave up (a Pinney singularity, a
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -45,6 +45,7 @@ from .errors import (
     PinneySingularityError,
     StepSizeUnderflowError,
 )
+from .float17 import format_17g
 from .information import measures
 from .observables import (
     density_values,
@@ -132,12 +133,6 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-# Rows per `%` call of the csv writer.  One call per 2001-row `density`
-# block makes temporary strings large enough that the allocator keeps their
-# memory (the write adds 3.2 MiB to peak RSS); with 64-row chunks it adds
-# 0.7 MiB, at the same speed.
-_CHUNK_ROWS = 64
-
 # One row of an `indent=1` json document, which sits at depth 2: its items
 # are separated by ",\n   ".  Unlike `indent=1`, separators alone keep the
 # C encoder.
@@ -185,37 +180,45 @@ def _write_table(config: RunConfig, columns: list[str], table: _Table) -> None:
 
 
 def _write_csv(handle, meta: str, columns: list[str], table: _Table) -> None:
-    """csv rows, one `%` call per chunk of at most `_CHUNK_ROWS` rows.
+    """csv rows, each block's as one string.
 
-    Fields are `%d` for n and `%.17g` (the bytes of `_fmt`) otherwise.  A
-    chunk's template holds as literal text the block's head and every
-    column that is the same object as in the previous block; those texts
-    are formatted once per run of blocks that share them, and only the
-    other columns are `%` fields.
+    Fields are `%d` for n and the bytes of `_fmt` otherwise.  A block's
+    head is formatted once and its float columns by one `format_17g`
+    call, except a column that is the same object as in the previous block
+    (the table keeps every column alive, so an id names one column): its
+    fields are reused.
     """
-    kinds = ["%d" if name == "n" else "%.17g" for name in columns]
-    head_template = "".join(kind + "," for kind in kinds[:table.width])
-    kinds = kinds[table.width:]
+    integer = [name == "n" for name in columns]
+    head_template = "".join("%d," if i else "%.17g," for i in integer[:table.width])
+    integer = integer[table.width:]
     handle.write(f"# {meta}\n{','.join(columns)}\n")
-    previous, key, row_templates = (), None, []
+    previous = {}  # (position, id) of a column of the previous block -> its fields
     for head, block in table.blocks:
         rows = len(block[0])
-        shared = tuple(c is p for c, p in itertools.zip_longest(block, previous))
-        previous = block
-        if (shared, rows) != key:
-            key, row_templates = (shared, rows), None  # free the old ones first
-            row_templates = list(map(",".join, zip(*(
-                map(kind.__mod__, np.asarray(c).tolist()) if same
-                else itertools.repeat(kind, rows)
-                for kind, c, same in zip(kinds, block, shared)))))
-        values = [np.asarray(c).tolist() for c, same in zip(block, shared) if not same]
-        fields = list(itertools.chain.from_iterable(zip(*values)))
-        prefix = head_template % head
-        joiner = "\n" + prefix
-        for start in range(0, rows, _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            template = prefix + joiner.join(row_templates[start:stop]) + "\n"
-            handle.write(template % tuple(fields[start * len(values):stop * len(values)]))
+        fields = [previous.get((i, id(c))) for i, c in enumerate(block)]
+        fresh = [i for i, f in enumerate(fields) if f is None and not integer[i]]
+        if fresh:
+            text = format_17g(np.concatenate([np.asarray(block[i], dtype=np.float64)
+                                              for i in fresh]))
+            for j, i in enumerate(fresh):
+                fields[i] = text[j * rows:(j + 1) * rows]
+        for i, f in enumerate(fields):
+            if f is None:  # an integer column (n)
+                text = np.array([b"%d" % v for v in block[i]])
+                fields[i] = text.view(np.uint8).reshape(rows, -1)
+        previous = {(i, id(c)): f for i, (c, f) in enumerate(zip(block, fields))}
+        handle.write(_csv_rows((head_template % head).encode(), fields))
+
+
+def _csv_rows(prefix: bytes, fields: list[np.ndarray]) -> str:
+    """Lines of `prefix` and the comma-separated fields, given as matrices
+    of NUL-padded bytes with one row per line; the NULs are dropped."""
+    rows = len(fields[0])
+    parts = [np.broadcast_to(np.frombuffer(prefix, np.uint8), (rows, len(prefix)))]
+    for f in fields:
+        parts += [f, np.full((rows, 1), ord(","), np.uint8)]
+    parts[-1] = np.full((rows, 1), ord("\n"), np.uint8)
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _write_json(handle, meta: str, columns: list[str], table: _Table) -> None:

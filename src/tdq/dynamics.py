@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import DomainError, PinneySingularityError, TimeMismatchError
+from .errors import DomainError, EnvelopeError, PinneySingularityError, TimeMismatchError
 from .integrate import solve_rk45
 from .special_functions import (
     _bessel_jy,
@@ -145,7 +145,8 @@ def rho_analytic(params: SuperconductorParams, t: float) -> PinneyState:
     relative and rho' within 5.4e-15 of |rho'| + rho/(A t + 1).  Valid for
     A t + 1 > 0, which allows the slightly negative times used by
     finite-difference residual checks; elsewhere u <= 0 fails the Bessel
-    envelope check.
+    envelope check.  A rho or rho' out of float range (extreme constants,
+    such as c = 1e-150) raises EnvelopeError naming sigma0, t and u.
     """
     tau = params.A * t + 1.0
     beta, k = params.beta, params.k
@@ -161,6 +162,9 @@ def rho_analytic(params: SuperconductorParams, t: float) -> PinneyState:
     p = 0.5 * (1.0 - params.decay_exponent)
     rho = math.sqrt(math.pi / (2.0 * params.A)) * tau ** p * math.sqrt(g)
     rho_dot = rho * (p * params.A / tau + params.k * params.A * half_g_slope / g)
+    if not (0.0 < rho < math.inf and math.isfinite(rho_dot)):
+        raise EnvelopeError(f"rho_analytic at sigma0={params.sigma0!r}, t={t!r}: rho={rho!r} "
+                            f"or rho'={rho_dot!r} out of float range at Bessel argument {u!r}")
     return PinneyState(t=t, rho=rho, rho_dot=rho_dot)
 
 
@@ -217,7 +221,7 @@ def solve_pinney_numeric(params: SuperconductorParams,
 
     def guard(t, y):
         if y[0] < _RHO_GUARD:
-            raise PinneySingularityError(t)
+            raise PinneySingularityError(t, params.sigma0)
 
     states = solve_rk45(equation_of_motion(params, pinney=True), (rho0, rho_dot0),
                         t_grid, post_step=guard)

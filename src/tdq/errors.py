@@ -24,9 +24,10 @@ class StepSizeUnderflowError(RuntimeError):
 class PinneySingularityError(RuntimeError):
     """Pinney amplitude crossed the positivity guard during integration."""
 
-    def __init__(self, t: float):
-        self.t = t
-        super().__init__(f"rho fell below the singularity guard at t={t!r}")
+    def __init__(self, t: float, sigma0: float | None = None):
+        self.t, self.sigma0 = t, sigma0
+        named = "" if sigma0 is None else f" (sigma0={sigma0!r})"
+        super().__init__(f"rho fell below the singularity guard at t={t!r}{named}")
 
 
 class TimeMismatchError(ValueError):

@@ -263,9 +263,12 @@ class TestFormatsAndDeterminism:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-# finite binary64 values at the edges of the format, as Python and numpy floats
+# binary64 values at the edges of the format, as Python and numpy floats:
+# nan, +-inf and a value whose 18th digit is an exact tie (12056327.0517578125)
+# take the writer's `%.17g` fallback
 _EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
-                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 1e17)
+                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 1e17,
+                math.nan, math.inf, -math.inf, 12345678901 / 1024)
 _FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS),
                     st.floats(allow_nan=False, allow_infinity=False))
 _VALUES = st.one_of(_FLOATS, _FLOATS.map(np.float64))
@@ -290,7 +293,33 @@ TABLE_ARGVS = [
     ("observables", "--sigma0", "0.5,2", "--n", "0,3", "--steps", "4"),
     ("density", "--qpoints", "7"),
     ("info", "--n", "0,2", "--steps", "3"),
+    # P reaches subnormals (8.4e-309 at q = -33, t = 0) and exact zeros
+    ("density", "--qmin", "-40", "--qmax", "40", "--qpoints", "81"),
 ]
+
+# the benchmark's amplitude_sweep, info_levels and density_table flags at
+# seed 0, with fewer times
+BENCH_ARGVS = [
+    ("observables", "--sigma0",
+     "0.661723,0.946775,1.579984,1.909326,2.414627,3.350226,2.999999999",
+     "--n", "0", "--t0", "0.0", "--t1", "49.0", "--steps", "21"),
+    ("info", "--sigma0", "1.145364,1.439442,3.117245", "--n", "0,1,2,3,4,5,6,7,8,9,10,11,12",
+     "--t0", "0.0", "--t1", "2.0", "--steps", "3"),
+    ("density", "--sigma0", "0.439892,1.885307,2.801182", "--n", "0,1,2,3,4",
+     "--t0", "0.5", "--t1", "2.0", "--steps", "2", "--qmin", "-8.0", "--qmax", "8.0",
+     "--qpoints", "2001"),
+]
+
+
+def _density_shaped_table():
+    """50 profiles of P on one shared 2001-point grid: 100050 rows (6.2 MB
+    of csv, 7.6 MB of json)."""
+    rng = np.random.default_rng(0)
+    grid = np.linspace(-8.0, 8.0, 2001)
+    table = cli._Table(width=3)
+    for k in range(50):
+        table.add((0.5 + 0.03 * k, 1.5, k % 5), grid, np.exp(-grid**2) * rng.random(grid.size))
+    return table
 
 
 class TestTableWriter:
@@ -369,14 +398,7 @@ class TestTableWriter:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_memory_does_not_grow_with_rows(self, fmt, tmp_path):
-        # density-shaped: 50 profiles of P on one shared 2001-point grid,
-        # 100050 rows (6.2 MB of csv, 7.6 MB of json)
-        rng = np.random.default_rng(0)
-        grid = np.linspace(-8.0, 8.0, 2001)
-        table = cli._Table(width=3)
-        for k in range(50):
-            table.add((0.5 + 0.03 * k, 1.5, k % 5), grid,
-                      np.exp(-grid**2) * rng.random(grid.size))
+        table = _density_shaped_table()
         config = RunConfig(command="density", sigma0=[1.5], fmt=fmt,
                            out=str(tmp_path / f"table.{fmt}"))
         tracemalloc.start()
@@ -387,6 +409,20 @@ class TestTableWriter:
             tracemalloc.stop()
         assert peak < 8 * 2**20
         assert (tmp_path / f"table.{fmt}").stat().st_size > 5 * 2**20
+
+    def test_density_shaped_table_matches_chunked_writer(self):
+        table = _density_shaped_table()
+        outs = [io.StringIO(), io.StringIO()]
+        cli._write_csv(outs[0], "meta", ["t", "sigma0", "n", "q", "P"], table)
+        oracles.write_csv_chunked(outs[1], "meta", ["t", "sigma0", "n", "q", "P"], table)
+        assert outs[0].getvalue() == outs[1].getvalue()
+
+    @pytest.mark.parametrize("argv", BENCH_ARGVS + TABLE_ARGVS)
+    def test_csv_bytes_match_chunked_writer(self, argv, capsys, monkeypatch):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        monkeypatch.setattr(cli, "_write_csv", oracles.write_csv_chunked)
+        assert run(capsys, *argv)[:2] == (0, out)
 
     @pytest.mark.parametrize("argv", TABLE_ARGVS)
     def test_csv_fields_match_json_values(self, argv, capsys):
@@ -471,6 +507,25 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"error: --out {str(path)!r} cannot be written: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("rho", "--c", "1e-150"),  # rho = inf
+        ("observables", "--c", "1e-200"),  # rho' = nan
+        ("rho", "--c", "1e-200"),  # rho = nan
+    ])
+    def test_extreme_constant_exits_2_naming_sigma0(self, argv, capsys):
+        code, out, err = run(capsys, *argv, "--steps", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: rho_analytic at sigma0=")
+        assert err.count("\n") == 1
+
+    def test_pinney_singularity_names_sigma0(self, capsys):
+        code, out, err = run(capsys, "rho", "--seed-from-analytic", "--sigma0", "2,19",
+                             "--t1", "15", "--steps", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: rho fell below the singularity guard at t=13.94")
+        assert "sigma0=19" in err
+        assert err.count("\n") == 1
 
     def test_pinney_singularity_exits_2_without_traceback(self, capsys):
         # the numeric Pinney path at order 10 drives rho through its guard
