@@ -11,9 +11,10 @@ Determinism contract: identical flags give byte-identical output.  Rows
 are ordered lexicographically by (sigma0, n, t, q); floats are printed
 with 17 significant digits (binary64 round-trip); run metadata lives in
 '#' comment lines above the csv header.  A table is computed whole and
-then streamed block by block: csv as one string per block, its floats
-formatted by one array call of `float17.format_17g`, json as the bytes of
-one `json.dumps(..., indent=1)`.
+then streamed block by block: csv as ASCII bytes, one write per block to
+the binary buffer under the output stream, its floats formatted by one
+array call of `float17.format_17g`; json as the bytes of one
+`json.dumps(..., indent=1)`.
 Every csv field has the bytes `_fmt` gives its value, so the contract
 holds however the rows are grouped into blocks.
 
@@ -180,19 +181,25 @@ def _write_table(config: RunConfig, columns: list[str], table: _Table) -> None:
 
 
 def _write_csv(handle, meta: str, columns: list[str], table: _Table) -> None:
-    """csv rows, each block's as one string.
+    """csv rows as ASCII bytes, one write per block.
 
-    Fields are `%d` for n and the bytes of `_fmt` otherwise.  A block's
-    head is formatted once and its float columns by one `format_17g`
-    call, except a column that is the same object as in the previous block
-    (the table keeps every column alive, so an id names one column): its
-    fields are reused.
+    The bytes go to `handle.buffer` after one flush, so that text written
+    to `handle` before keeps its place; a handle with no buffer, such as
+    io.StringIO, gets them decoded.  Fields are `%d` for n and the bytes
+    of `_fmt` otherwise.  A block's head is formatted once and its float
+    columns by one `format_17g` call, except a column that is the same
+    object as in the previous block (the table keeps every column alive,
+    so an id names one column): its fields are reused.
     """
+    handle.flush()
+    raw = getattr(handle, "buffer", None)
+    write = raw.write if raw is not None else lambda data: handle.write(data.decode("ascii"))
     integer = [name == "n" for name in columns]
     head_template = "".join("%d," if i else "%.17g," for i in integer[:table.width])
     integer = integer[table.width:]
-    handle.write(f"# {meta}\n{','.join(columns)}\n")
+    write(f"# {meta}\n{','.join(columns)}\n".encode("ascii"))
     previous = {}  # (position, id) of a column of the previous block -> its fields
+    lines = bytearray()
     for head, block in table.blocks:
         rows = len(block[0])
         fields = [previous.get((i, id(c))) for i, c in enumerate(block)]
@@ -207,18 +214,24 @@ def _write_csv(handle, meta: str, columns: list[str], table: _Table) -> None:
                 text = np.array([b"%d" % v for v in block[i]])
                 fields[i] = text.view(np.uint8).reshape(rows, -1)
         previous = {(i, id(c)): f for i, (c, f) in enumerate(zip(block, fields))}
-        handle.write(_csv_rows((head_template % head).encode(), fields))
+        lines = _csv_rows(lines, (head_template % head).encode(), fields)
+        write(lines.translate(None, b"\0"))
 
 
-def _csv_rows(prefix: bytes, fields: list[np.ndarray]) -> str:
+def _csv_rows(lines: bytearray, prefix: bytes, fields: list[np.ndarray]) -> bytearray:
     """Lines of `prefix` and the comma-separated fields, given as matrices
-    of NUL-padded bytes with one row per line; the NULs are dropped."""
+    of NUL-padded bytes with one row per line, as one NUL-padded matrix in
+    `lines`, or in a new bytearray if `lines` is not of its size."""
     rows = len(fields[0])
     parts = [np.broadcast_to(np.frombuffer(prefix, np.uint8), (rows, len(prefix)))]
     for f in fields:
         parts += [f, np.full((rows, 1), ord(","), np.uint8)]
     parts[-1] = np.full((rows, 1), ord("\n"), np.uint8)
-    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode("ascii")
+    width = sum(part.shape[1] for part in parts)
+    if len(lines) != rows * width:
+        lines = bytearray(rows * width)
+    np.concatenate(parts, axis=1, out=np.frombuffer(lines, np.uint8).reshape(rows, width))
+    return lines
 
 
 def _write_json(handle, meta: str, columns: list[str], table: _Table) -> None:

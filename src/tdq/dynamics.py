@@ -51,7 +51,9 @@ class SuperconductorParams:
     Figure units set A = eps0 = c = lambdaL = hbar = 1; sigma0 = 0 is the
     lossless LC limit.  lambdaL is taken as an input length, never derived
     from microscopic constants.  Every field must be finite, sigma0 >= 0
-    and the others > 0, or DomainError names the field and its value.
+    and the others > 0, or DomainError names the field and its value; so
+    must beta, k and omega0^2, with k > 0, or DomainError names the fields
+    they are made of.
     """
 
     sigma0: float
@@ -69,6 +71,21 @@ class SuperconductorParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise DomainError(f"{name} must be finite and > 0, got {name}={value!r}")
+        # finite fields can still overflow a derived constant, or underflow
+        # it to 0 or a product to 0 (a division by it raises)
+        for what, derived, names, positive in (
+                ("beta = (1 + sigma0/(A eps0))/2", "beta", ("sigma0", "A", "eps0"), False),
+                ("k = c/(lambdaL A)", "k", ("c", "lambdaL", "A"), True),
+                ("omega0^2 = (c/lambdaL)^2", "omega0_sq", ("c", "lambdaL"), False)):
+            try:
+                value = getattr(self, derived)
+                ok = math.isfinite(value) and (value > 0.0 or not positive)
+            except ArithmeticError:  # ZeroDivisionError, OverflowError
+                ok = False
+            if not ok:
+                given = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+                raise DomainError(f"{what} must be finite{' and > 0' if positive else ''}, "
+                                  f"got {given}")
 
     @property
     def decay_exponent(self) -> float:

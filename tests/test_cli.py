@@ -425,6 +425,29 @@ class TestTableWriter:
         assert run(capsys, *argv)[:2] == (0, out)
 
     @pytest.mark.parametrize("argv", TABLE_ARGVS)
+    def test_csv_bytes_alike_in_every_sink(self, argv, capsys, tmp_path):
+        # the csv goes as bytes to a stdout with a binary buffer (capsys's,
+        # and a buffered text wrapper like a piped sys.stdout) and as str to
+        # one without (io.StringIO); text printed first stays first
+        print("first")
+        assert hasattr(sys.stdout, "buffer")
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("first\n# ")
+        body = out.removeprefix("first\n")
+        wrapped = io.TextIOWrapper(io.BytesIO(), encoding="ascii", newline="\n")
+        text = io.StringIO()
+        for sink in (wrapped, text):
+            with contextlib.redirect_stdout(sink):
+                print("first")
+                assert main(list(argv)) == 0
+        assert wrapped.buffer.getvalue() == ("first\n" + body).encode()
+        assert text.getvalue() == "first\n" + body
+        path = tmp_path / "table.csv"
+        assert main([*argv, "--out", str(path)]) == 0
+        assert path.read_bytes() == body.encode()
+
+    @pytest.mark.parametrize("argv", TABLE_ARGVS)
     def test_csv_fields_match_json_values(self, argv, capsys):
         code, csv_out, _ = run(capsys, *argv)
         assert code == 0
@@ -588,9 +611,13 @@ class TestExitCodes:
         (["info", "--n", "-1"], "n=-1"),
         (["rho", "--A", "0"], "A=0.0"),
         (["rho", "--A", "-1"], "A=-1.0"),
+        # finite flags whose derived constants are not: beta = inf, k = 0
+        (["rho", "--eps0", "1e-320"], "sigma0=2.0, A=1.0, eps0=1e-320"),
+        (["density", "--c", "1e-200", "--lambdaL", "1e200"], "c=1e-200, lambdaL=1e+200, A=1.0"),
     ])
     def test_bad_level_or_constant_writes_nothing(self, argv, named, capsys, tmp_path):
-        # the library objects that own n and A reject them before any output
+        # the library objects that own n and the constants reject them
+        # before any output
         path = tmp_path / "table.csv"
         for out_flags in ([], ["--out", str(path)]):
             code, out, err = run(capsys, *argv, "--steps", "2", *out_flags)

@@ -51,6 +51,21 @@ class TestParams:
                                               f"[>=]+ 0, got {name}={value!r}$"):
             SuperconductorParams(**fields)
 
+    @pytest.mark.parametrize("fields, named", [
+        ({"eps0": 1e-320}, "beta = (1 + sigma0/(A eps0))/2 must be finite, "
+                           "got sigma0=1.0, A=1.0, eps0=1e-320"),  # beta = inf
+        ({"A": 1e-200, "eps0": 1e-200}, "got sigma0=1.0, A=1e-200, eps0=1e-200"),  # A eps0 = 0
+        ({"c": 1e-200, "lambdaL": 1e200}, "k = c/(lambdaL A) must be finite and > 0, "
+                                          "got c=1e-200, lambdaL=1e+200, A=1.0"),  # k = 0
+        ({"c": 1e300, "A": 1e-300}, "got c=1e+300, lambdaL=1.0, A=1e-300"),  # k = inf
+        ({"c": 1e300}, "omega0^2 = (c/lambdaL)^2 must be finite, "
+                       "got c=1e+300, lambdaL=1.0"),  # (c/lambdaL)**2 overflows
+    ])
+    def test_bad_derived_constant_names_its_fields(self, fields, named):
+        with pytest.raises(DomainError) as info:
+            SuperconductorParams(sigma0=1.0, **fields)
+        assert named in str(info.value)
+
     def test_derived_quantities(self):
         params = SuperconductorParams(sigma0=2.0)
         assert params.beta == pytest.approx(1.5, abs=1e-15)

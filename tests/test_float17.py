@@ -1,6 +1,8 @@
+import random
 from decimal import Decimal
 
 import numpy as np
+import pytest
 
 from tdq.float17 import format_17g
 
@@ -27,12 +29,46 @@ def test_seeded_bit_patterns():
 
 
 def test_edges_powers_of_ten_and_switch_points():
-    powers = np.array([10.0**e for e in range(-323, 309)])
-    switches = np.array([1e-5, 1e-4, 1e16, 1e17])
-    centres = np.concatenate([powers, switches])
+    # every power of ten and the switches between fixed and scientific
+    # layout, each with its 64 neighbours on either side: next to a power
+    # of ten the decimal exponent may move either way
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)] + [1e-5, 1e-4, 1e16, 1e17])
+    bits = powers.view(np.int64)[:, None] + np.arange(-64, 65)
+    near = np.maximum(bits, 0).view(np.float64).ravel()
     assert_formats_like_percent(np.concatenate([
         [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308],
-        centres, -centres, np.nextafter(centres, np.inf), np.nextafter(centres, 0.0)]))
+        near, -near]))
+
+
+@pytest.mark.parametrize("bias", [-0.5, 0.5])
+def test_exponent_estimate_off_by_one_is_corrected(bias, monkeypatch):
+    # the digits do not rest on the accuracy of log10: with the estimate
+    # of the decimal exponent one too low or too high for about half the
+    # values, the text is unchanged
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + bias)
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal(20000) * 10.0 ** rng.integers(-300, 300, 20000)
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    assert_formats_like_percent(np.concatenate([values, powers, np.nextafter(powers, 0.0)]))
+
+
+def test_trailing_zeros_in_both_layouts():
+    # values whose 17 digits end in exactly t zeros, t = 0..16, each in
+    # fixed and in scientific layout: decimal integers m 10**j and dyadics
+    rng = random.Random(3)
+    values = []
+    for _ in range(4000):
+        length = rng.randint(1, 17)
+        m = rng.randrange(10 ** (length - 1), 10 ** length)
+        values += [float(m * 10 ** rng.randint(0, 30)), m / 2 ** rng.randint(1, 60)]
+    kinds = set()
+    for v in values:
+        digits, exponent = (b"%.16e" % v).split(b"e")
+        kinds.add((17 - len(digits.replace(b".", b"").rstrip(b"0")), -4 <= int(exponent) < 17))
+    assert kinds == {(t, fixed) for t in range(17) for fixed in (True, False)}
+    values = np.array(values)
+    assert_formats_like_percent(np.concatenate([values, -values]))
 
 
 def test_exact_ties_round_half_to_even():
