@@ -32,15 +32,9 @@ from typing import Callable, Sequence
 
 from .errors import DomainError, EnvelopeError, PinneySingularityError, TimeMismatchError
 from .integrate import solve_rk45
-from .special_functions import (
-    _bessel_jy,
-    _check_bessel_envelope,
-    bessel_modulus_sq,
-)
+from .special_functions import _check_bessel_envelope, bessel_modulus_sq
 
 _RHO_GUARD = 1e-12
-# Bessel argument from which rho_analytic sums the modulus asymptotic series
-_MODULUS_ASYMPTOTIC_X = 20.0
 
 
 @dataclass(frozen=True)
@@ -134,7 +128,7 @@ class PinneyState:
 
     def __post_init__(self):
         if not self.rho > 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho!r} at t={self.t!r}")
+            raise DomainError(f"rho must be positive, got {self.rho!r} at t={self.t!r}")
 
 
 @dataclass(frozen=True)
@@ -153,32 +147,25 @@ def rho_analytic(params: SuperconductorParams, t: float) -> PinneyState:
     rho depends on the Bessel functions only through the modulus
     M^2 = J_beta^2 + Y_beta^2 at u = k(A t + 1), and the slope only through
     its derivative,
-        rho'/rho = p A/(A t + 1) + k A (dM^2/du) / (2 M^2),   p = (1 - s)/2.
-    For u >= 20, M^2 and dM^2/du come from the modulus asymptotic series
-    (`bessel_modulus_sq`), accurate to ~1e-15 relative.  Below that, one
-    call of the Bessel kernel `_bessel_jy` gives (J, Y, J', Y') at order
-    beta, and dM^2/du = 2 (J J' + Y Y'); against 40-digit mpmath over
-    beta in [0.5, 10], near-integer orders included, rho is within 1.7e-15
-    relative and rho' within 5.4e-15 of |rho'| + rho/(A t + 1).  Valid for
-    A t + 1 > 0, which allows the slightly negative times used by
-    finite-difference residual checks; elsewhere u <= 0 fails the Bessel
-    envelope check.  A rho or rho' out of float range (extreme constants,
-    such as c = 1e-150) raises EnvelopeError naming sigma0, t and u.
+        rho'/rho = p A/(A t + 1) + k A (dM^2/du) / (2 M^2),   p = (1 - s)/2;
+    and both come from one call of `bessel_modulus_sq`, which chooses how.
+    Against 40-digit mpmath over beta in [0.5, 10], near-integer orders
+    included, rho is within 1.7e-15 relative and rho' within 5.4e-15 of
+    |rho'| + rho/(A t + 1).  Valid for A t + 1 > 0, which allows the
+    slightly negative times used by finite-difference residual checks;
+    the envelope is checked here first, so that EnvelopeError names sigma0
+    and t (u <= 0 fails it).  A rho, rho' or dM^2/du out of float range
+    (extreme constants, such as c = 1e-150) raises EnvelopeError naming
+    sigma0, t and u.
     """
     tau = params.A * t + 1.0
     beta, k = params.beta, params.k
     u = k * tau
     _check_bessel_envelope(beta, u, "rho_analytic", params.sigma0, t)
-    if u >= _MODULUS_ASYMPTOTIC_X:
-        g, g_slope = bessel_modulus_sq(beta, u)
-        half_g_slope = 0.5 * g_slope
-    else:
-        j, y, jp, yp = _bessel_jy(beta, u)
-        g = j * j + y * y
-        half_g_slope = j * jp + y * yp
+    g, g_slope = bessel_modulus_sq(beta, u)
     p = 0.5 * (1.0 - params.decay_exponent)
     rho = math.sqrt(math.pi / (2.0 * params.A)) * tau ** p * math.sqrt(g)
-    rho_dot = rho * (p * params.A / tau + params.k * params.A * half_g_slope / g)
+    rho_dot = rho * (p * params.A / tau + params.k * params.A * (0.5 * g_slope) / g)
     if not (0.0 < rho < math.inf and math.isfinite(rho_dot)):
         raise EnvelopeError(f"rho_analytic at sigma0={params.sigma0!r}, t={t!r}: rho={rho!r} "
                             f"or rho'={rho_dot!r} out of float range at Bessel argument {u!r}")
@@ -215,8 +202,8 @@ def equation_of_motion(params: SuperconductorParams, pinney: bool = False,
 
 def solve_pinney_numeric(params: SuperconductorParams,
                          rho0: float | None = None,
-                         rho_dot0: float | None = None,
-                         t_grid: Sequence[float] = ()) -> list[PinneyState]:
+                         rho_dot0: float | None = None, *,
+                         t_grid: Sequence[float]) -> list[PinneyState]:
     """Integrate the Pinney equation on an ascending grid.
 
     The initial values (rho0, rho_dot0) are given together, or both
@@ -225,16 +212,16 @@ def solve_pinney_numeric(params: SuperconductorParams,
     guard and StepSizeUnderflowError if the controller stalls.
     """
     if len(t_grid) == 0:
-        raise ValueError("t_grid must be a non-empty ascending grid")
+        raise DomainError("t_grid must be a non-empty ascending grid")
     if (rho0 is None) != (rho_dot0 is None):
         missing = "rho0" if rho0 is None else "rho_dot0"
-        raise ValueError(f"{missing} is missing: give rho0 and rho_dot0 together "
-                         "or neither")
+        raise DomainError(f"{missing} is missing: give rho0 and rho_dot0 together "
+                          "or neither")
     if rho0 is None:
         seed = rho_analytic(params, float(t_grid[0]))
         rho0, rho_dot0 = seed.rho, seed.rho_dot
     if rho0 <= 0.0:
-        raise ValueError(f"rho0 must be positive, got {rho0!r}")
+        raise DomainError(f"rho0 must be positive, got {rho0!r}")
 
     def guard(t, y):
         if y[0] < _RHO_GUARD:

@@ -1,7 +1,12 @@
 """Exception types shared across the package."""
 
 
-class DomainError(ValueError):
+class TdqError(Exception):
+    """Base of every error the package raises, which the CLI maps to exit 2;
+    each subclass also keeps a ValueError or RuntimeError base."""
+
+
+class DomainError(TdqError, ValueError):
     """Argument outside the mathematical domain of a function."""
 
 
@@ -9,19 +14,19 @@ class EnvelopeError(DomainError):
     """Argument outside the supported accuracy envelope."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(TdqError, RuntimeError):
     """A series or iteration failed to converge within its term budget."""
 
 
-class StepSizeUnderflowError(RuntimeError):
+class StepSizeUnderflowError(TdqError, RuntimeError):
     """Adaptive integrator drove the step size below the representable floor."""
 
-    def __init__(self, t: float, message: str = ""):
+    def __init__(self, t: float):
         self.t = t
-        super().__init__(message or f"step size underflow at t={t!r}")
+        super().__init__(f"step size underflow at t={t!r}")
 
 
-class PinneySingularityError(RuntimeError):
+class PinneySingularityError(TdqError, RuntimeError):
     """Pinney amplitude crossed the positivity guard during integration."""
 
     def __init__(self, t: float, sigma0: float | None = None):
@@ -30,13 +35,13 @@ class PinneySingularityError(RuntimeError):
         super().__init__(f"rho fell below the singularity guard at t={t!r}{named}")
 
 
-class TimeMismatchError(ValueError):
+class TimeMismatchError(TdqError, ValueError):
     """Two states that must share a common time do not."""
 
 
-class NormalizationError(RuntimeError):
+class NormalizationError(TdqError, RuntimeError):
     """A probability density failed its unit-norm guard."""
 
 
-class ConfigError(ValueError):
+class ConfigError(TdqError, ValueError):
     """Invalid run configuration."""

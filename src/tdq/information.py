@@ -59,7 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EnvelopeError, NormalizationError
+from .errors import DomainError, EnvelopeError, NormalizationError
 from .observables import QuantumSnapshot, _truncation_edge
 from .special_functions import (
     EULER_GAMMA,
@@ -214,4 +214,4 @@ def measures(snapshot: QuantumSnapshot, method: str = "quadrature") -> MeasureSe
         return _measures_quadrature(snapshot)
     if method == "closed_form":
         return _measures_closed_form(snapshot)
-    raise ValueError(f"method must be 'quadrature' or 'closed_form', got {method!r}")
+    raise DomainError(f"method must be 'quadrature' or 'closed_form', got {method!r}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .errors import ConvergenceError, StepSizeUnderflowError
+from .errors import ConvergenceError, DomainError, StepSizeUnderflowError
 
 # Dormand-Prince 5(4) tableau
 _C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
@@ -60,25 +60,25 @@ def solve_rk45(rhs: Callable[[float, tuple[float, float]], tuple[float, float]],
     A state is a pair of floats (x, x'): rhs(t, y) takes and returns one,
     and the result is a list with one state per entry of t_eval.  t_eval
     must be non-empty, finite and strictly ascending, and y0 two finite
-    values; a bad value raises ValueError naming it before rhs is first
-    called.  Every step calls rhs seven times.  There is deliberately no
-    first-same-as-last reuse of the seventh stage: `bench/tracing.py`
-    counts steps as rhs calls // 7.  post_step, if given, is called after
-    every accepted step (guards may raise from it).  Raises
-    StepSizeUnderflowError if error control collapses the step.
+    values; a bad value raises DomainError (a ValueError) naming it before
+    rhs is first called.  Every step calls rhs seven times.  There is
+    deliberately no first-same-as-last reuse of the seventh stage:
+    `bench/tracing.py` counts steps as rhs calls // 7.  post_step, if
+    given, is called after every accepted step (guards may raise from it).
+    Raises StepSizeUnderflowError if error control collapses the step.
     """
     t_eval = [float(v) for v in t_eval]
     y0 = tuple(float(v) for v in y0)
     for name, values in (("t_eval", t_eval), ("y0", y0)):
         for i, v in enumerate(values):
             if not math.isfinite(v):
-                raise ValueError(f"{name}[{i}] must be finite, got {v!r}")
+                raise DomainError(f"{name}[{i}] must be finite, got {v!r}")
     if len(y0) != 2:
-        raise ValueError(f"y0 must hold two values (x, x'), got {len(y0)}")
+        raise DomainError(f"y0 must hold two values (x, x'), got {len(y0)}")
     if len(t_eval) == 0:
-        raise ValueError("t_eval must be a non-empty 1-d sequence")
+        raise DomainError("t_eval must be a non-empty 1-d sequence")
     if any(b <= a for a, b in zip(t_eval, t_eval[1:])):
-        raise ValueError("t_eval must be strictly ascending")
+        raise DomainError("t_eval must be strictly ascending")
 
     # the zero entries a61 = b1, b6 and e1 are skipped below; c5 = c6 = 1
     (_, c1, c2, c3, c4, _, _) = _C

@@ -134,9 +134,16 @@ def wavefunction(snapshot: QuantumSnapshot, q: float, theta: float = 0.0) -> com
 
 
 def density_values(snapshot: QuantumSnapshot, q: np.ndarray) -> np.ndarray:
-    """P(q, t) = |psi_n|^2 on an array of charge values (real closed form)."""
+    """P(q, t) = |psi_n|^2 on an array of charge values (real closed form).
+
+    P takes its limit 0 where q/scale or its square overflows, silently:
+    xi = q/scale is capped at 1e300, where e^{-xi^2/2}, and so h_n, is 0
+    and sqrt(2) xi is still finite.
+    """
     scale = snapshot.scale
-    h = hermite_function(snapshot.n, np.asarray(q, dtype=float) / scale)
+    with np.errstate(over="ignore"):
+        xi = np.clip(np.asarray(q, dtype=float) / scale, -1e300, 1e300)
+        h = hermite_function(snapshot.n, xi)
     return h * h / scale
 
 

@@ -8,12 +8,12 @@ binary64.  J and Y of real order come from one kernel, `_bessel_jy`
 which never divides by sin(nu pi), so integer and near-integer orders
 take the path of any other order; the public `bessel_jy` checks the
 envelope and returns the kernel's (J, Y, J', Y') whole.  The Bessel
-modulus J^2 + Y^2 and its derivative also have a non-oscillatory
-asymptotic series (`bessel_modulus_sq`), which replaces the kernel from
-argument 20 up where only the modulus is needed.  The two hypergeometric
-instances share one term sequence, summed together in one fixed-point
-integer pass under an error bound and correctly rounded (`_hyp_pair`).
-`gauss_legendre` returns a plain (nodes, weights) pair.
+modulus J^2 + Y^2 and its derivative have one entry, `bessel_modulus_sq`,
+which alone chooses how they are computed: the non-oscillatory asymptotic
+series from argument 20 up, the checked kernel below.  The two
+hypergeometric instances share one term sequence, summed together in one
+fixed-point integer pass under an error bound and correctly rounded
+(`_hyp_pair`).  `gauss_legendre` returns a plain (nodes, weights) pair.
 
 Supported envelopes are deliberately narrow (Bessel order <= 10,
 argument <= 50; hypergeometric arguments z = -x^2 with |x| <= 6) and are
@@ -39,6 +39,8 @@ _SERIES_MAX_TERMS = 600
 # largest first-neglected-term bound accepted when the modulus series is cut
 # at its smallest term
 _MODULUS_TRUNCATION_TOL = 1e-15
+# argument from which bessel_modulus_sq sums the asymptotic series
+_MODULUS_ASYMPTOTIC_X = 20.0
 _LEGENDRE_ROUNDING = 2.0 ** -54  # half an ulp in [0.5, 1)
 # below this argument Y comes from Temme's series, from it up from CF2
 _TEMME_X_MAX = 2.0
@@ -186,9 +188,12 @@ def _bessel_jy(nu: float, x: float) -> tuple[float, float, float, float]:
 
 
 def bessel_modulus_sq(nu: float, x: float) -> tuple[float, float]:
-    """(M^2, dM^2/dx) for the Bessel modulus M_nu(x)^2 = J_nu^2 + Y_nu^2 at large x.
+    """(M^2, dM^2/dx) for the Bessel modulus M_nu(x)^2 = J_nu^2 + Y_nu^2.
 
-    Sums the non-oscillatory asymptotic series (DLMF 10.18.17) in binary64,
+    Below x = 20 this is one checked kernel call, `bessel_jy`, with
+    M^2 = J^2 + Y^2 and dM^2/dx = 2 (J J' + Y Y'); an order or argument
+    outside its envelope (NaN included) raises EnvelopeError.  From 20 up
+    it sums the non-oscillatory asymptotic series (DLMF 10.18.17) in binary64,
 
         M^2 = (2/(pi x)) sum_k t_k,   t_0 = 1,
         t_k = t_{k-1} (2k-1)/(2k) (mu - (2k-1)^2) / (2x)^2,   mu = 4 nu^2,
@@ -203,8 +208,9 @@ def bessel_modulus_sq(nu: float, x: float) -> tuple[float, float]:
     is never lost silently.  For order <= 10 and x >= 20 both results are
     accurate to about 1e-15 relative.
     """
-    if not x > 0.0:
-        raise DomainError(f"bessel_modulus_sq requires x > 0, got {x!r}")
+    if not x >= _MODULUS_ASYMPTOTIC_X:
+        j, y, jp, yp = bessel_jy(nu, x)
+        return j * j + y * y, 2.0 * (j * jp + y * yp)
     mu = 4.0 * nu * nu
     inv_4x2 = 0.25 / (x * x)
     term = total = 1.0
@@ -336,8 +342,6 @@ def hermite(n: int) -> HermiteTable:
     coeffs = _hermite_coefficients(n)
     if n == 0:
         return HermiteTable(0, coeffs, ())
-    if n == 1:
-        return HermiteTable(1, coeffs, (0.0,))
     off = np.sqrt(np.arange(1, n) / 2.0)
     jacobi = np.diag(off, 1) + np.diag(off, -1)
     roots = np.linalg.eigvalsh(jacobi)

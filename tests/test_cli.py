@@ -16,14 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from tdq import cli, observables, verify
+from tdq import cli, errors, observables, verify
 from tdq.cli import RunConfig, _fmt, main
-from tdq.errors import (
-    ConvergenceError,
-    NormalizationError,
-    PinneySingularityError,
-    StepSizeUnderflowError,
-)
 from tdq.information import MeasureSet
 
 
@@ -181,6 +175,18 @@ class TestDensity:
         code, _, err = run(capsys, "density", "--qmin", "-0.5", "--qmax", "0.5")
         assert code == 0
         assert "warning" in err.lower()
+
+    @pytest.mark.parametrize("hbar", ["1e-300", "1"])
+    def test_overflowing_charge_ratio_gives_zero(self, hbar, capsys):
+        # q/scale overflows at hbar = 1e-300 and its square at hbar = 1: P
+        # was nan (and the NaN norm passed its check) or 0 with a RuntimeWarning
+        code, out, err = run(capsys, "density", "--qmin=-1e200", "--qmax=1e200",
+                             "--hbar", hbar, "--n", "1", "--qpoints", "3", "--steps", "2")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert all(math.isfinite(p) for p in column(header, rows, "P"))
+        lines = err.splitlines()
+        assert lines and all(line.startswith("warning: density norm ") for line in lines)
 
     def test_leaves_warning_filters_unchanged(self, capsys):
         before = list(warnings.filters)
@@ -560,12 +566,15 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("exc", [
-        PinneySingularityError(1.5), StepSizeUnderflowError(1.5),
-        ConvergenceError("series did not converge"),
-        NormalizationError("density norm deviates"),
-    ], ids=lambda exc: type(exc).__name__)
-    def test_solver_errors_exit_2(self, exc, capsys, monkeypatch):
+    @pytest.mark.parametrize("kind", [
+        kind for kind in vars(errors).values()
+        if isinstance(kind, type) and issubclass(kind, errors.TdqError)
+    ], ids=lambda kind: kind.__name__)
+    def test_solver_errors_exit_2(self, kind, capsys, monkeypatch):
+        # every error of the package exits 2, the CLI naming none of them;
+        # 1.5 is a t to the classes that take one and a message to the rest
+        exc = kind(1.5)
+
         def failing(params, t):
             raise exc
 
@@ -655,6 +664,23 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "--qmax" in err
+
+    @pytest.mark.parametrize("argv, named", [
+        # the span overflows: linspace gave nan and inf charges
+        (["density", "--qmin=-1e308", "--qmax=1e308", "--qpoints", "3", "--steps", "2"],
+         "--qmin=-1e+308, --qmax=1e+308, --qpoints=3"),
+        # t0 and t1 one ulp apart: linspace repeats a time, which gave a
+        # traceback on the numeric Pinney path and every row twice otherwise
+        (["rho", "--seed-from-analytic", "--t0=1", "--t1=1.0000000000000002", "--steps", "4"],
+         "--t0=1.0, --t1=1.0000000000000002, --steps=4"),
+        (["observables", "--t0=1", "--t1=1.0000000000000002", "--steps", "4"],
+         "--t0=1.0, --t1=1.0000000000000002, --steps=4"),
+    ], ids=["overflowing-span", "repeated-time-numeric", "repeated-time"])
+    def test_degenerate_grid_rejected(self, argv, named, capsys):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {named} do not give a finite, strictly ascending ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("scale", ["nan", "-1", "0"])
     def test_bad_verify_tolerance_rejected(self, scale, capsys):
@@ -768,7 +794,7 @@ class TestVerify:
         def raising(fn):
             @functools.wraps(fn)
             def check(tol):
-                raise NormalizationError("density norm 0.5 deviates from 1")
+                raise errors.NormalizationError("density norm 0.5 deviates from 1")
             return check
 
         _, passing = verify_run()

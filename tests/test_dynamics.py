@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from tdq import dynamics, verify
+from tdq import dynamics, special_functions, verify
 from tdq.dynamics import (
     ClassicalState,
     PinneyState,
@@ -212,7 +212,7 @@ class TestRhoAnalyticAsymptotic:
     def test_branches_agree_at_crossover(self, beta, monkeypatch):
         params = SuperconductorParams(sigma0=2.0 * beta - 1.0)
         asymptotic = rho_analytic(params, 19.0)
-        monkeypatch.setattr(dynamics, "_MODULUS_ASYMPTOTIC_X", math.inf)
+        monkeypatch.setattr(special_functions, "_MODULUS_ASYMPTOTIC_X", math.inf)
         series = rho_analytic(params, 19.0)
         assert series.rho == pytest.approx(asymptotic.rho, rel=1e-13)
         assert series.rho_dot == pytest.approx(asymptotic.rho_dot, rel=1e-13)
@@ -240,7 +240,7 @@ class TestPinneyNumeric:
     def test_lc_equilibrium_fixed_point(self):
         params = SuperconductorParams(sigma0=0.0)
         grid = np.linspace(0.0, 10.0, 41)
-        states = solve_pinney_numeric(params, 1.0, 0.0, grid)
+        states = solve_pinney_numeric(params, 1.0, 0.0, t_grid=grid)
         for state in states:
             assert state.rho == pytest.approx(1.0, abs=1e-9)
 
@@ -257,7 +257,7 @@ class TestPinneyNumeric:
         # rho(t) = sqrt(4 cos^2 t + sin^2 t / 4)
         params = SuperconductorParams(sigma0=0.0)
         grid = np.linspace(0.0, math.pi, 33)
-        states = solve_pinney_numeric(params, 2.0, 0.0, grid)
+        states = solve_pinney_numeric(params, 2.0, 0.0, t_grid=grid)
         for state in states:
             expected = math.sqrt(4.0 * math.cos(state.t) ** 2
                                  + 0.25 * math.sin(state.t) ** 2)

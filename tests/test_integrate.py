@@ -74,7 +74,7 @@ class TestSolveRK45:
     def test_post_step_exception_propagates(self):
         def guard(t, y):
             if y[0] < 0.5 or y[1] < 0.5:
-                raise StepSizeUnderflowError(t, "guard fired")
+                raise StepSizeUnderflowError(t)
         with pytest.raises(StepSizeUnderflowError):
             solve_rk45(_decay, [1.0, 1.0], np.linspace(0.0, 3.0, 7),
                        post_step=guard)

@@ -166,13 +166,25 @@ class TestBesselModulus:
         assert m2 == pytest.approx(m2_ref, rel=1e-15)
         assert slope == pytest.approx(slope_ref, rel=4e-15)
 
-    def test_small_argument_raises(self):
-        with pytest.raises(ConvergenceError, match="nu=10.0, x=10.0"):
-            bessel_modulus_sq(10.0, 10.0)
-        with pytest.raises(ConvergenceError):
-            bessel_modulus_sq(math.nan, 30.0)
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 2.0 - 5e-10, 3.7, 10.0])
+    @pytest.mark.parametrize("x", [1e-3, 1.9, 2.0, 10.0, 19.999999999999996])
+    def test_below_20_is_the_checked_kernel(self, nu, x):
+        j, y, jp, yp = bessel_jy(nu, x)
+        assert bessel_modulus_sq(nu, x) == (j * j + y * y, 2.0 * (j * jp + y * yp))
+
+    def test_outside_the_envelope_raises(self):
+        # below 20 the kernel's envelope check applies
+        with pytest.raises(EnvelopeError, match="order 11.0 and argument 10.0"):
+            bessel_modulus_sq(11.0, 10.0)
         with pytest.raises(DomainError):
             bessel_modulus_sq(1.0, 0.0)
+        with pytest.raises(EnvelopeError):
+            bessel_modulus_sq(1.0, math.nan)
+        # from 20 up the series raises once x is too small for the order
+        with pytest.raises(ConvergenceError, match="nu=25.0, x=20.0"):
+            bessel_modulus_sq(25.0, 20.0)
+        with pytest.raises(ConvergenceError):
+            bessel_modulus_sq(math.nan, 30.0)
 
 
 class TestDebyePhase:
