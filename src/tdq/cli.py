@@ -85,12 +85,8 @@ class RunConfig:
                                       f"got {v!r}")
         if self.t0 < 0.0:
             raise ConfigError(f"t0 must be >= 0, got {self.t0}")
-        if not self.t1 > self.t0:
-            raise ConfigError(f"t1 must exceed t0, got t0={self.t0}, t1={self.t1}")
         if self.steps < 2:
             raise ConfigError(f"steps must be >= 2, got {self.steps}")
-        if not self.qmin < self.qmax:
-            raise ConfigError(f"qmin must be below qmax, got {self.qmin}, {self.qmax}")
         if self.qpoints < 2:
             raise ConfigError(f"qpoints must be >= 2, got {self.qpoints}")
         if self.tol_verify <= 0.0:

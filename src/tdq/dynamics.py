@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 from .errors import DomainError, EnvelopeError, PinneySingularityError, TimeMismatchError
 from .integrate import solve_rk45
-from .special_functions import _check_bessel_envelope, bessel_modulus_sq
+from .special_functions import _bessel_modulus_sq, _check_bessel_envelope
 
 _RHO_GUARD = 1e-12
 
@@ -146,26 +146,26 @@ def rho_analytic(params: SuperconductorParams, t: float) -> PinneyState:
 
     rho depends on the Bessel functions only through the modulus
     M^2 = J_beta^2 + Y_beta^2 at u = k(A t + 1), and the slope only through
-    its derivative,
-        rho'/rho = p A/(A t + 1) + k A (dM^2/du) / (2 M^2),   p = (1 - s)/2;
-    and both come from one call of `bessel_modulus_sq`, which chooses how.
+    M M' = J_beta J_beta' + Y_beta Y_beta',
+        rho'/rho = p A/(A t + 1) + k A M M' / M^2,   p = (1 - s)/2;
+    and both come from one run of the kernel `_bessel_modulus_sq`.
     Against 40-digit mpmath over beta in [0.5, 10], near-integer orders
     included, rho is within 1.7e-15 relative and rho' within 5.4e-15 of
     |rho'| + rho/(A t + 1).  Valid for A t + 1 > 0, which allows the
-    slightly negative times used by finite-difference residual checks;
-    the envelope is checked here first, so that EnvelopeError names sigma0
-    and t (u <= 0 fails it).  A rho, rho' or dM^2/du out of float range
-    (extreme constants, such as c = 1e-150) raises EnvelopeError naming
-    sigma0, t and u.
+    slightly negative times used by finite-difference residual checks.
+    The envelope is checked once, here, so that EnvelopeError names sigma0
+    and t (u <= 0 fails it).  A rho or rho' out of float range (extreme
+    constants, such as c = 1e-150) raises EnvelopeError naming sigma0, t
+    and u.
     """
     tau = params.A * t + 1.0
     beta, k = params.beta, params.k
     u = k * tau
     _check_bessel_envelope(beta, u, "rho_analytic", params.sigma0, t)
-    g, g_slope = bessel_modulus_sq(beta, u)
+    m_sq, m_dm = _bessel_modulus_sq(beta, u)
     p = 0.5 * (1.0 - params.decay_exponent)
-    rho = math.sqrt(math.pi / (2.0 * params.A)) * tau ** p * math.sqrt(g)
-    rho_dot = rho * (p * params.A / tau + params.k * params.A * (0.5 * g_slope) / g)
+    rho = math.sqrt(math.pi / (2.0 * params.A)) * tau ** p * math.sqrt(m_sq)
+    rho_dot = rho * (p * params.A / tau + params.k * params.A * m_dm / m_sq)
     if not (0.0 < rho < math.inf and math.isfinite(rho_dot)):
         raise EnvelopeError(f"rho_analytic at sigma0={params.sigma0!r}, t={t!r}: rho={rho!r} "
                             f"or rho'={rho_dot!r} out of float range at Bessel argument {u!r}")
@@ -200,34 +200,23 @@ def equation_of_motion(params: SuperconductorParams, pinney: bool = False,
     return rhs
 
 
-def solve_pinney_numeric(params: SuperconductorParams,
-                         rho0: float | None = None,
-                         rho_dot0: float | None = None, *,
+def solve_pinney_numeric(params: SuperconductorParams, *,
                          t_grid: Sequence[float]) -> list[PinneyState]:
-    """Integrate the Pinney equation on an ascending grid.
-
-    The initial values (rho0, rho_dot0) are given together, or both
-    default to the analytic values at the grid start (normally t = 0).
-    Raises PinneySingularityError if rho crosses the 1e-12 positivity
-    guard and StepSizeUnderflowError if the controller stalls.
+    """Integrate the Pinney equation on an ascending grid from its one seed,
+    rho_analytic(params, t_grid[0]); other initial values go straight to
+    solve_rk45 with equation_of_motion(params, pinney=True).  Raises
+    PinneySingularityError if rho crosses the 1e-12 positivity guard and
+    StepSizeUnderflowError if the controller stalls.
     """
     if len(t_grid) == 0:
         raise DomainError("t_grid must be a non-empty ascending grid")
-    if (rho0 is None) != (rho_dot0 is None):
-        missing = "rho0" if rho0 is None else "rho_dot0"
-        raise DomainError(f"{missing} is missing: give rho0 and rho_dot0 together "
-                          "or neither")
-    if rho0 is None:
-        seed = rho_analytic(params, float(t_grid[0]))
-        rho0, rho_dot0 = seed.rho, seed.rho_dot
-    if rho0 <= 0.0:
-        raise DomainError(f"rho0 must be positive, got {rho0!r}")
+    seed = rho_analytic(params, float(t_grid[0]))
 
     def guard(t, y):
         if y[0] < _RHO_GUARD:
             raise PinneySingularityError(t, params.sigma0)
 
-    states = solve_rk45(equation_of_motion(params, pinney=True), (rho0, rho_dot0),
+    states = solve_rk45(equation_of_motion(params, pinney=True), (seed.rho, seed.rho_dot),
                         t_grid, post_step=guard)
     return [PinneyState(t=float(t), rho=y[0], rho_dot=y[1])
             for t, y in zip(t_grid, states)]

@@ -6,11 +6,12 @@ budgets instead of opaque library internals, and everything is plain
 binary64.  J and Y of real order come from one kernel, `_bessel_jy`
 (Steed's continued fractions with Temme's series for Y at small argument),
 which never divides by sin(nu pi), so integer and near-integer orders
-take the path of any other order; the public `bessel_jy` checks the
-envelope and returns the kernel's (J, Y, J', Y') whole.  The Bessel
-modulus J^2 + Y^2 and its derivative have one entry, `bessel_modulus_sq`,
-which alone chooses how they are computed: the non-oscillatory asymptotic
-series from argument 20 up, the checked kernel below.  The two
+take the path of any other order.  The kernel `_bessel_modulus_sq` alone
+chooses how M^2 = J^2 + Y^2 and M M' = J J' + Y Y' are computed: the
+asymptotic series from argument 20 up, `_bessel_jy` below.  Kernels check
+nothing; the public `bessel_jy` and `bessel_modulus_sq` check the envelope
+once and reject non-finite results, and package code with its own checks
+calls the kernels.  The two
 hypergeometric instances share one term sequence, summed together in one
 fixed-point integer pass under an error bound and correctly rounded
 (`_hyp_pair`).  `gauss_legendre` returns a plain (nodes, weights) pair.
@@ -39,7 +40,7 @@ _SERIES_MAX_TERMS = 600
 # largest first-neglected-term bound accepted when the modulus series is cut
 # at its smallest term
 _MODULUS_TRUNCATION_TOL = 1e-15
-# argument from which bessel_modulus_sq sums the asymptotic series
+# argument from which _bessel_modulus_sq sums the asymptotic series
 _MODULUS_ASYMPTOTIC_X = 20.0
 _LEGENDRE_ROUNDING = 2.0 ** -54  # half an ulp in [0.5, 1)
 # below this argument Y comes from Temme's series, from it up from CF2
@@ -153,7 +154,10 @@ def _bessel_jy(nu: float, x: float) -> tuple[float, float, float, float]:
         else:
             raise ConvergenceError(f"Temme series did not converge for nu={nu}, x={x}")
         y_mu, y_next = -total, -total1 * xi2
-        j_norm = xi2 / math.pi / (mu * xi * y_mu - y_next - f * y_mu)
+        w = mu * xi * y_mu - y_next - f * y_mu
+        # w is 0 where Y_mu cancels away (|mu| near 1/2 at tiny x): J is then
+        # NaN, which the checked entries reject
+        j_norm = xi2 / math.pi / w if w else math.nan
     else:
         # CF2 by modified Lentz in complex arithmetic
         a = 0.25 - mu * mu
@@ -187,18 +191,16 @@ def _bessel_jy(nu: float, x: float) -> tuple[float, float, float, float]:
     return sign * scale, y, sign * h * scale, nu * xi * y - y_next_order
 
 
-def bessel_modulus_sq(nu: float, x: float) -> tuple[float, float]:
-    """(M^2, dM^2/dx) for the Bessel modulus M_nu(x)^2 = J_nu^2 + Y_nu^2.
+def _bessel_modulus_sq(nu: float, x: float) -> tuple[float, float]:
+    """(M^2, M M') = (J_nu^2 + Y_nu^2, J_nu J_nu' + Y_nu Y_nu') at x, unchecked.
 
-    Below x = 20 this is one checked kernel call, `bessel_jy`, with
-    M^2 = J^2 + Y^2 and dM^2/dx = 2 (J J' + Y Y'); an order or argument
-    outside its envelope (NaN included) raises EnvelopeError.  From 20 up
-    it sums the non-oscillatory asymptotic series (DLMF 10.18.17) in binary64,
+    Below x = 20 this is one run of the kernel `_bessel_jy`.  From 20 up it
+    sums the non-oscillatory asymptotic series (DLMF 10.18.17) in binary64,
 
         M^2 = (2/(pi x)) sum_k t_k,   t_0 = 1,
         t_k = t_{k-1} (2k-1)/(2k) (mu - (2k-1)^2) / (2x)^2,   mu = 4 nu^2,
 
-    and differentiates it term by term, dM^2/dx = (2/(pi x^2)) sum (-1-2k) t_k.
+    and differentiates it term by term, M M' = (2/(pi x^2)) sum (-1/2-k) t_k.
     The sum stops once a term falls below 1e-17 of it (at once for
     half-integer orders, where the series terminates).  If the terms start
     to grow first, the series is cut at its smallest term, whose successor
@@ -208,13 +210,13 @@ def bessel_modulus_sq(nu: float, x: float) -> tuple[float, float]:
     is never lost silently.  For order <= 10 and x >= 20 both results are
     accurate to about 1e-15 relative.
     """
-    if not x >= _MODULUS_ASYMPTOTIC_X:
-        j, y, jp, yp = bessel_jy(nu, x)
-        return j * j + y * y, 2.0 * (j * jp + y * yp)
+    if x < _MODULUS_ASYMPTOTIC_X:
+        j, y, jp, yp = _bessel_jy(nu, x)
+        return j * j + y * y, j * jp + y * yp
     mu = 4.0 * nu * nu
     inv_4x2 = 0.25 / (x * x)
     term = total = 1.0
-    slope = -1.0
+    half_slope = -0.5
     for k in range(1, _SERIES_MAX_TERMS):
         odd = 2.0 * k - 1.0
         nxt = term * (odd / (2.0 * k)) * (mu - odd * odd) * inv_4x2
@@ -226,14 +228,14 @@ def bessel_modulus_sq(nu: float, x: float) -> tuple[float, float]:
                 f"for nu={nu}, x={x}")
         term = nxt
         total += term
-        slope -= (odd + 2.0) * term
+        half_slope -= (k + 0.5) * term
         if abs(term) < 1e-17 * abs(total):
             break
     else:
         raise ConvergenceError(
             f"Bessel modulus asymptotic series did not converge for nu={nu}, x={x}")
     scale = 2.0 / (math.pi * x)
-    return scale * total, scale * slope / x
+    return scale * total, scale * half_slope / x
 
 
 def _debye_phase(nu: float, x: float) -> float:
@@ -257,11 +259,33 @@ def _check_bessel_envelope(order: float, x: float, caller: str = "",
             f"envelope [0, {_BESSEL_ORDER_MAX}] x (0, {_BESSEL_X_MAX}]")
 
 
+def _check_finite(order: float, x: float, results: tuple[float, ...], caller: str = "",
+                  sigma0: float = 0.0, t: float = 0.0) -> None:
+    """EnvelopeError naming the order and x unless every one of a kernel's
+    results is finite (tiny x overflows Y or loses J); a caller leads the
+    message as in `_check_bessel_envelope`."""
+    if not all(map(math.isfinite, results)):
+        where = f"{caller} at sigma0={sigma0!r}, t={t!r}: " if caller else ""
+        raise EnvelopeError(f"{where}Bessel order {order!r} and argument {x!r} give the "
+                            f"non-finite results {results!r}")
+
+
 def bessel_jy(order: float, x: float) -> tuple[float, float, float, float]:
     """(J, Y, J', Y') of order `order` at x, 0 <= order <= 10, 0 < x <= 50,
     from one run of the kernel `_bessel_jy`."""
     _check_bessel_envelope(order, x)
-    return _bessel_jy(order, x)
+    result = _bessel_jy(order, x)
+    _check_finite(order, x, result)
+    return result
+
+
+def bessel_modulus_sq(nu: float, x: float) -> tuple[float, float]:
+    """(M^2, M M') of order nu at x, 0 <= nu <= 10, 0 < x <= 50, from one
+    run of the kernel `_bessel_modulus_sq`; the slope of M^2 is 2 M M'."""
+    _check_bessel_envelope(nu, x)
+    result = _bessel_modulus_sq(nu, x)
+    _check_finite(nu, x, result)
+    return result
 
 
 # Only `bench/tracing.py` refers to these two, wrapping them by name; no

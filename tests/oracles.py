@@ -208,11 +208,10 @@ def _modulus_mp(nu, x):
 
 
 def bessel_modulus_mp(nu: float, x: float, dps: int = 40) -> tuple[float, float]:
-    """(J^2 + Y^2, 2 (J J' + Y Y')) at extended precision; the oscillating
+    """(J^2 + Y^2, J J' + Y Y') at extended precision; the oscillating
     products cancel by orders of magnitude, so they are not formed in binary64."""
     with mp.workdps(dps):
-        g, half_slope = _modulus_mp(mp.mpf(nu), mp.mpf(x))
-        return float(g), float(2 * half_slope)
+        return tuple(float(v) for v in _modulus_mp(mp.mpf(nu), mp.mpf(x)))
 
 
 def rho_mp(sigma0: float, t: float, dps: int = 40) -> tuple[float, float]:

@@ -548,6 +548,25 @@ class TestExitCodes:
         assert err.startswith("error: rho_analytic at sigma0=")
         assert err.count("\n") == 1
 
+    def test_tiny_constant_keeps_rho_dot_finite(self, capsys):
+        # at order 1/2, rho = 1/sqrt(k) and rho' = 0 exactly; M M' is within
+        # a factor 2 of the top of the float range here.  At u ~ 1e-155
+        # Temme's series takes exp() of ~178, which costs rho ~1e-14 relative
+        code, out, err = run(capsys, "rho", "--sigma0", "0", "--c", "4.5e-155",
+                             "--steps", "2", "--t1", "0.01")
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        for rho, rho_dot in zip(column(header, rows, "rho"), column(header, rows, "rho_dot")):
+            assert rho == pytest.approx(1.0 / math.sqrt(4.5e-155), rel=1e-13)
+            assert abs(rho_dot) <= 1e-15 * rho
+
+    def test_cancelled_bessel_kernel_exits_2_naming_sigma0(self, capsys):
+        # at order 1/2 and u = 1e-60 Temme's Y_mu cancels away, and J is NaN
+        code, out, err = run(capsys, "rho", "--sigma0", "0", "--c", "1e-60", "--steps", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: rho_analytic at sigma0=0.0, t=0.0: rho=nan")
+        assert err.count("\n") == 1
+
     def test_pinney_singularity_names_sigma0(self, capsys):
         code, out, err = run(capsys, "rho", "--seed-from-analytic", "--sigma0", "2,19",
                              "--t1", "15", "--steps", "3")

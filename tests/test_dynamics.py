@@ -16,6 +16,7 @@ from tdq.dynamics import (
     solve_pinney_numeric,
 )
 from tdq.errors import DomainError, EnvelopeError, TimeMismatchError
+from tdq.integrate import solve_rk45
 
 
 def pinney_residual_fd(params, t, h=1e-3):
@@ -132,6 +133,17 @@ class TestRhoAnalytic:
         assert state.rho == pytest.approx(expected, rel=1e-12)
         assert state.rho == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
+    @pytest.mark.parametrize("t", [0.5, 30.0])
+    def test_one_envelope_check_per_call(self, t, monkeypatch):
+        # on both sides of the modulus series' threshold at u = 20
+        checks = []
+        real = special_functions._check_bessel_envelope
+        for module in (dynamics, special_functions):
+            monkeypatch.setattr(module, "_check_bessel_envelope",
+                                lambda *args: checks.append(args) or real(*args))
+        rho_analytic(SuperconductorParams(sigma0=2.0), t)
+        assert checks == [(1.5, t + 1.0, "rho_analytic", 2.0, t)]
+
     def test_lc_limit_constant(self):
         params = SuperconductorParams(sigma0=0.0)
         for t in (0.0, 0.5, 3.0):
@@ -240,9 +252,9 @@ class TestPinneyNumeric:
     def test_lc_equilibrium_fixed_point(self):
         params = SuperconductorParams(sigma0=0.0)
         grid = np.linspace(0.0, 10.0, 41)
-        states = solve_pinney_numeric(params, 1.0, 0.0, t_grid=grid)
-        for state in states:
-            assert state.rho == pytest.approx(1.0, abs=1e-9)
+        states = solve_rk45(dynamics.equation_of_motion(params, pinney=True), (1.0, 0.0), grid)
+        for rho, _ in states:
+            assert rho == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_analytic_when_seeded(self):
         grid = np.linspace(0.0, 5.0, 51)
@@ -257,21 +269,12 @@ class TestPinneyNumeric:
         # rho(t) = sqrt(4 cos^2 t + sin^2 t / 4)
         params = SuperconductorParams(sigma0=0.0)
         grid = np.linspace(0.0, math.pi, 33)
-        states = solve_pinney_numeric(params, 2.0, 0.0, t_grid=grid)
-        for state in states:
-            expected = math.sqrt(4.0 * math.cos(state.t) ** 2
-                                 + 0.25 * math.sin(state.t) ** 2)
-            assert state.rho == pytest.approx(expected, abs=1e-8)
-        halfway = states[16]
-        assert halfway.t == pytest.approx(math.pi / 2.0)
-        assert halfway.rho == pytest.approx(0.5, abs=1e-8)
-
-    @pytest.mark.parametrize("given, missing", [({"rho0": 5.0}, "rho_dot0"),
-                                                ({"rho_dot0": 0.3}, "rho0")])
-    def test_lone_initial_value_names_the_missing_one(self, given, missing):
-        params = SuperconductorParams(sigma0=2.0)
-        with pytest.raises(ValueError, match=f"^{missing} is missing"):
-            solve_pinney_numeric(params, t_grid=np.linspace(0.0, 1.0, 5), **given)
+        states = solve_rk45(dynamics.equation_of_motion(params, pinney=True), (2.0, 0.0), grid)
+        for t, (rho, _) in zip(grid, states):
+            expected = math.sqrt(4.0 * math.cos(t) ** 2 + 0.25 * math.sin(t) ** 2)
+            assert rho == pytest.approx(expected, abs=1e-8)
+        assert grid[16] == pytest.approx(math.pi / 2.0)
+        assert states[16][0] == pytest.approx(0.5, abs=1e-8)
 
 
 class TestNonUnitConstants:

@@ -99,6 +99,14 @@ class TestClosedFormPhase:
         with pytest.raises(EnvelopeError, match="phase at sigma0=2.0, t=-0.5"):
             phase(params, 0, -0.5)
 
+    def test_non_finite_bessel_values_name_sigma0_and_t(self):
+        # at k = 1e-200 the kernel's J is NaN, which round() cannot take
+        params = SuperconductorParams(sigma0=2.0, c=1e-200)
+        with pytest.raises(EnvelopeError, match=re.escape(
+                "phase at sigma0=2.0, t=0.5: Bessel order 1.5 and argument 1e-200 "
+                "give the non-finite")):
+            phase(params, 0, 0.5)
+
 
 class TestPhaseOverOrderEnvelope:
     @pytest.mark.parametrize("sigma0", [0.5, 3.0 - 1e-9, 10.0, 15.0, 19.0])

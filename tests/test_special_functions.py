@@ -1,6 +1,8 @@
+import ast
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from tdq import special_functions, verify
-from tdq.errors import ConvergenceError, DomainError, EnvelopeError
+from tdq.errors import ConvergenceError, DomainError, EnvelopeError, TdqError
 from tdq.special_functions import (
     _bessel_jy,
+    _bessel_modulus_sq,
     _debye_phase,
     _legendre_and_prev,
     _legendre_nodes_weights,
@@ -149,42 +152,93 @@ class TestBesselPair:
 class TestBesselModulus:
     @pytest.mark.parametrize("x", [20.0, 27.5, 50.0])
     def test_terminating_half_integer_orders(self, x):
-        # M^2 = 2/(pi x) at order 1/2 and (2/(pi x))(1 + 1/x^2) at order 3/2
-        m2, slope = bessel_modulus_sq(0.5, x)
+        # M^2 = 2/(pi x) at order 1/2 and (2/(pi x))(1 + 1/x^2) at order 3/2;
+        # M M' is half the derivative of each
+        m2, m_dm = bessel_modulus_sq(0.5, x)
         assert m2 == pytest.approx(2.0 / (math.pi * x), rel=1e-15)
-        assert slope == pytest.approx(-2.0 / (math.pi * x * x), rel=1e-15)
-        m2, slope = bessel_modulus_sq(1.5, x)
+        assert m_dm == pytest.approx(-1.0 / (math.pi * x * x), rel=1e-15)
+        m2, m_dm = bessel_modulus_sq(1.5, x)
         assert m2 == pytest.approx(2.0 / (math.pi * x) * (1.0 + 1.0 / x ** 2), rel=1e-15)
-        assert slope == pytest.approx(-2.0 / math.pi * (1.0 / x ** 2 + 3.0 / x ** 4),
-                                      rel=1e-15)
+        assert m_dm == pytest.approx(-1.0 / math.pi * (1.0 / x ** 2 + 3.0 / x ** 4),
+                                     rel=1e-15)
 
     @pytest.mark.parametrize("nu", [0.0, 0.6, 1.0, 3.7, 7.5, 10.0])
     @pytest.mark.parametrize("x", [20.0, 31.0, 50.0])
     def test_against_extended_precision(self, nu, x):
-        m2_ref, slope_ref = oracles.bessel_modulus_mp(nu, x)
-        m2, slope = bessel_modulus_sq(nu, x)
+        m2_ref, m_dm_ref = oracles.bessel_modulus_mp(nu, x)
+        m2, m_dm = bessel_modulus_sq(nu, x)
         assert m2 == pytest.approx(m2_ref, rel=1e-15)
-        assert slope == pytest.approx(slope_ref, rel=4e-15)
+        assert m_dm == pytest.approx(m_dm_ref, rel=4e-15)
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 2.0 - 5e-10, 3.7, 10.0])
     @pytest.mark.parametrize("x", [1e-3, 1.9, 2.0, 10.0, 19.999999999999996])
     def test_below_20_is_the_checked_kernel(self, nu, x):
         j, y, jp, yp = bessel_jy(nu, x)
-        assert bessel_modulus_sq(nu, x) == (j * j + y * y, 2.0 * (j * jp + y * yp))
+        assert bessel_modulus_sq(nu, x) == (j * j + y * y, j * jp + y * yp)
 
     def test_outside_the_envelope_raises(self):
-        # below 20 the kernel's envelope check applies
+        # the public entry checks the envelope on both sides of x = 20
         with pytest.raises(EnvelopeError, match="order 11.0 and argument 10.0"):
             bessel_modulus_sq(11.0, 10.0)
         with pytest.raises(DomainError):
             bessel_modulus_sq(1.0, 0.0)
         with pytest.raises(EnvelopeError):
             bessel_modulus_sq(1.0, math.nan)
-        # from 20 up the series raises once x is too small for the order
-        with pytest.raises(ConvergenceError, match="nu=25.0, x=20.0"):
+        with pytest.raises(EnvelopeError, match="order 25.0 and argument 20.0"):
             bessel_modulus_sq(25.0, 20.0)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(EnvelopeError, match="order 3.0 and argument 60.0 outside"):
+            bessel_modulus_sq(3.0, 60.0)
+        with pytest.raises(EnvelopeError):
             bessel_modulus_sq(math.nan, 30.0)
+        # the unchecked kernel's series still raises once x is too small for
+        # the order, rather than lose precision
+        with pytest.raises(ConvergenceError, match="nu=25.0, x=20.0"):
+            _bessel_modulus_sq(25.0, 20.0)
+        with pytest.raises(ConvergenceError):
+            _bessel_modulus_sq(math.nan, 30.0)
+
+
+class TestNonFiniteResults:
+    """Inside the envelope a tiny x can overflow Y or lose J to NaN; the
+    public entries raise EnvelopeError naming the order and x instead."""
+
+    # at (0.5, 1e-60) Temme's Y_mu cancels away, which leaves no Wronskian
+    # to scale J by
+    @pytest.mark.parametrize("entry", [bessel_jy, bessel_modulus_sq])
+    @pytest.mark.parametrize("order, x", [(0.5, 1e-300), (10.0, 1e-40), (3.0, 1e-100),
+                                          (0.5, 1e-60)])
+    def test_entry_raises(self, entry, order, x):
+        with pytest.raises(EnvelopeError, match=re.escape(
+                f"Bessel order {order!r} and argument {x!r} give the non-finite")):
+            entry(order, x)
+
+    @pytest.mark.parametrize("order", [0.0, 0.25, 0.5 - 1e-9, 0.5, 1.5, 2.5, 10.0])
+    def test_finite_results_or_a_tdq_error(self, order):
+        # x log-spaced down to the smallest subnormal, then across the rest
+        for x in [10.0 ** -e for e in range(0, 324, 7)] + [5e-324, 2.0, 20.0, 50.0]:
+            for entry in (bessel_jy, bessel_modulus_sq):
+                try:
+                    results = entry(order, x)
+                except TdqError:
+                    continue
+                assert all(map(math.isfinite, results)), (entry.__name__, order, x)
+
+
+def test_package_code_calls_the_kernels():
+    # package code checks the envelope once, with its own context, and calls
+    # `_bessel_jy` or `_bessel_modulus_sq`; only `special_functions` (which
+    # defines the public entries) and `verify` (which tests them) call those
+    callers = []
+    for path in sorted(Path(special_functions.__file__).parent.glob("*.py")):
+        if path.stem in ("special_functions", "verify"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in ("bessel_jy", "bessel_modulus_sq"):
+                    callers.append(f"{path.name}:{node.lineno} calls {name}")
+    assert callers == []
 
 
 class TestDebyePhase:
