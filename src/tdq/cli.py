@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dynamics import SuperconductorParams, rho_analytic, solve_pinney_numeric
-from .errors import ConfigError, TdqError
+from .errors import ConfigError, EnvelopeError, TdqError
 from .float17 import format_17g
 from .information import measures
 from .observables import (
@@ -261,22 +261,44 @@ def _one_block(rows: list[tuple]) -> _Table:
 # subcommands
 # ---------------------------------------------------------------------------
 
+# the numeric Pinney path prints only what lies within this relative
+# distance of the analytic rho
+_NUMERIC_RHO_RTOL = 1e-6
+
+
 def cmd_rho(config: RunConfig) -> int:
-    """Columns (t, sigma0, rho, rho_dot, L, omega_sq) over the sweep."""
+    """Columns (t, sigma0, rho, rho_dot, L, omega_sq) over the sweep.
+
+    With --seed-from-analytic the rows are the numeric Pinney solution,
+    checked against the analytic rho at every grid time.
+    """
     rows = []
     grid = config.t_grid()
     for sigma0 in sorted(config.sigma0):
         params = config.params_for(sigma0)
+        states = [rho_analytic(params, float(t)) for t in grid]
         if config.seed_from_analytic:
-            states = solve_pinney_numeric(params, t_grid=grid)
-        else:
-            states = [rho_analytic(params, float(t)) for t in grid]
+            states = _numeric_near(solve_pinney_numeric(params, t_grid=grid), states, sigma0)
         for t, state in zip(grid, states):
             rows.append((float(t), sigma0, state.rho, state.rho_dot,
                          params.L(float(t)), params.omega_sq(float(t))))
     _write_table(config, ["t", "sigma0", "rho", "rho_dot", "L", "omega_sq"],
                  _one_block(rows))
     return 0
+
+
+def _numeric_near(numeric: list, analytic: list, sigma0: float) -> list:
+    """`numeric` if each of its rho is within _NUMERIC_RHO_RTOL of the
+    `analytic` one, relative; else EnvelopeError names sigma0, the t of the
+    largest error (the first NaN, if any) and the error."""
+    rho, ref = (np.array([state.rho for state in states]) for states in (numeric, analytic))
+    error = np.abs(rho - ref) / ref
+    worst = int(np.argmax(error))
+    if not error[worst] <= _NUMERIC_RHO_RTOL:
+        raise EnvelopeError(f"numeric rho at sigma0={sigma0!r}, t={numeric[worst].t!r} is "
+                            f"{float(error[worst]):.3g} off the analytic rho, relative "
+                            f"(above {_NUMERIC_RHO_RTOL:g})")
+    return numeric
 
 
 def _snapshots(config: RunConfig):

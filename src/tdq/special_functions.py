@@ -393,7 +393,7 @@ _HYP_MAX_TERMS = 400
 _HYP_STEPS = tuple((2 * m + 1, m + 1) for m in range(1, _HYP_MAX_TERMS))
 
 
-def _hyp_pair(p: int, q: int, bits: int = _HYP_START_BITS) -> tuple[float, float]:
+def _hyp_pair(p: int, q: int) -> tuple[float, float]:
     """(1F1(1; 1/2; z), 2F2(1, 1; 3/2, 2; z)) at the exact z = p/q, both
     correctly rounded.  q must be a power of two, as in the ratio of a
     binary64 (`float.as_integer_ratio`) or of its exact square.
@@ -420,6 +420,7 @@ def _hyp_pair(p: int, q: int, bits: int = _HYP_START_BITS) -> tuple[float, float
     # r_{m+1} <= 1/2 iff 2m + 3 >= ceil(4|p|/q)
     tail_odd = -(-4 * abs(p) // q) - 2
     tail_term = 1 << _HYP_TAIL_BITS
+    bits = _HYP_START_BITS
     peak = 1.0
     for odd, _ in _HYP_STEPS:
         if odd >= abs_2z:

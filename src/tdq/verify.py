@@ -1,16 +1,24 @@
 """Self-verification suite: every module invariant as a named runtime check.
 
 Every check is `check_<name>(tol) -> CheckResult`: it measures the residual
-<name> and passes when that is at most tol.  `run_checks` gives each check
-its base tolerance in `_ALL_CHECKS` times one scale factor.  The one
-informational check (closed-form entropy against quadrature for n >= 1)
-always passes.  The suite is pure computation and finishes in seconds.
+<name> and passes when that is at most tol.  A plain check is written as a
+generator of its residuals, one per point, and `_check` makes it a check:
+it names the result <name> and reduces the residuals with `_worst`, the
+largest of them and 0.0, so a signed violation that is <= 0 reads 0.0 and
+a NaN residual anywhere reads NaN and fails.  The two checks with a note
+build their own result, their residual also from `_worst`.  `run_checks`
+gives each check its base tolerance in `_ALL_CHECKS` times one scale
+factor.  The one informational check (closed-form entropy against
+quadrature for n >= 1) always passes.  The suite is pure computation and
+finishes in seconds.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,22 +79,42 @@ class CheckResult:
         return self.informational or bool(self.residual <= self.tolerance)
 
 
+def _worst(residuals: Iterable[float]) -> float:
+    """The largest of the residuals and 0.0, or NaN if any residual is NaN."""
+    largest = 0.0
+    for r in residuals:
+        if r > largest:
+            largest = r
+        elif math.isnan(r):
+            return math.nan
+    return float(largest)
+
+
+def _check(residuals: Callable[[], Iterator[float]]) -> Callable[[float], CheckResult]:
+    """The check `check_<name>(tol)` of the generator `check_<name>()`: the
+    result <name> with the `_worst` of its residuals, at tolerance tol."""
+    name = residuals.__name__.removeprefix("check_")
+
+    @functools.wraps(residuals)
+    def check(tol: float) -> CheckResult:
+        return CheckResult(name, _worst(residuals()), tol)
+    return check
+
+
 # ---------------------------------------------------------------------------
 # special-function checks
 # ---------------------------------------------------------------------------
 
-def check_bessel_wronskian(tol: float) -> CheckResult:
-    worst = 0.0
+@_check
+def check_bessel_wronskian():
     for nu in (0.5, 1.0, 1.5, 2.3):
         for x in (0.5, 1.0, 2.0, 5.0, 10.0):
             j, y, jp, yp = bessel_jy(nu, x)
-            wronskian = j * yp - jp * y
-            worst = max(worst, abs(wronskian * math.pi * x / 2.0 - 1.0))
-    return CheckResult("bessel_wronskian", worst, tol)
+            yield abs((j * yp - jp * y) * math.pi * x / 2.0 - 1.0)
 
 
-def check_bessel_half_integer_closed_forms(tol: float) -> CheckResult:
-    worst = 0.0
+@_check
+def check_bessel_half_integer_closed_forms():
     for x in (0.5, 1.0, 2.0, 5.0, 10.0):
         pref = math.sqrt(2.0 / (math.pi * x))
         j_half, y_half, _, _ = bessel_jy(0.5, x)
@@ -98,29 +126,28 @@ def check_bessel_half_integer_closed_forms(tol: float) -> CheckResult:
             (y_three_halves, -pref * (math.cos(x) / x + math.sin(x))),
         )
         for got, want in pairs:
-            worst = max(worst, abs(got - want) / max(abs(want), 1e-30))
-    return CheckResult("bessel_half_integer_closed_forms", worst, tol)
+            yield abs(got - want) / max(abs(want), 1e-30)
 
 
-def check_bessel_modulus_vs_asymptotic(tol: float) -> CheckResult:
+@_check
+def check_bessel_modulus_vs_asymptotic():
     """J^2 + Y^2 and J J' + Y Y' from the Bessel functions against the
     modulus asymptotic series, which shares no code with them; relative."""
-    worst = 0.0
     for x in (20.0, 30.0, 50.0):
         for nu in (0.6, 2.0 - 5e-10, 2.0, 4.7, 10.0):
             j, y, jp, yp = bessel_jy(nu, x)
             m2, m_dm = bessel_modulus_sq(nu, x)
-            worst = max(worst, abs((j * j + y * y) / m2 - 1.0),
-                        abs((j * jp + y * yp) / m_dm - 1.0))
-    return CheckResult("bessel_modulus_vs_asymptotic", worst, tol)
+            yield abs((j * j + y * y) / m2 - 1.0)
+            yield abs((j * jp + y * yp) / m_dm - 1.0)
 
 
-def check_hermite_orthogonality(tol: float) -> CheckResult:
+@_check
+def check_hermite_orthogonality():
     """Gram matrix of h_0..h_12 on a 200-point rule against the identity."""
     nodes, weights = gauss_legendre(200, -10.0, 10.0)
     values = np.array([hermite_function(n, nodes) for n in range(13)])
     gram = (values * weights) @ values.T
-    return CheckResult("hermite_orthogonality", np.max(np.abs(gram - np.eye(13))), tol)
+    yield from np.abs(gram - np.eye(13)).ravel().tolist()
 
 
 def _horner(coefficients, p: int, q: int) -> int:
@@ -145,34 +172,32 @@ def _newton_step(coefficients, r: float) -> float:
     return _horner(coefficients, p, q) / (_horner(slope, p, q) * q)
 
 
-def check_hermite_root_residuals(tol: float) -> CheckResult:
+@_check
+def check_hermite_root_residuals():
     """Forward error |H_n(r) / H_n'(r)| of every root of H_1..H_12, exact
     from the integer coefficients, plus the pairwise symmetry."""
-    worst = 0.0
     for n in range(1, 13):
         table = hermite(n)
         for k, r in enumerate(table.roots):
-            worst = max(worst, abs(_newton_step(table.coefficients, r)),
-                        abs(r + table.roots[n - 1 - k]))
-    return CheckResult("hermite_root_residuals", worst, tol)
+            yield abs(_newton_step(table.coefficients, r))
+            yield abs(r + table.roots[n - 1 - k])
 
 
-def check_quadrature_rule(tol: float) -> CheckResult:
-    worst = 0.0
+@_check
+def check_quadrature_rule():
     nodes, weights = gauss_legendre(2, -1.0, 1.0)
-    worst = max(worst, abs(float(np.dot(weights, nodes * nodes)) - 2.0 / 3.0))
+    yield abs(float(np.dot(weights, nodes * nodes)) - 2.0 / 3.0)
     nodes, weights = gauss_legendre(200, -8.0, 8.0)
-    worst = max(worst, abs(float(np.dot(weights, np.exp(-nodes * nodes)))
-                           - math.sqrt(math.pi)) / math.sqrt(math.pi))
+    yield (abs(float(np.dot(weights, np.exp(-nodes * nodes))) - math.sqrt(math.pi))
+           / math.sqrt(math.pi))
     nodes, weights = gauss_legendre(17, 0.0, 5.0)
-    if np.any(weights <= 0.0):
-        worst = max(worst, 1.0)
-    worst = max(worst, abs(float(np.sum(weights)) - 5.0) / 5.0)
-    worst = max(worst, abs(float(np.dot(weights, np.ones_like(nodes))) - 5.0) / 5.0)
-    return CheckResult("quadrature_rule", worst, tol)
+    yield float(np.any(weights <= 0.0))
+    yield abs(float(np.sum(weights)) - 5.0) / 5.0
+    yield abs(float(np.dot(weights, np.ones_like(nodes))) - 5.0) / 5.0
 
 
-def check_hypergeometric_vs_quadrature(tol: float) -> CheckResult:
+@_check
+def check_hypergeometric_vs_quadrature():
     """1F1(1; 1/2; -x^2) and 2F2(1, 1; 3/2, 2; -x^2) at the positive roots
     of H_12 and at x = 6 against Gauss-Legendre integrals on [0, 1], which
     share no code with their series: with v = 1 - u^2,
@@ -183,14 +208,12 @@ def check_hypergeometric_vs_quadrature(tol: float) -> CheckResult:
     relative."""
     nodes, weights = gauss_legendre(200, 0.0, 1.0)
     v = (1.0 - nodes) * (1.0 + nodes)
-    worst = 0.0
     for x in (*hermite(12).roots[6:], 6.0):
         x2 = x * x
         f11 = 1.0 - 2.0 * x2 * float(np.dot(weights, np.exp(-x2 * v)))
         f22 = float(np.dot(weights, -np.expm1(-x2 * v) / v)) / x2
-        worst = max(worst, abs(hyp1f1_special(-x2) - f11),
-                    abs(hyp2f2_special(-x2) / f22 - 1.0))
-    return CheckResult("hypergeometric_vs_quadrature", worst, tol)
+        yield abs(hyp1f1_special(-x2) - f11)
+        yield abs(hyp2f2_special(-x2) / f22 - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,51 +231,46 @@ def pinney_residual(params: SuperconductorParams, t: float) -> float:
     return abs(rho_ddot - accel)
 
 
-def check_pinney_residual_analytic(tol: float) -> CheckResult:
-    worst = 0.0
+@_check
+def check_pinney_residual_analytic():
     for sigma0 in _FIGURE_SIGMAS:
         params = SuperconductorParams(sigma0=sigma0)
         for t in np.linspace(0.0, 5.0, 11):
-            worst = max(worst, pinney_residual(params, float(t)))
-    return CheckResult("pinney_residual_analytic", worst, tol)
+            yield pinney_residual(params, float(t))
 
 
-def check_pinney_numeric_vs_analytic(tol: float) -> CheckResult:
-    worst = 0.0
+@_check
+def check_pinney_numeric_vs_analytic():
     grid = np.linspace(0.0, 5.0, 51)
     for sigma0 in (0.5, 2.0, 3.0):
         params = SuperconductorParams(sigma0=sigma0)
-        numeric = solve_pinney_numeric(params, t_grid=grid)
-        for state in numeric:
-            worst = max(worst, abs(state.rho - rho_analytic(params, state.t).rho))
-    return CheckResult("pinney_numeric_vs_analytic", worst, tol)
+        for state in solve_pinney_numeric(params, t_grid=grid):
+            yield abs(state.rho - rho_analytic(params, state.t).rho)
 
 
-def check_invariant_conservation(tol: float) -> CheckResult:
+@_check
+def check_invariant_conservation():
     params = SuperconductorParams(sigma0=2.0)
     grid = np.linspace(0.0, 5.0, 51)
     # the trajectories share params and the grid, so they share rho
     amplitudes = [rho_analytic(params, float(t)) for t in grid]
-    worst = 0.0
     for q0, q_dot0 in ((1.0, 0.0), (0.0, 1.0), (0.7, -0.3)):
         trajectory = solve_classical(params, q0, q_dot0, grid)
         values = [invariant_value(params, cs, ps)
                   for cs, ps in zip(trajectory, amplitudes)]
-        base = values[0]
-        worst = max(worst, max(abs(v - base) for v in values) / abs(base))
-    return CheckResult("invariant_conservation", worst, tol)
+        for v in values:
+            yield abs(v - values[0]) / abs(values[0])
 
 
-def check_lc_limit(tol: float) -> CheckResult:
+@_check
+def check_lc_limit():
     params = SuperconductorParams(sigma0=0.0)
     target = params.omega0_sq ** -0.25
-    worst = 0.0
     for t in np.linspace(0.0, 5.0, 11):
         state = rho_analytic(params, float(t))
-        worst = max(worst, abs(state.rho - target))
-        worst = max(worst, abs(state.rho_dot))
-        worst = max(worst, abs(params.omega_sq(float(t)) - params.omega0_sq))
-    return CheckResult("lc_limit", worst, tol)
+        yield abs(state.rho - target)
+        yield abs(state.rho_dot)
+        yield abs(params.omega_sq(float(t)) - params.omega0_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -265,17 +283,16 @@ def _snapshots(sigmas, ns, ts):
         snapshots(SuperconductorParams(sigma0=sigma0), ns, ts) for sigma0 in sigmas)
 
 
-def check_density_normalization(tol: float) -> CheckResult:
-    worst = 0.0
+@_check
+def check_density_normalization():
     for snap in _snapshots((0.5, 1.5, 3.0), range(5), (0.0, 0.5, 1.0, 2.0, 5.0)):
         radius = truncation_radius(snap)
         nodes, weights = gauss_legendre(512, -radius, radius)
-        worst = max(worst, abs(float(np.dot(weights, density_values(snap, nodes))) - 1.0))
-    return CheckResult("density_normalization", worst, tol)
+        yield abs(float(np.dot(weights, density_values(snap, nodes))) - 1.0)
 
 
-def check_moment_consistency(tol: float) -> CheckResult:
-    worst = 0.0
+@_check
+def check_moment_consistency():
     for snap in itertools.chain(_snapshots((0.5, 2.0), (0, 1, 2), (0.0, 0.5, 2.0)),
                                 snapshots(_HBAR2_PARAMS, (2,), (0.7,))):
         radius = truncation_radius(snap)
@@ -283,43 +300,38 @@ def check_moment_consistency(tol: float) -> CheckResult:
         p = density_values(snap, nodes)
         q2_quad = float(np.dot(weights, p * nodes ** 2))
         _, _, q2, _ = moments(snap)
-        worst = max(worst, abs(q2_quad - q2) / q2)
-    return CheckResult("moment_consistency", worst, tol)
+        yield abs(q2_quad - q2) / q2
 
 
-def check_uncertainty_identity(tol: float) -> CheckResult:
-    worst = 0.0
+@_check
+def check_uncertainty_identity():
     for snap in _snapshots((0.5, 2.0), (0, 1, 2), (0.0, 0.5, 2.0)):
         _, _, q2, phi2 = moments(snap)
         product = math.sqrt(q2 * phi2)
-        worst = max(worst, abs(uncertainty_product(snap) - product) / product)
-    return CheckResult("uncertainty_identity", worst, tol)
+        yield abs(uncertainty_product(snap) - product) / product
 
 
-def check_uncertainty_floor(tol: float) -> CheckResult:
-    worst = 0.0
+@_check
+def check_uncertainty_floor():
     for snap in _snapshots((0.5, 2.0, 3.0), (0, 1, 2), (0.0, 0.5, 1.0, 2.0)):
-        floor = snap.hbar * (snap.n + 0.5)
-        worst = max(worst, floor - uncertainty_product(snap))
+        yield snap.hbar * (snap.n + 0.5) - uncertainty_product(snap)
     params = SuperconductorParams(sigma0=0.0)
     snap = make_snapshot(params, rho_analytic(params, 1.0), 1)
-    worst = max(worst, abs(uncertainty_product(snap) - params.hbar * 1.5))
-    return CheckResult("uncertainty_floor", worst, tol)
+    yield abs(uncertainty_product(snap) - params.hbar * 1.5)
 
 
-def check_density_node_structure(tol: float) -> CheckResult:
-    worst = 0.0
+@_check
+def check_density_node_structure():
     for snap in _snapshots((1.5,), range(5), (0.5,)):
         radius = truncation_radius(snap)
         grid = np.linspace(-radius, radius, 4001)
         values = hermite_function(snap.n, grid / snap.scale)
         changes = int(np.sum(np.signbit(values[1:]) != np.signbit(values[:-1])))
-        worst = max(worst, float(abs(changes - snap.n)))
-    return CheckResult("density_node_structure", worst, tol)
+        yield float(abs(changes - snap.n))
 
 
-def check_phase_derivative(tol: float) -> CheckResult:
-    worst = 0.0
+@_check
+def check_phase_derivative():
     h = 1e-4
     # the last two points have Bessel argument >= 20, where rho comes from
     # the modulus series and the phase from the kernel's CF2
@@ -329,20 +341,19 @@ def check_phase_derivative(tol: float) -> CheckResult:
         derivative = (phase(params, n, t + h) - phase(params, n, t - h)) / (2.0 * h)
         state = rho_analytic(params, t)
         expected = -(n + 0.5) / (params.L(t) * state.rho ** 2)
-        worst = max(worst, abs(derivative - expected))
-    return CheckResult("phase_derivative", worst, tol)
+        yield abs(derivative - expected)
 
 
 # ---------------------------------------------------------------------------
 # information checks
 # ---------------------------------------------------------------------------
 
-def check_information_vs_density_quadrature(tol: float) -> CheckResult:
+@_check
+def check_information_vs_density_quadrature():
     """S, D and C of `measures` against -int P ln P and int P^2 of
     `density_values` in q, on plain Gauss-Legendre panels split at the
     density zeros sqrt(hbar) rho x_k: a path through neither the level
     constants nor the rho scaling."""
-    worst = 0.0
     for snap in itertools.chain(_snapshots((0.5, 3.0), (0, 1, 2), (0.0, 2.0)),
                                 snapshots(_HBAR2_PARAMS, (2,), (0.7,))):
         radius = truncation_radius(snap)
@@ -354,51 +365,47 @@ def check_information_vs_density_quadrature(tol: float) -> CheckResult:
             entropy -= float(np.dot(weights, p * np.log(p)))
             diseq += float(np.dot(weights, p * p))
         got = measures(snap)
-        worst = max(worst, abs(got.entropy_S - entropy),
-                    abs(got.disequilibrium_D / diseq - 1.0),
-                    abs(got.complexity_C / (math.exp(entropy) * diseq) - 1.0))
-    return CheckResult("information_vs_density_quadrature", worst, tol)
+        yield abs(got.entropy_S - entropy)
+        yield abs(got.disequilibrium_D / diseq - 1.0)
+        yield abs(got.complexity_C / (math.exp(entropy) * diseq) - 1.0)
 
 
-def check_diseq_closed_vs_quadrature(tol: float) -> CheckResult:
-    worst = 0.0
+@_check
+def check_diseq_closed_vs_quadrature():
     for snap in _snapshots((0.5, 2.0), (0, 1, 2, 3), (0.0, 1.0)):
         closed = measures(snap, "closed_form").disequilibrium_D
         quad = measures(snap).disequilibrium_D
-        worst = max(worst, abs(closed - quad) / quad)
-    return CheckResult("diseq_closed_vs_quadrature", worst, tol)
+        yield abs(closed - quad) / quad
 
 
-def check_diseq_hand_values(tol: float) -> CheckResult:
+@_check
+def check_diseq_hand_values():
     params = SuperconductorParams(sigma0=2.0)
     state = rho_analytic(params, 0.7)
     snap0 = make_snapshot(params, state, 0)
     hand0 = 1.0 / (state.rho * math.sqrt(2.0 * math.pi * params.hbar))
-    worst = abs(measures(snap0, "closed_form").disequilibrium_D - hand0) / hand0
+    yield abs(measures(snap0, "closed_form").disequilibrium_D - hand0) / hand0
     unit = QuantumSnapshot(n=1, t=0.0, rho=1.0, rho_dot=0.0, L=1.0,
                            omega_sq=1.0, hbar=1.0)
     hand1 = 3.0 / (4.0 * math.sqrt(2.0 * math.pi))
-    worst = max(worst,
-                abs(measures(unit, "closed_form").disequilibrium_D - hand1) / hand1)
-    return CheckResult("diseq_hand_values", worst, tol)
+    yield abs(measures(unit, "closed_form").disequilibrium_D - hand1) / hand1
 
 
 def check_complexity_ground_state_value(tol: float) -> CheckResult:
     target = math.sqrt(math.e / 2.0)
     values = [measures(snap).complexity_C
               for snap in _snapshots((0.5, 2.0, 3.0), (0,), (0.0, 0.5, 2.0, 5.0))]
-    worst = max(abs(c - target) for c in values)
-    return CheckResult("complexity_ground_state_value", worst, tol,
+    return CheckResult("complexity_ground_state_value",
+                       _worst(abs(c - target) for c in values), tol,
                        note=f"C(n=0)={values[0]:.12f} target sqrt(e/2)={target:.12f}")
 
 
-def check_entropy_closed_vs_quadrature_n0(tol: float) -> CheckResult:
-    worst = 0.0
+@_check
+def check_entropy_closed_vs_quadrature_n0():
     for snap in _snapshots((0.5, 2.0, 3.0), (0,), (0.0, 0.5, 2.0)):
         closed = measures(snap, "closed_form").entropy_S
         quad = measures(snap).entropy_S
-        worst = max(worst, abs(closed - quad))
-    return CheckResult("entropy_closed_vs_quadrature_n0", worst, tol)
+        yield abs(closed - quad)
 
 
 def check_entropy_closed_vs_quadrature_higher_n(tol: float) -> CheckResult:
@@ -407,25 +414,24 @@ def check_entropy_closed_vs_quadrature_higher_n(tol: float) -> CheckResult:
         closed = measures(snap, "closed_form").entropy_S
         quad = measures(snap).entropy_S
         residuals[snap.n] = closed - quad
-    worst = max(abs(r) for r in residuals.values())
     detail = " ".join(f"n={n}:{r:+.3e}" for n, r in residuals.items())
-    return CheckResult("entropy_closed_vs_quadrature_higher_n", worst, tol,
+    return CheckResult("entropy_closed_vs_quadrature_higher_n",
+                       _worst(abs(r) for r in residuals.values()), tol,
                        informational=True,
                        note="reported only (printed closed form drifts for n>=2): "
                             + detail)
 
 
-def check_lmc_complexity_lower_bound(tol: float) -> CheckResult:
+@_check
+def check_lmc_complexity_lower_bound():
     """How far C falls below 1: C = e^S D >= 1 by Jensen, -S = int P ln P <= ln
     int P^2 (Lopez-Ruiz, Mancini and Calbet, Phys. Lett. A 209, 321 (1995))."""
-    worst = 0.0
     for snap in _snapshots((0.5, 2.0, 3.0), (0, 1, 2, 3), (0.0, 1.0, 3.0)):
-        worst = max(worst, 1.0 - measures(snap).complexity_C)
-    return CheckResult("lmc_complexity_lower_bound", worst, tol)
+        yield 1.0 - measures(snap).complexity_C
 
 
-def check_monotone_localization(tol: float) -> CheckResult:
-    worst = 0.0
+@_check
+def check_monotone_localization():
     ts = np.linspace(0.5, 2.0, 7)
     for sigma0 in (2.0, 2.5, 3.0):
         snaps = list(_snapshots((sigma0,), (0,), ts))
@@ -434,12 +440,11 @@ def check_monotone_localization(tol: float) -> CheckResult:
         ds = [m.disequilibrium_D for m in sets]
         hs = [m.H for m in sets]
         for a, b in zip(rhos, rhos[1:]):
-            worst = max(worst, b - a)  # rho must decrease
+            yield b - a  # rho must decrease
         for a, b in zip(ds, ds[1:]):
-            worst = max(worst, a - b)  # D must increase
+            yield a - b  # D must increase
         for a, b in zip(hs, hs[1:]):
-            worst = max(worst, b - a)  # H must decrease
-    return CheckResult("monotone_localization", worst, tol)
+            yield b - a  # H must decrease
 
 
 # (check, base tolerance); the count- and sign-based checks take 0.0.
@@ -475,9 +480,11 @@ _ALL_CHECKS: tuple = (
 def run_checks(tol_scale: float = 1.0) -> list[CheckResult]:
     """Run every check at its base tolerance times tol_scale.
 
-    A check that raises fails with residual inf under its own name (its
-    function name without `check_`) and with the exception in its note;
-    the remaining checks still run.
+    A check's residual is the `_worst` of its residuals: 0.0 at the least,
+    and NaN, which fails at any tolerance, if one of them is NaN.  A check
+    that raises fails with residual inf under its own name (its function
+    name without `check_`, as `_check` names a result) and with the
+    exception in its note; the remaining checks still run.
     """
     results = []
     for fn, base in _ALL_CHECKS:

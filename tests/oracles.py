@@ -18,6 +18,8 @@ root and one Hermite evaluation per panel; the tests pin the shared-work
 forms to the same floats.
 `write_csv_chunked` is the `%`-template csv writer that the array writer
 of `tdq.cli` replaced; the tests pin the two to identical bytes.
+`worst` is the tests' own reduction of residuals, which keeps a NaN where
+a running max(worst, r) drops it; it shares no code with `tdq.verify`'s.
 """
 
 import itertools
@@ -40,6 +42,14 @@ from tdq.special_functions import (
     hyp1f1_special,
     hyp2f2_special,
 )
+
+
+def worst(residuals) -> float:
+    """The largest of the residuals and 0.0, or NaN if any residual is NaN."""
+    values = [float(r) for r in residuals]
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return max([0.0, *values])
 
 
 def solve_rk45_numpy(rhs: Callable[[float, np.ndarray], np.ndarray],

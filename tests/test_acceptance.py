@@ -58,8 +58,7 @@ def run_cli_csv(tmp_path, name, *argv):
 def test_criterion_1_pinney_substitution():
     # analytic amplitude satisfies the Pinney equation, FD second derivative
     h = 1e-4
-    worst = 0.0
-    pairs = 0
+    residuals = []
     for sigma0 in FIGURE_SIGMAS:
         params = SuperconductorParams(sigma0=sigma0)
         for t in np.linspace(0.0, 5.0, 5):
@@ -68,24 +67,24 @@ def test_criterion_1_pinney_substitution():
             rp = rho_analytic(params, float(t) + h).rho
             rho_ddot = (rp - 2.0 * r0.rho + rm) / (h * h)
             L = params.L(float(t))
-            residual = abs(rho_ddot
-                           + params.sigma(float(t)) / params.eps0 * r0.rho_dot
-                           + params.omega_sq(float(t)) * r0.rho
-                           - 1.0 / (L * L * r0.rho ** 3))
-            worst = max(worst, residual)
-            pairs += 1
-    assert pairs >= 25
+            residuals.append(abs(rho_ddot
+                                 + params.sigma(float(t)) / params.eps0 * r0.rho_dot
+                                 + params.omega_sq(float(t)) * r0.rho
+                                 - 1.0 / (L * L * r0.rho ** 3)))
+    assert len(residuals) >= 25
+    worst = oracles.worst(residuals)
     assert worst < 1e-6
     report("criterion 1 (Pinney substitution residual)", worst, 1e-6)
 
 
 def test_criterion_2_analytic_numeric_agreement():
     grid = np.linspace(0.0, 5.0, 101)
-    worst = 0.0
+    residuals = []
     for sigma0 in (0.5, 2.0, 3.0):
         params = SuperconductorParams(sigma0=sigma0)
-        for state in solve_pinney_numeric(params, t_grid=grid):
-            worst = max(worst, abs(state.rho - rho_analytic(params, state.t).rho))
+        residuals += [abs(state.rho - rho_analytic(params, state.t).rho)
+                      for state in solve_pinney_numeric(params, t_grid=grid)]
+    worst = oracles.worst(residuals)
     assert worst < 1e-6
     report("criterion 2 (analytic vs numeric Pinney)", worst, 1e-6)
 
@@ -93,36 +92,38 @@ def test_criterion_2_analytic_numeric_agreement():
 def test_criterion_3_invariant_conservation():
     params = SuperconductorParams(sigma0=2.0)
     grid = np.linspace(0.0, 5.0, 101)
-    worst = 0.0
+    residuals = []
     for q0, q_dot0 in ((1.0, 0.0), (0.0, 1.0), (0.7, -0.3)):
         trajectory = solve_classical(params, q0, q_dot0, grid)
         values = [invariant_value(params, cs, rho_analytic(params, cs.t))
                   for cs in trajectory]
-        worst = max(worst, max(abs(v - values[0]) for v in values) / abs(values[0]))
+        residuals += [abs(v - values[0]) / abs(values[0]) for v in values]
+    worst = oracles.worst(residuals)
     assert worst < 1e-6
     report("criterion 3 (invariant conservation)", worst, 1e-6)
 
 
 def test_criterion_4_complexity_constancy():
     ts = np.linspace(0.0, 5.0, 51)
-    worst_spread = 0.0
+    spreads = []
     for n in (0, 1, 2):
         values = []
         for sigma0 in (0.5, 2.0, 3.0):
             params = SuperconductorParams(sigma0=sigma0)
             values.extend(m.complexity_C for m in measures_along(params, n, ts))
-        worst_spread = max(worst_spread, max(values) - min(values))
+        spreads.append(np.ptp(values))
+    worst_spread = oracles.worst(spreads)
     assert worst_spread < 1e-7
     params = SuperconductorParams(sigma0=2.0)
     c0 = measures_along(params, 0, [0.0, 1.0])[0].complexity_C
     target = math.sqrt(math.e / 2.0)
     assert abs(c0 - target) < 1e-7
     report("criterion 4 (complexity constancy; C0 = sqrt(e/2))",
-           max(worst_spread, abs(c0 - target)), 1e-7)
+           oracles.worst([worst_spread, abs(c0 - target)]), 1e-7)
 
 
 def test_criterion_5_dual_method_disequilibrium():
-    worst = 0.0
+    residuals = []
     for sigma0 in (0.5, 2.0):
         params = SuperconductorParams(sigma0=sigma0)
         for t in (0.0, 0.8):
@@ -131,7 +132,8 @@ def test_criterion_5_dual_method_disequilibrium():
                 snap = make_snapshot(params, state, n)
                 closed = measures(snap, "closed_form").disequilibrium_D
                 quad = measures(snap).disequilibrium_D
-                worst = max(worst, abs(closed - quad) / quad)
+                residuals.append(abs(closed - quad) / quad)
+    worst = oracles.worst(residuals)
     assert worst < 1e-8
     # hand-derived values
     params = SuperconductorParams(sigma0=2.0)
@@ -139,29 +141,30 @@ def test_criterion_5_dual_method_disequilibrium():
     snap0 = make_snapshot(params, state, 0)
     want0 = 1.0 / (state.rho * math.sqrt(2.0 * math.pi))
     got0 = measures(snap0, "closed_form").disequilibrium_D
-    hand_worst = abs(got0 - want0) / want0
     from tdq.observables import QuantumSnapshot
     unit1 = QuantumSnapshot(n=1, t=0.0, rho=1.0, rho_dot=0.0, L=1.0,
                             omega_sq=1.0, hbar=1.0)
     want1 = 3.0 / (4.0 * math.sqrt(2.0 * math.pi))
     got1 = measures(unit1, "closed_form").disequilibrium_D
-    hand_worst = max(hand_worst, abs(got1 - want1) / want1)
+    hand_worst = oracles.worst([abs(got0 - want0) / want0, abs(got1 - want1) / want1])
     assert hand_worst < 1e-9
-    report("criterion 5 (dual-method disequilibrium)", max(worst, hand_worst), 1e-8)
+    report("criterion 5 (dual-method disequilibrium)", oracles.worst([worst, hand_worst]),
+           1e-8)
 
 
 def test_criterion_6_entropy_scaling_and_closed_form():
-    worst = 0.0
+    residuals = []
     ts = np.linspace(0.0, 5.0, 26)
     for n in (0, 1, 2):
         for sigma0 in (0.5, 2.0, 3.0):
             params = SuperconductorParams(sigma0=sigma0)
             shifted = [m.entropy_S - math.log(rho_analytic(params, float(t)).rho)
                        for t, m in zip(ts, measures_along(params, n, ts))]
-            worst = max(worst, max(shifted) - min(shifted))
+            residuals.append(np.ptp(shifted))
             if n == 0:
                 target = 0.5 + math.log(math.sqrt(math.pi * params.hbar))
-                worst = max(worst, max(abs(s - target) for s in shifted))
+                residuals += [abs(s - target) for s in shifted]
+    worst = oracles.worst(residuals)
     assert worst < 1e-9
     # closed form: n = 0 must agree at 1e-9; n >= 1 is reported information
     params = SuperconductorParams(sigma0=2.0)
@@ -177,13 +180,11 @@ def test_criterion_6_entropy_scaling_and_closed_form():
         print(f"INFO criterion 6: closed-form entropy residual n={n}: "
               f"{residual:+.3e} (quadrature authoritative)")
     report("criterion 6 (entropy scaling; n=0 closed form)",
-           max(worst, n0_residual), 1e-9)
+           oracles.worst([worst, n0_residual]), 1e-9)
 
 
 def test_criterion_7_quantum_sanity():
-    worst_norm = 0.0
-    worst_q2 = 0.0
-    worst_floor = 0.0
+    norms, q2s, floors = [], [], []
     for sigma0 in (0.5, 1.5, 3.0):
         params = SuperconductorParams(sigma0=sigma0)
         for t in (0.0, 0.5, 2.0):
@@ -193,12 +194,11 @@ def test_criterion_7_quantum_sanity():
                 radius = truncation_radius(snap)
                 nodes, weights = gauss_legendre(512, -radius, radius)
                 p = density_values(snap, nodes)
-                worst_norm = max(worst_norm, abs(float(np.dot(weights, p)) - 1.0))
+                norms.append(abs(float(np.dot(weights, p)) - 1.0))
                 q2 = moments(snap)[2]
-                worst_q2 = max(worst_q2,
-                               abs(float(np.dot(weights, p * nodes ** 2)) - q2) / q2)
-                worst_floor = max(worst_floor,
-                                  params.hbar * (n + 0.5) - uncertainty_product(snap))
+                q2s.append(abs(float(np.dot(weights, p * nodes ** 2)) - q2) / q2)
+                floors.append(params.hbar * (n + 0.5) - uncertainty_product(snap))
+    worst_norm, worst_q2, worst_floor = map(oracles.worst, (norms, q2s, floors))
     assert worst_norm < 1e-8
     assert worst_q2 < 1e-7
     assert worst_floor < 1e-12
@@ -210,7 +210,7 @@ def test_criterion_7_quantum_sanity():
     moving = make_snapshot(params, rho_analytic(params, 0.5), 2)
     assert uncertainty_product(moving) > 2.5 + 1e-6
     report("criterion 7 (normalization, moments, uncertainty floor)",
-           max(worst_norm, worst_q2, worst_floor), 1e-7)
+           oracles.worst([worst_norm, worst_q2, worst_floor]), 1e-7)
 
 
 def test_criterion_8_figure_trends(tmp_path):
@@ -271,16 +271,16 @@ def test_criterion_8_figure_trends(tmp_path):
 
 
 def test_criterion_9_special_function_substrate():
-    worst_wronskian = 0.0
+    wronskians = []
     for nu in (0.5, 1.0, 1.5, 2.3):
         for x in (0.5, 1.0, 2.0, 5.0, 10.0):
             j, y, jp, yp = bessel_jy(nu, x)
             wronskian = j * yp - jp * y
-            worst_wronskian = max(worst_wronskian,
-                                  abs(wronskian * math.pi * x / 2.0 - 1.0))
+            wronskians.append(abs(wronskian * math.pi * x / 2.0 - 1.0))
+    worst_wronskian = oracles.worst(wronskians)
     assert worst_wronskian < 1e-8
 
-    worst_half = 0.0
+    halves = []
     for x in (0.5, 1.0, 2.0, 5.0):
         pref = math.sqrt(2.0 / (math.pi * x))
         j_half, y_half, _, _ = bessel_jy(0.5, x)
@@ -290,28 +290,31 @@ def test_criterion_9_special_function_substrate():
                 (y_half, -pref * math.cos(x)),
                 (j_three_halves, pref * (math.sin(x) / x - math.cos(x))),
                 (y_three_halves, -pref * (math.cos(x) / x + math.sin(x)))):
-            worst_half = max(worst_half, abs(got - want) / abs(want))
+            halves.append(abs(got - want) / abs(want))
+    worst_half = oracles.worst(halves)
     assert worst_half < 1e-12
 
-    worst_bell = 0.0
+    bells = []
     args = [1.0, -2.0, 3.0, 0.5, -1.5, 2.5, 0.25, -0.75]
     for m in range(1, 9):
         for l in range(1, m + 1):
             got = oracles.bell_partial(m, l, args[: m - l + 1])
             want = oracles.bell_by_partition_enumeration(m, l, args[: m - l + 1])
-            worst_bell = max(worst_bell, abs(got - want) / max(1.0, abs(want)))
+            bells.append(abs(got - want) / max(1.0, abs(want)))
+    worst_bell = oracles.worst(bells)
     assert worst_bell < 1e-12
 
     nodes, weights = gauss_legendre(200, -10.0, 10.0)
-    worst_orth = 0.0
+    orths = []
     for m in range(7):
         hm = hermite_function(m, nodes)
         for n in range(7):
             got = float(np.dot(weights, hm * hermite_function(n, nodes)))
-            worst_orth = max(worst_orth, abs(got - (1.0 if m == n else 0.0)))
+            orths.append(abs(got - (1.0 if m == n else 0.0)))
+    worst_orth = oracles.worst(orths)
     assert worst_orth < 1e-8
     report("criterion 9 (special-function substrate)",
-           max(worst_wronskian, worst_half, worst_bell, worst_orth), 1e-8)
+           oracles.worst([worst_wronskian, worst_half, worst_bell, worst_orth]), 1e-8)
 
 
 def test_criterion_10_determinism(tmp_path):

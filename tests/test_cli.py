@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from tdq import cli, errors, observables, verify
 from tdq.cli import RunConfig, _fmt, main
+from tdq.dynamics import SuperconductorParams, solve_pinney_numeric
 from tdq.information import MeasureSet
 
 
@@ -584,6 +586,40 @@ class TestExitCodes:
         assert err.startswith("error: rho fell below the singularity guard at t=13.94")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sigma0, error", [("12", "9.29e-05"), ("19", "51.4")])
+    def test_numeric_rho_off_the_analytic_exits_2(self, sigma0, error, capsys):
+        # at high order RK45 drifts from the analytic rho (51x at sigma0 =
+        # 19) long before the singularity guard; each row is checked
+        code, out, err = run(capsys, "rho", "--seed-from-analytic", "--sigma0", sigma0,
+                             "--t1", "5", "--steps", "51")
+        assert (code, out) == (2, "")
+        assert err == (f"error: numeric rho at sigma0={float(sigma0)!r}, t=5.0 is {error} "
+                       "off the analytic rho, relative (above 1e-06)\n")
+
+    def test_numeric_rho_nan_exits_2(self, capsys, monkeypatch):
+        # a NaN error is not within the bound either; PinneyState refuses a
+        # NaN rho, so the states are stand-ins
+        def solver(params, *, t_grid):
+            return [SimpleNamespace(t=float(t), rho=math.nan if t == 2.5 else 1.0,
+                                    rho_dot=0.0) for t in t_grid]
+
+        monkeypatch.setattr(cli, "solve_pinney_numeric", solver)
+        code, out, err = run(capsys, "rho", "--seed-from-analytic", "--sigma0", "0",
+                             "--steps", "11")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: numeric rho at sigma0=0.0, t=2.5 is nan off")
+
+    @pytest.mark.parametrize("argv, sigma0, steps", [
+        (["--sigma0", "3", "--t1", "5", "--steps", "51"], 3.0, 51),
+        ([], 2.0, 101)], ids=["sigma0=3", "defaults"])
+    def test_numeric_rho_near_the_analytic_prints_it(self, argv, sigma0, steps, capsys):
+        code, out, _ = run(capsys, "rho", "--seed-from-analytic", *argv)
+        assert code == 0
+        header, rows = parse_csv(out)
+        numeric = solve_pinney_numeric(SuperconductorParams(sigma0=sigma0),
+                                       t_grid=np.linspace(0.0, 5.0, steps))
+        assert column(header, rows, "rho") == [state.rho for state in numeric]
 
     @pytest.mark.parametrize("kind", [
         kind for kind in vars(errors).values()
