@@ -95,8 +95,13 @@ class RunConfig:
         for what, names, grid in (("time", ("t0", "t1", "steps"), self.t_grid),
                                   ("charge", ("qmin", "qmax", "qpoints"), self.q_grid)):
             lo, hi, _ = (getattr(self, name) for name in names)
-            if not (math.isfinite(hi - lo) and np.all(np.diff(grid()) > 0.0)):
-                given = ", ".join(f"--{name}={getattr(self, name)!r}" for name in names)
+            given = ", ".join(f"--{name}={getattr(self, name)!r}" for name in names)
+            try:  # numpy refuses a grid too large to allocate
+                ascending = math.isfinite(hi - lo) and np.all(np.diff(grid()) > 0.0)
+            except (MemoryError, ValueError) as exc:
+                raise ConfigError(f"{given} give a {what} grid too large to "
+                                  "allocate") from exc
+            if not ascending:
                 raise ConfigError(f"{given} do not give a finite, strictly ascending "
                                   f"{what} grid")
 
@@ -336,8 +341,8 @@ def cmd_density(config: RunConfig) -> int:
             norm = float(np.trapezoid(p, q_grid))
         if not abs(norm - 1.0) <= 1e-6:  # NaN included
             print(f"warning: density norm {norm:.9f} off unit at "
-                  f"sigma0={_fmt(sigma0)}, n={snap.n}, t={_fmt(snap.t)}; "
-                  "widen the charge grid", file=sys.stderr)
+                  f"sigma0={_fmt(sigma0)}, n={snap.n}, t={_fmt(snap.t)}; widen --qmin/"
+                  "--qmax, or raise --qpoints if the grid is too coarse", file=sys.stderr)
         table.add((snap.t, sigma0, snap.n), q_grid, p)
     _write_table(config, ["t", "sigma0", "n", "q", "P"], table)
     return 0
@@ -422,13 +427,12 @@ _FLAGS = (
                                    "help": "scale factor on every check tolerance"}),
 )
 
-# per-command figure defaults: sigma0 sweep, n sweep, time window
+# per-command figure defaults that differ from RunConfig's: sigma0, time window
 _DEFAULTS = {
-    "rho": {"sigma0": [2.0], "t0": 0.0, "t1": 5.0, "steps": 101},
-    "observables": {"sigma0": [0.4, 0.6, 0.8], "n": [0], "t0": 0.0, "t1": 5.0,
-                    "steps": 101},
-    "density": {"sigma0": [1.5], "n": [0], "t0": 0.0, "t1": 1.0, "steps": 3},
-    "info": {"sigma0": [2.0, 2.5, 3.0], "n": [0], "t0": 0.0, "t1": 2.0, "steps": 51},
+    "rho": {"sigma0": [2.0]},
+    "observables": {"sigma0": [0.4, 0.6, 0.8]},
+    "density": {"sigma0": [1.5], "t1": 1.0, "steps": 3},
+    "info": {"sigma0": [2.0, 2.5, 3.0], "t1": 2.0, "steps": 51},
 }
 
 

@@ -156,7 +156,8 @@ def rho_analytic(params: SuperconductorParams, t: float) -> PinneyState:
     The envelope is checked once, here, so that EnvelopeError names sigma0
     and t (u <= 0 fails it).  A rho or rho' out of float range (extreme
     constants, such as c = 1e-150) raises EnvelopeError naming sigma0, t
-    and u.
+    and u; as that rejects a non-finite modulus too, this hot path skips
+    `_checked` and calls the kernel.
     """
     tau = params.A * t + 1.0
     beta, k = params.beta, params.k
@@ -206,7 +207,9 @@ def solve_pinney_numeric(params: SuperconductorParams, *,
     rho_analytic(params, t_grid[0]); other initial values go straight to
     solve_rk45 with equation_of_motion(params, pinney=True).  Raises
     PinneySingularityError if rho crosses the 1e-12 positivity guard and
-    StepSizeUnderflowError if the controller stalls.
+    StepSizeUnderflowError if the controller stalls.  Nothing compares the
+    result with rho_analytic, and it drifts at high Bessel order: on t in
+    [0, 5] its relative error reaches 9.3e-5 at sigma0 = 12 and 51 at 19.
     """
     if len(t_grid) == 0:
         raise DomainError("t_grid must be a non-empty ascending grid")

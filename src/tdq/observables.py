@@ -31,9 +31,8 @@ import numpy as np
 from .dynamics import PinneyState, SuperconductorParams, rho_analytic
 from .special_functions import (
     _bessel_jy,
-    _check_bessel_envelope,
-    _check_finite,
     _check_quantum_number,
+    _checked,
     _debye_phase,
     hermite_function,
 )
@@ -105,18 +104,14 @@ def phase(params: SuperconductorParams, n: int, t: float) -> float:
     Its 2 pi branch is the one nearest the difference of the two Debye
     estimates (`_debye_phase`): each is within 0.53 of theta_beta, so their
     difference is within 1.06 < pi of the true one.  EnvelopeError names
-    sigma0 and t if k or k tau is outside the Bessel envelope, or if J or Y
-    there is not finite (tiny k or k tau).
+    sigma0 and t if k or k tau is outside the Bessel envelope, or if any of
+    J, Y, J', Y' there is not finite (tiny k or k tau).
     """
     _check_quantum_number(n)
     beta, k = params.beta, params.k
     u = k * (params.A * t + 1.0)
-    for x in (k, u):
-        _check_bessel_envelope(beta, x, "phase", params.sigma0, t)
-    j1, y1, _, _ = _bessel_jy(beta, k)
-    j2, y2, _, _ = _bessel_jy(beta, u)
-    _check_finite(beta, k, (j1, y1), "phase", params.sigma0, t)
-    _check_finite(beta, u, (j2, y2), "phase", params.sigma0, t)
+    j1, y1, _, _ = _checked(_bessel_jy, beta, k, "phase", params.sigma0, t)
+    j2, y2, _, _ = _checked(_bessel_jy, beta, u, "phase", params.sigma0, t)
     near = _debye_phase(beta, u) - _debye_phase(beta, k)
     delta = math.atan2(j1 * y2 - j2 * y1, j1 * j2 + y1 * y2)
     return -(n + 0.5) * (delta + 2.0 * math.pi * round((near - delta) / (2.0 * math.pi)))

@@ -9,9 +9,10 @@ which never divides by sin(nu pi), so integer and near-integer orders
 take the path of any other order.  The kernel `_bessel_modulus_sq` alone
 chooses how M^2 = J^2 + Y^2 and M M' = J J' + Y Y' are computed: the
 asymptotic series from argument 20 up, `_bessel_jy` below.  Kernels check
-nothing; the public `bessel_jy` and `bessel_modulus_sq` check the envelope
-once and reject non-finite results, and package code with its own checks
-calls the kernels.  The two
+nothing; `_checked` runs one between the envelope and finiteness checks,
+for `bessel_jy`, `bessel_modulus_sq` and `phase`.  `rho_analytic` calls
+the modulus kernel itself, as its rho/rho' range check already rejects a
+non-finite modulus.  The two
 hypergeometric instances share one term sequence, summed together in one
 fixed-point integer pass under an error bound and correctly rounded
 (`_hyp_pair`).  `gauss_legendre` returns a plain (nodes, weights) pair.
@@ -259,33 +260,30 @@ def _check_bessel_envelope(order: float, x: float, caller: str = "",
             f"envelope [0, {_BESSEL_ORDER_MAX}] x (0, {_BESSEL_X_MAX}]")
 
 
-def _check_finite(order: float, x: float, results: tuple[float, ...], caller: str = "",
-                  sigma0: float = 0.0, t: float = 0.0) -> None:
-    """EnvelopeError naming the order and x unless every one of a kernel's
-    results is finite (tiny x overflows Y or loses J); a caller leads the
-    message as in `_check_bessel_envelope`."""
+def _checked(kernel, order: float, x: float, caller: str = "", sigma0: float = 0.0,
+             t: float = 0.0) -> tuple[float, ...]:
+    """One run of a Bessel kernel between the envelope check and a check that
+    every result is finite (tiny x overflows Y or loses J); EnvelopeError
+    names the order and x, led by a caller as in `_check_bessel_envelope`."""
+    _check_bessel_envelope(order, x, caller, sigma0, t)
+    results = kernel(order, x)
     if not all(map(math.isfinite, results)):
         where = f"{caller} at sigma0={sigma0!r}, t={t!r}: " if caller else ""
         raise EnvelopeError(f"{where}Bessel order {order!r} and argument {x!r} give the "
                             f"non-finite results {results!r}")
+    return results
 
 
 def bessel_jy(order: float, x: float) -> tuple[float, float, float, float]:
     """(J, Y, J', Y') of order `order` at x, 0 <= order <= 10, 0 < x <= 50,
-    from one run of the kernel `_bessel_jy`."""
-    _check_bessel_envelope(order, x)
-    result = _bessel_jy(order, x)
-    _check_finite(order, x, result)
-    return result
+    from one checked run of the kernel `_bessel_jy`."""
+    return _checked(_bessel_jy, order, x)
 
 
 def bessel_modulus_sq(nu: float, x: float) -> tuple[float, float]:
     """(M^2, M M') of order nu at x, 0 <= nu <= 10, 0 < x <= 50, from one
-    run of the kernel `_bessel_modulus_sq`; the slope of M^2 is 2 M M'."""
-    _check_bessel_envelope(nu, x)
-    result = _bessel_modulus_sq(nu, x)
-    _check_finite(nu, x, result)
-    return result
+    checked run of `_bessel_modulus_sq`; the slope of M^2 is 2 M M'."""
+    return _checked(_bessel_modulus_sq, nu, x)
 
 
 # Only `bench/tracing.py` refers to these two, wrapping them by name; no

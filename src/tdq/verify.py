@@ -190,10 +190,9 @@ def check_quadrature_rule():
     nodes, weights = gauss_legendre(200, -8.0, 8.0)
     yield (abs(float(np.dot(weights, np.exp(-nodes * nodes))) - math.sqrt(math.pi))
            / math.sqrt(math.pi))
-    nodes, weights = gauss_legendre(17, 0.0, 5.0)
+    _, weights = gauss_legendre(17, 0.0, 5.0)
     yield float(np.any(weights <= 0.0))
     yield abs(float(np.sum(weights)) - 5.0) / 5.0
-    yield abs(float(np.dot(weights, np.ones_like(nodes))) - 5.0) / 5.0
 
 
 @_check

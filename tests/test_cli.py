@@ -178,6 +178,17 @@ class TestDensity:
         assert code == 0
         assert "warning" in err.lower()
 
+    def test_coarse_grid_warning_names_qpoints(self, capsys):
+        # 11 points on [-6, 6] overshoot the norm (1.12 at t = 1), where a
+        # wider grid would not help
+        code, out, err = run(capsys, "density", "--qpoints", "11")
+        assert code == 0 and out
+        lines = err.splitlines()
+        assert len(lines) == 3
+        assert lines[-1].startswith("warning: density norm 1.122957515 off unit at "
+                                    "sigma0=1.5, n=0, t=1; ")
+        assert all("too coarse" in line and "--qpoints" in line for line in lines)
+
     @pytest.mark.parametrize("hbar", ["1e-300", "1"])
     def test_overflowing_charge_ratio_gives_zero(self, hbar, capsys):
         # q/scale overflows at hbar = 1e-300 and its square at hbar = 1: P
@@ -735,6 +746,22 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {named} do not give a finite, strictly ascending ")
+        assert err.count("\n") == 1
+
+    # numpy refuses 10**17 points (711 PiB) and 10**19 (above the largest
+    # array size) without allocating; these printed a traceback with exit 1
+    @pytest.mark.parametrize("argv, named", [
+        (["rho", "--steps", str(10 ** 17)], f"--t0=0.0, --t1=5.0, --steps={10 ** 17}"),
+        (["density", "--qpoints", str(10 ** 17)],
+         f"--qmin=-6.0, --qmax=6.0, --qpoints={10 ** 17}"),
+        (["observables", "--steps", str(10 ** 19)],
+         f"--t0=0.0, --t1=5.0, --steps={10 ** 19}"),
+    ], ids=["time", "charge", "above-max-size"])
+    def test_unallocatable_grid_rejected(self, argv, named, capsys):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {named} give a ")
+        assert err.endswith(" grid too large to allocate\n")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("scale", ["nan", "-1", "0"])

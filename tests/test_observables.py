@@ -107,6 +107,17 @@ class TestClosedFormPhase:
                 "give the non-finite")):
             phase(params, 0, 0.5)
 
+    def test_non_finite_bessel_slope_raises(self):
+        # at k = 1e-150 J and Y are finite but Y' is NaN: phase returned
+        # -0.0 there, while rho_analytic already raised
+        params = SuperconductorParams(sigma0=2.0, c=1e-150)
+        with pytest.raises(EnvelopeError, match=re.escape(
+                "phase at sigma0=2.0, t=0.5: Bessel order 1.5 and argument 1e-150 "
+                "give the non-finite results (-0.0, ")):
+            phase(params, 0, 0.5)
+        with pytest.raises(EnvelopeError, match="rho_analytic at sigma0=2.0, t=0.5"):
+            rho_analytic(params, 0.5)
+
 
 class TestPhaseOverOrderEnvelope:
     @pytest.mark.parametrize("sigma0", [0.5, 3.0 - 1e-9, 10.0, 15.0, 19.0])
@@ -142,6 +153,32 @@ class TestWavefunction:
             expected = (math.exp(-xi * xi) * (2.0 * xi) ** 2
                         / (math.sqrt(math.pi * hbar) * 2.0 * rho))
             assert abs(wavefunction(snap, q)) ** 2 == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma0, n, t, constants", [
+        (2.0, 0, 0.5, {}),
+        (2.0, 2, 1.5, {}),
+        (0.5, 1, 0.3, dict(A=0.5, eps0=2.0, c=3.0, lambdaL=1.5, hbar=0.7)),
+    ])
+    def test_chirp_gives_the_covariance(self, sigma0, n, t, constants):
+        # The chirp is the only q-dependent phase of psi, so it alone makes
+        # the symmetrized covariance Re int psi* q (-i hbar d/dq) psi dq,
+        # which the closed form gives as hbar L rho rho' (n + 1/2).  d/dq is
+        # a central difference; the integral runs on Gauss-Legendre panels
+        # split at the zeros of the density.
+        snap = snapshot_at(sigma0, t, n, **constants)
+        h = 1e-4
+        radius = truncation_radius(snap)
+        edges = [-radius, *(snap.scale * np.asarray(hermite(n).roots)), radius]
+        x, w = np.polynomial.legendre.leggauss(64)
+        total = 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            for q, weight in zip(0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w):
+                q = float(q)
+                slope = (wavefunction(snap, q + h) - wavefunction(snap, q - h)) / (2.0 * h)
+                total += weight * (wavefunction(snap, q).conjugate() * q
+                                   * -1j * snap.hbar * slope).real
+        want = snap.hbar * snap.L * snap.rho * snap.rho_dot * (n + 0.5)
+        assert abs(total - want) <= 1e-6 * snap.hbar * (n + 0.5)
 
     def test_ground_state_norm(self):
         snap = snapshot_at(2.0, 1.0, 0)

@@ -225,8 +225,8 @@ class TestNonFiniteResults:
 
 
 def test_package_code_calls_the_kernels():
-    # package code checks the envelope once, with its own context, and calls
-    # `_bessel_jy` or `_bessel_modulus_sq`; only `special_functions` (which
+    # package code passes its own context to `_checked` or checks the
+    # envelope itself and calls a kernel; only `special_functions` (which
     # defines the public entries) and `verify` (which tests them) call those
     callers = []
     for path in sorted(Path(special_functions.__file__).parent.glob("*.py")):
