@@ -6,20 +6,21 @@ The density is P(q,t) = h_n(q/s)^2 / s with the width s = sqrt(hbar) rho(t)
 
     s_n = -integral h_n^2 ln h_n^2 dxi,     d_n = integral h_n^4 dxi
 
-every measure follows from n and s alone:
+every measure follows from a level constant and a power of s:
 
-    S = s_n + ln s,   D = d_n / s,   H = e^S,   C = H D = e^{s_n} d_n.
+    S = s_n + ln s,   H = e^S = e^{s_n} s,
+    D = d_n / s,      C = H D = e^{s_n} d_n.
 
-C therefore depends on neither time nor conductivity, with
+C does not depend on s, and so on neither time nor conductivity, with
 C(n=0) = sqrt(e/2).  Each method computes (s_n, d_n) once per n and
-shares the one scaling step:
+shares the one scaling step, which forms each measure by its own law:
 
   * quadrature (ground truth): Gauss-Legendre panels in xi split at the
     roots of H_n, each mapped through the sine transform
     u -> u - sin(2 pi u)/(2 pi), whose weight 1 - cos(2 pi u) vanishes to
     second order at both panel ends.  That absorbs the (xi - r)^2 ln|xi - r|
     singularity of h_n^2 ln h_n^2 at each root, and one node count
-    serves every panel and every n <= 12 to ~1e-15.  The mapped rule is
+    serves every panel and every n <= 14 to ~2e-15.  The mapped rule is
     built once; all n + 1 panels are mapped at once, so h_n is evaluated
     once per level.
 
@@ -70,7 +71,7 @@ from .special_functions import (
 )
 
 # nodes per panel of the sine-mapped rule: 128 leave d_n off by ~8e-11,
-# 160 give s_n, d_n and the norm to ~1e-15 for every n <= 12
+# 160 give s_n, d_n and the norm to ~2e-15 for every n <= 14
 _PANEL_NODES = 160
 # the levels the closed-form tests cover: d_n against the printed Bell sum
 # and quadrature, S_closed against a 40-digit evaluation of the same formula
@@ -81,8 +82,6 @@ _MAX_CLOSED_FORM_N = 14
 class MeasureSet:
     """(S, H, D, C) of one snapshot."""
 
-    n: int
-    t: float
     entropy_S: float
     H: float
     disequilibrium_D: float
@@ -90,13 +89,13 @@ class MeasureSet:
 
 
 def _scaled(snapshot: QuantumSnapshot, s_n: float, d_n: float) -> MeasureSet:
-    """S = s_n + ln s, D = d_n / s, H = e^S and C = H D at the density
-    width s = `snapshot.scale`."""
+    """Each measure as its scaling law in the density width s =
+    `snapshot.scale`: S = s_n + ln s, H = e^{s_n} s, D = d_n / s and
+    C = e^{s_n} d_n, which does not depend on s, so a level has one C."""
     scale = snapshot.scale
-    entropy, diseq = s_n + math.log(scale), d_n / scale
-    H = math.exp(entropy)
-    return MeasureSet(n=snapshot.n, t=snapshot.t, entropy_S=entropy, H=H,
-                      disequilibrium_D=diseq, complexity_C=H * diseq)
+    level_H = math.exp(s_n)
+    return MeasureSet(entropy_S=s_n + math.log(scale), H=level_H * scale,
+                      disequilibrium_D=d_n / scale, complexity_C=level_H * d_n)
 
 
 # ---------------------------------------------------------------------------

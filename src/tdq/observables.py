@@ -122,13 +122,19 @@ def wavefunction(snapshot: QuantumSnapshot, q: float, theta: float = 0.0) -> com
 
     theta defaults to 0 because the snapshot carries no trajectory
     history; pass phase(...) for the full time-dependent solution.  The
-    modulus is independent of theta and of the rho' term.
+    modulus is independent of theta and of the rho' term.  psi is 0 where
+    the modulus is: xi is capped at 1e300 as in `density_values`, and a
+    phase that may overflow there is not evaluated.
     """
     scale = snapshot.scale
     # h_n carries the real Gaussian factor e^{-q^2/(2 hbar rho^2)} and the
     # normalization; only the rho' chirp and the phase are left
+    with np.errstate(over="ignore"):
+        xi = float(np.clip(q / scale, -1e300, 1e300))
+    h = float(hermite_function(snapshot.n, xi))
+    if h == 0.0:
+        return 0j
     chirp = snapshot.L * snapshot.rho_dot / (2.0 * snapshot.hbar * snapshot.rho)
-    h = float(hermite_function(snapshot.n, q / scale))
     return h / math.sqrt(scale) * cmath.exp(1j * (chirp * q * q + theta))
 
 

@@ -305,7 +305,6 @@ class HermiteTable:
     `hermite_function`.
     """
 
-    n: int
     coefficients: tuple[int, ...]
     roots: tuple[float, ...]
 
@@ -319,29 +318,23 @@ def _check_quantum_number(n: int) -> None:
 def hermite_function(n: int, xi: float | np.ndarray) -> float | np.ndarray:
     """Orthonormal Hermite functions h_n(xi) by the stable recurrence
 
-    h_0 = pi^{-1/4} e^{-xi^2/2},   h_1 = sqrt(2) xi h_0,
+    h_{-1} = 0,   h_0 = pi^{-1/4} e^{-xi^2/2},
     h_{k+1} = sqrt(2/(k+1)) xi h_k - sqrt(k/(k+1)) h_{k-1},
 
     so h_n = H_n e^{-xi^2/2} / sqrt(2^n n! sqrt(pi)).
     """
     _check_quantum_number(n)
-    h_prev = math.pi ** -0.25 * np.exp(-0.5 * xi * xi)
-    if n == 0:
-        return h_prev
-    h = math.sqrt(2.0) * xi * h_prev
-    for k in range(1, n):
+    h_prev, h = 0.0, math.pi ** -0.25 * np.exp(-0.5 * xi * xi)
+    for k in range(n):
         h_prev, h = h, (math.sqrt(2.0 / (k + 1)) * xi * h
                         - math.sqrt(k / (k + 1.0)) * h_prev)
     return h
 
 
 def _hermite_coefficients(n: int) -> tuple[int, ...]:
-    # H_{k+1}(x) = 2x H_k(x) - 2k H_{k-1}(x), exact integer arithmetic
-    if n == 0:
-        return (1,)
-    prev = [1]
-    cur = [0, 2]
-    for k in range(1, n):
+    # H_{k+1} = 2x H_k - 2k H_{k-1} from H_{-1} = 0, H_0 = 1, exact integers
+    prev, cur = [], [1]
+    for k in range(n):
         nxt = [0] * (k + 2)
         for i, c in enumerate(cur):
             nxt[i + 1] += 2 * c
@@ -363,7 +356,7 @@ def hermite(n: int) -> HermiteTable:
     _check_quantum_number(n)
     coeffs = _hermite_coefficients(n)
     if n == 0:
-        return HermiteTable(0, coeffs, ())
+        return HermiteTable(coeffs, ())
     off = np.sqrt(np.arange(1, n) / 2.0)
     jacobi = np.diag(off, 1) + np.diag(off, -1)
     roots = np.linalg.eigvalsh(jacobi)
@@ -371,7 +364,7 @@ def hermite(n: int) -> HermiteTable:
     dh = math.sqrt(2.0 * n) * hermite_function(n - 1, roots) - roots * h
     polished = roots - h / dh
     sym = (polished - polished[::-1]) / 2.0
-    return HermiteTable(n, coeffs, tuple(sym.tolist()))
+    return HermiteTable(coeffs, tuple(sym.tolist()))
 
 
 # ---------------------------------------------------------------------------

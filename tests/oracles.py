@@ -384,6 +384,8 @@ ENTROPY_DISEQ_X_UNITS = {
     10: (2.01017812546743775, 0.156681303151012524),
     11: (2.04553787958448284, 0.151639444108253882),
     12: (2.07820516128983646, 0.147139619072136805),
+    13: (2.10857014317877305, 0.143087786468770573),
+    14: (2.13694312581058266, 0.139411604547412991),
 }
 
 

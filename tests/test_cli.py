@@ -857,7 +857,7 @@ class TestVerify:
     def test_lmc_bound_is_asserted(self, verify_run, monkeypatch):
         _, out = verify_run()
         assert "PASS lmc_complexity_lower_bound " in out
-        below_one = MeasureSet(n=0, t=0.0, entropy_S=0.0, H=1.0, disequilibrium_D=0.9,
+        below_one = MeasureSet(entropy_S=0.0, H=1.0, disequilibrium_D=0.9,
                                complexity_C=0.9)
         monkeypatch.setattr(verify, "measures", lambda snap: below_one)
         result = verify.check_lmc_complexity_lower_bound(1e-9)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -55,7 +56,7 @@ class TestEntropyQuadrature:
             expected = 0.5 + math.log(math.sqrt(hbar * math.pi) * rho)
             assert ms.entropy_S == pytest.approx(expected, abs=1e-9)
 
-    @pytest.mark.parametrize("n", range(13))
+    @pytest.mark.parametrize("n", range(information._MAX_CLOSED_FORM_N + 1))
     def test_reference_values(self, n):
         s_ref, _ = oracles.ENTROPY_DISEQ_X_UNITS[n]
         ms = measures(unit_snapshot(n))
@@ -139,7 +140,7 @@ class TestDisequilibrium:
             exact = information._diseq_reduced_exact(n)
             assert exact == oracles.diseq_printed_bell_sum(n)
 
-    @pytest.mark.parametrize("n", range(13))
+    @pytest.mark.parametrize("n", range(information._MAX_CLOSED_FORM_N + 1))
     def test_reference_values(self, n):
         _, d_ref = oracles.ENTROPY_DISEQ_X_UNITS[n]
         closed = measures(unit_snapshot(n), "closed_form")
@@ -239,6 +240,28 @@ class TestComplexity:
                 params = SuperconductorParams(sigma0=sigma0)
                 values.extend(m.complexity_C for m in measures_along(params, n, ts))
             assert max(values) - min(values) < 1e-7
+
+    @pytest.mark.parametrize("method", ["quadrature", "closed_form"])
+    def test_one_value_per_level(self, method):
+        # C = e^{s_n} d_n holds no width, so every (sigma0, t) of a level
+        # gives the same double
+        for n in range(information._MAX_CLOSED_FORM_N + 1):
+            values = {measures(snapshot_at(sigma0, t, n), method).complexity_C
+                      for sigma0 in (0.5, 2.0, 3.0) for t in (0.0, 0.5, 2.0)}
+            assert len(values) == 1, (n, values)
+
+    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("hbar", [1e-300, 1e300])
+    def test_extreme_hbar_against_mpmath(self, hbar, n):
+        # H = e^{s_n} s and C = e^{s_n} d_n; the width enters H as one
+        # factor, where e^{s_n + ln s} would carry |ln s| ~ 345 ulps of S
+        ms = measures(snapshot_at(2.0, 0.5, n, hbar=hbar))
+        rho, _ = oracles.rho_mp(2.0, 0.5)
+        s_n, d_n = oracles.ENTROPY_DISEQ_X_UNITS[n]
+        with mp.workdps(40):
+            level_H = mp.exp(s_n)
+            assert abs(ms.H / (level_H * mp.sqrt(hbar) * rho) - 1) <= 1e-14
+            assert abs(ms.complexity_C / (level_H * d_n) - 1) <= 1e-14
 
 
 class TestMeasuresOverTime:

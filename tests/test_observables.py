@@ -180,6 +180,19 @@ class TestWavefunction:
         want = snap.hbar * snap.L * snap.rho * snap.rho_dot * (n + 0.5)
         assert abs(total - want) <= 1e-6 * snap.hbar * (n + 0.5)
 
+    @pytest.mark.parametrize("n, q, constants", [
+        (0, 1e200, {}),
+        (1, 1e10, dict(hbar=1e-300)),
+        (1, math.inf, {}),
+        (3, -math.inf, {}),
+    ])
+    def test_zero_where_the_modulus_is_zero(self, n, q, constants):
+        # out where q/scale, its square or the chirp phase overflows,
+        # psi takes the limit 0 of its modulus rather than nan
+        snap = snapshot_at(2.0, 0.5, n, **constants)
+        assert float(density_values(snap, np.array([q]))[0]) == 0.0
+        assert wavefunction(snap, q) == 0.0
+
     def test_ground_state_norm(self):
         snap = snapshot_at(2.0, 1.0, 0)
         q = dense_grid(snap, 20001)
