@@ -144,6 +144,24 @@ class TestRhoAnalytic:
         rho_analytic(SuperconductorParams(sigma0=2.0), t)
         assert checks == [(1.5, t + 1.0, "rho_analytic", 2.0, t)]
 
+    @pytest.mark.parametrize("sigma0, t, kernel_runs", [
+        (2.0, 0.5, 1),   # u = 1.5 < 2: Temme's series inside the kernel
+        (19.0, 3.0, 1),  # u = 4 < beta = 10: CF2 at order beta would lose q
+        (2.0, 1.0, 0),   # u = 2 = max(2, beta): CF2 alone
+        (2.0, 5.0, 0),
+        (19.0, 9.0, 0),  # u = beta = 10
+        (19.0, 18.9, 0),
+        (2.0, 30.0, 0),  # u >= 20: the asymptotic series
+    ])
+    def test_kernel_runs_only_below_two_or_the_order(self, sigma0, t, kernel_runs,
+                                                       monkeypatch):
+        calls = []
+        real = special_functions._bessel_jy
+        monkeypatch.setattr(special_functions, "_bessel_jy",
+                            lambda *args: calls.append(args) or real(*args))
+        rho_analytic(SuperconductorParams(sigma0=sigma0), t)
+        assert len(calls) == kernel_runs
+
     def test_lc_limit_constant(self):
         params = SuperconductorParams(sigma0=0.0)
         for t in (0.0, 0.5, 3.0):

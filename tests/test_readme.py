@@ -27,6 +27,17 @@ def test_stated_envelope_is_the_code_envelope():
         assert claim in stated
 
 
+def test_stated_modulus_branch_points_are_the_code_branch_points():
+    # the accuracy notes name the arguments where `_bessel_modulus_sq`
+    # switches branch; a change of either constant must fail here
+    text = " ".join(README.read_text().split())
+    low, high = sf._TEMME_X_MAX, sf._MODULUS_ASYMPTOTIC_X
+    for claim in (f"where `x < {low:g}` or `x < beta`, one run of the Bessel kernel",
+                  f"where `max({low:g}, beta) <= x < {high:g}`, Steed's CF2",
+                  f"where `x >= {high:g}`, the non-oscillatory asymptotic series"):
+        assert claim in text
+
+
 def test_stated_check_count_is_the_suite():
     counts = re.findall(r"`tdq verify` runs (\d+) checks", README.read_text())
     assert counts == [str(len(verify._ALL_CHECKS))]

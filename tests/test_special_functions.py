@@ -149,6 +149,17 @@ class TestBesselPair:
         assert len(calls) == len(set(calls)) == kernel_runs
 
 
+def assert_near_extended_precision(nu, x, m2, m_dm):
+    """(M^2, M M') against 40-digit mpmath where CF2 alone gives them: M^2
+    relative and M M' on the scale |M M'| + M^2.  Over 18000 random points
+    of order [0.5, 10] and x in [max(2, nu), 20), clustered at the lower
+    edge, the worst were 3.3e-15 and 2.0e-15 (the kernel's: 3.8e-15 and
+    2.2e-15)."""
+    m2_ref, m_dm_ref = oracles.bessel_modulus_mp(nu, x)
+    assert abs(m2 - m2_ref) <= 4e-15 * m2_ref, (nu, x)
+    assert abs(m_dm - m_dm_ref) <= 2.5e-15 * (abs(m_dm_ref) + m2_ref), (nu, x)
+
+
 class TestBesselModulus:
     @pytest.mark.parametrize("x", [20.0, 27.5, 50.0])
     def test_terminating_half_integer_orders(self, x):
@@ -171,10 +182,29 @@ class TestBesselModulus:
         assert m_dm == pytest.approx(m_dm_ref, rel=4e-15)
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 2.0 - 5e-10, 3.7, 10.0])
-    @pytest.mark.parametrize("x", [1e-3, 1.9, 2.0, 10.0, 19.999999999999996])
+    @pytest.mark.parametrize("x", [1e-3, 1.9, 2.0, 3.7, 10.0, 19.999999999999996])
     def test_below_20_is_the_checked_kernel(self, nu, x):
-        j, y, jp, yp = bessel_jy(nu, x)
-        assert bessel_modulus_sq(nu, x) == (j * j + y * y, j * jp + y * yp)
+        # below 20 the modulus is the kernel's where x < 2 or x < nu, and
+        # Steed's CF2 at order nu alone where max(2, nu) <= x
+        if x < 2.0 or x < nu:
+            j, y, jp, yp = bessel_jy(nu, x)
+            assert bessel_modulus_sq(nu, x) == (j * j + y * y, j * jp + y * yp)
+        else:
+            assert_near_extended_precision(nu, x, *bessel_modulus_sq(nu, x))
+
+    @pytest.mark.parametrize("nu", np.linspace(0.5, 10.0, 20).tolist())
+    def test_cf2_branch_against_extended_precision(self, nu):
+        # the CF2-only branch over its whole range, from its lower edge
+        # max(2, nu), where CF2 converges slowest, up to 20
+        for x in np.linspace(max(2.0, nu), 20.0, 16, endpoint=False).tolist():
+            assert_near_extended_precision(nu, x, *_bessel_modulus_sq(nu, x))
+
+    def test_cf2_convergence_error_names_its_order_and_x(self, monkeypatch):
+        monkeypatch.setattr(special_functions, "_SERIES_MAX_TERMS", 2)
+        with pytest.raises(ConvergenceError, match=r"CF2 did not converge at order 3\.7, x=5\.0"):
+            special_functions._steed_cf2(3.7, 5.0)
+        with pytest.raises(ConvergenceError, match=r"at order 3\.7, x=5\.0"):
+            _bessel_modulus_sq(3.7, 5.0)
 
     def test_outside_the_envelope_raises(self):
         # the public entry checks the envelope on both sides of x = 20
