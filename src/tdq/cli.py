@@ -33,6 +33,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -191,7 +192,9 @@ def _write_csv(handle, meta: str, columns: list[str], table: _Table) -> None:
     of `_fmt` otherwise.  A block's head is formatted once and its float
     columns by one `format_17g` call, except a column that is the same
     object as in the previous block (the table keeps every column alive,
-    so an id names one column): its fields are reused.
+    so an id names one column): its fields are reused.  A column that is
+    in more than one block drops its all-NUL byte columns when it is
+    formatted, so its reuses copy less padding.
     """
     handle.flush()
     raw = getattr(handle, "buffer", None)
@@ -200,6 +203,7 @@ def _write_csv(handle, meta: str, columns: list[str], table: _Table) -> None:
     head_template = "".join("%d," if i else "%.17g," for i in integer[:table.width])
     integer = integer[table.width:]
     write(f"# {meta}\n{','.join(columns)}\n".encode("ascii"))
+    uses = Counter(id(c) for _, block in table.blocks for c in block)
     previous = {}  # (position, id) of a column of the previous block -> its fields
     lines = bytearray()
     for head, block in table.blocks:
@@ -211,6 +215,8 @@ def _write_csv(handle, meta: str, columns: list[str], table: _Table) -> None:
                                               for i in fresh]))
             for j, i in enumerate(fresh):
                 fields[i] = text[j * rows:(j + 1) * rows]
+                if uses[id(block[i])] > 1:
+                    fields[i] = fields[i][:, fields[i].any(axis=0)]
         for i, f in enumerate(fields):
             if f is None:  # an integer column (n)
                 text = np.array([b"%d" % v for v in block[i]])

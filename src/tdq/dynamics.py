@@ -27,7 +27,8 @@ conserved along any consistent pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import DomainError, EnvelopeError, PinneySingularityError, TimeMismatchError
@@ -48,6 +49,12 @@ class SuperconductorParams:
     and the others > 0, or DomainError names the field and its value; so
     must beta, k and omega0^2, with k > 0, or DomainError names the fields
     they are made of.
+
+    The derived constants (s, beta, k, omega0^2, and rho's exponent p and
+    prefactor sqrt(pi/(2A))) are cached properties: s, beta, k and omega0^2
+    are computed once, at construction, where they are validated, the other
+    two at first use, and every reader shares them.  Equality, hashing,
+    pickling and `dataclasses.replace` see the fields alone.
     """
 
     sigma0: float
@@ -81,25 +88,39 @@ class SuperconductorParams:
                 raise DomainError(f"{what} must be finite{' and > 0' if positive else ''}, "
                                   f"got {given}")
 
-    @property
+    def __getstate__(self) -> dict:
+        # the fields alone: a cached constant is recomputed after unpickling
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
     def decay_exponent(self) -> float:
         """s = sigma0 / (A eps0), the dimensionless damping strength."""
         return self.sigma0 / (self.A * self.eps0)
 
-    @property
+    @cached_property
     def beta(self) -> float:
         """Bessel order (1 + s)/2; the square root form is a perfect square."""
         return 0.5 * (1.0 + self.decay_exponent)
 
-    @property
+    @cached_property
     def k(self) -> float:
         """Bessel argument scale c / (lambdaL A)."""
         return self.c / (self.lambdaL * self.A)
 
-    @property
+    @cached_property
     def omega0_sq(self) -> float:
         """Asymptotic squared frequency c^2 / lambdaL^2."""
         return (self.c / self.lambdaL) ** 2
+
+    @cached_property
+    def rho_exponent(self) -> float:
+        """p = (1 - s)/2, the power of A t + 1 in rho."""
+        return 0.5 * (1.0 - self.decay_exponent)
+
+    @cached_property
+    def rho_prefactor(self) -> float:
+        """sqrt(pi / (2A)), the constant factor of rho."""
+        return math.sqrt(math.pi / (2.0 * self.A))
 
     def sigma(self, t: float) -> float:
         """Conductivity sigma(t) = sigma0 / (A t + 1)."""
@@ -107,11 +128,20 @@ class SuperconductorParams:
 
     def sigma_dot(self, t: float) -> float:
         """Time derivative -sigma0 A / (A t + 1)^2 of the conductivity."""
-        return -self.sigma0 * self.A / (self.A * t + 1.0) ** 2
+        tau = self.A * t + 1.0
+        try:
+            return -self.sigma0 * self.A / tau ** 2
+        except OverflowError:  # tau^2 is out of float range, sigma_dot is not
+            return -self.sigma0 * self.A / tau / tau
 
     def L(self, t: float) -> float:
-        """L(t) = exp(integral_0^t sigma/eps0 dt') = (A t + 1)^s; L(0) = 1."""
-        return (self.A * t + 1.0) ** self.decay_exponent
+        """L(t) = exp(integral_0^t sigma/eps0 dt') = (A t + 1)^s; L(0) = 1.
+        EnvelopeError names sigma0 and t where L is out of float range."""
+        try:
+            return (self.A * t + 1.0) ** self.decay_exponent
+        except OverflowError:
+            raise EnvelopeError(f"L at sigma0={self.sigma0!r}, t={t!r}: (A t + 1)^s with "
+                                f"s={self.decay_exponent!r} is out of float range") from None
 
     def omega_sq(self, t: float) -> float:
         """omega^2(t) = c^2/lambdaL^2 + sigma_dot(t)/eps0; may be negative."""
@@ -163,14 +193,15 @@ def rho_analytic(params: SuperconductorParams, t: float) -> PinneyState:
     and u; as that rejects a non-finite modulus too, this hot path skips
     `_checked` and calls the kernel.
     """
-    tau = params.A * t + 1.0
+    A = params.A
+    tau = A * t + 1.0
     beta, k = params.beta, params.k
     u = k * tau
     _check_bessel_envelope(beta, u, "rho_analytic", params.sigma0, t)
     m_sq, m_dm = _bessel_modulus_sq(beta, u)
-    p = 0.5 * (1.0 - params.decay_exponent)
-    rho = math.sqrt(math.pi / (2.0 * params.A)) * tau ** p * math.sqrt(m_sq)
-    rho_dot = rho * (p * params.A / tau + params.k * params.A * m_dm / m_sq)
+    p = params.rho_exponent
+    rho = params.rho_prefactor * tau ** p * math.sqrt(m_sq)
+    rho_dot = rho * (p * A / tau + k * A * m_dm / m_sq)
     if not (0.0 < rho < math.inf and math.isfinite(rho_dot)):
         raise EnvelopeError(f"rho_analytic at sigma0={params.sigma0!r}, t={t!r}: rho={rho!r} "
                             f"or rho'={rho_dot!r} out of float range at Bessel argument {u!r}")
@@ -186,7 +217,9 @@ def equation_of_motion(params: SuperconductorParams, pinney: bool = False,
     since L'/L = sigma/eps0.  The constants are read from params once, when
     the function is built, and each call evaluates tau = A t + 1 once; x''
     has the bits of the same expression written with params.sigma,
-    params.omega_sq and params.L.
+    params.omega_sq and params.L.  Where tau^2 is out of float range the
+    sigma_dot term is formed as params.sigma_dot forms it, and where L is,
+    1/(L^2 x^3) is taken as its limit 0.
     """
     sigma0, A, eps0 = params.sigma0, params.A, params.eps0
     omega0_sq, s = params.omega0_sq, params.decay_exponent
@@ -195,10 +228,16 @@ def equation_of_motion(params: SuperconductorParams, pinney: bool = False,
     def rhs(t, y):
         x, x_dot = y
         tau = A * t + 1.0
-        x_ddot = (-(sigma0 / tau) / eps0 * x_dot
-                  - (omega0_sq + neg_sigma0_A / tau ** 2 / eps0) * x)
+        try:
+            sigma_dot = neg_sigma0_A / tau ** 2
+        except OverflowError:
+            sigma_dot = neg_sigma0_A / tau / tau
+        x_ddot = -(sigma0 / tau) / eps0 * x_dot - (omega0_sq + sigma_dot / eps0) * x
         if pinney:
-            L = tau ** s
+            try:
+                L = tau ** s
+            except OverflowError:
+                return (x_dot, x_ddot)
             x_ddot += 1.0 / (L * L * x * x * x)
         return (x_dot, x_ddot)
 

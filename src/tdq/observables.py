@@ -169,9 +169,18 @@ def uncertainty_product(snapshot: QuantumSnapshot) -> float:
 
 
 def energy_mean(snapshot: QuantumSnapshot) -> float:
-    """Mean energy <E_n>; decays to zero as the charge is expelled."""
+    """Mean energy <E_n>; decays to zero as the charge is expelled.
+
+    Where L^2 rho^2 overflows (L near the top of the float range) the first
+    term is summed as 1/(2 L^2 rho^2) + rho'^2/2 instead, which stays finite.
+    """
     rho2 = snapshot.rho * snapshot.rho
     L2 = snapshot.L * snapshot.L
     cross2 = L2 * rho2 * snapshot.rho_dot * snapshot.rho_dot
-    return ((1.0 + cross2) / (2.0 * L2 * rho2)
+    energy = ((1.0 + cross2) / (2.0 * L2 * rho2)
+              + 0.5 * snapshot.omega_sq * rho2) * (snapshot.n + 0.5) * snapshot.hbar
+    if math.isfinite(energy):
+        return energy
+    inverse = 1.0 / (snapshot.L * snapshot.rho)
+    return (0.5 * inverse * inverse + 0.5 * snapshot.rho_dot * snapshot.rho_dot
             + 0.5 * snapshot.omega_sq * rho2) * (snapshot.n + 0.5) * snapshot.hbar

@@ -20,6 +20,11 @@ forms to the same floats.
 of `tdq.cli` replaced; the tests pin the two to identical bytes.
 `worst` is the tests' own reduction of residuals, which keeps a NaN where
 a running max(worst, r) drops it; it shares no code with `tdq.verify`'s.
+`rho_by_properties`, `L_by_properties` and `omega_sq_by_properties` are the
+rho path as it was when `SuperconductorParams` recomputed its derived
+constants on every read and the modulus loops built their steps term by
+term (`modulus_by_loops`, `steed_cf2_by_loop`), kept verbatim: the cached
+constants and tabulated steps must reproduce their floats bit for bit.
 """
 
 import itertools
@@ -34,6 +39,7 @@ from tdq.cli import _Table
 from tdq.errors import DomainError, StepSizeUnderflowError
 from tdq.integrate import _A, _ATOL, _B5, _C, _E, _MAX_SCALE, _MIN_SCALE, _RTOL, _SAFETY
 from tdq.information import _PANEL_NODES, _printed_isum_coefficient
+from tdq import special_functions as sf
 from tdq.special_functions import (
     EULER_GAMMA,
     gauss_legendre,
@@ -446,3 +452,92 @@ def write_csv_chunked(handle, meta: str, columns: list[str], table: _Table) -> N
             stop = start + _CHUNK_ROWS
             template = prefix + joiner.join(row_templates[start:stop]) + "\n"
             handle.write(template % tuple(fields[start * len(values):stop * len(values)]))
+
+
+def _decay_exponent(params) -> float:
+    return params.sigma0 / (params.A * params.eps0)
+
+
+def _beta(params) -> float:
+    return 0.5 * (1.0 + _decay_exponent(params))
+
+
+def _k(params) -> float:
+    return params.c / (params.lambdaL * params.A)
+
+
+def _omega0_sq(params) -> float:
+    return (params.c / params.lambdaL) ** 2
+
+
+def L_by_properties(params, t: float) -> float:
+    return (params.A * t + 1.0) ** _decay_exponent(params)
+
+
+def omega_sq_by_properties(params, t: float) -> float:
+    sigma_dot = -params.sigma0 * params.A / (params.A * t + 1.0) ** 2
+    return _omega0_sq(params) + sigma_dot / params.eps0
+
+
+def steed_cf2_by_loop(order: float, x: float) -> tuple[float, float]:
+    xi = 1.0 / x
+    a = 0.25 - order * order
+    pq = complex(-0.5 * xi, 1.0)
+    b = complex(2.0 * x, 2.0)
+    c = b + 1j * a * xi / pq
+    d = 1.0 / b
+    pq *= c * d
+    for i in range(2, sf._SERIES_MAX_TERMS):
+        a += 2.0 * (i - 1)
+        b += 2j
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        pq *= delta
+        if abs(delta.real - 1.0) + abs(delta.imag) < sf._BESSEL_EPS:
+            break
+    else:
+        raise AssertionError(f"CF2 did not converge at order {order!r}, x={x!r}")
+    return pq.real, pq.imag
+
+
+def modulus_by_loops(nu: float, x: float) -> tuple[float, float]:
+    if x < sf._MODULUS_ASYMPTOTIC_X:
+        if x < sf._TEMME_X_MAX or x < nu:
+            j, y, jp, yp = sf._bessel_jy(nu, x)
+            return j * j + y * y, j * jp + y * yp
+        p, q = steed_cf2_by_loop(nu, x)
+        m_sq = 2.0 / (math.pi * x * q)
+        return m_sq, p * m_sq
+    mu = 4.0 * nu * nu
+    inv_4x2 = 0.25 / (x * x)
+    term = total = 1.0
+    half_slope = -0.5
+    for k in range(1, sf._SERIES_MAX_TERMS):
+        odd = 2.0 * k - 1.0
+        nxt = term * (odd / (2.0 * k)) * (mu - odd * odd) * inv_4x2
+        if abs(nxt) > abs(term):
+            if abs(nxt) < sf._MODULUS_TRUNCATION_TOL * abs(total):
+                break
+            raise AssertionError(f"series diverges for nu={nu}, x={x}")
+        term = nxt
+        total += term
+        half_slope -= (k + 0.5) * term
+        if abs(term) < 1e-17 * abs(total):
+            break
+    else:
+        raise AssertionError(f"series did not converge for nu={nu}, x={x}")
+    scale = 2.0 / (math.pi * x)
+    return scale * total, scale * half_slope / x
+
+
+def rho_by_properties(params, t: float) -> tuple[float, float]:
+    """(rho, rho') with every derived constant recomputed from the fields."""
+    tau = params.A * t + 1.0
+    beta, k = _beta(params), _k(params)
+    u = k * tau
+    m_sq, m_dm = modulus_by_loops(beta, u)
+    p = 0.5 * (1.0 - _decay_exponent(params))
+    rho = math.sqrt(math.pi / (2.0 * params.A)) * tau ** p * math.sqrt(m_sq)
+    rho_dot = rho * (p * params.A / tau + _k(params) * params.A * m_dm / m_sq)
+    return rho, rho_dot

@@ -561,6 +561,48 @@ class TestExitCodes:
         assert err.startswith("error: rho_analytic at sigma0=")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["rho", "observables", "info", "density"])
+    def test_L_out_of_float_range_exits_2_naming_sigma0_and_t(self, command, capsys):
+        # u = k(At+1) ~ 40 is inside the envelope, but L = (At+1)^19 is not a float
+        code, out, err = run(capsys, command, "--c", "1e-20", "--sigma0", "19",
+                             "--t0", "3.9e21", "--t1", "4e21", "--steps", "2")
+        assert (code, out) == (2, "")
+        assert err == ("error: L at sigma0=19.0, t=3.9e+21: (A t + 1)^s with s=19.0 is "
+                       "out of float range\n")
+
+    @pytest.mark.parametrize("command", ["rho", "observables", "info", "density"])
+    def test_tau_squared_out_of_float_range_prints_finite_numbers(self, command, capsys):
+        # (At+1)^2 overflows in sigma_dot and L^2 in the energy; both are finite
+        code, out, err = run(capsys, command, "--c", "1e-160", "--sigma0", "1",
+                             "--t0", "3.9e161", "--t1", "4e161", "--steps", "2")
+        assert code == 0
+        assert "error" not in err and "Traceback" not in err
+        header, rows = parse_csv(out)
+        assert len(rows) == (2 * 401 if command == "density" else 2)
+        assert all(math.isfinite(v) for row in rows for v in row)
+        if command == "rho":
+            assert column(header, rows, "L") == [3.9e161 + 1.0, 4e161 + 1.0]
+
+    @pytest.mark.parametrize("c", ["1e-300", "1e-160", "1e-20"])
+    @pytest.mark.parametrize("sigma0", ["0", "1", "19"])
+    @pytest.mark.parametrize("u", [2.0, 40.0])
+    @pytest.mark.parametrize("command", ["rho", "observables", "info", "density"])
+    def test_extreme_constant_grid_is_finite_or_exits_2(self, command, u, sigma0, c, capsys):
+        # t0 puts the Bessel argument u = c (t + 1) at u; every number printed
+        # is finite, or one error line names sigma0 and t
+        t0 = u / float(c)
+        code, out, err = run(capsys, command, "--c", c, "--sigma0", sigma0,
+                             "--t0", repr(t0), "--t1", repr(1.01 * t0), "--steps", "2",
+                             *(["--qpoints", "5"] if command == "density" else []))
+        if code == 0:
+            _, rows = parse_csv(out)
+            assert rows and all(math.isfinite(v) for row in rows for v in row)
+            assert "error" not in err
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"sigma0={float(sigma0)!r}, t=" in err
+
     def test_tiny_constant_keeps_rho_dot_finite(self, capsys):
         # at order 1/2, rho = 1/sqrt(k) and rho' = 0 exactly; M M' is within
         # a factor 2 of the top of the float range here.  At u ~ 1e-155

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from tdq.dynamics import (
     ClassicalState,
     PinneyState,
     SuperconductorParams,
+    equation_of_motion,
     invariant_value,
     rho_analytic,
     solve_classical,
@@ -80,6 +83,81 @@ class TestParams:
         s = params.decay_exponent
         root_form = 0.5 * math.sqrt(1.0 + 2.0 * s + s * s)
         assert abs(root_form - params.beta) <= 1e-14 * max(1.0, params.beta)
+
+
+# unit constants, the near-integer order 2 - 5e-10, order 10, and two sets
+# of non-unit constants
+_BIT_IDENTITY_PARAMS = (
+    SuperconductorParams(sigma0=0.0), SuperconductorParams(sigma0=0.4),
+    SuperconductorParams(sigma0=3.0 - 1e-9), SuperconductorParams(sigma0=7.3),
+    SuperconductorParams(sigma0=19.0),
+    SuperconductorParams(sigma0=1.3, A=0.7, eps0=2.1, c=3.3, lambdaL=1.9, hbar=0.5),
+    SuperconductorParams(sigma0=5.0, A=2.5, eps0=0.3, c=0.2, lambdaL=0.45),
+)
+# Bessel arguments on both sides of x = 2 and x = 20, the modulus branch points
+_BIT_IDENTITY_U = (0.3, 1.5, 1.99, 2.0, 3.3, 4.7, 7.7, 9.9, 13.0, 16.1, 19.99, 20.0, 21.0,
+                   24.6, 27.1, 33.3, 41.7, 49.9)
+
+
+class TestCachedConstants:
+    @pytest.mark.parametrize("params", _BIT_IDENTITY_PARAMS)
+    def test_rho_path_keeps_the_bits_of_the_property_expressions(self, params):
+        branches = set()
+        for u in _BIT_IDENTITY_U:
+            t = (u / oracles._k(params) - 1.0) / params.A
+            state = rho_analytic(params, t)
+            got = (state.rho, state.rho_dot, params.L(t), params.omega_sq(t))
+            want = (*oracles.rho_by_properties(params, t), oracles.L_by_properties(params, t),
+                    oracles.omega_sq_by_properties(params, t))
+            assert [v.hex() for v in got] == [v.hex() for v in want], (u, t)
+            x = params.k * (params.A * t + 1.0)
+            branches.add("kernel" if x < 2.0 or x < params.beta
+                          else "cf2" if x < 20.0 else "series")
+        assert branches == {"kernel", "cf2", "series"}
+
+    def test_cached_constants_leave_the_dataclass_contract(self):
+        params = SuperconductorParams(sigma0=1.3, A=0.7, c=3.3)
+        fresh = SuperconductorParams(sigma0=1.3, A=0.7, c=3.3)
+        rho_analytic(params, 0.5)  # reads every cached constant
+        for name in ("sigma0", "beta", "rho_exponent"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(params, name, 2.0)
+        assert params == fresh and hash(params) == hash(fresh)
+        assert pickle.dumps(params) == pickle.dumps(fresh)
+        clone = pickle.loads(pickle.dumps(params))
+        assert clone == params and clone.rho_exponent == params.rho_exponent
+        other = dataclasses.replace(params, sigma0=2.6)
+        assert other != params
+        assert other.decay_exponent == 2.6 / 0.7
+        assert other.beta == 0.5 * (1.0 + 2.6 / 0.7)
+        assert other.rho_exponent == 0.5 * (1.0 - 2.6 / 0.7)
+        assert dataclasses.replace(params, A=2.0).rho_prefactor == math.sqrt(math.pi / 4.0)
+
+
+class TestFloatRange:
+    """Near the top of the float range L raises, and sigma_dot does not."""
+
+    def test_L_out_of_float_range_names_sigma0_and_t(self):
+        params = SuperconductorParams(sigma0=19.0)
+        with pytest.raises(EnvelopeError, match=r"^L at sigma0=19\.0, t=4e\+21: "):
+            params.L(4e21)
+
+    def test_sigma_dot_past_the_square_of_tau(self):
+        params = SuperconductorParams(sigma0=1.0, A=1e300)
+        tau = 1e300 * 1e-140 + 1.0  # tau^2 = 1e320 overflows, sigma_dot is -1e-20
+        assert params.sigma_dot(1e-140) == -1e300 / tau / tau
+        assert params.omega_sq(1e-140) == 1.0 - 1e300 / tau / tau
+        # where tau^2 is a float, the property expression
+        assert params.omega_sq(1e-160) == oracles.omega_sq_by_properties(params, 1e-160)
+
+    def test_equation_of_motion_past_the_square_of_tau(self):
+        # s = 19 and tau = 1e160: tau^2 and L = tau^s are out of float range,
+        # and 1/(L^2 x^3) is taken as 0
+        params = SuperconductorParams(sigma0=19.0, A=1e10, eps0=1e-10)
+        t = 1e150
+        want = -params.sigma(t) / params.eps0 * 3.0 - params.omega_sq(t) * 2.0
+        for pinney in (False, True):
+            assert equation_of_motion(params, pinney)(t, (2.0, 3.0)) == (3.0, want)
 
 
 class TestConductivityLaw:

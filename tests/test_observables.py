@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -317,6 +318,19 @@ class TestEnergy:
         _, _, q2, phi2 = moments(snap)
         expected = phi2 / (2.0 * snap.L ** 2) + 0.5 * snap.omega_sq * q2
         assert energy_mean(snap) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("L, rho, rho_dot", [
+        (4e161, 0.158, -2.1e-163),  # L^2 overflows; the rho' term dominates
+        (1e200, 1e-10, 0.0),  # L^2 rho^2 overflows; the omega^2 term is all
+        (1e200, 3e120, 1e-300),  # L rho overflows too
+    ])
+    def test_finite_where_L_squared_overflows(self, L, rho, rho_dot):
+        snap = QuantumSnapshot(n=2, t=0.0, rho=rho, rho_dot=rho_dot, L=L, omega_sq=0.7,
+                               hbar=1.5)
+        L, rho, rho_dot = Fraction(L), Fraction(rho), Fraction(rho_dot)
+        exact = ((1 + L * L * rho * rho * rho_dot * rho_dot) / (2 * L * L * rho * rho)
+                 + Fraction(0.7) * rho * rho / 2) * Fraction(5, 2) * Fraction(1.5)
+        assert energy_mean(snap) == pytest.approx(float(exact), rel=1e-15)
 
     def test_decay_and_sigma_ordering(self):
         per_level = {}

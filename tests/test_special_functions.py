@@ -206,6 +206,38 @@ class TestBesselModulus:
         with pytest.raises(ConvergenceError, match=r"at order 3\.7, x=5\.0"):
             _bessel_modulus_sq(3.7, 5.0)
 
+    @pytest.mark.parametrize("table, call, order, x", [
+        # the series where it takes the most terms: order 10 from x = 20 up
+        *(("_MODULUS_STEPS", _bessel_modulus_sq, 10.0, x) for x in (20.0, 21.0, 23.0)),
+        # CF2 at its lower edge u = max(2, order), and at x = 2 near order 1,
+        # which `_bessel_jy` reaches (order mu) and where CF2 is slowest
+        *(("_CF2_STEPS", special_functions._steed_cf2, order, max(2.0, order))
+          for order in (0.0, 0.5, 10.0)),
+        *(("_CF2_STEPS", special_functions._steed_cf2, order, 2.0)
+          for order in (0.9, 0.99, 1.0, 1.5)),
+        # 79 steps, the most in 400000 random points of x in [2, 2.5]
+        ("_CF2_STEPS", special_functions._steed_cf2, 0.6913415146194637, 2.016695773617936),
+    ])
+    def test_step_tables_cover_the_envelope(self, table, call, order, x, monkeypatch):
+        # the loop ends before its table does, and gives the floats of the
+        # loop that built each step in place
+        steps = getattr(special_functions, table)
+
+        class Counting:
+            taken = 0
+
+            def __getitem__(self, index):
+                for step in steps[index]:
+                    Counting.taken += 1
+                    yield step
+
+        monkeypatch.setattr(special_functions, table, Counting())
+        got = call(order, x)
+        assert Counting.taken < len(steps)
+        oracle = (oracles.modulus_by_loops if call is _bessel_modulus_sq
+                  else oracles.steed_cf2_by_loop)
+        assert [v.hex() for v in got] == [v.hex() for v in oracle(order, x)]
+
     def test_outside_the_envelope_raises(self):
         # the public entry checks the envelope on both sides of x = 20
         with pytest.raises(EnvelopeError, match="order 11.0 and argument 10.0"):
