@@ -19,9 +19,8 @@ Every csv field has the bytes `_fmt` gives its value, so the contract
 holds however the rows are grouped into blocks.
 
 Exit codes: 0 success, 1 verification failure, 2 for any `TdqError`
-(invalid configuration, envelope violation or a solver that gave up: a
-Pinney singularity, a collapsed RK45 step, a series that did not
-converge, a density that lost its norm), 141 (128 + SIGPIPE) when the
+(invalid configuration, envelope violation, a series that did not
+converge or a density that lost its norm), 141 (128 + SIGPIPE) when the
 reader closes stdout before the output is written.
 """
 
@@ -38,8 +37,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dynamics import SuperconductorParams, rho_analytic, solve_pinney_numeric
-from .errors import ConfigError, EnvelopeError, TdqError
+from .dynamics import SuperconductorParams, rho_analytic
+from .errors import ConfigError, TdqError
 from .float17 import format_17g
 from .information import measures
 from .observables import (
@@ -72,7 +71,6 @@ class RunConfig:
     qpoints: int = 401
     fmt: str = "csv"
     out: str = "-"
-    seed_from_analytic: bool = False
     tol_verify: float = 1.0
 
     def validate(self) -> None:
@@ -123,10 +121,7 @@ class RunConfig:
                 continue
             name = flag[2:].replace("-", "_")
             value = getattr(self, name)
-            if isinstance(value, list):
-                text = ",".join(_fmt(v) for v in value)
-            else:
-                text = str(value) if isinstance(value, bool) else _fmt(value)
+            text = ",".join(map(_fmt, value)) if isinstance(value, list) else _fmt(value)
             parts.append(f"{name}={text}")
         return " ".join(parts)
 
@@ -272,44 +267,19 @@ def _one_block(rows: list[tuple]) -> _Table:
 # subcommands
 # ---------------------------------------------------------------------------
 
-# the numeric Pinney path prints only what lies within this relative
-# distance of the analytic rho
-_NUMERIC_RHO_RTOL = 1e-6
-
-
 def cmd_rho(config: RunConfig) -> int:
-    """Columns (t, sigma0, rho, rho_dot, L, omega_sq) over the sweep.
-
-    With --seed-from-analytic the rows are the numeric Pinney solution,
-    checked against the analytic rho at every grid time.
-    """
+    """Columns (t, sigma0, rho, rho_dot, L, omega_sq) over the sweep."""
     rows = []
     grid = config.t_grid()
     for sigma0 in sorted(config.sigma0):
         params = config.params_for(sigma0)
         states = [rho_analytic(params, float(t)) for t in grid]
-        if config.seed_from_analytic:
-            states = _numeric_near(solve_pinney_numeric(params, t_grid=grid), states, sigma0)
         for t, state in zip(grid, states):
             rows.append((float(t), sigma0, state.rho, state.rho_dot,
                          params.L(float(t)), params.omega_sq(float(t))))
     _write_table(config, ["t", "sigma0", "rho", "rho_dot", "L", "omega_sq"],
                  _one_block(rows))
     return 0
-
-
-def _numeric_near(numeric: list, analytic: list, sigma0: float) -> list:
-    """`numeric` if each of its rho is within _NUMERIC_RHO_RTOL of the
-    `analytic` one, relative; else EnvelopeError names sigma0, the t of the
-    largest error (the first NaN, if any) and the error."""
-    rho, ref = (np.array([state.rho for state in states]) for states in (numeric, analytic))
-    error = np.abs(rho - ref) / ref
-    worst = int(np.argmax(error))
-    if not error[worst] <= _NUMERIC_RHO_RTOL:
-        raise EnvelopeError(f"numeric rho at sigma0={sigma0!r}, t={numeric[worst].t!r} is "
-                            f"{float(error[worst]):.3g} off the analytic rho, relative "
-                            f"(above {_NUMERIC_RHO_RTOL:g})")
-    return numeric
 
 
 def _snapshots(config: RunConfig):
@@ -424,9 +394,6 @@ _FLAGS = (
     ("--qmin", ("density",), {"type": float}),
     ("--qmax", ("density",), {"type": float}),
     ("--qpoints", ("density",), {"type": int}),
-    ("--seed-from-analytic", ("rho",), {
-        "action": "store_true",
-        "help": "integrate numerically from analytic initial values"}),
     ("--format", _TABLES, {"dest": "fmt", "choices": ("csv", "json")}),
     ("--out", _TABLES, {"help": "output path, '-' for stdout"}),
     ("--tol-verify", ("verify",), {"type": float,

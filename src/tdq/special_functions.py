@@ -360,15 +360,25 @@ def _check_quantum_number(n: int) -> None:
         raise DomainError(f"quantum number must be an integer >= 0, got n={n!r}")
 
 
+# The seed e^{-xi^2/2} is subnormal beyond |xi| = 37.6 and 0 beyond 38.6,
+# while h_n reaches a few units past sqrt(2n + 1).  Up to this n the values
+# lost there are below 2e-16 of max |h_n| (against a 50-digit recurrence),
+# and the norm is 1 to 1e-15; by n = 700 it is off by 5e-10.
+_HERMITE_N_MAX = 620
+
+
 def hermite_function(n: int, xi: float | np.ndarray) -> float | np.ndarray:
     """Orthonormal Hermite functions h_n(xi) by the stable recurrence
 
     h_{-1} = 0,   h_0 = pi^{-1/4} e^{-xi^2/2},
     h_{k+1} = sqrt(2/(k+1)) xi h_k - sqrt(k/(k+1)) h_{k-1},
 
-    so h_n = H_n e^{-xi^2/2} / sqrt(2^n n! sqrt(pi)).
+    so h_n = H_n e^{-xi^2/2} / sqrt(2^n n! sqrt(pi)).  EnvelopeError names
+    n above _HERMITE_N_MAX, where h_n's outer lobes underflow.
     """
     _check_quantum_number(n)
+    if n > _HERMITE_N_MAX:
+        raise EnvelopeError(f"Hermite functions support n <= {_HERMITE_N_MAX}, got n={n}")
     h_prev, h = 0.0, math.pi ** -0.25 * np.exp(-0.5 * xi * xi)
     for k in range(n):
         h_prev, h = h, (math.sqrt(2.0 / (k + 1)) * xi * h

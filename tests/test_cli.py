@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -9,17 +10,16 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from tdq import cli, errors, observables, verify
+from tdq import cli, errors, observables, special_functions, verify
 from tdq.cli import RunConfig, _fmt, main
-from tdq.dynamics import SuperconductorParams, solve_pinney_numeric
 from tdq.information import MeasureSet
 
 
@@ -42,8 +42,7 @@ def column(header, rows, name):
 
 
 DEFAULT_META = {
-    "rho": "command=rho sigma0=2 A=1 eps0=1 c=1 lambdaL=1 t0=0 t1=5 steps=101 "
-           "seed_from_analytic=False",
+    "rho": "command=rho sigma0=2 A=1 eps0=1 c=1 lambdaL=1 t0=0 t1=5 steps=101",
     "observables": "command=observables sigma0=0.40000000000000002,0.59999999999999998,"
                    "0.80000000000000004 A=1 eps0=1 c=1 lambdaL=1 hbar=1 n=0 t0=0 t1=5 "
                    "steps=101",
@@ -71,29 +70,6 @@ class TestRho:
         assert code == 0
         header, rows = parse_csv(out)
         assert all(abs(v - 1.0) < 1e-12 for v in column(header, rows, "rho"))
-
-    def test_numeric_seeded_path(self, capsys):
-        code, out, _ = run(capsys, "rho", "--sigma0", "2", "--steps", "21",
-                           "--seed-from-analytic")
-        assert code == 0
-        _, analytic_out, _ = run(capsys, "rho", "--sigma0", "2", "--steps", "21")
-        header, rows = parse_csv(out)
-        _, rows_ref = parse_csv(analytic_out)
-        for got, want in zip(column(header, rows, "rho"),
-                             column(header, rows_ref, "rho")):
-            assert got == pytest.approx(want, abs=1e-6)
-
-    def test_numeric_seeded_path_with_late_start(self, capsys):
-        code, out, _ = run(capsys, "rho", "--sigma0", "2", "--t0", "0.5",
-                           "--steps", "11", "--seed-from-analytic")
-        assert code == 0
-        _, analytic_out, _ = run(capsys, "rho", "--sigma0", "2", "--t0", "0.5",
-                                 "--steps", "11")
-        header, rows = parse_csv(out)
-        _, rows_ref = parse_csv(analytic_out)
-        for got, want in zip(column(header, rows, "rho"),
-                             column(header, rows_ref, "rho")):
-            assert got == pytest.approx(want, abs=1e-6)
 
     def test_near_integer_order_at_large_argument(self, capsys):
         # order (1 + sigma0)/2 within 5e-10 of 2, Bessel argument 41..50
@@ -507,6 +483,13 @@ class TestParser:
         assert listed == {"--help"} | {flag for flag, commands, _ in cli._FLAGS
                                        if command in commands}
 
+    def test_every_field_is_one_flag(self):
+        # no RunConfig knob without its flag, and no flag without its field
+        dests = Counter(keywords.get("dest", flag[2:].replace("-", "_"))
+                        for flag, _, keywords in cli._FLAGS)
+        assert set(dests.values()) == {1}
+        assert set(dests) == {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
+
     def test_top_level_help_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["-h"])
@@ -622,58 +605,6 @@ class TestExitCodes:
         assert err.startswith("error: rho_analytic at sigma0=0.0, t=0.0: rho=nan")
         assert err.count("\n") == 1
 
-    def test_pinney_singularity_names_sigma0(self, capsys):
-        code, out, err = run(capsys, "rho", "--seed-from-analytic", "--sigma0", "2,19",
-                             "--t1", "15", "--steps", "3")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: rho fell below the singularity guard at t=13.94")
-        assert "sigma0=19" in err
-        assert err.count("\n") == 1
-
-    def test_pinney_singularity_exits_2_without_traceback(self, capsys):
-        # the numeric Pinney path at order 10 drives rho through its guard
-        code, out, err = run(capsys, "rho", "--seed-from-analytic", "--sigma0", "19",
-                             "--t1", "15", "--steps", "3")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: rho fell below the singularity guard at t=13.94")
-        assert err.count("\n") == 1
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("sigma0, error", [("12", "9.29e-05"), ("19", "51.4")])
-    def test_numeric_rho_off_the_analytic_exits_2(self, sigma0, error, capsys):
-        # at high order RK45 drifts from the analytic rho (51x at sigma0 =
-        # 19) long before the singularity guard; each row is checked
-        code, out, err = run(capsys, "rho", "--seed-from-analytic", "--sigma0", sigma0,
-                             "--t1", "5", "--steps", "51")
-        assert (code, out) == (2, "")
-        assert err == (f"error: numeric rho at sigma0={float(sigma0)!r}, t=5.0 is {error} "
-                       "off the analytic rho, relative (above 1e-06)\n")
-
-    def test_numeric_rho_nan_exits_2(self, capsys, monkeypatch):
-        # a NaN error is not within the bound either; PinneyState refuses a
-        # NaN rho, so the states are stand-ins
-        def solver(params, *, t_grid):
-            return [SimpleNamespace(t=float(t), rho=math.nan if t == 2.5 else 1.0,
-                                    rho_dot=0.0) for t in t_grid]
-
-        monkeypatch.setattr(cli, "solve_pinney_numeric", solver)
-        code, out, err = run(capsys, "rho", "--seed-from-analytic", "--sigma0", "0",
-                             "--steps", "11")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: numeric rho at sigma0=0.0, t=2.5 is nan off")
-
-    @pytest.mark.parametrize("argv, sigma0, steps", [
-        (["--sigma0", "3", "--t1", "5", "--steps", "51"], 3.0, 51),
-        ([], 2.0, 101)], ids=["sigma0=3", "defaults"])
-    def test_numeric_rho_near_the_analytic_prints_it(self, argv, sigma0, steps, capsys):
-        code, out, _ = run(capsys, "rho", "--seed-from-analytic", *argv)
-        assert code == 0
-        header, rows = parse_csv(out)
-        numeric = solve_pinney_numeric(SuperconductorParams(sigma0=sigma0),
-                                       t_grid=np.linspace(0.0, 5.0, steps))
-        assert column(header, rows, "rho") == [state.rho for state in numeric]
-
     @pytest.mark.parametrize("kind", [
         kind for kind in vars(errors).values()
         if isinstance(kind, type) and issubclass(kind, errors.TdqError)
@@ -689,6 +620,14 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "rho_analytic", failing)
         code, out, err = run(capsys, "rho", "--steps", "2")
         assert (code, out, err) == (2, "", f"error: {exc}\n")
+
+    @pytest.mark.parametrize("n", [special_functions._HERMITE_N_MAX + 1, 1000])
+    def test_level_beyond_hermite_envelope_names_n(self, n, capsys):
+        # the outer lobes of h_n underflow there: P was 0 over them, exit 0
+        code, out, err = run(capsys, "density", "--n", str(n), "--steps", "2")
+        assert (code, out) == (2, "")
+        assert err == (f"error: Hermite functions support n <= "
+                       f"{special_functions._HERMITE_N_MAX}, got n={n}\n")
 
     def test_level_beyond_closed_form_names_n(self, capsys):
         code, out, err = run(capsys, "info", "--n", "15", "--steps", "2")
@@ -752,6 +691,7 @@ class TestExitCodes:
         ["rho", "--qpoints", "5"],
         ["rho", "--hbar", "3"],
         ["observables", "--seed-from-analytic"],
+        ["rho", "--seed-from-analytic"],
         ["verify", "--sigma0", "2"],
         ["verify", "--format", "json"],
     ])
@@ -777,13 +717,13 @@ class TestExitCodes:
         # the span overflows: linspace gave nan and inf charges
         (["density", "--qmin=-1e308", "--qmax=1e308", "--qpoints", "3", "--steps", "2"],
          "--qmin=-1e+308, --qmax=1e+308, --qpoints=3"),
-        # t0 and t1 one ulp apart: linspace repeats a time, which gave a
-        # traceback on the numeric Pinney path and every row twice otherwise
-        (["rho", "--seed-from-analytic", "--t0=1", "--t1=1.0000000000000002", "--steps", "4"],
+        # t0 and t1 one ulp apart: linspace repeats a time, which printed
+        # every row twice
+        (["rho", "--t0=1", "--t1=1.0000000000000002", "--steps", "4"],
          "--t0=1.0, --t1=1.0000000000000002, --steps=4"),
         (["observables", "--t0=1", "--t1=1.0000000000000002", "--steps", "4"],
          "--t0=1.0, --t1=1.0000000000000002, --steps=4"),
-    ], ids=["overflowing-span", "repeated-time-numeric", "repeated-time"])
+    ], ids=["overflowing-span", "repeated-time-rho", "repeated-time"])
     def test_degenerate_grid_rejected(self, argv, named, capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from tdq.dynamics import (
     solve_classical,
     solve_pinney_numeric,
 )
-from tdq.errors import DomainError, EnvelopeError, TimeMismatchError
+from tdq.errors import DomainError, EnvelopeError, PinneySingularityError, TimeMismatchError
 from tdq.integrate import solve_rk45
 
 
@@ -359,6 +360,15 @@ class TestPinneyNumeric:
             states = solve_pinney_numeric(params, t_grid=grid)
             worst = max(abs(s.rho - rho_analytic(params, s.t).rho) for s in states)
             assert worst < 1e-6
+
+    def test_singularity_names_sigma0(self):
+        # at Bessel order 10 RK45 drives rho through its positivity guard
+        with pytest.raises(PinneySingularityError) as exc:
+            solve_pinney_numeric(SuperconductorParams(sigma0=19.0), t_grid=np.linspace(0, 15, 3))
+        assert exc.value.sigma0 == 19.0
+        assert exc.value.t == pytest.approx(13.9408, abs=1e-4)
+        assert re.fullmatch(r"rho fell below the singularity guard at t=13\.94\d*"
+                            r" \(sigma0=19\.0\)", str(exc.value))
 
     def test_classical_pinney_formula(self):
         # undamped omega=1 with rho(0)=2, rho'(0)=0:

@@ -376,6 +376,21 @@ class TestHermite:
         with pytest.raises(DomainError, match="^quantum number must be an integer >= 0, got n=-1$"):
             hermite_function(-1, 0.5)
 
+    def test_norm_at_the_largest_supported_n(self):
+        # the outer lobes reach |xi| ~ sqrt(2n + 1) + 3, near where the seed
+        # e^{-xi^2/2} underflows
+        n = special_functions._HERMITE_N_MAX
+        edge = math.sqrt(2 * n + 1) + 8.0
+        xi = np.linspace(-edge, edge, 20001)
+        assert abs(np.trapezoid(hermite_function(n, xi) ** 2, xi) - 1.0) <= 1e-12
+
+    def test_order_beyond_the_envelope_names_n(self):
+        n = special_functions._HERMITE_N_MAX + 1
+        message = f"^Hermite functions support n <= {n - 1}, got n={n}$"
+        for call in (lambda: hermite_function(n, 0.5), lambda: hermite(n)):
+            with pytest.raises(EnvelopeError, match=message):
+                call()
+
     def test_orthogonality(self):
         nodes, weights = gauss_legendre(200, -10.0, 10.0)
         for m in range(13):
