@@ -367,6 +367,12 @@ def _check_quantum_number(n: int) -> None:
 _HERMITE_N_MAX = 620
 
 
+def _check_hermite_order(n: int) -> None:
+    _check_quantum_number(n)
+    if n > _HERMITE_N_MAX:
+        raise EnvelopeError(f"Hermite functions support n <= {_HERMITE_N_MAX}, got n={n}")
+
+
 def hermite_function(n: int, xi: float | np.ndarray) -> float | np.ndarray:
     """Orthonormal Hermite functions h_n(xi) by the stable recurrence
 
@@ -376,9 +382,7 @@ def hermite_function(n: int, xi: float | np.ndarray) -> float | np.ndarray:
     so h_n = H_n e^{-xi^2/2} / sqrt(2^n n! sqrt(pi)).  EnvelopeError names
     n above _HERMITE_N_MAX, where h_n's outer lobes underflow.
     """
-    _check_quantum_number(n)
-    if n > _HERMITE_N_MAX:
-        raise EnvelopeError(f"Hermite functions support n <= {_HERMITE_N_MAX}, got n={n}")
+    _check_hermite_order(n)
     h_prev, h = 0.0, math.pi ** -0.25 * np.exp(-0.5 * xi * xi)
     for k in range(n):
         h_prev, h = h, (math.sqrt(2.0 / (k + 1)) * xi * h
@@ -406,9 +410,9 @@ def hermite(n: int) -> HermiteTable:
     Roots come from the eigenvalues of the symmetric Jacobi matrix of the
     Hermite recurrence (off-diagonal sqrt(k/2)), polished with one Newton
     step on h_n, with h_n' = sqrt(2n) h_{n-1} - xi h_n, and symmetrized
-    pairwise.
+    pairwise.  The n bound is checked before the O(n^2) coefficients.
     """
-    _check_quantum_number(n)
+    _check_hermite_order(n)
     coeffs = _hermite_coefficients(n)
     if n == 0:
         return HermiteTable(coeffs, ())

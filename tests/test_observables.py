@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from tdq import observables, verify
+from tdq import observables, special_functions, verify
 from tdq.dynamics import (
     PinneyState,
     SuperconductorParams,
@@ -372,6 +372,17 @@ class TestSnapshot:
         with pytest.raises(DomainError,
                            match=f"^quantum number must be an integer >= 0, got n={n!r}$"):
             call(n)
+
+    @pytest.mark.parametrize("call", [
+        lambda snap: wavefunction(snap, 0.5),
+        lambda snap: density_values(snap, np.array([-0.5, 0.0, 0.5])),
+    ], ids=["wavefunction", "density_values"])
+    def test_level_beyond_the_hermite_envelope_names_n(self, call):
+        # past the bound the outer lobes of h_n underflow to 0
+        n = special_functions._HERMITE_N_MAX + 1
+        with pytest.raises(EnvelopeError, match=f"^Hermite functions support n <= {n - 1}, got n={n}$"):
+            call(snapshot_at(2.0, 0.5, n))
+        assert np.all(np.isfinite(call(snapshot_at(2.0, 0.5, n - 1))))
 
     def test_numpy_integer_level_accepted(self):
         snap = snapshot_at(2.0, 0.5, np.int64(2))

@@ -391,6 +391,20 @@ class TestHermite:
             with pytest.raises(EnvelopeError, match=message):
                 call()
 
+    def test_order_beyond_the_envelope_fails_before_the_coefficients(self, monkeypatch):
+        # the exact integer coefficients cost O(n^2) big-integer work
+        def unreachable(n):
+            raise AssertionError(f"coefficients built for n={n}")
+
+        monkeypatch.setattr(special_functions, "_hermite_coefficients", unreachable)
+        n = special_functions._HERMITE_N_MAX + 1
+        hermite.cache_clear()
+        try:
+            with pytest.raises(EnvelopeError, match=f"^Hermite functions support n <= {n - 1}, got n={n}$"):
+                hermite(n)
+        finally:
+            hermite.cache_clear()
+
     def test_orthogonality(self):
         nodes, weights = gauss_legendre(200, -10.0, 10.0)
         for m in range(13):
