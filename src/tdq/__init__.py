@@ -21,6 +21,7 @@ from .observables import (
     QuantumSnapshot,
     density_values,
     energy_mean,
+    levels,
     make_snapshot,
     moments,
     phase,

@@ -14,7 +14,9 @@ with 17 significant digits (binary64 round-trip); run metadata lives in
 then streamed block by block: csv as ASCII bytes, one write per block to
 the binary buffer under the output stream, its floats formatted by one
 array call of `float17.format_17g`; json as the bytes of one
-`json.dumps(..., indent=1)`.
+`json.dumps(..., indent=1)`.  `rho`, `observables` and `info` compute
+each sigma0, or (sigma0, n) level, over the whole time grid at once and
+print one block.
 Every csv field has the bytes `_fmt` gives its value, so the contract
 holds however the rows are grouped into blocks.
 
@@ -37,14 +39,16 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dynamics import SuperconductorParams, rho_analytic
+from .dynamics import SuperconductorParams
 from .errors import ConfigError, TdqError
 from .float17 import format_17g
 from .information import measures
 from .observables import (
     density_values,
     energy_mean,
+    levels,
     moments,
+    pinney_columns,
     snapshots,
     uncertainty_product,
 )
@@ -214,7 +218,7 @@ def _write_csv(handle, meta: str, columns: list[str], table: _Table) -> None:
                     fields[i] = fields[i][:, fields[i].any(axis=0)]
         for i, f in enumerate(fields):
             if f is None:  # an integer column (n)
-                text = np.array([b"%d" % v for v in block[i]])
+                text = np.array([b"%d" % v for v in np.asarray(block[i]).tolist()])
                 fields[i] = text.view(np.uint8).reshape(rows, -1)
         previous = {(i, id(c)): f for i, (c, f) in enumerate(zip(block, fields))}
         lines = _csv_rows(lines, (head_template % head).encode(), fields)
@@ -256,10 +260,10 @@ def _write_json(handle, meta: str, columns: list[str], table: _Table) -> None:
     handle.write("\n ]\n}\n")
 
 
-def _one_block(rows: list[tuple]) -> _Table:
-    """`rows` as a table of one block with an empty head."""
+def _stacked(levels: list[tuple]) -> _Table:
+    """One block with an empty head, each column concatenated over `levels`."""
     table = _Table(width=0)
-    table.add((), *zip(*rows))
+    table.add((), *(np.concatenate(columns) for columns in zip(*levels)))
     return table
 
 
@@ -269,37 +273,34 @@ def _one_block(rows: list[tuple]) -> _Table:
 
 def cmd_rho(config: RunConfig) -> int:
     """Columns (t, sigma0, rho, rho_dot, L, omega_sq) over the sweep."""
-    rows = []
+    parts = []
     grid = config.t_grid()
     for sigma0 in sorted(config.sigma0):
-        params = config.params_for(sigma0)
-        states = [rho_analytic(params, float(t)) for t in grid]
-        for t, state in zip(grid, states):
-            rows.append((float(t), sigma0, state.rho, state.rho_dot,
-                         params.L(float(t)), params.omega_sq(float(t))))
+        t, rho, rho_dot, L, omega_sq = pinney_columns(config.params_for(sigma0), grid)
+        parts.append((t, np.full_like(t, sigma0), rho, rho_dot, L, omega_sq))
     _write_table(config, ["t", "sigma0", "rho", "rho_dot", "L", "omega_sq"],
-                 _one_block(rows))
+                 _stacked(parts))
     return 0
 
 
-def _snapshots(config: RunConfig):
-    """(sigma0, snapshot) in row order (sigma0, n, t)."""
+def _levels(config: RunConfig):
+    """Each level in row order (sigma0, n), with its (t, sigma0, n) columns."""
     grid = config.t_grid()
     for sigma0 in sorted(config.sigma0):
-        for snap in snapshots(config.params_for(sigma0), sorted(config.n), grid):
-            yield sigma0, snap
+        for level in levels(config.params_for(sigma0), sorted(config.n), grid):
+            yield level, (level.t, np.full_like(level.t, sigma0), np.full(grid.size, level.n))
 
 
 def cmd_observables(config: RunConfig) -> int:
     """Second moments, uncertainty product, and mean energy per (t, sigma0, n)."""
-    rows = []
-    for sigma0, snap in _snapshots(config):
-        _, _, q2, phi2 = moments(snap)
-        energy = energy_mean(snap)
-        rows.append((snap.t, sigma0, snap.n, q2, phi2, uncertainty_product(snap), energy,
-                     energy / (snap.n + 0.5)))
+    parts = []
+    for level, keys in _levels(config):
+        _, _, q2, phi2 = moments(level)
+        energy = energy_mean(level)
+        parts.append((*keys, q2, phi2, uncertainty_product(level), energy,
+                      energy / (level.n + 0.5)))
     _write_table(config, ["t", "sigma0", "n", "q2", "phi2", "dq_dphi",
-                          "energy", "energy_per_level"], _one_block(rows))
+                          "energy", "energy_per_level"], _stacked(parts))
     return 0
 
 
@@ -310,32 +311,31 @@ def cmd_density(config: RunConfig) -> int:
     the charge grid, shared by every block, and P on it.
     """
     table = _Table(width=3)
-    q_grid = config.q_grid()
-    for sigma0, snap in _snapshots(config):
-        p = density_values(snap, q_grid)
-        with np.errstate(over="ignore"):  # an overflow is a norm of inf, and warned of
-            norm = float(np.trapezoid(p, q_grid))
-        if not abs(norm - 1.0) <= 1e-6:  # NaN included
-            print(f"warning: density norm {norm:.9f} off unit at "
-                  f"sigma0={_fmt(sigma0)}, n={snap.n}, t={_fmt(snap.t)}; widen --qmin/"
-                  "--qmax, or raise --qpoints if the grid is too coarse", file=sys.stderr)
-        table.add((snap.t, sigma0, snap.n), q_grid, p)
+    q_grid, t_grid = config.q_grid(), config.t_grid()
+    for sigma0 in sorted(config.sigma0):
+        for snap in snapshots(config.params_for(sigma0), sorted(config.n), t_grid):
+            p = density_values(snap, q_grid)
+            with np.errstate(over="ignore"):  # an overflow is a norm of inf, and warned of
+                norm = float(np.trapezoid(p, q_grid))
+            if not abs(norm - 1.0) <= 1e-6:  # NaN included
+                print(f"warning: density norm {norm:.9f} off unit at sigma0={_fmt(sigma0)}, "
+                      f"n={snap.n}, t={_fmt(snap.t)}; widen --qmin/--qmax, or raise "
+                      "--qpoints if the grid is too coarse", file=sys.stderr)
+            table.add((snap.t, sigma0, snap.n), q_grid, p)
     _write_table(config, ["t", "sigma0", "n", "q", "P"], table)
     return 0
 
 
 def cmd_info(config: RunConfig) -> int:
     """Entropy, disequilibrium, and complexity; H, D, C from quadrature."""
-    rows = []
-    for sigma0, snap in _snapshots(config):
-        closed = measures(snap, "closed_form")
-        quad = measures(snap)
-        rows.append((snap.t, sigma0, snap.n,
-                     closed.entropy_S, quad.entropy_S, quad.H,
-                     closed.disequilibrium_D, quad.disequilibrium_D,
-                     quad.complexity_C))
+    parts = []
+    for level, keys in _levels(config):
+        closed = measures(level, "closed_form")
+        quad = measures(level)
+        parts.append((*keys, closed.entropy_S, quad.entropy_S, quad.H, closed.disequilibrium_D,
+                      quad.disequilibrium_D, np.full_like(level.t, quad.complexity_C)))
     _write_table(config, ["t", "sigma0", "n", "S_closed", "S_quad", "H",
-                          "D_closed", "D_quad", "C"], _one_block(rows))
+                          "D_closed", "D_quad", "C"], _stacked(parts))
     return 0
 
 

@@ -49,6 +49,8 @@ shares the one scaling step, which forms each measure by its own law:
 Both ways are reached through one entry point, `measures(snapshot,
 method)` with method "quadrature" (the default) or "closed_form", and
 both scale (s_n, d_n) by the snapshot's density width s in `_scaled`.
+A level (`observables.levels`) is measured in one call, each of its
+times with the bits of its scalar snapshot: ln s is `math.log`'s.
 """
 
 from __future__ import annotations
@@ -80,11 +82,11 @@ _MAX_CLOSED_FORM_N = 14
 
 @dataclass(frozen=True)
 class MeasureSet:
-    """(S, H, D, C) of one snapshot."""
+    """(S, H, D, C) of one snapshot; of a level, S, H, D over its times."""
 
-    entropy_S: float
-    H: float
-    disequilibrium_D: float
+    entropy_S: float | np.ndarray
+    H: float | np.ndarray
+    disequilibrium_D: float | np.ndarray
     complexity_C: float
 
 
@@ -94,7 +96,9 @@ def _scaled(snapshot: QuantumSnapshot, s_n: float, d_n: float) -> MeasureSet:
     C = e^{s_n} d_n, which does not depend on s, so a level has one C."""
     scale = snapshot.scale
     level_H = math.exp(s_n)
-    return MeasureSet(entropy_S=s_n + math.log(scale), H=level_H * scale,
+    log_scale = (np.array([math.log(s) for s in scale.tolist()])
+                 if isinstance(scale, np.ndarray) else math.log(scale))
+    return MeasureSet(entropy_S=s_n + log_scale, H=level_H * scale,
                       disequilibrium_D=d_n / scale, complexity_C=level_H * d_n)
 
 
@@ -202,7 +206,7 @@ def _measures_closed_form(snapshot: QuantumSnapshot) -> MeasureSet:
 
 
 def measures(snapshot: QuantumSnapshot, method: str = "quadrature") -> MeasureSet:
-    """(S, H, D, C) of one snapshot by `method`, "quadrature" or "closed_form".
+    """(S, H, D, C) of a snapshot or level by `method`: "quadrature" or "closed_form".
 
     Quadrature is the ground truth.  The closed-form disequilibrium is
     exact for n <= _MAX_CLOSED_FORM_N; the closed-form entropy, evaluated

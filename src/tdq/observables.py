@@ -18,6 +18,10 @@ energy are closed-form in (rho, rho', L, omega^2):
     dq dPhi = hbar sqrt(1 + L^2 rho^2 rho'^2)(n + 1/2)
     <E_n>   = [(1 + L^2 rho^2 rho'^2)/(2 L^2 rho^2)
                + omega^2 rho^2 / 2] (n + 1/2) hbar
+
+A snapshot holds one time, or a level: one n over a time grid (`levels`).
+Numpy's + - * / and sqrt round correctly, so a level's observables, in
+the scalar order of operations, have the bits of its scalar snapshots.
 """
 
 from __future__ import annotations
@@ -41,21 +45,21 @@ from .special_functions import (
 @dataclass(frozen=True)
 class QuantumSnapshot:
     """Everything a fixed-time observable needs: an integer n >= 0 plus
-    (t, rho, rho', L, omega^2)."""
+    (t, rho, rho', L, omega^2), floats or, in a level, float64 arrays."""
 
     n: int
-    t: float
-    rho: float
-    rho_dot: float
-    L: float
-    omega_sq: float
+    t: float | np.ndarray
+    rho: float | np.ndarray
+    rho_dot: float | np.ndarray
+    L: float | np.ndarray
+    omega_sq: float | np.ndarray
     hbar: float
 
     def __post_init__(self):
         _check_quantum_number(self.n)
 
     @property
-    def scale(self) -> float:
+    def scale(self) -> float | np.ndarray:
         """Density width sqrt(hbar) rho: P(q) = h_n(q / scale)^2 / scale."""
         return math.sqrt(self.hbar) * self.rho
 
@@ -69,15 +73,31 @@ def make_snapshot(params: SuperconductorParams,
                            hbar=params.hbar)
 
 
+def pinney_rows(params: SuperconductorParams, ts) -> list[tuple[float, ...]]:
+    """(t, rho, rho', L, omega^2) at each t in ts, from one `rho_analytic`
+    call per t; they depend on t alone, so every n shares them."""
+    return [(s.t, s.rho, s.rho_dot, params.L(s.t), params.omega_sq(s.t))
+            for s in (rho_analytic(params, float(t)) for t in ts)]
+
+
+def pinney_columns(params: SuperconductorParams, ts) -> tuple[np.ndarray, ...]:
+    """The `pinney_rows` as five float64 arrays over ts."""
+    return tuple(np.array(pinney_rows(params, ts), dtype=float).reshape(-1, 5).T.copy())
+
+
+def levels(params: SuperconductorParams, ns, ts) -> list[QuantumSnapshot]:
+    """One level per n in ns: a snapshot of the `pinney_columns` over ts."""
+    columns = pinney_columns(params, ts)
+    return [QuantumSnapshot(n, *columns, params.hbar) for n in ns]
+
+
 def snapshots(params: SuperconductorParams, ns, ts):
     """Snapshots for every n in ns and t in ts, n-major (all of ts for the
-    first n, then the next).  rho, L and omega^2 depend on t alone, so each
-    is computed once per t and every n shares it."""
-    states = [(s, params.L(s.t), params.omega_sq(s.t))
-              for s in (rho_analytic(params, float(t)) for t in ts)]
+    first n, then the next), sharing the `pinney_rows`."""
+    rows = pinney_rows(params, ts)
     for n in ns:
-        for s, L, omega_sq in states:
-            yield QuantumSnapshot(n, s.t, s.rho, s.rho_dot, L, omega_sq, params.hbar)
+        for row in rows:
+            yield QuantumSnapshot(n, *row, params.hbar)
 
 
 def _truncation_edge(n: int) -> float:
@@ -152,35 +172,40 @@ def density_values(snapshot: QuantumSnapshot, q: np.ndarray) -> np.ndarray:
     return h * h / scale
 
 
-def moments(snapshot: QuantumSnapshot) -> tuple[float, float, float, float]:
+def moments(snapshot: QuantumSnapshot) -> tuple:
     """(<q>, <Phi>, <q^2>, <Phi^2>); the first moments vanish identically."""
     n_half = snapshot.n + 0.5
-    rho2 = snapshot.rho * snapshot.rho
-    cross = snapshot.L * snapshot.rho * snapshot.rho_dot
-    q2 = snapshot.hbar * rho2 * n_half
-    phi2 = snapshot.hbar / rho2 * (1.0 + cross * cross) * n_half
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
+        rho2 = snapshot.rho * snapshot.rho
+        cross = snapshot.L * snapshot.rho * snapshot.rho_dot
+        q2 = snapshot.hbar * rho2 * n_half
+        phi2 = snapshot.hbar / rho2 * (1.0 + cross * cross) * n_half
     return 0.0, 0.0, q2, phi2
 
 
-def uncertainty_product(snapshot: QuantumSnapshot) -> float:
+def uncertainty_product(snapshot: QuantumSnapshot) -> float | np.ndarray:
     """dq dPhi = hbar sqrt(1 + L^2 rho^2 rho'^2) (n + 1/2); floor at rho' = 0."""
-    cross = snapshot.L * snapshot.rho * snapshot.rho_dot
-    return snapshot.hbar * math.sqrt(1.0 + cross * cross) * (snapshot.n + 0.5)
+    sqrt = np.sqrt if isinstance(snapshot.rho, np.ndarray) else math.sqrt
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = snapshot.L * snapshot.rho * snapshot.rho_dot
+        return snapshot.hbar * sqrt(1.0 + cross * cross) * (snapshot.n + 0.5)
 
 
-def energy_mean(snapshot: QuantumSnapshot) -> float:
+def energy_mean(snapshot: QuantumSnapshot) -> float | np.ndarray:
     """Mean energy <E_n>; decays to zero as the charge is expelled.
 
     Where L^2 rho^2 overflows (L near the top of the float range) the first
     term is summed as 1/(2 L^2 rho^2) + rho'^2/2 instead, which stays finite.
     """
-    rho2 = snapshot.rho * snapshot.rho
-    L2 = snapshot.L * snapshot.L
-    cross2 = L2 * rho2 * snapshot.rho_dot * snapshot.rho_dot
-    energy = ((1.0 + cross2) / (2.0 * L2 * rho2)
-              + 0.5 * snapshot.omega_sq * rho2) * (snapshot.n + 0.5) * snapshot.hbar
-    if math.isfinite(energy):
-        return energy
-    inverse = 1.0 / (snapshot.L * snapshot.rho)
-    return (0.5 * inverse * inverse + 0.5 * snapshot.rho_dot * snapshot.rho_dot
-            + 0.5 * snapshot.omega_sq * rho2) * (snapshot.n + 0.5) * snapshot.hbar
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho2 = snapshot.rho * snapshot.rho
+        L2 = snapshot.L * snapshot.L
+        cross2 = L2 * rho2 * snapshot.rho_dot * snapshot.rho_dot
+        energy = ((1.0 + cross2) / (2.0 * L2 * rho2)
+                  + 0.5 * snapshot.omega_sq * rho2) * (snapshot.n + 0.5) * snapshot.hbar
+        if (finite := np.isfinite(energy)).all():
+            return energy
+        inverse = 1.0 / (snapshot.L * snapshot.rho)
+        large = (0.5 * inverse * inverse + 0.5 * snapshot.rho_dot * snapshot.rho_dot
+                 + 0.5 * snapshot.omega_sq * rho2) * (snapshot.n + 0.5) * snapshot.hbar
+    return np.where(finite, energy, large) if np.ndim(energy) else large

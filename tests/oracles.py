@@ -18,6 +18,10 @@ root and one Hermite evaluation per panel; the tests pin the shared-work
 forms to the same floats.
 `write_csv_chunked` is the `%`-template csv writer that the array writer
 of `tdq.cli` replaced; the tests pin the two to identical bytes.
+`cmd_rho`, `cmd_observables` and `cmd_info` are those commands as they were
+when they built one snapshot and one tuple per row (with their helpers
+`_one_block` and `_snapshots`), kept verbatim: the commands that evaluate
+a level at a time must print the same bytes.
 `worst` is the tests' own reduction of residuals, which keeps a NaN where
 a running max(worst, r) drops it; it shares no code with `tdq.verify`'s.
 `rho_by_properties`, `L_by_properties` and `omega_sq_by_properties` are the
@@ -35,10 +39,12 @@ from typing import Callable, Sequence
 import mpmath as mp
 import numpy as np
 
-from tdq.cli import _Table
+from tdq.cli import RunConfig, _Table, _write_table
+from tdq.dynamics import rho_analytic
 from tdq.errors import DomainError, StepSizeUnderflowError
 from tdq.integrate import _A, _ATOL, _B5, _C, _E, _MAX_SCALE, _MIN_SCALE, _RTOL, _SAFETY
-from tdq.information import _PANEL_NODES, _printed_isum_coefficient
+from tdq.information import _PANEL_NODES, _printed_isum_coefficient, measures
+from tdq.observables import energy_mean, moments, snapshots, uncertainty_product
 from tdq import special_functions as sf
 from tdq.special_functions import (
     EULER_GAMMA,
@@ -541,3 +547,61 @@ def rho_by_properties(params, t: float) -> tuple[float, float]:
     rho = math.sqrt(math.pi / (2.0 * params.A)) * tau ** p * math.sqrt(m_sq)
     rho_dot = rho * (p * params.A / tau + _k(params) * params.A * m_dm / m_sq)
     return rho, rho_dot
+
+
+def _one_block(rows: list[tuple]) -> _Table:
+    """`rows` as a table of one block with an empty head."""
+    table = _Table(width=0)
+    table.add((), *zip(*rows))
+    return table
+
+
+def cmd_rho(config: RunConfig) -> int:
+    """Columns (t, sigma0, rho, rho_dot, L, omega_sq) over the sweep."""
+    rows = []
+    grid = config.t_grid()
+    for sigma0 in sorted(config.sigma0):
+        params = config.params_for(sigma0)
+        states = [rho_analytic(params, float(t)) for t in grid]
+        for t, state in zip(grid, states):
+            rows.append((float(t), sigma0, state.rho, state.rho_dot,
+                         params.L(float(t)), params.omega_sq(float(t))))
+    _write_table(config, ["t", "sigma0", "rho", "rho_dot", "L", "omega_sq"],
+                 _one_block(rows))
+    return 0
+
+
+def _snapshots(config: RunConfig):
+    """(sigma0, snapshot) in row order (sigma0, n, t)."""
+    grid = config.t_grid()
+    for sigma0 in sorted(config.sigma0):
+        for snap in snapshots(config.params_for(sigma0), sorted(config.n), grid):
+            yield sigma0, snap
+
+
+def cmd_observables(config: RunConfig) -> int:
+    """Second moments, uncertainty product, and mean energy per (t, sigma0, n)."""
+    rows = []
+    for sigma0, snap in _snapshots(config):
+        _, _, q2, phi2 = moments(snap)
+        energy = energy_mean(snap)
+        rows.append((snap.t, sigma0, snap.n, q2, phi2, uncertainty_product(snap), energy,
+                     energy / (snap.n + 0.5)))
+    _write_table(config, ["t", "sigma0", "n", "q2", "phi2", "dq_dphi",
+                          "energy", "energy_per_level"], _one_block(rows))
+    return 0
+
+
+def cmd_info(config: RunConfig) -> int:
+    """Entropy, disequilibrium, and complexity; H, D, C from quadrature."""
+    rows = []
+    for sigma0, snap in _snapshots(config):
+        closed = measures(snap, "closed_form")
+        quad = measures(snap)
+        rows.append((snap.t, sigma0, snap.n,
+                     closed.entropy_S, quad.entropy_S, quad.H,
+                     closed.disequilibrium_D, quad.disequilibrium_D,
+                     quad.complexity_C))
+    _write_table(config, ["t", "sigma0", "n", "S_closed", "S_quad", "H",
+                          "D_closed", "D_quad", "C"], _one_block(rows))
+    return 0

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from tdq import cli, errors, observables, special_functions, verify
+from tdq import cli, errors, information, observables, special_functions, verify
 from tdq.cli import RunConfig, _fmt, main
 from tdq.information import MeasureSet
 
@@ -228,6 +228,91 @@ class TestSweep:
                 for r in rows]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("command", ["observables", "info"])
+    def test_one_snapshot_and_one_measures_call_per_level(self, command, capsys,
+                                                          monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("_measures_quadrature", "_measures_closed_form"):
+            monkeypatch.setattr(information, name, counted(name, getattr(information, name)))
+        monkeypatch.setattr(observables, "rho_analytic",
+                            counted("rho_analytic", observables.rho_analytic))
+        monkeypatch.setattr(observables.QuantumSnapshot, "__post_init__",
+                            counted("snapshot", observables.QuantumSnapshot.__post_init__))
+        code, _, _ = run(capsys, command, "--sigma0", "0.5,2,3", "--n", "2,0", "--steps", "4")
+        assert code == 0
+        per_level = 3 * 2 if command == "info" else 0
+        assert calls == Counter(rho_analytic=3 * 4, snapshot=3 * 2,
+                                _measures_quadrature=per_level,
+                                _measures_closed_form=per_level)
+
+
+# argvs on which `rho`, `observables` and `info` print what their row-by-row
+# forms in `oracles` print
+LEVEL_ARGVS = [
+    ("rho",), ("observables",), ("info",),
+    ("observables", "--hbar", "2.5"), ("info", "--hbar", "2.5"),
+    ("info", "--n", "0,3,13,14"),
+    ("rho", "--sigma0", "0,19", "--t1", "48"),
+    ("observables", "--sigma0", "0,19", "--t1", "48"),
+    # L^2 overflows at every time: each row takes energy_mean's second branch
+    ("observables", "--c", "1e-160", "--sigma0", "1", "--t0", "3.9e161", "--t1", "4e161",
+     "--steps", "2"),
+    # L^2 rho^2 rho'^2 overflows at t = 0 alone: only the first row does
+    ("observables", "--c", "1e-100", "--sigma0", "1", "--t0", "0", "--t1", "4e101",
+     "--steps", "5"),
+]
+
+
+class TestLevelsMatchRowOracles:
+    @staticmethod
+    def outcomes(capsys, monkeypatch, argv):
+        """(code, stdout, stderr) of the command and of its row-by-row oracle."""
+        command = argv[0]
+        new = run(capsys, *argv)
+        with monkeypatch.context() as patch:
+            patch.setitem(cli._COMMANDS, command, (getattr(oracles, f"cmd_{command}"),
+                                                   cli._COMMANDS[command][1]))
+            old = run(capsys, *argv)
+        return new, old
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", LEVEL_ARGVS)
+    def test_bytes_match_row_oracle(self, argv, fmt, capsys, monkeypatch):
+        new, old = self.outcomes(capsys, monkeypatch, (*argv, "--format", fmt))
+        assert new == old
+        assert new[0] == 0 and new[2] == ""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    @pytest.mark.parametrize("name", ["amplitude_sweep", "info_levels"])
+    def test_benchmark_bytes_match_row_oracle(self, name, seed, fmt, capsys, monkeypatch):
+        monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "bench")
+        import workloads
+
+        argv = (*workloads.make(name, seed).argv, "--format", fmt)
+        new, old = self.outcomes(capsys, monkeypatch, argv)
+        assert new == old
+        assert new[0] == 0 and new[2] == ""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["rho", "observables", "info"])
+    def test_violation_after_a_level_writes_nothing(self, command, fmt, capsys, monkeypatch):
+        # sigma0 = 0.4 fills its levels; order 10.5 at sigma0 = 20 is outside
+        # the Bessel envelope at the first time
+        argv = (command, "--sigma0", "0.4,20", "--t1", "2", "--steps", "3", "--format", fmt)
+        new, old = self.outcomes(capsys, monkeypatch, argv)
+        assert new == old
+        assert new == (2, "", "error: rho_analytic at sigma0=20.0, t=0.0: Bessel order 10.5 "
+                              "and argument 1.0 outside the supported envelope "
+                              "[0, 10.0] x (0, 50.0]\n")
+
 
 class TestFormatsAndDeterminism:
     @pytest.mark.parametrize("command", ["rho", "observables", "density", "info"])
@@ -338,7 +423,9 @@ class TestTableWriter:
                     min_size=1, max_size=8))
     def test_one_block_rows_format_like_fmt(self, rows):
         config = RunConfig(command="observables", sigma0=[0.5])
-        lines = _csv_body(config, ["t", "sigma0", "n", "q2", "phi2"], cli._one_block(rows))
+        table = cli._Table(width=0)
+        table.add((), *zip(*rows))
+        lines = _csv_body(config, ["t", "sigma0", "n", "q2", "phi2"], table)
         assert lines == [",".join(_fmt(v) for v in row) for row in rows]
 
     @settings(max_examples=40, deadline=None)
@@ -554,6 +641,15 @@ class TestExitCodes:
                        "out of float range\n")
 
     @pytest.mark.parametrize("command", ["rho", "observables", "info", "density"])
+    def test_first_failing_time_is_named(self, command, capsys):
+        # L is out of float range from t0 on, the Bessel argument 60 only at t1
+        code, out, err = run(capsys, command, "--c", "1e-20", "--sigma0", "19",
+                             "--t0", "3.9e21", "--t1", "6e21", "--steps", "3")
+        assert (code, out) == (2, "")
+        assert err == ("error: L at sigma0=19.0, t=3.9e+21: (A t + 1)^s with s=19.0 is "
+                       "out of float range\n")
+
+    @pytest.mark.parametrize("command", ["rho", "observables", "info", "density"])
     def test_tau_squared_out_of_float_range_prints_finite_numbers(self, command, capsys):
         # (At+1)^2 overflows in sigma_dot and L^2 in the energy; both are finite
         code, out, err = run(capsys, command, "--c", "1e-160", "--sigma0", "1",
@@ -617,7 +713,7 @@ class TestExitCodes:
         def failing(params, t):
             raise exc
 
-        monkeypatch.setattr(cli, "rho_analytic", failing)
+        monkeypatch.setattr(observables, "rho_analytic", failing)
         code, out, err = run(capsys, "rho", "--steps", "2")
         assert (code, out, err) == (2, "", f"error: {exc}\n")
 

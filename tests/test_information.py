@@ -10,7 +10,7 @@ import oracles
 from tdq import information, verify
 from tdq.dynamics import SuperconductorParams, rho_analytic
 from tdq.information import measures
-from tdq.observables import QuantumSnapshot, make_snapshot
+from tdq.observables import QuantumSnapshot, levels, make_snapshot
 from tdq.special_functions import hermite, hermite_function
 
 
@@ -313,3 +313,73 @@ class TestInformationCheck:
         result = verify.check_information_vs_density_quadrature(1e-9)
         assert not result.passed
         assert result.residual > 0.1
+
+
+_FIELDS = ("entropy_S", "H", "disequilibrium_D", "complexity_C")
+
+
+class TestLevels:
+    @staticmethod
+    def rows(level):
+        columns = (level.t, level.rho, level.rho_dot, level.L, level.omega_sq)
+        return [QuantumSnapshot(level.n, *row, level.hbar)
+                for row in zip(*(column.tolist() for column in columns))]
+
+    @classmethod
+    def assert_bits_of_rows(cls, level, method):
+        whole = measures(level, method)
+        assert type(whole.complexity_C) is float
+        by_row = [measures(row, method) for row in cls.rows(level)]
+        for name in _FIELDS:
+            got = np.broadcast_to(getattr(whole, name), len(by_row)).tolist()
+            assert [v.hex() for v in got] == [getattr(m, name).hex() for m in by_row], name
+
+    @pytest.mark.parametrize("method", ["quadrature", "closed_form"])
+    @pytest.mark.parametrize("sigma0, hbar, c, ts", [
+        (2.0, 1.0, 1.0, np.linspace(0.0, 2.0, 11)),
+        (0.0, 2.5, 1.0, np.linspace(0.0, 48.0, 9)),
+        (19.0, 1e-300, 1.0, np.linspace(0.0, 30.0, 5)),
+        (1.0, 1.0, 1e-160, np.linspace(3.9e161, 4e161, 2)),
+        (1.0, 1.0, 1e-100, np.linspace(0.0, 4e101, 5)),
+    ])
+    def test_level_has_the_bits_of_its_rows(self, method, sigma0, hbar, c, ts):
+        params = SuperconductorParams(sigma0=sigma0, hbar=hbar, c=c)
+        for level in levels(params, (0, 1, 5, 14), ts):
+            self.assert_bits_of_rows(level, method)
+
+    @pytest.mark.parametrize("method", ["quadrature", "closed_form"])
+    def test_level_overflowing_L_squared_at_some_times(self, method):
+        # L^2 rho^2 overflows at every time but the first
+        level = QuantumSnapshot(n=2, t=np.array([0.0, 1.0, 2.0]),
+                                rho=np.array([0.8, 1e-10, 3e120]),
+                                rho_dot=np.array([-0.3, 0.0, 1e-300]),
+                                L=np.array([1.7, 1e200, 1e200]),
+                                omega_sq=np.array([0.6, 0.7, 0.7]), hbar=1.5)
+        self.assert_bits_of_rows(level, method)
+
+    @pytest.mark.parametrize("method", ["quadrature", "closed_form"])
+    def test_level_log_is_libm_per_element(self, method):
+        # widths at which numpy's vectorized log and libm's differ in the
+        # last bit on some x86-64 builds; S must take libm's, as a row does
+        widths = [float.fromhex(h) for h in (
+            "0x1.e40f5a44bdf7dp+7", "0x1.51178f6bd47bdp+4", "0x1.8f7439f7ff908p+9",
+            "0x1.691e2d5a27fd6p+7", "0x1.0c659b4378572p+8", "0x1.a2f0c74a0f7a0p+9")]
+        ones = np.ones(len(widths))
+        level = QuantumSnapshot(n=1, t=0.0 * ones, rho=np.array(widths), rho_dot=0.0 * ones,
+                                L=ones, omega_sq=ones, hbar=1.0)
+        self.assert_bits_of_rows(level, method)
+
+    @pytest.mark.parametrize("method, level_constants", [
+        ("quadrature", information._level_quadrature),
+        ("closed_form", information._level_closed_form),
+    ])
+    def test_scalar_snapshot_keeps_float_scaling_laws(self, method, level_constants):
+        snap = QuantumSnapshot(n=3, t=0.7, rho=0.8123, rho_dot=-0.31, L=1.9,
+                               omega_sq=0.6, hbar=2.5)
+        s_n, d_n = level_constants(3)
+        scale = math.sqrt(2.5) * 0.8123
+        got = measures(snap, method)
+        assert all(type(getattr(got, name)) is float for name in _FIELDS)
+        assert got == information.MeasureSet(
+            entropy_S=s_n + math.log(scale), H=math.exp(s_n) * scale,
+            disequilibrium_D=d_n / scale, complexity_C=math.exp(s_n) * d_n)

@@ -19,6 +19,7 @@ from tdq.observables import (
     QuantumSnapshot,
     density_values,
     energy_mean,
+    levels,
     make_snapshot,
     moments,
     phase,
@@ -426,3 +427,86 @@ class TestSnapshot:
         r = truncation_radius(snap)
         tail = float(density_values(snap, np.array([r]))[0])
         assert tail < 1e-25
+
+
+def level_rows(level):
+    """The scalar snapshots of a level's times."""
+    columns = (level.t, level.rho, level.rho_dot, level.L, level.omega_sq)
+    return [QuantumSnapshot(level.n, *row, level.hbar)
+            for row in zip(*(column.tolist() for column in columns))]
+
+
+def level_values(level):
+    """Every observable of a level, one list of floats per quantity."""
+    _, _, q2, phi2 = moments(level)
+    return [q2.tolist(), phi2.tolist(), uncertainty_product(level).tolist(),
+            energy_mean(level).tolist()]
+
+
+def row_values(rows):
+    """Every observable of the scalar snapshots, one list per quantity."""
+    return [[moments(row)[2] for row in rows], [moments(row)[3] for row in rows],
+            [uncertainty_product(row) for row in rows], [energy_mean(row) for row in rows]]
+
+
+def hexes(values):
+    return [[v.hex() for v in quantity] for quantity in values]
+
+
+# L^2 rho^2 overflows at every time but the first; the others are the rows
+# of TestEnergy.test_finite_where_L_squared_overflows
+MIXED_LEVEL = QuantumSnapshot(
+    n=2, t=np.array([0.0, 1.0, 2.0, 3.0]), rho=np.array([0.8, 1e-10, 3e120, 0.158]),
+    rho_dot=np.array([-0.3, 0.0, 1e-300, -2.1e-163]), L=np.array([1.7, 1e200, 1e200, 4e161]),
+    omega_sq=np.array([0.6, 0.7, 0.7, 0.7]), hbar=1.5)
+
+
+class TestLevels:
+    @pytest.mark.parametrize("sigma0, c, ts", [
+        (0.0, 1.0, np.linspace(0.0, 48.0, 41)),
+        (0.8, 1.0, np.linspace(0.0, 5.0, 11)),
+        (3.0 - 1e-9, 1.0, np.linspace(0.0, 49.0, 21)),
+        (19.0, 1.0, np.linspace(0.0, 48.0, 7)),
+        (1.0, 1e-160, np.linspace(3.9e161, 4e161, 2)),  # L^2 overflows at every time
+        (1.0, 1e-100, np.linspace(0.0, 4e101, 5)),  # L^2 rho^2 rho'^2 overflows at t = 0 alone
+    ])
+    def test_level_has_the_bits_of_its_rows(self, sigma0, c, ts):
+        params = SuperconductorParams(sigma0=sigma0, c=c, hbar=2.5)
+        for level in levels(params, (0, 3), ts):
+            assert level.t.tolist() == ts.tolist()
+            assert hexes(level_values(level)) == hexes(row_values(level_rows(level)))
+
+    def test_level_mixing_both_energy_branches(self):
+        values = level_values(MIXED_LEVEL)
+        assert hexes(values) == hexes(row_values(level_rows(MIXED_LEVEL)))
+        assert all(math.isfinite(v) for v in values[3])
+
+    def test_levels_share_one_amplitude_per_time(self, monkeypatch):
+        calls = []
+
+        def counted(params, t):
+            calls.append(t)
+            return rho_analytic(params, t)
+
+        monkeypatch.setattr(observables, "rho_analytic", counted)
+        params = SuperconductorParams(sigma0=2.0, hbar=3.0)
+        ts = np.array([0.0, 0.5, 1.0])
+        sweep = levels(params, (2, 0), ts)
+        assert calls == [0.0, 0.5, 1.0]
+        assert [level.n for level in sweep] == [2, 0]
+        assert level_rows(sweep[1]) == list(snapshots(params, (0,), ts))
+
+    def test_scalar_snapshots_give_unchanged_floats(self):
+        # pure + - * / and sqrt, so these bits hold on any IEEE host
+        plain = QuantumSnapshot(n=3, t=0.7, rho=0.8123, rho_dot=-0.31, L=1.9,
+                                omega_sq=0.6, hbar=2.5)
+        overflowing = QuantumSnapshot(n=2, t=0.0, rho=1e-10, rho_dot=0.0, L=1e200,
+                                      omega_sq=0.7, hbar=1.5)
+        for snap, want in (
+                (plain, ["0x1.718169ea7f654p+2", "0x1.04be9041727c4p+4",
+                         "0x1.3665b64401ee9p+3", "0x1.fe9de4363a0f0p+1"]),
+                (overflowing, ["0x1.622d6fbc91e02p-65", "0x1.4542ba12a337cp+68",
+                               "0x1.e000000000000p+1", "0x1.efd93607ff6d0p-67"])):
+            values = [*moments(snap), uncertainty_product(snap), energy_mean(snap)]
+            assert all(type(v) is float for v in values)
+            assert [v.hex() for v in values[2:]] == want
