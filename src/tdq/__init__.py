@@ -25,7 +25,6 @@ from .observables import (
     make_snapshot,
     moments,
     phase,
-    snapshots,
     truncation_radius,
     uncertainty_product,
     wavefunction,

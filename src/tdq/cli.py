@@ -14,9 +14,9 @@ with 17 significant digits (binary64 round-trip); run metadata lives in
 then streamed block by block: csv as ASCII bytes, one write per block to
 the binary buffer under the output stream, its floats formatted by one
 array call of `float17.format_17g`; json as the bytes of one
-`json.dumps(..., indent=1)`.  `rho`, `observables` and `info` compute
-each sigma0, or (sigma0, n) level, over the whole time grid at once and
-print one block.
+`json.dumps(..., indent=1)`.  Every command computes each sigma0, or
+(sigma0, n) level, over the whole time grid at once; `rho`, `observables`
+and `info` print one block, `density` one block per time.
 Every csv field has the bytes `_fmt` gives its value, so the contract
 holds however the rows are grouped into blocks.
 
@@ -33,6 +33,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -49,7 +50,6 @@ from .observables import (
     levels,
     moments,
     pinney_columns,
-    snapshots,
     uncertainty_product,
 )
 from .verify import run_checks
@@ -307,21 +307,23 @@ def cmd_observables(config: RunConfig) -> int:
 def cmd_density(config: RunConfig) -> int:
     """Probability density P(q) per (t, sigma0, n) over the charge grid.
 
-    One block per (sigma0, n, t): its head is (t, sigma0, n), its columns
-    the charge grid, shared by every block, and P on it.
+    P is evaluated once per level.  One block per (sigma0, n, t): its head
+    is (t, sigma0, n), its columns the charge grid, shared by every block,
+    and P on it.
     """
     table = _Table(width=3)
-    q_grid, t_grid = config.q_grid(), config.t_grid()
-    for sigma0 in sorted(config.sigma0):
-        for snap in snapshots(config.params_for(sigma0), sorted(config.n), t_grid):
-            p = density_values(snap, q_grid)
-            with np.errstate(over="ignore"):  # an overflow is a norm of inf, and warned of
-                norm = float(np.trapezoid(p, q_grid))
+    q_grid = config.q_grid()
+    for level, keys in _levels(config):
+        p = density_values(level, q_grid)
+        with np.errstate(over="ignore"):  # an overflow is a norm of inf, and warned of
+            norms = np.trapezoid(p, q_grid, axis=-1).tolist()
+        heads = zip(*(column.tolist() for column in keys))
+        for (t, sigma0, n), row, norm in zip(heads, p, norms):
             if not abs(norm - 1.0) <= 1e-6:  # NaN included
                 print(f"warning: density norm {norm:.9f} off unit at sigma0={_fmt(sigma0)}, "
-                      f"n={snap.n}, t={_fmt(snap.t)}; widen --qmin/--qmax, or raise "
+                      f"n={n}, t={_fmt(t)}; widen --qmin/--qmax, or raise "
                       "--qpoints if the grid is too coarse", file=sys.stderr)
-            table.add((snap.t, sigma0, snap.n), q_grid, p)
+            table.add((t, sigma0, n), q_grid, row)
     _write_table(config, ["t", "sigma0", "n", "q", "P"], table)
     return 0
 
@@ -400,6 +402,9 @@ _FLAGS = (
                                    "help": "scale factor on every check tolerance"}),
 )
 
+# no flag looks like a number, so -1e-3 and -inf are values, as -1 and -.5 are to argparse
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
 # per-command figure defaults that differ from RunConfig's: sigma0, time window
 _DEFAULTS = {
     "rho": {"sigma0": [2.0]},
@@ -432,6 +437,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         command_parser = sub.add_parser(name, help=desc, description=desc,
                                         argument_default=argparse.SUPPRESS)
         if name == command:
+            command_parser._negative_number_matcher = _NEGATIVE_NUMBER
             for flag, commands, keywords in _FLAGS:
                 if command in commands:
                     command_parser.add_argument(flag, **keywords)

@@ -19,8 +19,9 @@ energy are closed-form in (rho, rho', L, omega^2):
     <E_n>   = [(1 + L^2 rho^2 rho'^2)/(2 L^2 rho^2)
                + omega^2 rho^2 / 2] (n + 1/2) hbar
 
-A snapshot holds one time, or a level: one n over a time grid (`levels`).
-Numpy's + - * / and sqrt round correctly, so a level's observables, in
+A snapshot holds one time, or a level: one n over a time grid (`levels`),
+which is how the package walks a (sigma0, n, t) grid.  Numpy's + - * /
+and sqrt round correctly, so a level's observables and its rows of P, in
 the scalar order of operations, have the bits of its scalar snapshots.
 """
 
@@ -73,16 +74,12 @@ def make_snapshot(params: SuperconductorParams,
                            hbar=params.hbar)
 
 
-def pinney_rows(params: SuperconductorParams, ts) -> list[tuple[float, ...]]:
-    """(t, rho, rho', L, omega^2) at each t in ts, from one `rho_analytic`
-    call per t; they depend on t alone, so every n shares them."""
-    return [(s.t, s.rho, s.rho_dot, params.L(s.t), params.omega_sq(s.t))
-            for s in (rho_analytic(params, float(t)) for t in ts)]
-
-
 def pinney_columns(params: SuperconductorParams, ts) -> tuple[np.ndarray, ...]:
-    """The `pinney_rows` as five float64 arrays over ts."""
-    return tuple(np.array(pinney_rows(params, ts), dtype=float).reshape(-1, 5).T.copy())
+    """(t, rho, rho', L, omega^2) as five float64 arrays over ts, from one
+    `rho_analytic` call per t; they depend on t alone, so every n shares them."""
+    rows = [(s.t, s.rho, s.rho_dot, params.L(s.t), params.omega_sq(s.t))
+            for s in (rho_analytic(params, float(t)) for t in ts)]
+    return tuple(np.array(rows, dtype=float).reshape(-1, 5).T.copy())
 
 
 def levels(params: SuperconductorParams, ns, ts) -> list[QuantumSnapshot]:
@@ -91,21 +88,12 @@ def levels(params: SuperconductorParams, ns, ts) -> list[QuantumSnapshot]:
     return [QuantumSnapshot(n, *columns, params.hbar) for n in ns]
 
 
-def snapshots(params: SuperconductorParams, ns, ts):
-    """Snapshots for every n in ns and t in ts, n-major (all of ts for the
-    first n, then the next), sharing the `pinney_rows`."""
-    rows = pinney_rows(params, ts)
-    for n in ns:
-        for row in rows:
-            yield QuantumSnapshot(n, *row, params.hbar)
-
-
 def _truncation_edge(n: int) -> float:
     """|xi| = sqrt(2n+1) + 8, beyond which h_n(xi)^2 < 1e-25."""
     return math.sqrt(2.0 * n + 1.0) + 8.0
 
 
-def truncation_radius(snapshot: QuantumSnapshot) -> float:
+def truncation_radius(snapshot: QuantumSnapshot) -> float | np.ndarray:
     """Half-width sqrt(hbar) rho (sqrt(2n+1) + 8) beyond which P < 1e-25."""
     return snapshot.scale * _truncation_edge(snapshot.n)
 
@@ -161,11 +149,12 @@ def wavefunction(snapshot: QuantumSnapshot, q: float, theta: float = 0.0) -> com
 def density_values(snapshot: QuantumSnapshot, q: np.ndarray) -> np.ndarray:
     """P(q, t) = |psi_n|^2 on an array of charge values (real closed form).
 
-    P takes its limit 0 where q/scale or its square overflows, silently:
-    xi = q/scale is capped at 1e300, where e^{-xi^2/2}, and so h_n, is 0
-    and sqrt(2) xi is still finite.
+    A level gives one row of P per time; its q is one charge grid for every
+    time or one row of charges per time.  P takes its limit 0 where q/scale
+    or its square overflows, silently: xi = q/scale is capped at 1e300,
+    where e^{-xi^2/2}, and so h_n, is 0 and sqrt(2) xi is still finite.
     """
-    scale = snapshot.scale
+    scale = np.expand_dims(snapshot.scale, -1)
     with np.errstate(over="ignore"):
         xi = np.clip(np.asarray(q, dtype=float) / scale, -1e300, 1e300)
         h = hermite_function(snapshot.n, xi)

@@ -568,17 +568,20 @@ def _legendre_nodes_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_legendre(n_points: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+def gauss_legendre(n_points: int, a: float | np.ndarray,
+                   b: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, weights) of the Gauss-Legendre rule with n_points nodes mapped
     to [a, b], nodes ascending; integrate with float(np.dot(weights, values)).
+    Array endpoints give one such row per (a, b), with the scalar call's bits.
 
     Exact for polynomials of degree <= 2 n_points - 1.
     """
     if not (isinstance(n_points, (int, np.integer)) and 2 <= n_points <= 2000):
         raise DomainError(f"gauss_legendre supports integer 2 <= n_points <= 2000, "
                           f"got n_points={n_points!r}")
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+    if not np.all(np.isfinite(a) & np.isfinite(b) & np.less(a, b)):
         raise DomainError(f"gauss_legendre requires finite a < b, got a={a!r}, b={b!r}")
     x, w = _legendre_nodes_weights(n_points)
+    a, b = np.expand_dims(a, -1), np.expand_dims(b, -1)
     half = 0.5 * (b - a)
     return 0.5 * (a + b) + half * x, half * w

@@ -9,7 +9,9 @@ a NaN residual anywhere reads NaN and fails.  The two checks with a note
 build their own result, their residual also from `_worst`.  `run_checks`
 gives each check its base tolerance in `_ALL_CHECKS` times one scale
 factor.  The one informational check (closed-form entropy against
-quadrature for n >= 1) always passes.  The suite is pure computation and
+quadrature for n >= 1) always passes.  The observables and information
+checks walk `levels`, with one quadrature rule per time; each residual
+has the bits it has for one snapshot.  The suite is pure computation and
 finishes in seconds.
 """
 
@@ -35,10 +37,10 @@ from .information import measures
 from .observables import (
     QuantumSnapshot,
     density_values,
+    levels,
     make_snapshot,
     moments,
     phase,
-    snapshots,
     truncation_radius,
     uncertainty_product,
 )
@@ -276,44 +278,45 @@ def check_lc_limit():
 # observables checks
 # ---------------------------------------------------------------------------
 
-def _snapshots(sigmas, ns, ts):
-    """`snapshots` at every sigma0 in sigmas, in the figure units."""
+def _levels(sigmas, ns, ts):
+    """`levels` at every sigma0 in sigmas, in the figure units."""
     return itertools.chain.from_iterable(
-        snapshots(SuperconductorParams(sigma0=sigma0), ns, ts) for sigma0 in sigmas)
+        levels(SuperconductorParams(sigma0=sigma0), ns, ts) for sigma0 in sigmas)
 
 
 @_check
 def check_density_normalization():
-    for snap in _snapshots((0.5, 1.5, 3.0), range(5), (0.0, 0.5, 1.0, 2.0, 5.0)):
-        radius = truncation_radius(snap)
+    for level in _levels((0.5, 1.5, 3.0), range(5), (0.0, 0.5, 1.0, 2.0, 5.0)):
+        radius = truncation_radius(level)
         nodes, weights = gauss_legendre(512, -radius, radius)
-        yield abs(float(np.dot(weights, density_values(snap, nodes))) - 1.0)
+        for w, row in zip(weights, density_values(level, nodes)):
+            yield abs(float(np.dot(w, row)) - 1.0)
 
 
 @_check
 def check_moment_consistency():
-    for snap in itertools.chain(_snapshots((0.5, 2.0), (0, 1, 2), (0.0, 0.5, 2.0)),
-                                snapshots(_HBAR2_PARAMS, (2,), (0.7,))):
-        radius = truncation_radius(snap)
+    for level in itertools.chain(_levels((0.5, 2.0), (0, 1, 2), (0.0, 0.5, 2.0)),
+                                 levels(_HBAR2_PARAMS, (2,), (0.7,))):
+        radius = truncation_radius(level)
         nodes, weights = gauss_legendre(512, -radius, radius)
-        p = density_values(snap, nodes)
-        q2_quad = float(np.dot(weights, p * nodes ** 2))
-        _, _, q2, _ = moments(snap)
-        yield abs(q2_quad - q2) / q2
+        p = density_values(level, nodes)
+        _, _, q2, _ = moments(level)
+        for w, row, q2 in zip(weights, p * nodes ** 2, q2.tolist()):
+            yield abs(float(np.dot(w, row)) - q2) / q2
 
 
 @_check
 def check_uncertainty_identity():
-    for snap in _snapshots((0.5, 2.0), (0, 1, 2), (0.0, 0.5, 2.0)):
-        _, _, q2, phi2 = moments(snap)
-        product = math.sqrt(q2 * phi2)
-        yield abs(uncertainty_product(snap) - product) / product
+    for level in _levels((0.5, 2.0), (0, 1, 2), (0.0, 0.5, 2.0)):
+        _, _, q2, phi2 = moments(level)
+        product = np.sqrt(q2 * phi2)
+        yield from (np.abs(uncertainty_product(level) - product) / product).tolist()
 
 
 @_check
 def check_uncertainty_floor():
-    for snap in _snapshots((0.5, 2.0, 3.0), (0, 1, 2), (0.0, 0.5, 1.0, 2.0)):
-        yield snap.hbar * (snap.n + 0.5) - uncertainty_product(snap)
+    for level in _levels((0.5, 2.0, 3.0), (0, 1, 2), (0.0, 0.5, 1.0, 2.0)):
+        yield from (level.hbar * (level.n + 0.5) - uncertainty_product(level)).tolist()
     params = SuperconductorParams(sigma0=0.0)
     snap = make_snapshot(params, rho_analytic(params, 1.0), 1)
     yield abs(uncertainty_product(snap) - params.hbar * 1.5)
@@ -321,12 +324,12 @@ def check_uncertainty_floor():
 
 @_check
 def check_density_node_structure():
-    for snap in _snapshots((1.5,), range(5), (0.5,)):
-        radius = truncation_radius(snap)
-        grid = np.linspace(-radius, radius, 4001)
-        values = hermite_function(snap.n, grid / snap.scale)
-        changes = int(np.sum(np.signbit(values[1:]) != np.signbit(values[:-1])))
-        yield float(abs(changes - snap.n))
+    for level in _levels((1.5,), range(5), (0.5,)):
+        radius = truncation_radius(level)
+        grid = np.linspace(-radius, radius, 4001, axis=-1)
+        values = hermite_function(level.n, grid / level.scale[:, None])
+        changes = np.sum(np.signbit(values[:, 1:]) != np.signbit(values[:, :-1]), axis=-1)
+        yield from np.abs(changes - level.n).astype(float).tolist()
 
 
 @_check
@@ -353,28 +356,30 @@ def check_information_vs_density_quadrature():
     `density_values` in q, on plain Gauss-Legendre panels split at the
     density zeros sqrt(hbar) rho x_k: a path through neither the level
     constants nor the rho scaling."""
-    for snap in itertools.chain(_snapshots((0.5, 3.0), (0, 1, 2), (0.0, 2.0)),
-                                snapshots(_HBAR2_PARAMS, (2,), (0.7,))):
-        radius = truncation_radius(snap)
-        edges = [-radius, *(snap.scale * r for r in hermite(snap.n).roots), radius]
-        entropy = diseq = 0.0
+    for level in itertools.chain(_levels((0.5, 3.0), (0, 1, 2), (0.0, 2.0)),
+                                 levels(_HBAR2_PARAMS, (2,), (0.7,))):
+        radius = truncation_radius(level)
+        edges = [-radius, *(level.scale * r for r in hermite(level.n).roots), radius]
+        entropy = diseq = np.zeros_like(radius)
         for a, b in zip(edges, edges[1:]):
             nodes, weights = gauss_legendre(_DIRECT_PANEL_NODES, a, b)
-            p = density_values(snap, nodes)
-            entropy -= float(np.dot(weights, p * np.log(p)))
-            diseq += float(np.dot(weights, p * p))
-        got = measures(snap)
-        yield abs(got.entropy_S - entropy)
-        yield abs(got.disequilibrium_D / diseq - 1.0)
-        yield abs(got.complexity_C / (math.exp(entropy) * diseq) - 1.0)
+            p = density_values(level, nodes)
+            entropy = entropy - [float(np.dot(w, v)) for w, v in zip(weights, p * np.log(p))]
+            diseq = diseq + [float(np.dot(w, v)) for w, v in zip(weights, p * p)]
+        got = measures(level)
+        for got_s, got_d, s, d in zip(got.entropy_S.tolist(), got.disequilibrium_D.tolist(),
+                                      entropy.tolist(), diseq.tolist()):
+            yield abs(got_s - s)
+            yield abs(got_d / d - 1.0)
+            yield abs(got.complexity_C / (math.exp(s) * d) - 1.0)
 
 
 @_check
 def check_diseq_closed_vs_quadrature():
-    for snap in _snapshots((0.5, 2.0), (0, 1, 2, 3), (0.0, 1.0)):
-        closed = measures(snap, "closed_form").disequilibrium_D
-        quad = measures(snap).disequilibrium_D
-        yield abs(closed - quad) / quad
+    for level in _levels((0.5, 2.0), (0, 1, 2, 3), (0.0, 1.0)):
+        closed = measures(level, "closed_form").disequilibrium_D
+        quad = measures(level).disequilibrium_D
+        yield from (np.abs(closed - quad) / quad).tolist()
 
 
 @_check
@@ -392,8 +397,8 @@ def check_diseq_hand_values():
 
 def check_complexity_ground_state_value(tol: float) -> CheckResult:
     target = math.sqrt(math.e / 2.0)
-    values = [measures(snap).complexity_C
-              for snap in _snapshots((0.5, 2.0, 3.0), (0,), (0.0, 0.5, 2.0, 5.0))]
+    values = [measures(level).complexity_C
+              for level in _levels((0.5, 2.0, 3.0), (0,), (0.0, 0.5, 2.0, 5.0))]
     return CheckResult("complexity_ground_state_value",
                        _worst(abs(c - target) for c in values), tol,
                        note=f"C(n=0)={values[0]:.12f} target sqrt(e/2)={target:.12f}")
@@ -401,18 +406,18 @@ def check_complexity_ground_state_value(tol: float) -> CheckResult:
 
 @_check
 def check_entropy_closed_vs_quadrature_n0():
-    for snap in _snapshots((0.5, 2.0, 3.0), (0,), (0.0, 0.5, 2.0)):
-        closed = measures(snap, "closed_form").entropy_S
-        quad = measures(snap).entropy_S
-        yield abs(closed - quad)
+    for level in _levels((0.5, 2.0, 3.0), (0,), (0.0, 0.5, 2.0)):
+        closed = measures(level, "closed_form").entropy_S
+        quad = measures(level).entropy_S
+        yield from np.abs(closed - quad).tolist()
 
 
 def check_entropy_closed_vs_quadrature_higher_n(tol: float) -> CheckResult:
     residuals = {}
-    for snap in _snapshots((2.0,), (1, 2, 3, 4), (0.5,)):
-        closed = measures(snap, "closed_form").entropy_S
-        quad = measures(snap).entropy_S
-        residuals[snap.n] = closed - quad
+    for level in _levels((2.0,), (1, 2, 3, 4), (0.5,)):
+        closed = measures(level, "closed_form").entropy_S
+        quad = measures(level).entropy_S
+        residuals[level.n] = (closed - quad).item()
     detail = " ".join(f"n={n}:{r:+.3e}" for n, r in residuals.items())
     return CheckResult("entropy_closed_vs_quadrature_higher_n",
                        _worst(abs(r) for r in residuals.values()), tol,
@@ -424,26 +429,19 @@ def check_entropy_closed_vs_quadrature_higher_n(tol: float) -> CheckResult:
 @_check
 def check_lmc_complexity_lower_bound():
     """How far C falls below 1: C = e^S D >= 1 by Jensen, -S = int P ln P <= ln
-    int P^2 (Lopez-Ruiz, Mancini and Calbet, Phys. Lett. A 209, 321 (1995))."""
-    for snap in _snapshots((0.5, 2.0, 3.0), (0, 1, 2, 3), (0.0, 1.0, 3.0)):
-        yield 1.0 - measures(snap).complexity_C
+    int P^2 (Lopez-Ruiz, Mancini and Calbet, Phys. Lett. A 209, 321 (1995)).
+    C does not depend on time, so a level has one residual."""
+    for level in _levels((0.5, 2.0, 3.0), (0, 1, 2, 3), (0.0, 1.0, 3.0)):
+        yield 1.0 - measures(level).complexity_C
 
 
 @_check
 def check_monotone_localization():
-    ts = np.linspace(0.5, 2.0, 7)
-    for sigma0 in (2.0, 2.5, 3.0):
-        snaps = list(_snapshots((sigma0,), (0,), ts))
-        rhos = [snap.rho for snap in snaps]
-        sets = [measures(snap) for snap in snaps]
-        ds = [m.disequilibrium_D for m in sets]
-        hs = [m.H for m in sets]
-        for a, b in zip(rhos, rhos[1:]):
-            yield b - a  # rho must decrease
-        for a, b in zip(ds, ds[1:]):
-            yield a - b  # D must increase
-        for a, b in zip(hs, hs[1:]):
-            yield b - a  # H must decrease
+    for level in _levels((2.0, 2.5, 3.0), (0,), np.linspace(0.5, 2.0, 7)):
+        got = measures(level)
+        yield from np.diff(level.rho).tolist()  # rho must decrease
+        yield from np.diff(-got.disequilibrium_D).tolist()  # D must increase
+        yield from np.diff(got.H).tolist()  # H must decrease
 
 
 # (check, base tolerance); the count- and sign-based checks take 0.0.

@@ -20,7 +20,9 @@ forms to the same floats.
 of `tdq.cli` replaced; the tests pin the two to identical bytes.
 `cmd_rho`, `cmd_observables` and `cmd_info` are those commands as they were
 when they built one snapshot and one tuple per row (with their helpers
-`_one_block` and `_snapshots`), kept verbatim: the commands that evaluate
+`_one_block` and `_snapshots`), and `cmd_density` as it was when it
+evaluated P one snapshot at a time, kept verbatim with the package's old
+row walk `snapshots` (and its `pinney_rows`): the commands that evaluate
 a level at a time must print the same bytes.
 `worst` is the tests' own reduction of residuals, which keeps a NaN where
 a running max(worst, r) drops it; it shares no code with `tdq.verify`'s.
@@ -33,18 +35,25 @@ constants and tabulated steps must reproduce their floats bit for bit.
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import mpmath as mp
 import numpy as np
 
-from tdq.cli import RunConfig, _Table, _write_table
-from tdq.dynamics import rho_analytic
+from tdq.cli import RunConfig, _fmt, _Table, _write_table
+from tdq.dynamics import SuperconductorParams, rho_analytic
 from tdq.errors import DomainError, StepSizeUnderflowError
 from tdq.integrate import _A, _ATOL, _B5, _C, _E, _MAX_SCALE, _MIN_SCALE, _RTOL, _SAFETY
 from tdq.information import _PANEL_NODES, _printed_isum_coefficient, measures
-from tdq.observables import energy_mean, moments, snapshots, uncertainty_product
+from tdq.observables import (
+    QuantumSnapshot,
+    density_values,
+    energy_mean,
+    moments,
+    uncertainty_product,
+)
 from tdq import special_functions as sf
 from tdq.special_functions import (
     EULER_GAMMA,
@@ -571,6 +580,22 @@ def cmd_rho(config: RunConfig) -> int:
     return 0
 
 
+def pinney_rows(params: SuperconductorParams, ts) -> list[tuple[float, ...]]:
+    """(t, rho, rho', L, omega^2) at each t in ts, from one `rho_analytic`
+    call per t; they depend on t alone, so every n shares them."""
+    return [(s.t, s.rho, s.rho_dot, params.L(s.t), params.omega_sq(s.t))
+            for s in (rho_analytic(params, float(t)) for t in ts)]
+
+
+def snapshots(params: SuperconductorParams, ns, ts):
+    """Snapshots for every n in ns and t in ts, n-major (all of ts for the
+    first n, then the next), sharing the `pinney_rows`."""
+    rows = pinney_rows(params, ts)
+    for n in ns:
+        for row in rows:
+            yield QuantumSnapshot(n, *row, params.hbar)
+
+
 def _snapshots(config: RunConfig):
     """(sigma0, snapshot) in row order (sigma0, n, t)."""
     grid = config.t_grid()
@@ -604,4 +629,26 @@ def cmd_info(config: RunConfig) -> int:
                      quad.complexity_C))
     _write_table(config, ["t", "sigma0", "n", "S_closed", "S_quad", "H",
                           "D_closed", "D_quad", "C"], _one_block(rows))
+    return 0
+
+
+def cmd_density(config: RunConfig) -> int:
+    """Probability density P(q) per (t, sigma0, n) over the charge grid.
+
+    One block per (sigma0, n, t): its head is (t, sigma0, n), its columns
+    the charge grid, shared by every block, and P on it.
+    """
+    table = _Table(width=3)
+    q_grid, t_grid = config.q_grid(), config.t_grid()
+    for sigma0 in sorted(config.sigma0):
+        for snap in snapshots(config.params_for(sigma0), sorted(config.n), t_grid):
+            p = density_values(snap, q_grid)
+            with np.errstate(over="ignore"):  # an overflow is a norm of inf, and warned of
+                norm = float(np.trapezoid(p, q_grid))
+            if not abs(norm - 1.0) <= 1e-6:  # NaN included
+                print(f"warning: density norm {norm:.9f} off unit at sigma0={_fmt(sigma0)}, "
+                      f"n={snap.n}, t={_fmt(snap.t)}; widen --qmin/--qmax, or raise "
+                      "--qpoints if the grid is too coarse", file=sys.stderr)
+            table.add((snap.t, sigma0, snap.n), q_grid, p)
+    _write_table(config, ["t", "sigma0", "n", "q", "P"], table)
     return 0

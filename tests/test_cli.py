@@ -228,7 +228,7 @@ class TestSweep:
                 for r in rows]
         assert keys == sorted(keys)
 
-    @pytest.mark.parametrize("command", ["observables", "info"])
+    @pytest.mark.parametrize("command", ["observables", "density", "info"])
     def test_one_snapshot_and_one_measures_call_per_level(self, command, capsys,
                                                           monkeypatch):
         calls = Counter()
@@ -241,16 +241,22 @@ class TestSweep:
 
         for name in ("_measures_quadrature", "_measures_closed_form"):
             monkeypatch.setattr(information, name, counted(name, getattr(information, name)))
+        monkeypatch.setattr(cli, "density_values",
+                            counted("density_values", cli.density_values))
         monkeypatch.setattr(observables, "rho_analytic",
                             counted("rho_analytic", observables.rho_analytic))
         monkeypatch.setattr(observables.QuantumSnapshot, "__post_init__",
                             counted("snapshot", observables.QuantumSnapshot.__post_init__))
-        code, _, _ = run(capsys, command, "--sigma0", "0.5,2,3", "--n", "2,0", "--steps", "4")
+        grid = ["--qpoints", "5"] if command == "density" else []
+        code, _, _ = run(capsys, command, "--sigma0", "0.5,2,3", "--n", "2,0", "--steps", "4",
+                         *grid)
         assert code == 0
-        per_level = 3 * 2 if command == "info" else 0
-        assert calls == Counter(rho_analytic=3 * 4, snapshot=3 * 2,
-                                _measures_quadrature=per_level,
-                                _measures_closed_form=per_level)
+        levels = 3 * 2
+        per_info_level = levels if command == "info" else 0
+        assert calls == Counter(rho_analytic=3 * 4, snapshot=levels,
+                                density_values=levels if command == "density" else 0,
+                                _measures_quadrature=per_info_level,
+                                _measures_closed_form=per_info_level)
 
 
 # argvs on which `rho`, `observables` and `info` print what their row-by-row
@@ -267,6 +273,18 @@ LEVEL_ARGVS = [
     # L^2 rho^2 rho'^2 overflows at t = 0 alone: only the first row does
     ("observables", "--c", "1e-100", "--sigma0", "1", "--t0", "0", "--t1", "4e101",
      "--steps", "5"),
+]
+
+
+# argvs on which `density` prints what its row-by-row form in `oracles`
+# prints, and whether it warns of a norm off unit
+DENSITY_ARGVS = [
+    (("density",), False),
+    (("density", "--hbar", "2.5"), True),  # the wider density outgrows the grid
+    (("density", "--n", "0,3,620"), True),  # n = 620 outgrows the grid
+    (("density", "--qmin", "-0.5", "--qmax", "0.5"), True),  # the grid misses mass
+    (("density", "--qpoints", "11"), True),  # too coarse: the warning names --qpoints
+    (("density", "--hbar", "1e-300", "--steps", "2"), True),  # the norm overflows
 ]
 
 
@@ -290,8 +308,20 @@ class TestLevelsMatchRowOracles:
         assert new[0] == 0 and new[2] == ""
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("seed", [0, 7, 11])
-    @pytest.mark.parametrize("name", ["amplitude_sweep", "info_levels"])
+    @pytest.mark.parametrize("argv, warns", DENSITY_ARGVS,
+                             ids=[" ".join(argv[1:]) or "defaults" for argv, _ in DENSITY_ARGVS])
+    def test_density_bytes_match_row_oracle(self, argv, warns, fmt, capsys, monkeypatch):
+        new, old = self.outcomes(capsys, monkeypatch, (*argv, "--format", fmt))
+        assert new == old
+        assert new[0] == 0 and new[1]
+        lines = new[2].splitlines()
+        assert bool(lines) == warns
+        assert all(line.startswith("warning: density norm ") for line in lines)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name, seed", [
+        *((name, seed) for name in ("amplitude_sweep", "info_levels") for seed in (0, 7, 11)),
+        ("density_table", 0), ("density_table", 7)])
     def test_benchmark_bytes_match_row_oracle(self, name, seed, fmt, capsys, monkeypatch):
         monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "bench")
         import workloads
@@ -302,7 +332,7 @@ class TestLevelsMatchRowOracles:
         assert new[0] == 0 and new[2] == ""
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("command", ["rho", "observables", "info"])
+    @pytest.mark.parametrize("command", ["rho", "observables", "density", "info"])
     def test_violation_after_a_level_writes_nothing(self, command, fmt, capsys, monkeypatch):
         # sigma0 = 0.4 fills its levels; order 10.5 at sigma0 = 20 is outside
         # the Bessel envelope at the first time
@@ -576,6 +606,24 @@ class TestParser:
                         for flag, _, keywords in cli._FLAGS)
         assert set(dests.values()) == {1}
         assert set(dests) == {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
+
+    @pytest.mark.parametrize("value, error", [
+        ("-1e-3", "sigma0 must be finite and >= 0, got sigma0=-0.001"),
+        ("-1e-3,2", "sigma0 must be finite and >= 0, got sigma0=-0.001"),
+        ("-inf", "--sigma0 must be finite, got -inf"),
+        ("-Infinity,2", "--sigma0 must be finite, got -inf"),
+    ])
+    def test_negative_scientific_value_reaches_validation(self, value, error, capsys):
+        # argparse took -1e-3 for a flag: "argument --sigma0: expected one argument"
+        code, out, err = run(capsys, "rho", "--sigma0", value)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
+    def test_negative_scientific_bound_needs_no_equals_sign(self, capsys):
+        argv = ["--qmax", "1e-3", "--qpoints", "3", "--steps", "2"]
+        spaced = run(capsys, "density", "--qmin", "-1e-3", *argv)
+        joined = run(capsys, "density", "--qmin=-1e-3", *argv)
+        assert spaced == joined
+        assert spaced[0] == 0 and " qmin=-0.001 " in spaced[1]
 
     def test_top_level_help_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

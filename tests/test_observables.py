@@ -23,7 +23,6 @@ from tdq.observables import (
     make_snapshot,
     moments,
     phase,
-    snapshots,
     truncation_radius,
     uncertainty_product,
     wavefunction,
@@ -406,9 +405,9 @@ class TestSnapshot:
             calls.append(t)
             return rho_analytic(params, t)
 
-        monkeypatch.setattr(observables, "rho_analytic", counted)
+        monkeypatch.setattr(oracles, "rho_analytic", counted)
         params = SuperconductorParams(sigma0=2.0, hbar=3.0)
-        sweep = list(snapshots(params, (2, 0), np.array([0.0, 0.5, 1.0])))
+        sweep = list(oracles.snapshots(params, (2, 0), np.array([0.0, 0.5, 1.0])))
         assert calls == [0.0, 0.5, 1.0]
         assert [(snap.n, snap.t) for snap in sweep] == [
             (2, 0.0), (2, 0.5), (2, 1.0), (0, 0.0), (0, 0.5), (0, 1.0)]
@@ -461,7 +460,25 @@ MIXED_LEVEL = QuantumSnapshot(
     omega_sq=np.array([0.6, 0.7, 0.7, 0.7]), hbar=1.5)
 
 
+# at the middle time q/scale, or its square, overflows at every charge but
+# q = 0, so P is 0 there but at q = 0
+DENSITY_LEVEL = QuantumSnapshot(
+    n=2, t=np.array([0.0, 1.0, 2.0]), rho=np.array([0.8, 1e-300, 3.0]),
+    rho_dot=np.array([-0.3, 0.0, 0.1]), L=np.ones(3), omega_sq=np.ones(3), hbar=1.5)
+
+
 class TestLevels:
+    def test_density_rows_have_the_bits_of_the_rows(self):
+        q = np.array([-1e10, -2.0, -0.3, 0.0, 1e-5, 0.7, 4.0])
+        for grid in (q, np.stack([q, 0.5 * q, 3.0 * q])):  # shared, and one per time
+            got = density_values(DENSITY_LEVEL, grid)
+            assert got.shape == (3, q.size)
+            for i, row in enumerate(level_rows(DENSITY_LEVEL)):
+                want = density_values(row, np.broadcast_to(grid, got.shape)[i])
+                assert got[i].tobytes() == want.tobytes()
+            assert got[1].tolist() == [0.0, 0.0, 0.0, got[1, 3], 0.0, 0.0, 0.0]
+            assert math.isfinite(got[1, 3]) and got[1, 3] > 0.0
+
     @pytest.mark.parametrize("sigma0, c, ts", [
         (0.0, 1.0, np.linspace(0.0, 48.0, 41)),
         (0.8, 1.0, np.linspace(0.0, 5.0, 11)),
@@ -494,7 +511,7 @@ class TestLevels:
         sweep = levels(params, (2, 0), ts)
         assert calls == [0.0, 0.5, 1.0]
         assert [level.n for level in sweep] == [2, 0]
-        assert level_rows(sweep[1]) == list(snapshots(params, (0,), ts))
+        assert level_rows(sweep[1]) == list(oracles.snapshots(params, (0,), ts))
 
     def test_scalar_snapshots_give_unchanged_floats(self):
         # pure + - * / and sqrt, so these bits hold on any IEEE host

@@ -626,6 +626,28 @@ class TestGaussLegendre:
         assert np.array_equal(nodes, 0.5 * (a + b) + half * x)
         assert np.array_equal(weights, half * w)
 
+    @pytest.mark.parametrize("n", [2, 17, 512])
+    def test_array_endpoints_give_the_scalar_rules_as_rows(self, n):
+        a = np.array([-1.0, -2.5, 0.0, -37.25, 1e-300])
+        b = np.array([1.0, 7.25, 5.0, 37.25, 3e-300])
+        nodes, weights = gauss_legendre(n, a, b)
+        assert nodes.shape == weights.shape == (a.size, n)
+        for i in range(a.size):
+            want_nodes, want_weights = gauss_legendre(n, float(a[i]), float(b[i]))
+            assert nodes[i].tobytes() == want_nodes.tobytes()
+            assert weights[i].tobytes() == want_weights.tobytes()
+
+    @pytest.mark.parametrize("a, b, named", [
+        (np.array([0.0, 1.0]), np.array([1.0, 1.0]), r"b=array\(\[1\., 1\.\]\)"),
+        (np.array([0.0, -np.inf]), 1.0, "a=array"),
+        (np.array([0.0, np.nan]), np.array([1.0, 2.0]), "nan"),
+        (0.0, np.array([1.0, np.inf]), "inf"),
+    ], ids=["empty-interval", "infinite-a", "nan-a", "infinite-b"])
+    def test_bad_array_endpoint_is_named(self, a, b, named):
+        # one bad pair among good ones rejects the call
+        with pytest.raises(DomainError, match=f"^gauss_legendre requires finite a < b, .*{named}"):
+            gauss_legendre(10, a, b)
+
     def test_numpy_integer_count_accepted(self):
         nodes, _ = gauss_legendre(np.int64(17), 0.0, 5.0)
         assert np.array_equal(nodes, gauss_legendre(17, 0.0, 5.0)[0])

@@ -60,12 +60,13 @@ class TestNaNMutants:
     def test_measures_nan_at_n2(self, check, base, monkeypatch):
         real = verify.measures
 
-        def mutant(snap, *method):
-            got = real(snap, *method)
-            if snap.n != 2:
+        def mutant(level, *method):
+            got = real(level, *method)
+            if level.n != 2:
                 return got
-            return dataclasses.replace(got, entropy_S=math.nan, H=math.nan,
-                                       disequilibrium_D=math.nan, complexity_C=math.nan)
+            nan = np.full_like(got.H, math.nan)  # one per time, as a level's measures
+            return dataclasses.replace(got, entropy_S=nan, H=nan,
+                                       disequilibrium_D=nan, complexity_C=math.nan)
 
         monkeypatch.setattr(verify, "measures", mutant)
         _fails_with_nan(check, base)
