@@ -14,16 +14,20 @@ with 17 significant digits (binary64 round-trip); run metadata lives in
 then streamed block by block: csv as ASCII bytes, one write per block to
 the binary buffer under the output stream, its floats formatted by one
 array call of `float17.format_17g`; json as the bytes of one
-`json.dumps(..., indent=1)`.  Every command computes each sigma0, or
-(sigma0, n) level, over the whole time grid at once; `rho`, `observables`
-and `info` print one block, `density` one block per time.
+`json.dumps(..., indent=1)`.  Every table command walks `_levels`, one
+(sigma0, n) level over the whole time grid at a time (`rho`, which reads
+no --n, one n = 0 level per sigma0); `rho`, `observables` and `info`
+print one block, `density` one block per time.
 Every csv field has the bytes `_fmt` gives its value, so the contract
 holds however the rows are grouped into blocks.
 
 Exit codes: 0 success, 1 verification failure, 2 for any `TdqError`
 (invalid configuration, envelope violation, a series that did not
 converge or a density that lost its norm), 141 (128 + SIGPIPE) when the
-reader closes stdout before the output is written.
+reader closes stdout before the output is written.  `rho`, `observables`
+and `info` print only finite numbers: `_stacked` raises EnvelopeError
+naming the first value out of the float range by its column, sigma0, n
+and t.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dynamics import SuperconductorParams
-from .errors import ConfigError, TdqError
+from .errors import ConfigError, EnvelopeError, TdqError
 from .float17 import format_17g
 from .information import measures
 from .observables import (
@@ -49,7 +53,6 @@ from .observables import (
     energy_mean,
     levels,
     moments,
-    pinney_columns,
     uncertainty_product,
 )
 from .verify import run_checks
@@ -260,10 +263,22 @@ def _write_json(handle, meta: str, columns: list[str], table: _Table) -> None:
     handle.write("\n ]\n}\n")
 
 
-def _stacked(levels: list[tuple]) -> _Table:
-    """One block with an empty head, each column concatenated over `levels`."""
+def _stacked(columns: list[str], levels: list[tuple]) -> _Table:
+    """One block with an empty head, each column concatenated over `levels`.
+
+    EnvelopeError names the first value that is not finite, in row order,
+    by its column, sigma0, n (if a column) and t.
+    """
+    block = [np.concatenate(values) for values in zip(*levels)]
+    bad = ~np.isfinite(np.stack(block, axis=-1))
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), len(columns))
+        at = {name: values[row].item() for name, values in zip(columns, block)}
+        where = ", ".join(f"{name}={at[name]!r}" for name in ("sigma0", "n", "t") if name in at)
+        raise EnvelopeError(f"{columns[col]} at {where} is {at[columns[col]]!r}, "
+                            "not a finite float")
     table = _Table(width=0)
-    table.add((), *(np.concatenate(columns) for columns in zip(*levels)))
+    table.add((), *block)
     return table
 
 
@@ -272,14 +287,12 @@ def _stacked(levels: list[tuple]) -> _Table:
 # ---------------------------------------------------------------------------
 
 def cmd_rho(config: RunConfig) -> int:
-    """Columns (t, sigma0, rho, rho_dot, L, omega_sq) over the sweep."""
-    parts = []
-    grid = config.t_grid()
-    for sigma0 in sorted(config.sigma0):
-        t, rho, rho_dot, L, omega_sq = pinney_columns(config.params_for(sigma0), grid)
-        parts.append((t, np.full_like(t, sigma0), rho, rho_dot, L, omega_sq))
-    _write_table(config, ["t", "sigma0", "rho", "rho_dot", "L", "omega_sq"],
-                 _stacked(parts))
+    """Columns (t, sigma0, rho, rho_dot, L, omega_sq) over the sweep: one
+    n = 0 level per sigma0, since `rho` reads no --n."""
+    columns = ["t", "sigma0", "rho", "rho_dot", "L", "omega_sq"]
+    parts = [(t, sigma0, level.rho, level.rho_dot, level.L, level.omega_sq)
+             for level, (t, sigma0, _) in _levels(config)]
+    _write_table(config, columns, _stacked(columns, parts))
     return 0
 
 
@@ -293,14 +306,14 @@ def _levels(config: RunConfig):
 
 def cmd_observables(config: RunConfig) -> int:
     """Second moments, uncertainty product, and mean energy per (t, sigma0, n)."""
+    columns = ["t", "sigma0", "n", "q2", "phi2", "dq_dphi", "energy", "energy_per_level"]
     parts = []
     for level, keys in _levels(config):
         _, _, q2, phi2 = moments(level)
         energy = energy_mean(level)
         parts.append((*keys, q2, phi2, uncertainty_product(level), energy,
                       energy / (level.n + 0.5)))
-    _write_table(config, ["t", "sigma0", "n", "q2", "phi2", "dq_dphi",
-                          "energy", "energy_per_level"], _stacked(parts))
+    _write_table(config, columns, _stacked(columns, parts))
     return 0
 
 
@@ -330,14 +343,14 @@ def cmd_density(config: RunConfig) -> int:
 
 def cmd_info(config: RunConfig) -> int:
     """Entropy, disequilibrium, and complexity; H, D, C from quadrature."""
+    columns = ["t", "sigma0", "n", "S_closed", "S_quad", "H", "D_closed", "D_quad", "C"]
     parts = []
     for level, keys in _levels(config):
         closed = measures(level, "closed_form")
         quad = measures(level)
         parts.append((*keys, closed.entropy_S, quad.entropy_S, quad.H, closed.disequilibrium_D,
                       quad.disequilibrium_D, np.full_like(level.t, quad.complexity_C)))
-    _write_table(config, ["t", "sigma0", "n", "S_closed", "S_quad", "H",
-                          "D_closed", "D_quad", "C"], _stacked(parts))
+    _write_table(config, columns, _stacked(columns, parts))
     return 0
 
 

@@ -93,13 +93,15 @@ class MeasureSet:
 def _scaled(snapshot: QuantumSnapshot, s_n: float, d_n: float) -> MeasureSet:
     """Each measure as its scaling law in the density width s =
     `snapshot.scale`: S = s_n + ln s, H = e^{s_n} s, D = d_n / s and
-    C = e^{s_n} d_n, which does not depend on s, so a level has one C."""
+    C = e^{s_n} d_n, which does not depend on s, so a level has one C.
+    H or D out of float range is inf, silently, as with Python floats."""
     scale = snapshot.scale
     level_H = math.exp(s_n)
     log_scale = (np.array([math.log(s) for s in scale.tolist()])
                  if isinstance(scale, np.ndarray) else math.log(scale))
-    return MeasureSet(entropy_S=s_n + log_scale, H=level_H * scale,
-                      disequilibrium_D=d_n / scale, complexity_C=level_H * d_n)
+    with np.errstate(over="ignore"):
+        return MeasureSet(entropy_S=s_n + log_scale, H=level_H * scale,
+                          disequilibrium_D=d_n / scale, complexity_C=level_H * d_n)
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,13 @@ energy are closed-form in (rho, rho', L, omega^2):
 
 A snapshot holds one time, or a level: one n over a time grid (`levels`),
 which is how the package walks a (sigma0, n, t) grid.  Numpy's + - * /
-and sqrt round correctly, so a level's observables and its rows of P, in
-the scalar order of operations, have the bits of its scalar snapshots.
+and sqrt round correctly, so a level's observables and its rows of P and
+psi, in the scalar order of operations, have the bits of its scalar
+snapshots.  P and psi read h_n(q / scale) from one `_hermite_values`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -74,17 +74,13 @@ def make_snapshot(params: SuperconductorParams,
                            hbar=params.hbar)
 
 
-def pinney_columns(params: SuperconductorParams, ts) -> tuple[np.ndarray, ...]:
-    """(t, rho, rho', L, omega^2) as five float64 arrays over ts, from one
-    `rho_analytic` call per t; they depend on t alone, so every n shares them."""
+def levels(params: SuperconductorParams, ns, ts) -> list[QuantumSnapshot]:
+    """One level per n in ns over the times ts.  Their (t, rho, rho', L,
+    omega^2) are float64 arrays from one `rho_analytic` call per t; they
+    depend on t alone, so every n shares them."""
     rows = [(s.t, s.rho, s.rho_dot, params.L(s.t), params.omega_sq(s.t))
             for s in (rho_analytic(params, float(t)) for t in ts)]
-    return tuple(np.array(rows, dtype=float).reshape(-1, 5).T.copy())
-
-
-def levels(params: SuperconductorParams, ns, ts) -> list[QuantumSnapshot]:
-    """One level per n in ns: a snapshot of the `pinney_columns` over ts."""
-    columns = pinney_columns(params, ts)
+    columns = tuple(np.array(rows, dtype=float).reshape(-1, 5).T.copy())
     return [QuantumSnapshot(n, *columns, params.hbar) for n in ns]
 
 
@@ -125,25 +121,33 @@ def phase(params: SuperconductorParams, n: int, t: float) -> float:
     return -(n + 0.5) * (delta + 2.0 * math.pi * round((near - delta) / (2.0 * math.pi)))
 
 
-def wavefunction(snapshot: QuantumSnapshot, q: float, theta: float = 0.0) -> complex:
+def _hermite_values(snapshot: QuantumSnapshot, q) -> tuple[np.ndarray, np.ndarray]:
+    """(scale, h_n(q / scale)) with a trailing axis on scale, so that a level
+    gives one row per time.  xi = q/scale is capped at 1e300, silently:
+    there e^{-xi^2/2}, and so h_n, is 0 and sqrt(2) xi is still finite."""
+    scale = np.expand_dims(snapshot.scale, -1)
+    with np.errstate(over="ignore"):
+        xi = np.clip(np.asarray(q, dtype=float) / scale, -1e300, 1e300)
+        return scale, hermite_function(snapshot.n, xi)
+
+
+def wavefunction(snapshot: QuantumSnapshot, q, theta=0.0) -> complex | np.ndarray:
     """psi_n(q, t) including the supplied phase factor e^{i theta}.
 
-    theta defaults to 0 because the snapshot carries no trajectory
-    history; pass phase(...) for the full time-dependent solution.  The
-    modulus is independent of theta and of the rho' term.  psi is 0 where
-    the modulus is: xi is capped at 1e300 as in `density_values`, and a
-    phase that may overflow there is not evaluated.
+    q is as in `density_values`, theta one phase or one per time of a
+    level; one time and one charge give a complex.  theta defaults to 0
+    because the snapshot carries no trajectory history; pass phase(...)
+    for the full time-dependent solution.  The modulus is independent of
+    theta and of the rho' term.  psi is 0 where the modulus is.
     """
-    scale = snapshot.scale
+    scale, h = _hermite_values(snapshot, q)
     # h_n carries the real Gaussian factor e^{-q^2/(2 hbar rho^2)} and the
     # normalization; only the rho' chirp and the phase are left
-    with np.errstate(over="ignore"):
-        xi = float(np.clip(q / scale, -1e300, 1e300))
-    h = float(hermite_function(snapshot.n, xi))
-    if h == 0.0:
-        return 0j
-    chirp = snapshot.L * snapshot.rho_dot / (2.0 * snapshot.hbar * snapshot.rho)
-    return h / math.sqrt(scale) * cmath.exp(1j * (chirp * q * q + theta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        chirp = snapshot.L * snapshot.rho_dot / (2.0 * snapshot.hbar * snapshot.rho)
+        angle = np.expand_dims(chirp, -1) * q * q + np.expand_dims(theta, -1)
+        psi = np.where(h == 0.0, 0j, h / np.sqrt(scale) * np.exp(1j * angle))
+    return complex(psi[0]) if np.ndim(snapshot.t) == np.ndim(q) == 0 else psi
 
 
 def density_values(snapshot: QuantumSnapshot, q: np.ndarray) -> np.ndarray:
@@ -151,33 +155,53 @@ def density_values(snapshot: QuantumSnapshot, q: np.ndarray) -> np.ndarray:
 
     A level gives one row of P per time; its q is one charge grid for every
     time or one row of charges per time.  P takes its limit 0 where q/scale
-    or its square overflows, silently: xi = q/scale is capped at 1e300,
-    where e^{-xi^2/2}, and so h_n, is 0 and sqrt(2) xi is still finite.
+    or its square overflows.  It is h h / scale, or h (h / scale) where h h
+    is subnormal (|h| < 2^-511) and has lost digits that P keeps.
     """
-    scale = np.expand_dims(snapshot.scale, -1)
-    with np.errstate(over="ignore"):
-        xi = np.clip(np.asarray(q, dtype=float) / scale, -1e300, 1e300)
-        h = hermite_function(snapshot.n, xi)
-    return h * h / scale
+    scale, h = _hermite_values(snapshot, q)
+    hh = h * h
+    low = np.where(hh < 2.0 ** -1022, h, 0.0)
+    return np.where(low != 0.0, low * (low / scale), hh / scale)
+
+
+def _finite_or(value, fallback):
+    """value, or fallback() where value is not finite; fallback is called
+    only if needed, under the errstate of Python float arithmetic."""
+    if (finite := np.isfinite(value)).all():
+        return value
+    with np.errstate(over="ignore", invalid="ignore"):
+        other = fallback()
+    return np.where(finite, value, other) if np.ndim(value) else other
 
 
 def moments(snapshot: QuantumSnapshot) -> tuple:
-    """(<q>, <Phi>, <q^2>, <Phi^2>); the first moments vanish identically."""
+    """(<q>, <Phi>, <q^2>, <Phi^2>); the first moments vanish identically.
+
+    Where (L rho rho')^2 overflows, <Phi^2> is summed as
+    hbar (1/rho^2 + (L rho')^2) (n + 1/2) instead, which stays finite.
+    """
     n_half = snapshot.n + 0.5
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
         rho2 = snapshot.rho * snapshot.rho
         cross = snapshot.L * snapshot.rho * snapshot.rho_dot
         q2 = snapshot.hbar * rho2 * n_half
         phi2 = snapshot.hbar / rho2 * (1.0 + cross * cross) * n_half
-    return 0.0, 0.0, q2, phi2
+
+    def split():
+        slope = snapshot.L * snapshot.rho_dot
+        return snapshot.hbar * (1.0 / rho2 + slope * slope) * n_half
+    return 0.0, 0.0, q2, _finite_or(phi2, split)
 
 
 def uncertainty_product(snapshot: QuantumSnapshot) -> float | np.ndarray:
-    """dq dPhi = hbar sqrt(1 + L^2 rho^2 rho'^2) (n + 1/2); floor at rho' = 0."""
-    sqrt = np.sqrt if isinstance(snapshot.rho, np.ndarray) else math.sqrt
+    """dq dPhi = hbar sqrt(1 + L^2 rho^2 rho'^2) (n + 1/2); floor at rho' = 0.
+    Where (L rho rho')^2 overflows, hypot(1, L rho rho') stands for the root."""
+    sqrt, hypot = ((np.sqrt, np.hypot) if isinstance(snapshot.rho, np.ndarray)
+                   else (math.sqrt, math.hypot))
     with np.errstate(over="ignore", invalid="ignore"):
         cross = snapshot.L * snapshot.rho * snapshot.rho_dot
-        return snapshot.hbar * sqrt(1.0 + cross * cross) * (snapshot.n + 0.5)
+        product = snapshot.hbar * sqrt(1.0 + cross * cross) * (snapshot.n + 0.5)
+    return _finite_or(product, lambda: snapshot.hbar * hypot(1.0, cross) * (snapshot.n + 0.5))
 
 
 def energy_mean(snapshot: QuantumSnapshot) -> float | np.ndarray:
@@ -192,9 +216,9 @@ def energy_mean(snapshot: QuantumSnapshot) -> float | np.ndarray:
         cross2 = L2 * rho2 * snapshot.rho_dot * snapshot.rho_dot
         energy = ((1.0 + cross2) / (2.0 * L2 * rho2)
                   + 0.5 * snapshot.omega_sq * rho2) * (snapshot.n + 0.5) * snapshot.hbar
-        if (finite := np.isfinite(energy)).all():
-            return energy
+
+    def large():
         inverse = 1.0 / (snapshot.L * snapshot.rho)
-        large = (0.5 * inverse * inverse + 0.5 * snapshot.rho_dot * snapshot.rho_dot
-                 + 0.5 * snapshot.omega_sq * rho2) * (snapshot.n + 0.5) * snapshot.hbar
-    return np.where(finite, energy, large) if np.ndim(energy) else large
+        return (0.5 * inverse * inverse + 0.5 * snapshot.rho_dot * snapshot.rho_dot
+                + 0.5 * snapshot.omega_sq * rho2) * (snapshot.n + 0.5) * snapshot.hbar
+    return _finite_or(energy, large)

@@ -321,7 +321,13 @@ def _checked(kernel, order: float, x: float, caller: str = "", sigma0: float = 0
 
 def bessel_jy(order: float, x: float) -> tuple[float, float, float, float]:
     """(J, Y, J', Y') of order `order` at x, 0 <= order <= 10, 0 < x <= 50,
-    from one checked run of the kernel `_bessel_jy`."""
+    from one checked run of the kernel `_bessel_jy`.
+
+    J loses digits, with no error, at small x for orders whose fractional
+    part is >= 1/2: against 60-digit mpmath it is 4.3e-7 off at order 3.7
+    and x = 1e-15, 1.8e-10 at x = 1e-10, and 3.3e-13 at orders 0.5 and 2.5
+    and x = 1e-20.
+    """
     return _checked(_bessel_jy, order, x)
 
 

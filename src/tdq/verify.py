@@ -36,6 +36,7 @@ from .dynamics import (
 from .information import measures
 from .observables import (
     QuantumSnapshot,
+    _hermite_values,
     density_values,
     levels,
     make_snapshot,
@@ -327,7 +328,7 @@ def check_density_node_structure():
     for level in _levels((1.5,), range(5), (0.5,)):
         radius = truncation_radius(level)
         grid = np.linspace(-radius, radius, 4001, axis=-1)
-        values = hermite_function(level.n, grid / level.scale[:, None])
+        _, values = _hermite_values(level, grid)
         changes = np.sum(np.signbit(values[:, 1:]) != np.signbit(values[:, :-1]), axis=-1)
         yield from np.abs(changes - level.n).astype(float).tolist()
 

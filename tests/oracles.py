@@ -31,8 +31,12 @@ rho path as it was when `SuperconductorParams` recomputed its derived
 constants on every read and the modulus loops built their steps term by
 term (`modulus_by_loops`, `steed_cf2_by_loop`), kept verbatim: the cached
 constants and tabulated steps must reproduce their floats bit for bit.
+`scalar_wavefunction` is `tdq.observables.wavefunction` as it was when it
+took one charge of one scalar snapshot, with Python floats and `cmath`,
+kept verbatim: psi on levels and charge arrays must have its bits.
 """
 
+import cmath
 import itertools
 import math
 import sys
@@ -282,6 +286,17 @@ def hermite_root_error_mp(n: int, r: float, dps: int = 40) -> float:
     with mp.workdps(dps):
         x = mp.mpf(r)
         return float(abs(mp.hermite(n, x) / (2 * n * mp.hermite(n - 1, x))))
+
+
+def density_mp(n: int, q: float, scale: float, dps: int = 50):
+    """P = h_n(q/scale)^2 / scale at extended precision, with mpmath's H_n,
+    from the exact floats q and scale; an mpf, so that a P below the float
+    range stays visible."""
+    with mp.workdps(dps):
+        xi = mp.mpf(q) / mp.mpf(scale)
+        h = (mp.hermite(n, xi) * mp.exp(-xi * xi / 2)
+             / mp.sqrt(2 ** n * mp.factorial(n) * mp.sqrt(mp.pi)))
+        return h * h / mp.mpf(scale)
 
 
 def trapezoid_moment(q: np.ndarray, p: np.ndarray, power: int) -> float:
@@ -652,3 +667,24 @@ def cmd_density(config: RunConfig) -> int:
             table.add((snap.t, sigma0, snap.n), q_grid, p)
     _write_table(config, ["t", "sigma0", "n", "q", "P"], table)
     return 0
+
+
+def scalar_wavefunction(snapshot: QuantumSnapshot, q: float, theta: float = 0.0) -> complex:
+    """psi_n(q, t) including the supplied phase factor e^{i theta}.
+
+    theta defaults to 0 because the snapshot carries no trajectory
+    history; pass phase(...) for the full time-dependent solution.  The
+    modulus is independent of theta and of the rho' term.  psi is 0 where
+    the modulus is: xi is capped at 1e300 as in `density_values`, and a
+    phase that may overflow there is not evaluated.
+    """
+    scale = snapshot.scale
+    # h_n carries the real Gaussian factor e^{-q^2/(2 hbar rho^2)} and the
+    # normalization; only the rho' chirp and the phase are left
+    with np.errstate(over="ignore"):
+        xi = float(np.clip(q / scale, -1e300, 1e300))
+    h = float(hermite_function(snapshot.n, xi))
+    if h == 0.0:
+        return 0j
+    chirp = snapshot.L * snapshot.rho_dot / (2.0 * snapshot.hbar * snapshot.rho)
+    return h / math.sqrt(scale) * cmath.exp(1j * (chirp * q * q + theta))

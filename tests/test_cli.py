@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -270,7 +271,8 @@ LEVEL_ARGVS = [
     # L^2 overflows at every time: each row takes energy_mean's second branch
     ("observables", "--c", "1e-160", "--sigma0", "1", "--t0", "3.9e161", "--t1", "4e161",
      "--steps", "2"),
-    # L^2 rho^2 rho'^2 overflows at t = 0 alone: only the first row does
+    # L^2 rho^2 rho'^2 overflows at t = 0 alone: only the first row takes
+    # the second branch, and the split forms of phi2 and dq_dphi
     ("observables", "--c", "1e-100", "--sigma0", "1", "--t0", "0", "--t1", "4e101",
      "--steps", "5"),
 ]
@@ -633,6 +635,36 @@ class TestParser:
         assert "{" + ",".join(cli._COMMANDS) + "}" in out
 
 
+def extreme_constant_argvs(seed: int, count: int) -> list[list[str]]:
+    """`count` table argvs, each constant log-uniform in [1e-300, 1e300] but
+    k = c/(lambdaL A) log-uniform in [1e-3, 50]; sigma0 and t1 uniform or
+    log-uniform, n in [0, 12], two to four times and three to five charges."""
+    rng = random.Random(seed)
+
+    def log_uniform(lo=-300.0, hi=300.0):
+        return 10.0 ** rng.uniform(lo, hi)
+
+    argvs = []
+    while len(argvs) < count:
+        command = rng.choice(("rho", "observables", "density", "info"))
+        A, lambdaL = log_uniform(), log_uniform()
+        c = 10.0 ** rng.uniform(-3.0, math.log10(50.0)) * lambdaL * A
+        if not 1e-300 <= c <= 1e300:
+            continue
+        sigma0 = (rng.uniform(0.0, 19.0) if rng.random() < 0.5
+                  else log_uniform(-30.0, math.log10(19.0)))
+        t1 = rng.uniform(0.0, 100.0) if rng.random() < 0.5 else log_uniform()
+        argv = [command, "--sigma0", repr(sigma0), "--A", repr(A), "--eps0", repr(log_uniform()),
+                "--c", repr(c), "--lambdaL", repr(lambdaL), "--t1", repr(t1),
+                "--steps", str(rng.randint(2, 4))]
+        if command != "rho":
+            argv += ["--hbar", repr(log_uniform()), "--n", str(rng.randint(0, 12))]
+        if command == "density":
+            argv += ["--qpoints", str(rng.randint(3, 5))]
+        argvs.append(argv)
+    return argvs
+
+
 class TestExitCodes:
     def test_mid_sweep_envelope_violation_writes_nothing(self, capsys):
         code, out, err = run(capsys, "observables", "--sigma0", "1,30", "--steps", "3")
@@ -729,6 +761,75 @@ class TestExitCodes:
             assert (code, out) == (2, "")
             assert err.startswith("error: ") and err.count("\n") == 1
             assert f"sigma0={float(sigma0)!r}, t=" in err
+
+    def test_overflowing_cross_term_prints_finite_moments(self, capsys):
+        # (L rho rho')^2 overflows, so phi2 and dq_dphi printed inf; both are
+        # finite, as (dq dPhi)^2 = <q^2><Phi^2> says they must be
+        code, out, err = run(capsys, "observables", "--sigma0", "13.2531",
+                             "--c", "2.9158680650633854e-14", "--n", "6",
+                             "--t1", "28.16605454418922", "--steps", "4")
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        assert all(math.isfinite(v) for row in rows for v in row)
+        for q2, phi2, product in zip(*(column(header, rows, name)
+                                       for name in ("q2", "phi2", "dq_dphi"))):
+            assert product == pytest.approx(math.sqrt(q2) * math.sqrt(phi2), rel=1e-12)
+        assert column(header, rows, "phi2")[2] == pytest.approx(6.284077099783825e202,
+                                                                 rel=1e-12)
+
+    OMEGA_SQ_OVERFLOW = ("--sigma0", "19", "--A", "1e160", "--eps0", "1e-159", "--c", "1e150",
+                         "--lambdaL", "1", "--t1", "1e-150", "--steps", "2")
+
+    @pytest.mark.parametrize("command, error", [
+        ("rho", "omega_sq at sigma0=19.0, t=0.0 is -inf"),
+        ("observables", "energy at sigma0=19.0, n=0, t=0.0 is -inf"),
+        ("info", None),  # omega^2 is in the level, but not printed
+        ("density", None),
+    ])
+    def test_overflowing_omega_sq_exits_2_where_printed(self, command, error, capsys):
+        # sigma_dot / eps0 overflows at t = 0, so omega^2 is -inf there
+        grid = ["--qpoints", "5"] if command == "density" else []
+        code, out, err = run(capsys, command, *self.OMEGA_SQ_OVERFLOW, *grid)
+        if error is None:
+            assert code == 0
+            _, rows = parse_csv(out)
+            assert all(math.isfinite(v) for row in rows for v in row)
+        else:
+            assert (code, out, err) == (2, "", f"error: {error}, not a finite float\n")
+
+    @pytest.mark.parametrize("argv, error", [
+        (("info", "--sigma0", "1.1531958759475491e-20", "--A", "7.589608308883268e-264",
+          "--eps0", "8.044969431451726e+241", "--c", "7.089382499805859e-91",
+          "--lambdaL", "6.608450149493197e+175", "--hbar", "6.337011509297176e+278",
+          "--n", "10", "--t1", "1.3175910525310621e+265"),
+         "H at sigma0=1.1531958759475491e-20, n=10, t=0.0 is inf"),
+        (("observables", "--sigma0", "6.871381399203544e-13", "--A", "3.7059882169486326e-280",
+          "--eps0", "5.679779187040838e+266", "--c", "1.9733045155782188e-118",
+          "--lambdaL", "1.602835593448196e+160", "--hbar", "6.924654657857434e+253",
+          "--n", "3", "--t1", "97.87138541658622"),
+         "q2 at sigma0=6.871381399203544e-13, n=3, t=0.0 is inf"),
+    ], ids=["H", "q2"])
+    def test_out_of_range_value_exits_2_naming_it(self, argv, error, capsys):
+        # H = e^{s_n} scale and q2 = hbar rho^2 (n + 1/2) are truly past the
+        # float range here; H also leaked a numpy RuntimeWarning
+        code, out, err = run(capsys, *argv, "--steps", "2")
+        assert (code, out, err) == (2, "", f"error: {error}, not a finite float\n")
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_random_extreme_constants_print_finite_numbers_or_exit_2(self, seed, capsys):
+        # every constant log-uniform over the float range, the Bessel scale
+        # k = c/(lambdaL A) kept in [1e-3, 50]; any numpy warning raises
+        for argv in extreme_constant_argvs(seed, 750):
+            code, out, err = run(capsys, *argv)
+            lines = err.splitlines()
+            if code == 0:
+                _, rows = parse_csv(out)
+                assert all(math.isfinite(v) for row in rows for v in row), argv
+                assert all(line.startswith("warning: density norm ") for line in lines), argv
+            else:
+                assert (code, out) == (2, ""), argv
+                assert lines and lines[-1].startswith("error: "), argv
+                assert sum(line.startswith("error: ") for line in lines) == 1, argv
 
     def test_tiny_constant_keeps_rho_dot_finite(self, capsys):
         # at order 1/2, rho = 1/sqrt(k) and rho' = 0 exactly; M M' is within

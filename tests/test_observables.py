@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -197,8 +198,87 @@ class TestWavefunction:
     def test_ground_state_norm(self):
         snap = snapshot_at(2.0, 1.0, 0)
         q = dense_grid(snap, 20001)
-        values = np.array([abs(wavefunction(snap, float(qq))) ** 2 for qq in q])
+        values = np.abs(wavefunction(snap, q)) ** 2
         assert float(np.trapezoid(values, q)) == pytest.approx(1.0, abs=1e-8)
+
+
+# psi keeps the bits of `oracles.scalar_wavefunction` at every sigma0,
+# both constant sets, every time, n and theta, and these 44 charges: the
+# bulk, a tiny charge, the far tails, and 1e200 and -1e305, where h_n is 0
+# and the chirp phase overflows
+PSI_CHARGES = np.concatenate([np.linspace(-5.0, 5.0, 39), [1e-300, 9.5, -14.0, 1e200, -1e305]])
+PSI_TIMES = np.array([0.0, 0.3, 1.7, 9.0])
+
+
+def complex_hexes(values):
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+class TestWavefunctionOnLevels:
+    @pytest.mark.parametrize("constants", [
+        {}, dict(A=0.5, eps0=2.0, c=3.0, lambdaL=1.5, hbar=0.7)], ids=["unit", "scaled"])
+    def test_level_rows_have_the_bits_of_the_scalar_oracle(self, constants):
+        for sigma0 in (0.0, 0.5, 2.0, 3.0, 7.0):
+            params = SuperconductorParams(sigma0=sigma0, **constants)
+            for level in levels(params, (0, 1, 4, 12), PSI_TIMES):
+                for theta in (0.0, 0.7):
+                    psi = wavefunction(level, PSI_CHARGES, theta)
+                    assert psi.shape == (PSI_TIMES.size, PSI_CHARGES.size)
+                    for row, snap in zip(psi, level_rows(level)):
+                        want = [oracles.scalar_wavefunction(snap, q, theta)
+                                for q in PSI_CHARGES.tolist()]
+                        assert complex_hexes(row) == complex_hexes(want)
+
+    def test_scalar_calls_have_the_bits_of_the_scalar_oracle(self):
+        params = SuperconductorParams(sigma0=0.5, A=0.5, eps0=2.0, c=3.0, lambdaL=1.5, hbar=0.7)
+        for n in (0, 4):
+            snap = make_snapshot(params, rho_analytic(params, 1.7), n)
+            for q in PSI_CHARGES.tolist():
+                got = wavefunction(snap, q, 0.7)
+                assert type(got) is complex
+                assert complex_hexes([got]) == complex_hexes(
+                    [oracles.scalar_wavefunction(snap, q, 0.7)])
+
+    def test_one_row_of_charges_per_time(self):
+        level = levels(SuperconductorParams(sigma0=2.0, hbar=0.7), (3,), PSI_TIMES)[0]
+        grid = np.stack([PSI_CHARGES * (1.0 + 0.5 * i) for i in range(PSI_TIMES.size)])
+        psi = wavefunction(level, grid, 0.7)
+        for row, charges, snap in zip(psi, grid, level_rows(level)):
+            assert complex_hexes(row) == complex_hexes(
+                [oracles.scalar_wavefunction(snap, q, 0.7) for q in charges.tolist()])
+
+    def test_one_theta_per_time(self):
+        params = SuperconductorParams(sigma0=2.0)
+        level = levels(params, (1,), PSI_TIMES)[0]
+        thetas = np.array([phase(params, 1, t) for t in PSI_TIMES.tolist()])
+        psi = wavefunction(level, PSI_CHARGES, thetas)
+        for row, snap, theta in zip(psi, level_rows(level), thetas.tolist()):
+            assert complex_hexes(row) == complex_hexes(
+                [oracles.scalar_wavefunction(snap, q, theta) for q in PSI_CHARGES.tolist()])
+
+    def test_modulus_is_the_density(self):
+        level = levels(SuperconductorParams(sigma0=3.0, hbar=0.7), (0, 4), PSI_TIMES)[1]
+        p = density_values(level, PSI_CHARGES)
+        assert np.abs(np.abs(wavefunction(level, PSI_CHARGES, 0.7)) ** 2 - p).max() <= (
+            1e-15 * p.max())
+
+    def test_level_with_one_charge_and_snapshot_with_a_charge_array(self):
+        # both raised TypeError when psi took one Python float
+        level = levels(SuperconductorParams(sigma0=2.0), (2,), PSI_TIMES)[0]
+        psi = wavefunction(level, 0.5)
+        assert psi.shape == (PSI_TIMES.size, 1)
+        assert psi[:, 0].tolist() == [wavefunction(snap, 0.5) for snap in level_rows(level)]
+        snap = snapshot_at(2.0, 0.5, 2)
+        assert wavefunction(snap, np.array([0.1, 0.2])).tolist() == [
+            wavefunction(snap, 0.1), wavefunction(snap, 0.2)]
+
+    @pytest.mark.parametrize("q", [1e300, -1e305])
+    def test_zero_without_a_warning_where_q_overflows(self, q):
+        level = levels(SuperconductorParams(sigma0=2.0), (0, 3), PSI_TIMES)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert wavefunction(snapshot_at(2.0, 0.5, 3), q) == 0j
+            assert wavefunction(level, np.array([q, 0.5]))[:, 0].tolist() == [0j] * 4
 
 
 class TestDensity:
@@ -241,6 +321,30 @@ class TestDensity:
             assert float(p.max()) < 1e-20
 
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_digits_where_h_squared_is_subnormal(self, n):
+        # at hbar = 1e-300 the width is 8.0e-151; at xi = 27 ... 30 h_n is a
+        # normal float but h h is not, and h h / scale was 1.3e-7 off at
+        # xi = 27 and 0 beyond.  The rounding of xi, times xi^2, sets the
+        # floor: 30^2 * 1.1e-16 = 1e-13.  At xi = 37 the true P ~ 1e-445
+        # underflows.
+        snap = snapshot_at(2.0, 0.5, n, hbar=1e-300)
+        q = snap.scale * np.array([27.0, 27.3, 30.0, 37.0])
+        got = density_values(snap, q).tolist()
+        want = [oracles.density_mp(n, v, snap.scale) for v in q.tolist()]
+        for p, exact in zip(got[:3], want[:3]):
+            assert abs(p / float(exact) - 1.0) <= 1.5e-13
+        assert got[3] == float(want[3]) == 0.0 < want[3]
+
+    def test_normal_h_squared_keeps_h_h_over_scale(self):
+        snap = snapshot_at(2.0, 0.5, 3, hbar=0.7)
+        q = np.linspace(-40.0, 40.0, 801) * snap.scale
+        h = hermite_function(3, q / snap.scale)
+        normal = np.abs(h) >= 2.0 ** -511
+        assert 0 < normal.sum() < q.size
+        assert density_values(snap, q)[normal].tobytes() == (h * h / snap.scale)[normal].tobytes()
+
+
 class TestMoments:
     def test_ground_state_value(self):
         snap = QuantumSnapshot(n=0, t=0.0, rho=1.0, rho_dot=0.3, L=1.0,
@@ -267,6 +371,28 @@ class TestMoments:
         snap = QuantumSnapshot(n=2, t=0.0, rho=1.3, rho_dot=0.0, L=7.0,
                                omega_sq=1.0, hbar=2.0)
         assert moments(snap)[3] == pytest.approx(2.0 / 1.3 ** 2 * 2.5, rel=1e-14)
+
+
+    @pytest.mark.parametrize("L, rho, rho_dot", [
+        (1e150, 1e10, 1e3),  # (L rho rho')^2 overflows, (L rho')^2 does not
+        (1e100, 1e100, -1.0),
+    ])
+    def test_finite_where_the_cross_term_squared_overflows(self, L, rho, rho_dot):
+        snap = QuantumSnapshot(n=2, t=0.0, rho=rho, rho_dot=rho_dot, L=L, omega_sq=0.7,
+                               hbar=1.5)
+        exact_L, exact_rho, exact_rho_dot = Fraction(L), Fraction(rho), Fraction(rho_dot)
+        phi2 = (Fraction(1.5) / (exact_rho * exact_rho)
+                * (1 + (exact_L * exact_rho * exact_rho_dot) ** 2) * Fraction(5, 2))
+        assert moments(snap)[3] == pytest.approx(float(phi2), rel=1e-15)
+        cross = float(exact_L * exact_rho * exact_rho_dot)
+        assert uncertainty_product(snap) == pytest.approx(1.5 * math.hypot(1.0, cross) * 2.5,
+                                                          rel=1e-15)
+        # a level keeps the bits of its rows, the split and the plain ones
+        level = QuantumSnapshot(n=2, t=np.array([0.0, 1.0]), rho=np.array([rho, 0.8]),
+                                rho_dot=np.array([rho_dot, -0.3]), L=np.array([L, 1.7]),
+                                omega_sq=np.array([0.7, 0.6]), hbar=1.5)
+        assert hexes(level_values(level)) == hexes(row_values(level_rows(level)))
+        assert all(math.isfinite(v) for quantity in level_values(level) for v in quantity)
 
 
 class TestUncertainty:
