@@ -85,10 +85,13 @@ class RunConfig:
         QuantumSnapshot check the physical constants and n."""
         for f in fields(self):
             value = getattr(self, f.name)
+            flag = f"--{f.name.replace('_', '-')}"
             for v in value if isinstance(value, list) else [value]:
                 if isinstance(v, float) and not math.isfinite(v):
-                    raise ConfigError(f"--{f.name.replace('_', '-')} must be finite, "
-                                      f"got {v!r}")
+                    raise ConfigError(f"{flag} must be finite, got {v!r}")
+            repeated = [v for v in value if value.count(v) > 1] if isinstance(value, list) else []
+            if repeated:  # compared as numbers, so 0 and -0 repeat
+                raise ConfigError(f"{flag} lists {_fmt(repeated[0])} more than once")
         if self.t0 < 0.0:
             raise ConfigError(f"t0 must be >= 0, got {self.t0}")
         if self.steps < 2:

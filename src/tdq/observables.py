@@ -177,8 +177,8 @@ def _finite_or(value, fallback):
 def moments(snapshot: QuantumSnapshot) -> tuple:
     """(<q>, <Phi>, <q^2>, <Phi^2>); the first moments vanish identically.
 
-    Where (L rho rho')^2 overflows, <Phi^2> is summed as
-    hbar (1/rho^2 + (L rho')^2) (n + 1/2) instead, which stays finite.
+    Where rho^2 overflows, <q^2> is (hbar rho) rho (n + 1/2); where
+    (L rho rho')^2 does, <Phi^2> is hbar (1/rho^2 + (L rho')^2) (n + 1/2).
     """
     n_half = snapshot.n + 0.5
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
@@ -190,6 +190,7 @@ def moments(snapshot: QuantumSnapshot) -> tuple:
     def split():
         slope = snapshot.L * snapshot.rho_dot
         return snapshot.hbar * (1.0 / rho2 + slope * slope) * n_half
+    q2 = _finite_or(q2, lambda: snapshot.hbar * snapshot.rho * snapshot.rho * n_half)
     return 0.0, 0.0, q2, _finite_or(phi2, split)
 
 
@@ -208,7 +209,8 @@ def energy_mean(snapshot: QuantumSnapshot) -> float | np.ndarray:
     """Mean energy <E_n>; decays to zero as the charge is expelled.
 
     Where L^2 rho^2 overflows (L near the top of the float range) the first
-    term is summed as 1/(2 L^2 rho^2) + rho'^2/2 instead, which stays finite.
+    term is summed as 1/(2 L^2 rho^2) + rho'^2/2 instead, and where rho^2
+    does the second as (omega^2 rho) rho / 2; both stay finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         rho2 = snapshot.rho * snapshot.rho
@@ -219,6 +221,8 @@ def energy_mean(snapshot: QuantumSnapshot) -> float | np.ndarray:
 
     def large():
         inverse = 1.0 / (snapshot.L * snapshot.rho)
+        potential = _finite_or(0.5 * snapshot.omega_sq * rho2,
+                               lambda: 0.5 * snapshot.omega_sq * snapshot.rho * snapshot.rho)
         return (0.5 * inverse * inverse + 0.5 * snapshot.rho_dot * snapshot.rho_dot
-                + 0.5 * snapshot.omega_sq * rho2) * (snapshot.n + 0.5) * snapshot.hbar
+                + potential) * (snapshot.n + 0.5) * snapshot.hbar
     return _finite_or(energy, large)

@@ -1,18 +1,11 @@
 """Self-verification suite: every module invariant as a named runtime check.
 
-Every check is `check_<name>(tol) -> CheckResult`: it measures the residual
-<name> and passes when that is at most tol.  A plain check is written as a
-generator of its residuals, one per point, and `_check` makes it a check:
-it names the result <name> and reduces the residuals with `_worst`, the
-largest of them and 0.0, so a signed violation that is <= 0 reads 0.0 and
-a NaN residual anywhere reads NaN and fails.  The two checks with a note
-build their own result, their residual also from `_worst`.  `run_checks`
-gives each check its base tolerance in `_ALL_CHECKS` times one scale
-factor.  The one informational check (closed-form entropy against
+A check is a generator of its residuals, one per point, declared with
+`@_check(tolerance)`; `run_checks` runs each at its base tolerance times one
+scale factor.  The one informational check (closed-form entropy against
 quadrature for n >= 1) always passes.  The observables and information
-checks walk `levels`, with one quadrature rule per time; each residual
-has the bits it has for one snapshot.  The suite is pure computation and
-finishes in seconds.
+checks walk `levels`, with one quadrature rule per time; each residual has
+the bits it has for one snapshot.  The suite is pure computation.
 """
 
 from __future__ import annotations
@@ -56,7 +49,7 @@ from .special_functions import (
 )
 
 _FIGURE_SIGMAS = (0.4, 0.6, 0.8, 1.5, 2.0, 2.5, 3.0)
-# a non-unit hbar: at it moment_consistency compares int q^2 P dq with
+# a non-unit hbar: at it the moment check compares int q^2 P dq with
 # hbar rho^2 (n + 1/2), which fails if the density width loses sqrt(hbar)
 _HBAR2_PARAMS = SuperconductorParams(sigma0=2.0, hbar=2.0)
 # time step of the difference that gives rho'' from the analytic rho'; at
@@ -93,22 +86,39 @@ def _worst(residuals: Iterable[float]) -> float:
     return float(largest)
 
 
-def _check(residuals: Callable[[], Iterator[float]]) -> Callable[[float], CheckResult]:
-    """The check `check_<name>(tol)` of the generator `check_<name>()`: the
-    result <name> with the `_worst` of its residuals, at tolerance tol."""
-    name = residuals.__name__.removeprefix("check_")
+# (check, base tolerance) of every `_check`, in definition order
+_declared: list = []
 
-    @functools.wraps(residuals)
-    def check(tol: float) -> CheckResult:
-        return CheckResult(name, _worst(residuals()), tol)
-    return check
+
+def _check(tolerance: float, informational: bool = False):
+    """Declare the check `check_<name>(tol)` of the generator `check_<name>()`
+    at base tolerance `tolerance` (0.0 for the count- and sign-based ones):
+    the result <name> with the `_worst` of the residuals it yields, and the
+    value it returns, if any, as the note."""
+    def declare(residuals: Callable[[], Iterator[float]]) -> Callable[[float], CheckResult]:
+        name = residuals.__name__.removeprefix("check_")
+
+        @functools.wraps(residuals)
+        def check(tol: float) -> CheckResult:
+            notes = []
+
+            def noted():
+                notes.append((yield from residuals()) or "")
+            values = noted()
+            worst = _worst(values)
+            for _ in values:  # `_worst` stops at a NaN; the note comes last
+                pass
+            return CheckResult(name, worst, tol, informational, notes[0])
+        _declared.append((check, tolerance))
+        return check
+    return declare
 
 
 # ---------------------------------------------------------------------------
 # special-function checks
 # ---------------------------------------------------------------------------
 
-@_check
+@_check(1e-8)
 def check_bessel_wronskian():
     for nu in (0.5, 1.0, 1.5, 2.3):
         for x in (0.5, 1.0, 2.0, 5.0, 10.0):
@@ -116,7 +126,7 @@ def check_bessel_wronskian():
             yield abs((j * yp - jp * y) * math.pi * x / 2.0 - 1.0)
 
 
-@_check
+@_check(1e-12)
 def check_bessel_half_integer_closed_forms():
     for x in (0.5, 1.0, 2.0, 5.0, 10.0):
         pref = math.sqrt(2.0 / (math.pi * x))
@@ -132,7 +142,7 @@ def check_bessel_half_integer_closed_forms():
             yield abs(got - want) / max(abs(want), 1e-30)
 
 
-@_check
+@_check(1e-13)
 def check_bessel_modulus_vs_asymptotic():
     """J^2 + Y^2 and J J' + Y Y' from the Bessel functions against the
     modulus asymptotic series, which shares no code with them; relative."""
@@ -144,7 +154,7 @@ def check_bessel_modulus_vs_asymptotic():
             yield abs((j * jp + y * yp) / m_dm - 1.0)
 
 
-@_check
+@_check(1e-8)
 def check_hermite_orthogonality():
     """Gram matrix of h_0..h_12 on a 200-point rule against the identity."""
     nodes, weights = gauss_legendre(200, -10.0, 10.0)
@@ -175,7 +185,7 @@ def _newton_step(coefficients, r: float) -> float:
     return _horner(coefficients, p, q) / (_horner(slope, p, q) * q)
 
 
-@_check
+@_check(1e-9)
 def check_hermite_root_residuals():
     """Forward error |H_n(r) / H_n'(r)| of every root of H_1..H_12, exact
     from the integer coefficients, plus the pairwise symmetry."""
@@ -186,7 +196,7 @@ def check_hermite_root_residuals():
             yield abs(r + table.roots[n - 1 - k])
 
 
-@_check
+@_check(1e-12)
 def check_quadrature_rule():
     nodes, weights = gauss_legendre(2, -1.0, 1.0)
     yield abs(float(np.dot(weights, nodes * nodes)) - 2.0 / 3.0)
@@ -198,7 +208,7 @@ def check_quadrature_rule():
     yield abs(float(np.sum(weights)) - 5.0) / 5.0
 
 
-@_check
+@_check(2e-13)
 def check_hypergeometric_vs_quadrature():
     """1F1(1; 1/2; -x^2) and 2F2(1, 1; 3/2, 2; -x^2) at the positive roots
     of H_12 and at x = 6 against Gauss-Legendre integrals on [0, 1], which
@@ -233,7 +243,7 @@ def pinney_residual(params: SuperconductorParams, t: float) -> float:
     return abs(rho_ddot - accel)
 
 
-@_check
+@_check(1e-6)
 def check_pinney_residual_analytic():
     for sigma0 in _FIGURE_SIGMAS:
         params = SuperconductorParams(sigma0=sigma0)
@@ -241,7 +251,7 @@ def check_pinney_residual_analytic():
             yield pinney_residual(params, float(t))
 
 
-@_check
+@_check(1e-6)
 def check_pinney_numeric_vs_analytic():
     grid = np.linspace(0.0, 5.0, 51)
     for sigma0 in (0.5, 2.0, 3.0):
@@ -250,7 +260,7 @@ def check_pinney_numeric_vs_analytic():
             yield abs(state.rho - rho_analytic(params, state.t).rho)
 
 
-@_check
+@_check(1e-6)
 def check_invariant_conservation():
     params = SuperconductorParams(sigma0=2.0)
     grid = np.linspace(0.0, 5.0, 51)
@@ -264,7 +274,7 @@ def check_invariant_conservation():
             yield abs(v - values[0]) / abs(values[0])
 
 
-@_check
+@_check(1e-12)
 def check_lc_limit():
     params = SuperconductorParams(sigma0=0.0)
     target = params.omega0_sq ** -0.25
@@ -285,7 +295,7 @@ def _levels(sigmas, ns, ts):
         levels(SuperconductorParams(sigma0=sigma0), ns, ts) for sigma0 in sigmas)
 
 
-@_check
+@_check(1e-8)
 def check_density_normalization():
     for level in _levels((0.5, 1.5, 3.0), range(5), (0.0, 0.5, 1.0, 2.0, 5.0)):
         radius = truncation_radius(level)
@@ -294,7 +304,7 @@ def check_density_normalization():
             yield abs(float(np.dot(w, row)) - 1.0)
 
 
-@_check
+@_check(1e-7)
 def check_moment_consistency():
     for level in itertools.chain(_levels((0.5, 2.0), (0, 1, 2), (0.0, 0.5, 2.0)),
                                  levels(_HBAR2_PARAMS, (2,), (0.7,))):
@@ -306,7 +316,7 @@ def check_moment_consistency():
             yield abs(float(np.dot(w, row)) - q2) / q2
 
 
-@_check
+@_check(1e-12)
 def check_uncertainty_identity():
     for level in _levels((0.5, 2.0), (0, 1, 2), (0.0, 0.5, 2.0)):
         _, _, q2, phi2 = moments(level)
@@ -314,7 +324,7 @@ def check_uncertainty_identity():
         yield from (np.abs(uncertainty_product(level) - product) / product).tolist()
 
 
-@_check
+@_check(1e-12)
 def check_uncertainty_floor():
     for level in _levels((0.5, 2.0, 3.0), (0, 1, 2), (0.0, 0.5, 1.0, 2.0)):
         yield from (level.hbar * (level.n + 0.5) - uncertainty_product(level)).tolist()
@@ -323,7 +333,7 @@ def check_uncertainty_floor():
     yield abs(uncertainty_product(snap) - params.hbar * 1.5)
 
 
-@_check
+@_check(0.0)
 def check_density_node_structure():
     for level in _levels((1.5,), range(5), (0.5,)):
         radius = truncation_radius(level)
@@ -333,7 +343,7 @@ def check_density_node_structure():
         yield from np.abs(changes - level.n).astype(float).tolist()
 
 
-@_check
+@_check(1e-6)
 def check_phase_derivative():
     h = 1e-4
     # the last two points have Bessel argument >= 20, where rho comes from
@@ -351,7 +361,7 @@ def check_phase_derivative():
 # information checks
 # ---------------------------------------------------------------------------
 
-@_check
+@_check(1e-9)
 def check_information_vs_density_quadrature():
     """S, D and C of `measures` against -int P ln P and int P^2 of
     `density_values` in q, on plain Gauss-Legendre panels split at the
@@ -375,7 +385,7 @@ def check_information_vs_density_quadrature():
             yield abs(got.complexity_C / (math.exp(s) * d) - 1.0)
 
 
-@_check
+@_check(1e-8)
 def check_diseq_closed_vs_quadrature():
     for level in _levels((0.5, 2.0), (0, 1, 2, 3), (0.0, 1.0)):
         closed = measures(level, "closed_form").disequilibrium_D
@@ -383,7 +393,7 @@ def check_diseq_closed_vs_quadrature():
         yield from (np.abs(closed - quad) / quad).tolist()
 
 
-@_check
+@_check(1e-9)
 def check_diseq_hand_values():
     params = SuperconductorParams(sigma0=2.0)
     state = rho_analytic(params, 0.7)
@@ -396,16 +406,16 @@ def check_diseq_hand_values():
     yield abs(measures(unit, "closed_form").disequilibrium_D - hand1) / hand1
 
 
-def check_complexity_ground_state_value(tol: float) -> CheckResult:
+@_check(1e-9)
+def check_complexity_ground_state_value():
     target = math.sqrt(math.e / 2.0)
     values = [measures(level).complexity_C
               for level in _levels((0.5, 2.0, 3.0), (0,), (0.0, 0.5, 2.0, 5.0))]
-    return CheckResult("complexity_ground_state_value",
-                       _worst(abs(c - target) for c in values), tol,
-                       note=f"C(n=0)={values[0]:.12f} target sqrt(e/2)={target:.12f}")
+    yield from (abs(c - target) for c in values)
+    return f"C(n=0)={values[0]:.12f} target sqrt(e/2)={target:.12f}"
 
 
-@_check
+@_check(1e-9)
 def check_entropy_closed_vs_quadrature_n0():
     for level in _levels((0.5, 2.0, 3.0), (0,), (0.0, 0.5, 2.0)):
         closed = measures(level, "closed_form").entropy_S
@@ -413,21 +423,17 @@ def check_entropy_closed_vs_quadrature_n0():
         yield from np.abs(closed - quad).tolist()
 
 
-def check_entropy_closed_vs_quadrature_higher_n(tol: float) -> CheckResult:
-    residuals = {}
+@_check(1e-6, informational=True)
+def check_entropy_closed_vs_quadrature_higher_n():
+    detail = []
     for level in _levels((2.0,), (1, 2, 3, 4), (0.5,)):
-        closed = measures(level, "closed_form").entropy_S
-        quad = measures(level).entropy_S
-        residuals[level.n] = (closed - quad).item()
-    detail = " ".join(f"n={n}:{r:+.3e}" for n, r in residuals.items())
-    return CheckResult("entropy_closed_vs_quadrature_higher_n",
-                       _worst(abs(r) for r in residuals.values()), tol,
-                       informational=True,
-                       note="reported only (printed closed form drifts for n>=2): "
-                            + detail)
+        r = (measures(level, "closed_form").entropy_S - measures(level).entropy_S).item()
+        detail.append(f"n={level.n}:{r:+.3e}")
+        yield abs(r)
+    return "reported only (printed closed form drifts for n>=2): " + " ".join(detail)
 
 
-@_check
+@_check(1e-9)
 def check_lmc_complexity_lower_bound():
     """How far C falls below 1: C = e^S D >= 1 by Jensen, -S = int P ln P <= ln
     int P^2 (Lopez-Ruiz, Mancini and Calbet, Phys. Lett. A 209, 321 (1995)).
@@ -436,7 +442,7 @@ def check_lmc_complexity_lower_bound():
         yield 1.0 - measures(level).complexity_C
 
 
-@_check
+@_check(0.0)
 def check_monotone_localization():
     for level in _levels((2.0, 2.5, 3.0), (0,), np.linspace(0.5, 2.0, 7)):
         got = measures(level)
@@ -445,45 +451,13 @@ def check_monotone_localization():
         yield from np.diff(got.H).tolist()  # H must decrease
 
 
-# (check, base tolerance); the count- and sign-based checks take 0.0.
-_ALL_CHECKS: tuple = (
-    (check_bessel_wronskian, 1e-8),
-    (check_bessel_half_integer_closed_forms, 1e-12),
-    (check_bessel_modulus_vs_asymptotic, 1e-13),
-    (check_hermite_orthogonality, 1e-8),
-    (check_hermite_root_residuals, 1e-9),
-    (check_quadrature_rule, 1e-12),
-    (check_hypergeometric_vs_quadrature, 2e-13),
-    (check_pinney_residual_analytic, 1e-6),
-    (check_pinney_numeric_vs_analytic, 1e-6),
-    (check_invariant_conservation, 1e-6),
-    (check_lc_limit, 1e-12),
-    (check_density_normalization, 1e-8),
-    (check_moment_consistency, 1e-7),
-    (check_uncertainty_identity, 1e-12),
-    (check_uncertainty_floor, 1e-12),
-    (check_density_node_structure, 0.0),
-    (check_phase_derivative, 1e-6),
-    (check_information_vs_density_quadrature, 1e-9),
-    (check_diseq_closed_vs_quadrature, 1e-8),
-    (check_diseq_hand_values, 1e-9),
-    (check_complexity_ground_state_value, 1e-9),
-    (check_entropy_closed_vs_quadrature_n0, 1e-9),
-    (check_entropy_closed_vs_quadrature_higher_n, 1e-6),
-    (check_lmc_complexity_lower_bound, 1e-9),
-    (check_monotone_localization, 0.0),
-)
+_ALL_CHECKS: tuple = tuple(_declared)
 
 
 def run_checks(tol_scale: float = 1.0) -> list[CheckResult]:
-    """Run every check at its base tolerance times tol_scale.
-
-    A check's residual is the `_worst` of its residuals: 0.0 at the least,
-    and NaN, which fails at any tolerance, if one of them is NaN.  A check
-    that raises fails with residual inf under its own name (its function
-    name without `check_`, as `_check` names a result) and with the
-    exception in its note; the remaining checks still run.
-    """
+    """Run every check at its base tolerance times tol_scale.  A check that
+    raises fails with residual inf and the exception as its note; the
+    remaining checks still run."""
     results = []
     for fn, base in _ALL_CHECKS:
         tol = base * tol_scale

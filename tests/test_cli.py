@@ -12,6 +12,7 @@ import sys
 import tracemalloc
 import warnings
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -620,6 +621,16 @@ class TestParser:
         code, out, err = run(capsys, "rho", "--sigma0", value)
         assert (code, out, err) == (2, "", f"error: {error}\n")
 
+    @pytest.mark.parametrize("argv, error", [
+        (("info", "--sigma0", "2,2"), "--sigma0 lists 2 more than once"),
+        (("observables", "--sigma0", "0,-0"), "--sigma0 lists 0 more than once"),
+        (("observables", "--n", "0,0"), "--n lists 0 more than once"),
+    ])
+    def test_repeated_sweep_value_exits_2_naming_the_flag(self, argv, error, capsys):
+        # each (sigma0, n, t) row was printed twice, once keyed -0 for 0,-0
+        code, out, err = run(capsys, *argv, "--steps", "2")
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
     def test_negative_scientific_bound_needs_no_equals_sign(self, capsys):
         argv = ["--qmax", "1e-3", "--qpoints", "3", "--steps", "2"]
         spaced = run(capsys, "density", "--qmin", "-1e-3", *argv)
@@ -776,6 +787,22 @@ class TestExitCodes:
             assert product == pytest.approx(math.sqrt(q2) * math.sqrt(phi2), rel=1e-12)
         assert column(header, rows, "phi2")[2] == pytest.approx(6.284077099783825e202,
                                                                  rel=1e-12)
+
+    def test_overflowing_rho_squared_prints_finite_q2(self, capsys):
+        # rho ~ 1.5e158, so rho^2 overflows but hbar rho^2 (n + 1/2) ~ 1.2e216
+        # does not; q2 printed inf, and then exited 2 naming it
+        constants = ("--sigma0", "19", "--A", "1e-300", "--eps0", "1e300", "--c", "1e-300",
+                     "--steps", "2", "--t1", "1e-10")
+        code, out, err = run(capsys, "observables", *constants, "--hbar", "1e-100")
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        assert all(math.isfinite(v) for row in rows for v in row)
+        code, rho_out, _ = run(capsys, "rho", *constants)
+        assert code == 0
+        rho_header, rho_rows = parse_csv(rho_out)
+        for q2, rho in zip(column(header, rows, "q2"), column(rho_header, rho_rows, "rho")):
+            exact = Fraction(1e-100) * Fraction(rho) ** 2 / 2
+            assert abs(Fraction(q2) - exact) <= Fraction(1e-15) * exact
 
     OMEGA_SQ_OVERFLOW = ("--sigma0", "19", "--A", "1e160", "--eps0", "1e-159", "--c", "1e150",
                          "--lambdaL", "1", "--t1", "1e-150", "--steps", "2")

@@ -54,22 +54,34 @@ class TestNaNMutants:
         monkeypatch.setattr(verify, "density_values", mutant)
         _fails_with_nan(verify.check_density_normalization, 1e-8)
 
-    @pytest.mark.parametrize("check, base", [
-        (verify.check_diseq_closed_vs_quadrature, 1e-8),
-        (verify.check_lmc_complexity_lower_bound, 1e-9)])
-    def test_measures_nan_at_n2(self, check, base, monkeypatch):
+    @staticmethod
+    def nan_measures_at(n, monkeypatch):
         real = verify.measures
 
         def mutant(level, *method):
             got = real(level, *method)
-            if level.n != 2:
+            if level.n != n:
                 return got
             nan = np.full_like(got.H, math.nan)  # one per time, as a level's measures
             return dataclasses.replace(got, entropy_S=nan, H=nan,
                                        disequilibrium_D=nan, complexity_C=math.nan)
 
         monkeypatch.setattr(verify, "measures", mutant)
+
+    @pytest.mark.parametrize("check, base", [
+        (verify.check_diseq_closed_vs_quadrature, 1e-8),
+        (verify.check_lmc_complexity_lower_bound, 1e-9)])
+    def test_measures_nan_at_n2(self, check, base, monkeypatch):
+        self.nan_measures_at(2, monkeypatch)
         _fails_with_nan(check, base)
+
+    def test_measures_nan_at_n0_keeps_the_note(self, monkeypatch):
+        # `_worst` stops at the first NaN, the first C; the note, which the
+        # generator returns after its last residual, must still be there
+        self.nan_measures_at(0, monkeypatch)
+        result = verify.check_complexity_ground_state_value(1e-9)
+        assert not result.passed and math.isnan(result.residual)
+        assert result.note == "C(n=0)=nan target sqrt(e/2)=1.165821990799"
 
     def test_rho_dot_nan_at_t_2_5(self, monkeypatch):
         real = verify.rho_analytic
@@ -88,18 +100,22 @@ def _function_defs():
 
 
 def test_every_check_reduces_through_worst():
-    # one reduction: a check is a generator under `_check`, or builds its
-    # own result (the two with a note) with a residual from `_worst`
+    # one reduction: every check is a generator declared `@_check(base)`,
+    # which names the result and reduces the residuals with `_worst`
     defs = _function_defs()
-    for fn, _ in verify._ALL_CHECKS:
+    for fn, base in verify._ALL_CHECKS:
         node = defs[fn.__name__]
-        decorators = [ast.unparse(d) for d in node.decorator_list]
-        if decorators == ["_check"]:
-            assert inspect.isgeneratorfunction(fn.__wrapped__), fn.__name__
-            # `_check` names the result: no literal of the name in the body
-            literals = {c.value for c in ast.walk(node) if isinstance(c, ast.Constant)}
-            assert fn.__name__.removeprefix("check_") not in literals, fn.__name__
-        else:
-            calls = {ast.unparse(c.func) for c in ast.walk(node) if isinstance(c, ast.Call)}
-            assert "_worst" in calls, fn.__name__
+        [decorator] = node.decorator_list
+        assert isinstance(decorator, ast.Call), fn.__name__
+        assert ast.unparse(decorator.func) == "_check", fn.__name__
+        assert ast.literal_eval(decorator.args[0]) == base, fn.__name__
+        assert inspect.isgeneratorfunction(fn.__wrapped__), fn.__name__
+        # `_check` names the result: no literal of the name in the body
+        literals = {c.value for c in ast.walk(node) if isinstance(c, ast.Constant)}
+        assert fn.__name__.removeprefix("check_") not in literals, fn.__name__
+    # only `_check` and `run_checks`' exception path build a result
+    builders = {name for name, node in defs.items()
+                if any(isinstance(c, ast.Call) and ast.unparse(c.func) == "CheckResult"
+                       for c in ast.walk(node))}
+    assert builders == {"_check", "run_checks"}
     assert "max(worst" not in VERIFY_SOURCE
