@@ -12,12 +12,13 @@ are ordered lexicographically by (sigma0, n, t, q); floats are printed
 with 17 significant digits (binary64 round-trip); run metadata lives in
 '#' comment lines above the csv header.  A table is computed whole and
 then streamed block by block: csv as ASCII bytes, one write per block to
-the binary buffer under the output stream, its floats formatted by one
-array call of `float17.format_17g`; json as the bytes of one
+the binary buffer under the output stream, its floats formatted by
+`float17.format_17g` together with those of the blocks that follow, up
+to `float17.CHUNK` values a call; json as the bytes of one
 `json.dumps(..., indent=1)`.  Every table command walks `_levels`, one
 (sigma0, n) level over the whole time grid at a time (`rho`, which reads
 no --n, one n = 0 level per sigma0); `rho`, `observables` and `info`
-print one block, `density` one block per time.
+print one block, `density` one block per (sigma0, n, t) profile.
 Every csv field has the bytes `_fmt` gives its value, so the contract
 holds however the rows are grouped into blocks.
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from .dynamics import SuperconductorParams
 from .errors import ConfigError, EnvelopeError, TdqError
-from .float17 import format_17g
+from .float17 import CHUNK, format_17g
 from .information import measures
 from .observables import (
     density_values,
@@ -189,17 +190,22 @@ def _write_table(config: RunConfig, columns: list[str], table: _Table) -> None:
 
 
 def _write_csv(handle, meta: str, columns: list[str], table: _Table) -> None:
-    """csv rows as ASCII bytes, one write per block.
+    """csv rows as ASCII bytes, one NUL strip and one write per block.
 
     The bytes go to `handle.buffer` after one flush, so that text written
     to `handle` before keeps its place; a handle with no buffer, such as
     io.StringIO, gets them decoded.  Fields are `%d` for n and the bytes
-    of `_fmt` otherwise.  A block's head is formatted once and its float
-    columns by one `format_17g` call, except a column that is the same
-    object as in the previous block (the table keeps every column alive,
-    so an id names one column): its fields are reused.  A column that is
-    in more than one block drops its all-NUL byte columns when it is
-    formatted, so its reuses copy less padding.
+    of `_fmt` otherwise.  A column that is the same object as in the
+    previous block (the table keeps every column alive, so an id names
+    one column) keeps its fields; the other float columns are formatted
+    ahead by `_formatted`, so that one `format_17g` call serves several
+    blocks and memory is bounded by its group, not by the table.  A
+    column that is in more than one block drops its all-NUL byte columns
+    when it is formatted, so its lines carry less padding.  A block's
+    lines are one NUL-padded byte matrix whose head is as wide as the
+    table's widest, so the blocks that follow with as many rows and
+    fields as wide share it: its commas, newlines and kept fields are
+    laid once, and each block lays only its head and its new fields.
     """
     handle.flush()
     raw = getattr(handle, "buffer", None)
@@ -208,43 +214,54 @@ def _write_csv(handle, meta: str, columns: list[str], table: _Table) -> None:
     head_template = "".join("%d," if i else "%.17g," for i in integer[:table.width])
     integer = integer[table.width:]
     write(f"# {meta}\n{','.join(columns)}\n".encode("ascii"))
-    uses = Counter(id(c) for _, block in table.blocks for c in block)
-    previous = {}  # (position, id) of a column of the previous block -> its fields
-    lines = bytearray()
-    for head, block in table.blocks:
+    heads = [(head_template % head).encode() for head, _ in table.blocks]
+    head_width = max(map(len, heads), default=0)
+    blocks = [block for _, block in table.blocks]
+    fresh = [[i for i, c in enumerate(block) if not prior or c is not prior[i]]
+             for prior, block in zip([()] + blocks, blocks)]
+    texts = _formatted(np.asarray(block[i], dtype=np.float64)
+                       for block, new in zip(blocks, fresh) for i in new if not integer[i])
+    uses = Counter(id(c) for block in blocks for c in block)
+    fields, layout = [None] * len(integer), None
+    for head, block, new in zip(heads, blocks, fresh):
         rows = len(block[0])
-        fields = [previous.get((i, id(c))) for i, c in enumerate(block)]
-        fresh = [i for i, f in enumerate(fields) if f is None and not integer[i]]
-        if fresh:
-            text = format_17g(np.concatenate([np.asarray(block[i], dtype=np.float64)
-                                              for i in fresh]))
-            for j, i in enumerate(fresh):
-                fields[i] = text[j * rows:(j + 1) * rows]
-                if uses[id(block[i])] > 1:
-                    fields[i] = fields[i][:, fields[i].any(axis=0)]
-        for i, f in enumerate(fields):
-            if f is None:  # an integer column (n)
+        for i in new:
+            if integer[i]:
                 text = np.array([b"%d" % v for v in np.asarray(block[i]).tolist()])
                 fields[i] = text.view(np.uint8).reshape(rows, -1)
-        previous = {(i, id(c)): f for i, (c, f) in enumerate(zip(block, fields))}
-        lines = _csv_rows(lines, (head_template % head).encode(), fields)
+            else:
+                fields[i] = next(texts)
+                if uses[id(block[i])] > 1:
+                    fields[i] = fields[i][:, fields[i].any(axis=0)]
+        widths = [f.shape[1] for f in fields]
+        if layout != (rows, widths):  # a new matrix: lay its separators and every field
+            layout, new = (rows, widths), range(len(fields))
+            ends = head_width + np.cumsum(np.add(widths, 1))  # one past each field's separator
+            lines = bytearray(rows * ends[-1])
+            matrix = np.frombuffer(lines, np.uint8).reshape(rows, ends[-1])
+            matrix[:, ends - 1] = ord(",")
+            matrix[:, -1] = ord("\n")
+        matrix[:, :head_width] = np.frombuffer(head.ljust(head_width, b"\0"), np.uint8)
+        for i in new:
+            matrix[:, ends[i] - 1 - widths[i]:ends[i] - 1] = fields[i]
         write(lines.translate(None, b"\0"))
 
 
-def _csv_rows(lines: bytearray, prefix: bytes, fields: list[np.ndarray]) -> bytearray:
-    """Lines of `prefix` and the comma-separated fields, given as matrices
-    of NUL-padded bytes with one row per line, as one NUL-padded matrix in
-    `lines`, or in a new bytearray if `lines` is not of its size."""
-    rows = len(fields[0])
-    parts = [np.broadcast_to(np.frombuffer(prefix, np.uint8), (rows, len(prefix)))]
-    for f in fields:
-        parts += [f, np.full((rows, 1), ord(","), np.uint8)]
-    parts[-1] = np.full((rows, 1), ord("\n"), np.uint8)
-    width = sum(part.shape[1] for part in parts)
-    if len(lines) != rows * width:
-        lines = bytearray(rows * width)
-    np.concatenate(parts, axis=1, out=np.frombuffer(lines, np.uint8).reshape(rows, width))
-    return lines
+def _formatted(columns):
+    """The `format_17g` text of each of `columns` in turn, formatted ahead:
+    consecutive columns join in groups of at most `CHUNK` values (a longer
+    column is a group alone), one call per group."""
+    def texts(group):
+        return np.split(format_17g(np.concatenate(group)),
+                        np.cumsum([len(c) for c in group[:-1]]))
+    group, size = [], 0
+    for column in columns:
+        if group and size + len(column) > CHUNK:
+            yield from texts(group)
+            group, size = [], 0
+        group.append(column)
+        size += len(column)
+    yield from texts(group)  # reached only when a text of this group is asked for
 
 
 def _write_json(handle, meta: str, columns: list[str], table: _Table) -> None:

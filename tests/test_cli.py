@@ -20,8 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from tdq import cli, errors, information, observables, special_functions, verify
+from tdq import cli, errors, float17, information, observables, special_functions, verify
 from tdq.cli import RunConfig, _fmt, main
+from tdq.float17 import CHUNK
 from tdq.information import MeasureSet
 
 
@@ -531,6 +532,54 @@ class TestTableWriter:
         cli._write_csv(outs[0], "meta", ["t", "sigma0", "n", "q", "P"], table)
         oracles.write_csv_chunked(outs[1], "meta", ["t", "sigma0", "n", "q", "P"], table)
         assert outs[0].getvalue() == outs[1].getvalue()
+
+    def test_grouped_formatting_matches_chunked_writer(self, monkeypatch):
+        # Float columns are formatted ahead, up to CHUNK values a call.
+        # Heads of different widths (t = 0.5 next to 0.65000000000000002)
+        # share one padded head; the groups end inside the first level; a
+        # short grid takes one block between two that share the long grid;
+        # a column longer than CHUNK is a group alone.
+        rng = np.random.default_rng(7)
+        grid, short, long = (np.linspace(-8.0, 8.0, 2001), np.linspace(-3.0, 3.0, 7),
+                             np.linspace(-1.0, 1.0, CHUNK + 3))
+        table = cli._Table(width=3)
+        for t in (0.5, 0.65000000000000002, 0.80000000000000004, 1.25, 2.0):
+            table.add((t, 0.43989199999999997, 0), grid, np.exp(-grid**2 / t) * rng.random(2001))
+        for t, q in ((0.5, short), (0.65000000000000002, grid), (2.0, long)):
+            p = np.exp(-q**2) * rng.random(q.size)
+            p[::5] = 0.0
+            p[1::5] = 5e-324 * rng.integers(1, 9, p[1::5].size)
+            table.add((t, 1.5, 12), q, p)
+        sizes = []
+        monkeypatch.setattr(cli, "format_17g", lambda values: (
+            sizes.append(values.size), float17.format_17g(values))[1])
+        outs = [io.StringIO(), io.StringIO()]
+        cli._write_csv(outs[0], "meta", ["t", "sigma0", "n", "q", "P"], table)
+        oracles.write_csv_chunked(outs[1], "meta", ["t", "sigma0", "n", "q", "P"], table)
+        assert outs[0].getvalue() == outs[1].getvalue()
+        # 12 fresh columns in fewer calls, the first ending inside the
+        # first level, none above CHUNK values but the long grid's and its P's
+        assert sum(sizes) == 8 * 2001 + 2 * 7 + 2 * (CHUNK + 3)
+        assert len(sizes) < 12 and sizes[0] < 6 * 2001
+        assert max(sizes[:-2]) <= CHUNK and sizes[-2:] == [CHUNK + 3] * 2
+
+    def test_memory_does_not_grow_with_the_level(self, tmp_path):
+        # one level of 200 times on one 2001-point grid: its P is one array
+        # and its text is formatted a group at a time
+        grid = np.linspace(-8.0, 8.0, 2001)
+        p = np.exp(-grid**2 * np.linspace(0.5, 2.0, 200)[:, None])
+        table = cli._Table(width=3)
+        for t, row in zip(np.linspace(0.0, 1.0, 200).tolist(), p):
+            table.add((t, 1.5, 0), grid, row)
+        config = RunConfig(command="density", sigma0=[1.5], out=str(tmp_path / "table.csv"))
+        tracemalloc.start()
+        try:
+            cli._write_table(config, ["t", "sigma0", "n", "q", "P"], table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert (tmp_path / "table.csv").stat().st_size > 20 * 2**20
 
     @pytest.mark.parametrize("argv", BENCH_ARGVS + TABLE_ARGVS)
     def test_csv_bytes_match_chunked_writer(self, argv, capsys, monkeypatch):

@@ -4,7 +4,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from tdq.float17 import format_17g
+from tdq.float17 import CHUNK, format_17g
 
 
 def texts(values):
@@ -38,6 +38,21 @@ def test_edges_powers_of_ten_and_switch_points():
     assert_formats_like_percent(np.concatenate([
         [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308],
         near, -near]))
+
+
+@pytest.mark.parametrize("edge", [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324,
+                                  -2.2250738585072009e-308, 1e-300, 1e-5, 1e-4, 1e16,
+                                  1e17, 1e22, 1e308])
+def test_chunk_edges(edge):
+    # values go through `_format` CHUNK at a time: the first and the last
+    # value of every chunk, the last chunk a short one, take the same bytes
+    # as those inside a chunk
+    rng = np.random.default_rng(5)
+    size = 3 * CHUNK + 100
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    firsts = np.arange(0, size, CHUNK)
+    values[np.concatenate([firsts, firsts[1:] - 1, [size - 1]])] = edge
+    assert_formats_like_percent(values)
 
 
 @pytest.mark.parametrize("bias", [-0.5, 0.5])
