@@ -126,13 +126,15 @@ def _level_quadrature(n: int) -> tuple[float, float]:
     """(s_n, d_n) by sine-mapped Gauss-Legendre panels split at the roots.
 
     The outer edges sit at |xi| = sqrt(2n+1) + 8, beyond which h_n^2 < 1e-25.
+    A node where p = h_n^2 underflows to 0 (n >= 500) adds 0 to the entropy,
+    the limit of p ln p, rather than the NaN of 0 * ln 0.
     """
     mapped, weights = _sine_mapped_panel()
     edge = _truncation_edge(n)
     edges = np.array([-edge, *hermite(n).roots, edge])
     widths = (edges[1:] - edges[:-1])[:, None]
     p = hermite_function(n, edges[:-1, None] + widths * mapped) ** 2  # row k: panel k
-    w, p_log_p, p_sq = widths * weights, p * np.log(p), p * p
+    w, p_log_p, p_sq = widths * weights, p * np.log(np.where(p > 0.0, p, 1.0)), p * p
     norm = entropy = diseq = 0.0
     for k in range(n + 1):  # 1-D dots in panel order, as a 2-D product may reorder
         norm += float(w[k] @ p[k])

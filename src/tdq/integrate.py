@@ -6,12 +6,12 @@ The package does not call `adaptive_simpson`: the tests integrate
 step control, started at the first output time; output times are honored
 by capping the step at the next requested sample, so no interpolation
 error enters the reported trajectory.  Its state is exactly two floats,
-(x, x'), the shape of every system the package integrates: the stages,
-the fifth-order sum, the error estimate and its norm are written out in
-scalars, with the operations and order of a vector axpy, so the result
-is bit-identical to the array solver it replaced.  Every step makes seven
-rhs calls; the seventh stage is not reused as the next step's first
-(no first-same-as-last), so that rhs calls // 7 counts the steps.
+(x, x'), the shape of every system the package integrates.  Each stage
+input and the error estimate add (h a_ij) k_j over the tableau's nonzero
+entries in j order, as a vector axpy does, so the result is bit-identical
+to the array solver it replaced.  Every step makes seven rhs calls; the
+seventh stage is not reused as the next step's first (no
+first-same-as-last), so that rhs calls // 7 counts the steps.
 """
 
 from __future__ import annotations
@@ -37,6 +37,11 @@ _A = (
 # b5 - b4: weights of the embedded error estimate
 _E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
       -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
+# the steps walk these: each stage after the first as its c_i and nonzero
+# (j, a_ij), and the error estimate's nonzero (j, e_j)
+_STAGES = tuple((c, tuple((j, a) for j, a in enumerate(row) if a != 0.0))
+                for c, row in zip(_C[1:], _A[1:]))
+_ERROR = tuple((j, e) for j, e in enumerate(_E) if e != 0.0)
 
 # per-component error tolerance of solve_rk45: atol + rtol |y|
 _RTOL = 1e-10
@@ -61,10 +66,12 @@ def solve_rk45(rhs: Callable[[float, tuple[float, float]], tuple[float, float]],
     and the result is a list with one state per entry of t_eval.  t_eval
     must be non-empty, finite and strictly ascending, and y0 two finite
     values; a bad value raises DomainError (a ValueError) naming it before
-    rhs is first called.  Every step calls rhs seven times.  There is
-    deliberately no first-same-as-last reuse of the seventh stage:
-    `bench/tracing.py` counts steps as rhs calls // 7.  post_step, if
-    given, is called after every accepted step (guards may raise from it).
+    rhs is first called.  The stage sums run over the Dormand-Prince
+    tableau's nonzero entries, in order.  Every step calls rhs seven
+    times.  There is deliberately no first-same-as-last reuse of the
+    seventh stage: `bench/tracing.py` counts steps as rhs calls // 7.
+    post_step, if given, is called after every accepted step (guards may
+    raise from it).
     Raises StepSizeUnderflowError if error control collapses the step.
     """
     t_eval = [float(v) for v in t_eval]
@@ -80,12 +87,6 @@ def solve_rk45(rhs: Callable[[float, tuple[float, float]], tuple[float, float]],
     if any(b <= a for a, b in zip(t_eval, t_eval[1:])):
         raise DomainError("t_eval must be strictly ascending")
 
-    # the zero entries a61 = b1, b6 and e1 are skipped below; c5 = c6 = 1
-    (_, c1, c2, c3, c4, _, _) = _C
-    (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
-     (a50, a51, a52, a53, a54), _) = _A
-    (b0, _, b2, b3, b4, b5, _) = _B5
-    (e0, _, e2, e3, e4, e5, e6) = _E
     out = [y0]
     t = t_eval[0]
     x, v = y0
@@ -101,31 +102,23 @@ def solve_rk45(rhs: Callable[[float, tuple[float, float]], tuple[float, float]],
         if h < 1e-13 * max(1.0, abs(t)):
             raise StepSizeUnderflowError(t)
 
-        # each component adds (h * coefficient) * k_j stage by stage and
-        # skips the zero coefficients: the operations of a vector axpy, in
-        # its order.  The seventh stage's input is y5 itself.
-        kx0, kv0 = rhs(t, (x, v))
-        p0 = h * a10
-        kx1, kv1 = rhs(t + c1 * h, (x + p0 * kx0, v + p0 * kv0))
-        p0, p1 = h * a20, h * a21
-        kx2, kv2 = rhs(t + c2 * h, (x + p0 * kx0 + p1 * kx1,
-                                    v + p0 * kv0 + p1 * kv1))
-        p0, p1, p2 = h * a30, h * a31, h * a32
-        kx3, kv3 = rhs(t + c3 * h, (x + p0 * kx0 + p1 * kx1 + p2 * kx2,
-                                    v + p0 * kv0 + p1 * kv1 + p2 * kv2))
-        p0, p1, p2, p3 = h * a40, h * a41, h * a42, h * a43
-        kx4, kv4 = rhs(t + c4 * h, (x + p0 * kx0 + p1 * kx1 + p2 * kx2 + p3 * kx3,
-                                    v + p0 * kv0 + p1 * kv1 + p2 * kv2 + p3 * kv3))
-        p0, p1, p2, p3, p4 = h * a50, h * a51, h * a52, h * a53, h * a54
-        kx5, kv5 = rhs(t + h, (x + p0 * kx0 + p1 * kx1 + p2 * kx2 + p3 * kx3 + p4 * kx4,
-                               v + p0 * kv0 + p1 * kv1 + p2 * kv2 + p3 * kv3 + p4 * kv4))
-        p0, p2, p3, p4, p5 = h * b0, h * b2, h * b3, h * b4, h * b5
-        x5 = x + p0 * kx0 + p2 * kx2 + p3 * kx3 + p4 * kx4 + p5 * kx5
-        v5 = v + p0 * kv0 + p2 * kv2 + p3 * kv3 + p4 * kv4 + p5 * kv5
-        kx6, kv6 = rhs(t + h, (x5, v5))
-        p0, p2, p3, p4, p5, p6 = h * e0, h * e2, h * e3, h * e4, h * e5, h * e6
-        ex = p0 * kx0 + p2 * kx2 + p3 * kx3 + p4 * kx4 + p5 * kx5 + p6 * kx6
-        ev = p0 * kv0 + p2 * kv2 + p3 * kv3 + p4 * kv4 + p5 * kv5 + p6 * kv6
+        # each stage input adds (h * a_ij) * k_j in j order, the operations
+        # of a vector axpy in its order; the last input, kept, is y5
+        k = [rhs(t, (x, v))]
+        for c, row in _STAGES:
+            x5, v5 = x, v
+            for j, a in row:
+                p = h * a
+                kx, kv = k[j]
+                x5 += p * kx
+                v5 += p * kv
+            k.append(rhs(t + c * h, (x5, v5)))
+        ex = ev = 0.0
+        for j, e in _ERROR:
+            p = h * e
+            kx, kv = k[j]
+            ex += p * kx
+            ev += p * kv
 
         # RMS of err / (atol + rtol max(|y5|, |y|)); the max keeps |y5|
         # unless |y| exceeds it, so that a NaN in y5 rejects the step

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import io
 import json
 import math
@@ -30,6 +31,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_same_output(got, want):
+    """got == want for two str or two bytes, by sha256 digest.  A bare ==
+    lets pytest diff multi-MB outputs for minutes on a mismatch; this
+    fails at once, naming the first line where the two differ."""
+    assert type(got) is type(want), (type(got), type(want))
+    raw = [v.encode() if isinstance(v, str) else v for v in (got, want)]
+    if hashlib.sha256(raw[0]).digest() == hashlib.sha256(raw[1]).digest():
+        return
+    got_lines, want_lines = (v.splitlines(keepends=True) for v in raw)
+    i = next((k for k, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b),
+             min(len(got_lines), len(want_lines)))
+    got_line, want_line = (lines[i][:200] if i < len(lines) else b"<end>"
+                           for lines in (got_lines, want_lines))
+    pytest.fail(f"outputs differ at line {i + 1}: got {got_line!r}, want {want_line!r}",
+                pytrace=False)
 
 
 def parse_csv(text):
@@ -332,8 +350,8 @@ class TestLevelsMatchRowOracles:
 
         argv = (*workloads.make(name, seed).argv, "--format", fmt)
         new, old = self.outcomes(capsys, monkeypatch, argv)
-        assert new == old
-        assert new[0] == 0 and new[2] == ""
+        assert_same_output(new[1], old[1])
+        assert new[0] == old[0] == 0 and new[2] == old[2] == ""
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command", ["rho", "observables", "density", "info"])
@@ -531,7 +549,7 @@ class TestTableWriter:
         outs = [io.StringIO(), io.StringIO()]
         cli._write_csv(outs[0], "meta", ["t", "sigma0", "n", "q", "P"], table)
         oracles.write_csv_chunked(outs[1], "meta", ["t", "sigma0", "n", "q", "P"], table)
-        assert outs[0].getvalue() == outs[1].getvalue()
+        assert_same_output(outs[0].getvalue(), outs[1].getvalue())
 
     def test_grouped_formatting_matches_chunked_writer(self, monkeypatch):
         # Float columns are formatted ahead, up to CHUNK values a call.
@@ -556,7 +574,7 @@ class TestTableWriter:
         outs = [io.StringIO(), io.StringIO()]
         cli._write_csv(outs[0], "meta", ["t", "sigma0", "n", "q", "P"], table)
         oracles.write_csv_chunked(outs[1], "meta", ["t", "sigma0", "n", "q", "P"], table)
-        assert outs[0].getvalue() == outs[1].getvalue()
+        assert_same_output(outs[0].getvalue(), outs[1].getvalue())
         # 12 fresh columns in fewer calls, the first ending inside the
         # first level, none above CHUNK values but the long grid's and its P's
         assert sum(sizes) == 8 * 2001 + 2 * 7 + 2 * (CHUNK + 3)
@@ -586,7 +604,9 @@ class TestTableWriter:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         monkeypatch.setattr(cli, "_write_csv", oracles.write_csv_chunked)
-        assert run(capsys, *argv)[:2] == (0, out)
+        code, chunked, _ = run(capsys, *argv)
+        assert code == 0
+        assert_same_output(out, chunked)
 
     @pytest.mark.parametrize("argv", TABLE_ARGVS)
     def test_csv_bytes_alike_in_every_sink(self, argv, capsys, tmp_path):
@@ -605,11 +625,11 @@ class TestTableWriter:
             with contextlib.redirect_stdout(sink):
                 print("first")
                 assert main(list(argv)) == 0
-        assert wrapped.buffer.getvalue() == ("first\n" + body).encode()
-        assert text.getvalue() == "first\n" + body
+        assert_same_output(wrapped.buffer.getvalue(), ("first\n" + body).encode())
+        assert_same_output(text.getvalue(), "first\n" + body)
         path = tmp_path / "table.csv"
         assert main([*argv, "--out", str(path)]) == 0
-        assert path.read_bytes() == body.encode()
+        assert_same_output(path.read_bytes(), body.encode())
 
     @pytest.mark.parametrize("argv", TABLE_ARGVS)
     def test_csv_fields_match_json_values(self, argv, capsys):

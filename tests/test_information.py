@@ -69,6 +69,16 @@ class TestEntropyQuadrature:
                 shifted = measures(unit_snapshot(n, rho=rho)).entropy_S
                 assert shifted - base == pytest.approx(math.log(rho), abs=1e-9)
 
+    def test_top_of_hermite_envelope_is_finite(self):
+        # h_n^2 underflows to 0 at the outer nodes from n = 500 on; those
+        # nodes add 0 to S (a RuntimeWarning is an error here)
+        params = SuperconductorParams(sigma0=2.0)
+        mid, top = (measures(level) for level in levels(params, (400, 620), (0.0, 0.6)))
+        for name in ("entropy_S", "H", "disequilibrium_D", "complexity_C"):
+            assert np.isfinite(getattr(top, name)).all(), name
+        assert top.complexity_C >= 1.0
+        assert (top.entropy_S > mid.entropy_S).all()
+
 
 class TestEntropyClosedForm:
     def test_ground_state_empty_sums(self):

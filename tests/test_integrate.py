@@ -1,5 +1,6 @@
 import ast
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,6 +88,43 @@ class TestSolveRK45:
     def test_single_point_grid(self):
         out = solve_rk45(_decay, [2.0, 3.0], [0.0])
         assert out == [(2.0, 3.0)]
+
+
+class TestTableau:
+    """The stored Dormand-Prince 5(4) coefficients, as exact Fractions of
+    their floats, against the pair's order conditions.  Each holds at
+    these floats to 6.2e-16 or better, so 1e-15 catches a slipped entry."""
+
+    TOL = Fraction(1, 10 ** 15)
+    A = [[Fraction(a) for a in row] for row in integrate._A]
+    C = [Fraction(c) for c in integrate._C]
+    B5 = [Fraction(b) for b in integrate._B5]
+    E = [Fraction(e) for e in integrate._E]
+    B4 = [b - e for b, e in zip(B5, E)]
+
+    def test_rows_sum_to_nodes(self):
+        for i, (row, c) in enumerate(zip(self.A, self.C)):
+            assert abs(sum(row) - c) <= self.TOL, i
+
+    @pytest.mark.parametrize("weights, order", [("B5", 5), ("B4", 4)])
+    def test_quadrature_conditions(self, weights, order):
+        b = getattr(self, weights)
+        for k in range(1, order + 1):
+            assert abs(sum(bi * ci ** (k - 1) for bi, ci in zip(b, self.C))
+                       - Fraction(1, k)) <= self.TOL, k
+
+    @pytest.mark.parametrize("weights", ["B5", "B4"])
+    def test_third_order_tree(self, weights):
+        b = getattr(self, weights)
+        total = sum(bi * sum(a * c for a, c in zip(row, self.C))
+                    for bi, row in zip(b, self.A))
+        assert abs(total - Fraction(1, 6)) <= self.TOL
+
+    def test_error_weights_sum_to_zero(self):
+        assert abs(sum(self.E)) <= self.TOL
+
+    def test_last_stage_is_the_fifth_order_sum(self):
+        assert integrate._A[6] == integrate._B5[:6]
 
 
 class TestMatchesArraySolver:
