@@ -18,9 +18,11 @@ to `float17.CHUNK` values a call; json as the bytes of one
 `json.dumps(..., indent=1)`.  Every table command walks `_levels`, one
 (sigma0, n) level over the whole time grid at a time (`rho`, which reads
 no --n, one n = 0 level per sigma0); `rho`, `observables` and `info`
-print one block, `density` one block per (sigma0, n, t) profile.
-Every csv field has the bytes `_fmt` gives its value, so the contract
-holds however the rows are grouped into blocks.
+print one block, `density` one block per (sigma0, n, t) profile, whose
+table declares the charge grid as the column every block shares, so
+that it is formatted once.  Every csv field has the bytes `_fmt` gives
+its value (`%d` for an integer, 17 significant digits otherwise), so the
+contract holds however the rows are grouped into blocks.
 
 Exit codes: 0 success, 1 verification failure, 2 for any `TdqError`
 (invalid configuration, envelope violation, a series that did not
@@ -40,7 +42,6 @@ import math
 import os
 import re
 import sys
-from collections import Counter
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -153,14 +154,14 @@ _JSON_ROW = json.JSONEncoder(separators=(",\n   ", ": "))
 class _Table:
     """A table's rows in blocks that share their leading values.
 
-    A block is (head, columns): each of its rows is the `width` head values
-    followed by one value from every column, and the columns share one
-    length.  A column may be the same object in several blocks (the
-    charge grid of `density`); the csv writer formats it once.  len() is
-    the number of rows.
+    A block is (head, columns): each of its rows is the head values, then
+    one value from every `shared` column, then one from each of the
+    block's columns, and all of these columns share one length.  `shared`
+    holds the columns every block carries (the charge grid of `density`),
+    which the csv writer formats once.  len() is the number of rows.
     """
 
-    width: int
+    shared: tuple = ()
     blocks: list[tuple[tuple, tuple]] = field(default_factory=list)
 
     def add(self, head: tuple, *columns) -> None:
@@ -194,74 +195,65 @@ def _write_csv(handle, meta: str, columns: list[str], table: _Table) -> None:
 
     The bytes go to `handle.buffer` after one flush, so that text written
     to `handle` before keeps its place; a handle with no buffer, such as
-    io.StringIO, gets them decoded.  Fields are `%d` for n and the bytes
-    of `_fmt` otherwise.  A column that is the same object as in the
-    previous block (the table keeps every column alive, so an id names
-    one column) keeps its fields; the other float columns are formatted
-    ahead by `_formatted`, so that one `format_17g` call serves several
-    blocks and memory is bounded by its group, not by the table.  A
-    column that is in more than one block drops its all-NUL byte columns
-    when it is formatted, so its lines carry less padding.  A block's
-    lines are one NUL-padded byte matrix whose head is as wide as the
-    table's widest, so the blocks that follow with as many rows and
-    fields as wide share it: its commas, newlines and kept fields are
-    laid once, and each block lays only its head and its new fields.
+    io.StringIO, gets them decoded.  Every field has the bytes `_fmt`
+    gives its value.  The shared columns are formatted once, without
+    their all-NUL byte columns, so their lines carry less padding; the
+    blocks' columns are formatted ahead by `_formatted`, so that one
+    `format_17g` call serves several blocks and memory is bounded by its
+    group, not by the table.  A block's lines are one NUL-padded byte
+    matrix whose head is as wide as the table's widest, so the blocks
+    that follow with as many rows and fields as wide share it: its
+    commas, newlines and shared fields are laid once, and each block lays
+    only its head and its own fields.
     """
     handle.flush()
     raw = getattr(handle, "buffer", None)
     write = raw.write if raw is not None else lambda data: handle.write(data.decode("ascii"))
-    integer = [name == "n" for name in columns]
-    head_template = "".join("%d," if i else "%.17g," for i in integer[:table.width])
-    integer = integer[table.width:]
     write(f"# {meta}\n{','.join(columns)}\n".encode("ascii"))
-    heads = [(head_template % head).encode() for head, _ in table.blocks]
+    heads = ["".join(_fmt(v) + "," for v in head).encode() for head, _ in table.blocks]
     head_width = max(map(len, heads), default=0)
-    blocks = [block for _, block in table.blocks]
-    fresh = [[i for i, c in enumerate(block) if not prior or c is not prior[i]]
-             for prior, block in zip([()] + blocks, blocks)]
-    texts = _formatted(np.asarray(block[i], dtype=np.float64)
-                       for block, new in zip(blocks, fresh) for i in new if not integer[i])
-    uses = Counter(id(c) for block in blocks for c in block)
-    fields, layout = [None] * len(integer), None
-    for head, block, new in zip(heads, blocks, fresh):
-        rows = len(block[0])
-        for i in new:
-            if integer[i]:
-                text = np.array([b"%d" % v for v in np.asarray(block[i]).tolist()])
-                fields[i] = text.view(np.uint8).reshape(rows, -1)
-            else:
-                fields[i] = next(texts)
-                if uses[id(block[i])] > 1:
-                    fields[i] = fields[i][:, fields[i].any(axis=0)]
-        widths = [f.shape[1] for f in fields]
+    shared = [text[:, text.any(axis=0)] for text in _formatted(table.shared)]
+    texts = _formatted(c for _, block in table.blocks for c in block)
+    layout = None
+    for head, (_, block) in zip(heads, table.blocks):
+        fields = shared + [next(texts) for _ in block]
+        rows, widths = len(fields[0]), [f.shape[1] for f in fields]
+        new = len(shared)  # a kept matrix holds the shared fields already
         if layout != (rows, widths):  # a new matrix: lay its separators and every field
-            layout, new = (rows, widths), range(len(fields))
+            layout, new = (rows, widths), 0
             ends = head_width + np.cumsum(np.add(widths, 1))  # one past each field's separator
             lines = bytearray(rows * ends[-1])
             matrix = np.frombuffer(lines, np.uint8).reshape(rows, ends[-1])
             matrix[:, ends - 1] = ord(",")
             matrix[:, -1] = ord("\n")
         matrix[:, :head_width] = np.frombuffer(head.ljust(head_width, b"\0"), np.uint8)
-        for i in new:
-            matrix[:, ends[i] - 1 - widths[i]:ends[i] - 1] = fields[i]
+        for text, end in zip(fields[new:], ends[new:]):
+            matrix[:, end - 1 - text.shape[1]:end - 1] = text
         write(lines.translate(None, b"\0"))
 
 
 def _formatted(columns):
-    """The `format_17g` text of each of `columns` in turn, formatted ahead:
-    consecutive columns join in groups of at most `CHUNK` values (a longer
-    column is a group alone), one call per group."""
+    """The csv fields of each of `columns` in turn, as NUL-padded byte
+    matrices formatted ahead: `%d` for an integer dtype; consecutive other
+    columns join in groups of at most `CHUNK` values (a longer column is a
+    group alone), one `format_17g` call per group."""
     def texts(group):
         return np.split(format_17g(np.concatenate(group)),
                         np.cumsum([len(c) for c in group[:-1]]))
     group, size = [], 0
-    for column in columns:
-        if group and size + len(column) > CHUNK:
+    for column in map(np.asarray, columns):
+        integer = column.dtype.kind in "iu"
+        if group and (integer or size + len(column) > CHUNK):
             yield from texts(group)
             group, size = [], 0
-        group.append(column)
-        size += len(column)
-    yield from texts(group)  # reached only when a text of this group is asked for
+        if integer:
+            text = np.array([b"%d" % v for v in column.tolist()])
+            yield text.view(np.uint8).reshape(len(column), -1)
+        else:
+            group.append(column)
+            size += len(column)
+    if group:
+        yield from texts(group)
 
 
 def _write_json(handle, meta: str, columns: list[str], table: _Table) -> None:
@@ -273,12 +265,13 @@ def _write_json(handle, meta: str, columns: list[str], table: _Table) -> None:
     handle.write('{\n "meta": ' + json.dumps(meta) + ',\n "columns": '
                  + json.dumps(columns, indent=1).replace("\n", "\n ")
                  + ',\n "rows": [\n  ')
+    shared = [np.asarray(c).tolist() for c in table.shared]
     separator = ""
     for head, block in table.blocks:
         head = [int(v) if isinstance(v, (int, np.integer)) else float(v) for v in head]
         handle.write(separator + ",\n  ".join(
             "[\n   " + _JSON_ROW.encode([*head, *row])[1:-1] + "\n  ]"
-            for row in zip(*(np.asarray(c).tolist() for c in block))))
+            for row in zip(*shared, *(np.asarray(c).tolist() for c in block))))
         separator = ",\n  "
     handle.write("\n ]\n}\n")
 
@@ -297,7 +290,7 @@ def _stacked(columns: list[str], levels: list[tuple]) -> _Table:
         where = ", ".join(f"{name}={at[name]!r}" for name in ("sigma0", "n", "t") if name in at)
         raise EnvelopeError(f"{columns[col]} at {where} is {at[columns[col]]!r}, "
                             "not a finite float")
-    table = _Table(width=0)
+    table = _Table()
     table.add((), *block)
     return table
 
@@ -340,12 +333,12 @@ def cmd_observables(config: RunConfig) -> int:
 def cmd_density(config: RunConfig) -> int:
     """Probability density P(q) per (t, sigma0, n) over the charge grid.
 
-    P is evaluated once per level.  One block per (sigma0, n, t): its head
-    is (t, sigma0, n), its columns the charge grid, shared by every block,
-    and P on it.
+    P is evaluated once per level.  The table's shared column is the
+    charge grid; one block per (sigma0, n, t) has the head (t, sigma0, n)
+    and the column P on that grid.
     """
-    table = _Table(width=3)
     q_grid = config.q_grid()
+    table = _Table(shared=(q_grid,))
     for level, keys in _levels(config):
         p = density_values(level, q_grid)
         with np.errstate(over="ignore"):  # an overflow is a norm of inf, and warned of
@@ -356,7 +349,7 @@ def cmd_density(config: RunConfig) -> int:
                 print(f"warning: density norm {norm:.9f} off unit at sigma0={_fmt(sigma0)}, "
                       f"n={n}, t={_fmt(t)}; widen --qmin/--qmax, or raise "
                       "--qpoints if the grid is too coarse", file=sys.stderr)
-            table.add((t, sigma0, n), q_grid, row)
+            table.add((t, sigma0, n), row)
     _write_table(config, ["t", "sigma0", "n", "q", "P"], table)
     return 0
 

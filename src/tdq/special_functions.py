@@ -360,10 +360,17 @@ class HermiteTable:
     roots: tuple[float, ...]
 
 
+# the largest n that an int64 column holds, so the largest that a table prints
+_QUANTUM_NUMBER_MAX = 2**63 - 1
+
+
 def _check_quantum_number(n: int) -> None:
-    """DomainError naming n unless n is an int or numpy integer >= 0."""
+    """DomainError naming n unless n is an int or numpy integer >= 0, and
+    EnvelopeError naming n above _QUANTUM_NUMBER_MAX."""
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise DomainError(f"quantum number must be an integer >= 0, got n={n!r}")
+    if n > _QUANTUM_NUMBER_MAX:
+        raise EnvelopeError(f"quantum numbers support n <= {_QUANTUM_NUMBER_MAX}, got n={n}")
 
 
 # The seed e^{-xi^2/2} is subnormal beyond |xi| = 37.6 and 0 beyond 38.6,
@@ -397,16 +404,13 @@ def hermite_function(n: int, xi: float | np.ndarray) -> float | np.ndarray:
 
 
 def _hermite_coefficients(n: int) -> tuple[int, ...]:
-    # H_{k+1} = 2x H_k - 2k H_{k-1} from H_{-1} = 0, H_0 = 1, exact integers
-    prev, cur = [], [1]
-    for k in range(n):
-        nxt = [0] * (k + 2)
-        for i, c in enumerate(cur):
-            nxt[i + 1] += 2 * c
-        for i, c in enumerate(prev):
-            nxt[i] -= 2 * k * c
-        prev, cur = cur, nxt
-    return tuple(cur)
+    # H_n = sum_m (-1)^m n! / (m! (n - 2m)!) (2x)^(n - 2m): from c_n = 2^n,
+    # c_{k-2} = -c_k k (k - 1) / (4(m + 1)) at k = n - 2m, an exact division
+    coeffs = [0] * (n + 1)
+    coeffs[n] = c = 2**n
+    for m, k in enumerate(range(n, 1, -2)):
+        coeffs[k - 2] = c = -c * k * (k - 1) // (4 * (m + 1))
+    return tuple(coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -416,7 +420,7 @@ def hermite(n: int) -> HermiteTable:
     Roots come from the eigenvalues of the symmetric Jacobi matrix of the
     Hermite recurrence (off-diagonal sqrt(k/2)), polished with one Newton
     step on h_n, with h_n' = sqrt(2n) h_{n-1} - xi h_n, and symmetrized
-    pairwise.  The n bound is checked before the O(n^2) coefficients.
+    pairwise.  The n bound is checked before the coefficients are built.
     """
     _check_hermite_order(n)
     coeffs = _hermite_coefficients(n)

@@ -453,28 +453,30 @@ def write_csv_chunked(handle, meta: str, columns: list[str], table: _Table) -> N
     array writer must reproduce its bytes.  csv rows, one `%` call per chunk
     of at most `_CHUNK_ROWS` rows.
 
-    Fields are `%d` for n and `%.17g` (the bytes of `_fmt`) otherwise.  A
-    chunk's template holds as literal text the block's head and every
-    column that is the same object as in the previous block; those texts
-    are formatted once per run of blocks that share them, and only the
-    other columns are `%` fields.
+    Fields are `%d` for n and `%.17g` (the bytes of `_fmt`) otherwise.
+    Each block's rows are its head, the table's shared columns and its own
+    columns.  A chunk's template holds as literal text the block's head
+    and every column that is the same object as in the previous block;
+    those texts are formatted once per run of blocks that share them, and
+    only the other columns are `%` fields.
     """
-    kinds = ["%d" if name == "n" else "%.17g" for name in columns]
-    head_template = "".join(kind + "," for kind in kinds[:table.width])
-    kinds = kinds[table.width:]
     handle.write(f"# {meta}\n{','.join(columns)}\n")
     previous, key, row_templates = (), None, []
     for head, block in table.blocks:
+        kinds = ["%d" if name == "n" else "%.17g" for name in columns]
+        head_template = "".join(kind + "," for kind in kinds[:len(head)])
+        kinds = kinds[len(head):]
+        block = (*table.shared, *block)
         rows = len(block[0])
-        shared = tuple(c is p for c, p in itertools.zip_longest(block, previous))
+        repeated = tuple(c is p for c, p in itertools.zip_longest(block, previous))
         previous = block
-        if (shared, rows) != key:
-            key, row_templates = (shared, rows), None  # free the old ones first
+        if (repeated, rows) != key:
+            key, row_templates = (repeated, rows), None  # free the old ones first
             row_templates = list(map(",".join, zip(*(
                 map(kind.__mod__, np.asarray(c).tolist()) if same
                 else itertools.repeat(kind, rows)
-                for kind, c, same in zip(kinds, block, shared)))))
-        values = [np.asarray(c).tolist() for c, same in zip(block, shared) if not same]
+                for kind, c, same in zip(kinds, block, repeated)))))
+        values = [np.asarray(c).tolist() for c, same in zip(block, repeated) if not same]
         fields = list(itertools.chain.from_iterable(zip(*values)))
         prefix = head_template % head
         joiner = "\n" + prefix
@@ -575,7 +577,7 @@ def rho_by_properties(params, t: float) -> tuple[float, float]:
 
 def _one_block(rows: list[tuple]) -> _Table:
     """`rows` as a table of one block with an empty head."""
-    table = _Table(width=0)
+    table = _Table()
     table.add((), *zip(*rows))
     return table
 
@@ -650,11 +652,11 @@ def cmd_info(config: RunConfig) -> int:
 def cmd_density(config: RunConfig) -> int:
     """Probability density P(q) per (t, sigma0, n) over the charge grid.
 
-    One block per (sigma0, n, t): its head is (t, sigma0, n), its columns
-    the charge grid, shared by every block, and P on it.
+    The table's shared column is the charge grid; one block per
+    (sigma0, n, t) has the head (t, sigma0, n) and the column P.
     """
-    table = _Table(width=3)
     q_grid, t_grid = config.q_grid(), config.t_grid()
+    table = _Table(shared=(q_grid,))
     for sigma0 in sorted(config.sigma0):
         for snap in snapshots(config.params_for(sigma0), sorted(config.n), t_grid):
             p = density_values(snap, q_grid)
@@ -664,7 +666,7 @@ def cmd_density(config: RunConfig) -> int:
                 print(f"warning: density norm {norm:.9f} off unit at sigma0={_fmt(sigma0)}, "
                       f"n={snap.n}, t={_fmt(snap.t)}; widen --qmin/--qmax, or raise "
                       "--qpoints if the grid is too coarse", file=sys.stderr)
-            table.add((snap.t, sigma0, snap.n), q_grid, p)
+            table.add((snap.t, sigma0, snap.n), p)
     _write_table(config, ["t", "sigma0", "n", "q", "P"], table)
     return 0
 

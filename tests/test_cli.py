@@ -448,9 +448,9 @@ def _density_shaped_table():
     of csv, 7.6 MB of json)."""
     rng = np.random.default_rng(0)
     grid = np.linspace(-8.0, 8.0, 2001)
-    table = cli._Table(width=3)
+    table = cli._Table(shared=(grid,))
     for k in range(50):
-        table.add((0.5 + 0.03 * k, 1.5, k % 5), grid, np.exp(-grid**2) * rng.random(grid.size))
+        table.add((0.5 + 0.03 * k, 1.5, k % 5), np.exp(-grid**2) * rng.random(grid.size))
     return table
 
 
@@ -461,7 +461,7 @@ class TestTableWriter:
                                        max_size=6)),
                     min_size=1, max_size=4))
     def test_block_rows_format_like_fmt(self, blocks):
-        table = cli._Table(width=3)
+        table = cli._Table()
         rows = []
         for head, tail in blocks:
             table.add(head, [q for q, _ in tail], [p for _, p in tail])
@@ -475,7 +475,7 @@ class TestTableWriter:
                     min_size=1, max_size=8))
     def test_one_block_rows_format_like_fmt(self, rows):
         config = RunConfig(command="observables", sigma0=[0.5])
-        table = cli._Table(width=0)
+        table = cli._Table()
         table.add((), *zip(*rows))
         lines = _csv_body(config, ["t", "sigma0", "n", "q2", "phi2"], table)
         assert lines == [",".join(_fmt(v) for v in row) for row in rows]
@@ -483,20 +483,18 @@ class TestTableWriter:
     @settings(max_examples=40, deadline=None)
     @given(st.data(), st.sampled_from((1, 63, 64, 65, 129)), st.integers(1, 4))
     def test_shared_grid_rows_format_like_fmt(self, data, points, count):
-        # Each block takes one of two grid objects, so runs of blocks that
-        # share a grid start, end and restart; the lengths cross the
+        # Every block carries the declared grid; the lengths cross the
         # writer's chunk boundaries.  A column repeats up to 8 drawn values,
         # which keeps examples cheap to generate and to shrink.
         column = st.lists(_VALUES, min_size=1, max_size=8).map(
             lambda values: [values[i % len(values)] for i in range(points)])
-        grids = [np.array(data.draw(column)), data.draw(column)]
-        table = cli._Table(width=3)
+        grid = np.array(data.draw(column))
+        table = cli._Table(shared=(grid,))
         rows = []
         for _ in range(count):
             head = data.draw(st.tuples(_VALUES, _VALUES, _NS))
-            grid = grids[data.draw(st.integers(0, 1))]
             p = data.draw(column)
-            table.add(head, grid, p)
+            table.add(head, p)
             rows.extend((*head, q, v) for q, v in zip(grid, p))
         config = RunConfig(command="density", sigma0=[1.5])
         lines = _csv_body(config, ["t", "sigma0", "n", "q", "P"], table)
@@ -508,7 +506,7 @@ class TestTableWriter:
                                        max_size=6)),
                     min_size=1, max_size=4))
     def test_json_edge_values_match_one_indented_dump(self, blocks):
-        table = cli._Table(width=3)
+        table = cli._Table()
         rows = []
         for head, tail in blocks:
             table.add(head, [q for q, _ in tail], [p for _, p in tail])
@@ -552,43 +550,50 @@ class TestTableWriter:
         assert_same_output(outs[0].getvalue(), outs[1].getvalue())
 
     def test_grouped_formatting_matches_chunked_writer(self, monkeypatch):
-        # Float columns are formatted ahead, up to CHUNK values a call.
-        # Heads of different widths (t = 0.5 next to 0.65000000000000002)
-        # share one padded head; the groups end inside the first level; a
-        # short grid takes one block between two that share the long grid;
-        # a column longer than CHUNK is a group alone.
+        # The declared grid is formatted in one call, and the blocks' P
+        # ahead, up to CHUNK values a call.  Heads of different widths
+        # (t = 0.5 next to 0.65000000000000002) share one padded head, and
+        # the groups end inside the first level.  With no shared column, a
+        # short grid and a long one are block columns, and a column longer
+        # than CHUNK is a group alone.
         rng = np.random.default_rng(7)
         grid, short, long = (np.linspace(-8.0, 8.0, 2001), np.linspace(-3.0, 3.0, 7),
                              np.linspace(-1.0, 1.0, CHUNK + 3))
-        table = cli._Table(width=3)
-        for t in (0.5, 0.65000000000000002, 0.80000000000000004, 1.25, 2.0):
-            table.add((t, 0.43989199999999997, 0), grid, np.exp(-grid**2 / t) * rng.random(2001))
-        for t, q in ((0.5, short), (0.65000000000000002, grid), (2.0, long)):
+
+        def tiny(q):  # exact zeros and subnormals among P's values
             p = np.exp(-q**2) * rng.random(q.size)
             p[::5] = 0.0
             p[1::5] = 5e-324 * rng.integers(1, 9, p[1::5].size)
-            table.add((t, 1.5, 12), q, p)
+            return p
+
+        shared = cli._Table(shared=(grid,))
+        for t in (0.5, 0.65000000000000002, 0.80000000000000004, 1.25, 2.0):
+            shared.add((t, 0.43989199999999997, 0), np.exp(-grid**2 / t) * rng.random(2001))
+        for t in (0.5, 0.65000000000000002, 2.0):
+            shared.add((t, 1.5, 12), tiny(grid))
+        unshared = cli._Table()
+        for t, q in ((0.5, short), (0.65000000000000002, grid), (2.0, long)):
+            unshared.add((t, 1.5, 12), q, tiny(q))
         sizes = []
         monkeypatch.setattr(cli, "format_17g", lambda values: (
             sizes.append(values.size), float17.format_17g(values))[1])
-        outs = [io.StringIO(), io.StringIO()]
-        cli._write_csv(outs[0], "meta", ["t", "sigma0", "n", "q", "P"], table)
-        oracles.write_csv_chunked(outs[1], "meta", ["t", "sigma0", "n", "q", "P"], table)
-        assert_same_output(outs[0].getvalue(), outs[1].getvalue())
-        # 12 fresh columns in fewer calls, the first ending inside the
-        # first level, none above CHUNK values but the long grid's and its P's
-        assert sum(sizes) == 8 * 2001 + 2 * 7 + 2 * (CHUNK + 3)
-        assert len(sizes) < 12 and sizes[0] < 6 * 2001
-        assert max(sizes[:-2]) <= CHUNK and sizes[-2:] == [CHUNK + 3] * 2
+        for table, calls in ((shared, [2001] + [2 * 2001] * 4),
+                             (unshared, [2 * 7 + 2 * 2001, CHUNK + 3, CHUNK + 3])):
+            sizes.clear()
+            outs = [io.StringIO(), io.StringIO()]
+            cli._write_csv(outs[0], "meta", ["t", "sigma0", "n", "q", "P"], table)
+            oracles.write_csv_chunked(outs[1], "meta", ["t", "sigma0", "n", "q", "P"], table)
+            assert_same_output(outs[0].getvalue(), outs[1].getvalue())
+            assert sizes == calls
 
     def test_memory_does_not_grow_with_the_level(self, tmp_path):
         # one level of 200 times on one 2001-point grid: its P is one array
         # and its text is formatted a group at a time
         grid = np.linspace(-8.0, 8.0, 2001)
         p = np.exp(-grid**2 * np.linspace(0.5, 2.0, 200)[:, None])
-        table = cli._Table(width=3)
+        table = cli._Table(shared=(grid,))
         for t, row in zip(np.linspace(0.0, 1.0, 200).tolist(), p):
-            table.add((t, 1.5, 0), grid, row)
+            table.add((t, 1.5, 0), row)
         config = RunConfig(command="density", sigma0=[1.5], out=str(tmp_path / "table.csv"))
         tracemalloc.start()
         try:
@@ -1006,6 +1011,11 @@ class TestExitCodes:
         (["observables", "--n", "-1"], "n=-1"),
         (["density", "--n", "-1"], "n=-1"),
         (["info", "--n", "-1"], "n=-1"),
+        # past the int64 n column: n = 2**64 and 10**400
+        (["observables", "--n", str(2**64)], f"n={2**64}"),
+        (["observables", "--n", str(10**400)], f"n={10**400}"),
+        (["density", "--n", str(2**64)], f"n={2**64}"),
+        (["info", "--n", str(10**400)], f"n={10**400}"),
         (["rho", "--A", "0"], "A=0.0"),
         (["rho", "--A", "-1"], "A=-1.0"),
         # finite flags whose derived constants are not: beta = inf, k = 0

@@ -499,6 +499,22 @@ class TestSnapshot:
                            match=f"^quantum number must be an integer >= 0, got n={n!r}$"):
             call(n)
 
+    @pytest.mark.parametrize("n", [2**64, 10**400])
+    @pytest.mark.parametrize("call", [
+        lambda n: QuantumSnapshot(n=n, t=0.0, rho=1.0, rho_dot=0.0, L=1.0,
+                                  omega_sq=1.0, hbar=1.0),
+        lambda n: phase(SuperconductorParams(sigma0=2.0), n, 0.5),
+        lambda n: hermite(n),
+    ], ids=["QuantumSnapshot", "phase", "hermite"])
+    def test_level_beyond_an_int64_names_n(self, n, call):
+        # the n column of a table is int64; past it numpy builds an object
+        # column, and float(n) overflows
+        bound = special_functions._QUANTUM_NUMBER_MAX
+        assert bound == np.iinfo(np.int64).max
+        with pytest.raises(EnvelopeError, match=f"^quantum numbers support n <= {bound}, got n={n}$"):
+            call(n)
+        assert math.isfinite(phase(SuperconductorParams(sigma0=2.0), bound, 0.5))
+
     @pytest.mark.parametrize("call", [
         lambda snap: wavefunction(snap, 0.5),
         lambda snap: density_values(snap, np.array([-0.5, 0.0, 0.5])),

@@ -24,7 +24,8 @@ def test_stated_envelope_is_the_code_envelope():
                   f"and argument <= {sf._BESSEL_X_MAX:g};",
                   f"`z = -x^2 >= -{sf._HYP_X_MAX ** 2:g}`",
                   f"Quantum numbers n <= {information._MAX_CLOSED_FORM_N} ",
-                  f"`density` takes n <= {sf._HERMITE_N_MAX} "):
+                  f"`density` takes n <= {sf._HERMITE_N_MAX} ",
+                  f"`observables` uses closed forms and takes n <= {sf._QUANTUM_NUMBER_MAX} "):
         assert claim in stated
 
 

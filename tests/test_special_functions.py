@@ -325,6 +325,20 @@ class TestHermite:
         assert hermite(2).coefficients == (-2, 0, 4)
         assert hermite(4).coefficients == (12, 0, -48, 0, 16)
 
+    def test_coefficients_satisfy_the_three_term_recurrence(self):
+        # H_{k+1} = 2x H_k - 2k H_{k-1}, coefficient by coefficient, in
+        # exact integers over the whole envelope
+        coefficients = special_functions._hermite_coefficients
+        previous, current = (0,), coefficients(0)
+        for k in range(special_functions._HERMITE_N_MAX):
+            following = coefficients(k + 1)
+            assert len(following) == k + 2
+            for i, c in enumerate(following):
+                shifted = 2 * current[i - 1] if i else 0
+                lower = 2 * k * previous[i] if i < len(previous) else 0
+                assert c == shifted - lower
+            previous, current = current, following
+
     def test_h2_roots(self):
         roots = hermite(2).roots
         assert roots[1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
@@ -392,7 +406,7 @@ class TestHermite:
                 call()
 
     def test_order_beyond_the_envelope_fails_before_the_coefficients(self, monkeypatch):
-        # the exact integer coefficients cost O(n^2) big-integer work
+        # the bound is checked before any coefficient is built
         def unreachable(n):
             raise AssertionError(f"coefficients built for n={n}")
 
