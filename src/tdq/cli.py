@@ -49,7 +49,7 @@ import numpy as np
 from .dynamics import SuperconductorParams
 from .errors import ConfigError, EnvelopeError, TdqError
 from .float17 import CHUNK, format_17g
-from .information import measures
+from .information import _check_closed_form_order, measures
 from .observables import (
     density_values,
     energy_mean,
@@ -57,6 +57,7 @@ from .observables import (
     moments,
     uncertainty_product,
 )
+from .special_functions import _check_hermite_bound
 from .verify import run_checks
 
 
@@ -310,7 +311,9 @@ def cmd_rho(config: RunConfig) -> int:
 
 
 def _levels(config: RunConfig):
-    """Each level in row order (sigma0, n), with its (t, sigma0, n) columns."""
+    """Each level in row order (sigma0, n), with its (t, sigma0, n) columns.
+    A level checks n against the int64 column alone, so a command with a
+    tighter bound on n checks it first, to name that bound."""
     grid = config.t_grid()
     for sigma0 in sorted(config.sigma0):
         for level in levels(config.params_for(sigma0), sorted(config.n), grid):
@@ -337,6 +340,8 @@ def cmd_density(config: RunConfig) -> int:
     charge grid; one block per (sigma0, n, t) has the head (t, sigma0, n)
     and the column P on that grid.
     """
+    for n in config.n:
+        _check_hermite_bound(n)
     q_grid = config.q_grid()
     table = _Table(shared=(q_grid,))
     for level, keys in _levels(config):
@@ -357,6 +362,8 @@ def cmd_density(config: RunConfig) -> int:
 def cmd_info(config: RunConfig) -> int:
     """Entropy, disequilibrium, and complexity; H, D, C from quadrature."""
     columns = ["t", "sigma0", "n", "S_closed", "S_quad", "H", "D_closed", "D_quad", "C"]
+    for n in config.n:
+        _check_closed_form_order(n)
     parts = []
     for level, keys in _levels(config):
         closed = measures(level, "closed_form")

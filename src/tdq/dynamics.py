@@ -49,6 +49,9 @@ class SuperconductorParams:
     and the others > 0, or DomainError names the field and its value; so
     must beta, k and omega0^2, with k > 0, or DomainError names the fields
     they are made of.
+    sigma, sigma_dot, L and omega^2 are the one home of the conductivity law,
+    which every solver reads; each raises DomainError naming t at and past
+    the pole of sigma, where A t + 1 <= 0.
 
     The derived constants (s, beta, k, omega0^2, and rho's exponent p and
     prefactor sqrt(pi/(2A))) are cached properties: s, beta, k and omega0^2
@@ -122,13 +125,23 @@ class SuperconductorParams:
         """sqrt(pi / (2A)), the constant factor of rho."""
         return math.sqrt(math.pi / (2.0 * self.A))
 
+    def _pole(self, t: float) -> str:
+        """The DomainError message of sigma, sigma_dot, L and omega^2 at or
+        past the pole of sigma, where A t + 1 <= 0 (or is NaN)."""
+        return f"sigma(t) = sigma0/(A t + 1) needs A t + 1 > 0, got t={t!r} with A={self.A!r}"
+
     def sigma(self, t: float) -> float:
         """Conductivity sigma(t) = sigma0 / (A t + 1)."""
-        return self.sigma0 / (self.A * t + 1.0)
+        tau = self.A * t + 1.0
+        if not tau > 0.0:
+            raise DomainError(self._pole(t))
+        return self.sigma0 / tau
 
     def sigma_dot(self, t: float) -> float:
         """Time derivative -sigma0 A / (A t + 1)^2 of the conductivity."""
         tau = self.A * t + 1.0
+        if not tau > 0.0:
+            raise DomainError(self._pole(t))
         try:
             return -self.sigma0 * self.A / tau ** 2
         except OverflowError:  # tau^2 is out of float range, sigma_dot is not
@@ -137,8 +150,11 @@ class SuperconductorParams:
     def L(self, t: float) -> float:
         """L(t) = exp(integral_0^t sigma/eps0 dt') = (A t + 1)^s; L(0) = 1.
         EnvelopeError names sigma0 and t where L is out of float range."""
+        tau = self.A * t + 1.0
+        if not tau > 0.0:
+            raise DomainError(self._pole(t))
         try:
-            return (self.A * t + 1.0) ** self.decay_exponent
+            return tau ** self.decay_exponent
         except OverflowError:
             raise EnvelopeError(f"L at sigma0={self.sigma0!r}, t={t!r}: (A t + 1)^s with "
                                 f"s={self.decay_exponent!r} is out of float range") from None
@@ -214,29 +230,19 @@ def equation_of_motion(params: SuperconductorParams, pinney: bool = False,
 
     x'' = -(sigma/eps0) x' - omega^2 x is the damped charge equation; with
     pinney=True it is the Milne-Pinney equation, which adds 1/(L^2 x^3)
-    since L'/L = sigma/eps0.  The constants are read from params once, when
-    the function is built, and each call evaluates tau = A t + 1 once; x''
-    has the bits of the same expression written with params.sigma,
-    params.omega_sq and params.L.  Where tau^2 is out of float range the
-    sigma_dot term is formed as params.sigma_dot forms it, and where L is,
-    1/(L^2 x^3) is taken as its limit 0.
+    since L'/L = sigma/eps0.  Each call reads sigma, omega^2 and L from
+    params' methods, so the rhs has no copy of the conductivity law; where
+    L is out of float range, 1/(L^2 x^3) is taken as its limit 0.
     """
-    sigma0, A, eps0 = params.sigma0, params.A, params.eps0
-    omega0_sq, s = params.omega0_sq, params.decay_exponent
-    neg_sigma0_A = -sigma0 * A
+    sigma, omega_sq, L_of, eps0 = params.sigma, params.omega_sq, params.L, params.eps0
 
     def rhs(t, y):
         x, x_dot = y
-        tau = A * t + 1.0
-        try:
-            sigma_dot = neg_sigma0_A / tau ** 2
-        except OverflowError:
-            sigma_dot = neg_sigma0_A / tau / tau
-        x_ddot = -(sigma0 / tau) / eps0 * x_dot - (omega0_sq + sigma_dot / eps0) * x
+        x_ddot = -sigma(t) / eps0 * x_dot - omega_sq(t) * x
         if pinney:
             try:
-                L = tau ** s
-            except OverflowError:
+                L = L_of(t)
+            except EnvelopeError:
                 return (x_dot, x_ddot)
             x_ddot += 1.0 / (L * L * x * x * x)
         return (x_dot, x_ddot)

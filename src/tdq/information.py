@@ -185,12 +185,17 @@ def _printed_isum_coefficient(n: int) -> Fraction:
     return sum((Fraction(-2, k) for k in range(1, n + 1, 2)), Fraction(0))
 
 
-@lru_cache(maxsize=None)
-def _level_closed_form(n: int) -> tuple[float, float]:
-    """(s_n, d_n) from the printed entropy and the exact disequilibrium."""
+def _check_closed_form_order(n: int) -> None:
+    """EnvelopeError naming n above _MAX_CLOSED_FORM_N."""
     if n > _MAX_CLOSED_FORM_N:
         raise EnvelopeError(
             f"closed-form measures support n <= {_MAX_CLOSED_FORM_N}, got n={n}")
+
+
+@lru_cache(maxsize=None)
+def _level_closed_form(n: int) -> tuple[float, float]:
+    """(s_n, d_n) from the printed entropy and the exact disequilibrium."""
+    _check_closed_form_order(n)
     roots = hermite(n).roots
     entropy = (n * EULER_GAMMA + n + 0.5
                + math.log(math.sqrt(math.pi) * math.factorial(n) * 2.0 ** n))

@@ -380,10 +380,15 @@ def _check_quantum_number(n: int) -> None:
 _HERMITE_N_MAX = 620
 
 
-def _check_hermite_order(n: int) -> None:
-    _check_quantum_number(n)
+def _check_hermite_bound(n: int) -> None:
+    """EnvelopeError naming n above _HERMITE_N_MAX."""
     if n > _HERMITE_N_MAX:
         raise EnvelopeError(f"Hermite functions support n <= {_HERMITE_N_MAX}, got n={n}")
+
+
+def _check_hermite_order(n: int) -> None:
+    _check_quantum_number(n)
+    _check_hermite_bound(n)
 
 
 def hermite_function(n: int, xi: float | np.ndarray) -> float | np.ndarray:

@@ -52,6 +52,10 @@ _FIGURE_SIGMAS = (0.4, 0.6, 0.8, 1.5, 2.0, 2.5, 3.0)
 # a non-unit hbar: at it the moment check compares int q^2 P dq with
 # hbar rho^2 (n + 1/2), which fails if the density width loses sqrt(hbar)
 _HBAR2_PARAMS = SuperconductorParams(sigma0=2.0, hbar=2.0)
+# non-unit constants, at which an eps0 or A put in the wrong place in
+# sigma, omega^2 or L changes the Pinney equation: at the figure units,
+# sigma_dot eps0 in place of sigma_dot / eps0 reads the same
+_NON_UNIT_CONSTANTS = {"A": 0.5, "eps0": 2.0, "c": 3.0, "lambdaL": 1.5, "hbar": 0.7}
 # time step of the difference that gives rho'' from the analytic rho'; at
 # 1e-4 the residual is truncation-limited near 1e-6
 _PINNEY_FD_STEP = 1e-6
@@ -248,6 +252,10 @@ def check_pinney_residual_analytic():
     for sigma0 in _FIGURE_SIGMAS:
         params = SuperconductorParams(sigma0=sigma0)
         for t in np.linspace(0.0, 5.0, 11):
+            yield pinney_residual(params, float(t))
+    for sigma0 in (0.5, 2.0, 3.0):
+        params = SuperconductorParams(sigma0=sigma0, **_NON_UNIT_CONSTANTS)
+        for t in range(6):
             yield pinney_residual(params, float(t))
 
 

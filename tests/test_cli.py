@@ -1014,8 +1014,11 @@ class TestExitCodes:
         # past the int64 n column: n = 2**64 and 10**400
         (["observables", "--n", str(2**64)], f"n={2**64}"),
         (["observables", "--n", str(10**400)], f"n={10**400}"),
-        (["density", "--n", str(2**64)], f"n={2**64}"),
-        (["info", "--n", str(10**400)], f"n={10**400}"),
+        # past the bounds of density's Hermite functions and of info's closed
+        # forms, which each command checks before any level is built
+        (["density", "--n", str(2**64)], f"Hermite functions support n <= 620, got n={2**64}"),
+        (["info", "--n", str(10**400)],
+         f"closed-form measures support n <= 14, got n={10**400}"),
         (["rho", "--A", "0"], "A=0.0"),
         (["rho", "--A", "-1"], "A=-1.0"),
         # finite flags whose derived constants are not: beta = inf, k = 0

@@ -161,6 +161,42 @@ class TestFloatRange:
             assert equation_of_motion(params, pinney)(t, (2.0, 3.0)) == (3.0, want)
 
 
+class TestPole:
+    """At and past the pole of sigma, A t + 1 <= 0, the coefficients raise
+    DomainError naming t; a ZeroDivisionError, a negative sigma or a complex
+    L came out before."""
+
+    @pytest.mark.parametrize("method", ["sigma", "sigma_dot", "omega_sq", "L"])
+    @pytest.mark.parametrize("t", [-1.0, -1.5, -3.0, math.nan])
+    def test_coefficient_names_t(self, method, t):
+        params = SuperconductorParams(sigma0=1.5)  # s = 1.5: L = tau^1.5
+        with pytest.raises(DomainError, match=re.escape(f"got t={t!r} with A=1.0")) as info:
+            getattr(params, method)(t)
+        assert not isinstance(info.value, EnvelopeError)
+
+    def test_pole_follows_A(self):
+        params = SuperconductorParams(sigma0=2.0, A=0.5)
+        assert params.sigma(-1.5) == 8.0
+        with pytest.raises(DomainError, match=r"got t=-2\.0 with A=0\.5$"):
+            params.sigma(-2.0)
+
+    def test_classical_solve_before_the_pole(self):
+        # the rhs raises at its first call; RK45 stalled there before
+        with pytest.raises(DomainError, match=r"got t=-1\.5 with A=1\.0$"):
+            solve_classical(SuperconductorParams(sigma0=1.5), 1.0, 0.0, [-1.5, -0.5])
+
+    def test_pinney_rhs_drops_only_an_out_of_range_L(self, monkeypatch):
+        # 1/(L^2 x^3) is 0 where L overflows; any other DomainError of L
+        # reaches the caller
+        def pole(self, t):
+            raise DomainError("not an overflow")
+
+        monkeypatch.setattr(SuperconductorParams, "L", pole)
+        rhs = equation_of_motion(SuperconductorParams(sigma0=1.5), pinney=True)
+        with pytest.raises(DomainError, match="^not an overflow$"):
+            rhs(0.5, (1.0, 0.0))
+
+
 class TestConductivityLaw:
     def test_hyperbolic_identity(self):
         params = SuperconductorParams(sigma0=3.0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tdq import verify
-from tdq.dynamics import PinneyState
+from tdq.dynamics import PinneyState, SuperconductorParams
 
 VERIFY_SOURCE = Path(verify.__file__).read_text()
 
@@ -119,3 +119,14 @@ def test_every_check_reduces_through_worst():
                        for c in ast.walk(node))}
     assert builders == {"_check", "run_checks"}
     assert "max(worst" not in VERIFY_SOURCE
+
+
+def test_pinney_residual_sees_a_misplaced_eps0_in_omega_sq(monkeypatch):
+    # sigma_dot eps0 in place of sigma_dot / eps0: invisible at eps0 = 1, so
+    # only the check's non-unit constants can show it, and only if the
+    # Pinney right-hand side reads omega^2 from SuperconductorParams
+    monkeypatch.setattr(SuperconductorParams, "omega_sq",
+                        lambda self, t: self.omega0_sq + self.sigma_dot(t) * self.eps0)
+    result = verify.check_pinney_residual_analytic(1e-6)
+    assert not result.passed
+    assert result.residual > 1.0
