@@ -108,9 +108,11 @@ class RunConfig:
                                   ("charge", ("qmin", "qmax", "qpoints"), self.q_grid)):
             lo, hi, _ = (getattr(self, name) for name in names)
             given = ", ".join(f"--{name}={getattr(self, name)!r}" for name in names)
-            try:  # numpy refuses a grid too large to allocate
+            # numpy refuses a grid too large to allocate: from 2**63 - 1 to
+            # just under 2**64 points linspace raises IndexError
+            try:
                 ascending = math.isfinite(hi - lo) and np.all(np.diff(grid()) > 0.0)
-            except (MemoryError, ValueError) as exc:
+            except (MemoryError, ValueError, IndexError) as exc:
                 raise ConfigError(f"{given} give a {what} grid too large to "
                                   "allocate") from exc
             if not ascending:

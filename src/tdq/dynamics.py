@@ -27,8 +27,7 @@ conserved along any consistent pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import DomainError, EnvelopeError, PinneySingularityError, TimeMismatchError
@@ -36,6 +35,14 @@ from .integrate import solve_rk45
 from .special_functions import _bessel_modulus_sq, _check_bessel_envelope
 
 _RHO_GUARD = 1e-12
+
+
+def _or_inf(expression: Callable[[], float]) -> float:
+    """expression(), or inf where it overflows or divides by 0."""
+    try:
+        return expression()
+    except ArithmeticError:  # ZeroDivisionError, OverflowError
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -53,11 +60,13 @@ class SuperconductorParams:
     which every solver reads; each raises DomainError naming t at and past
     the pole of sigma, where A t + 1 <= 0.
 
-    The derived constants (s, beta, k, omega0^2, and rho's exponent p and
-    prefactor sqrt(pi/(2A))) are cached properties: s, beta, k and omega0^2
-    are computed once, at construction, where they are validated, the other
-    two at first use, and every reader shares them.  Equality, hashing,
-    pickling and `dataclasses.replace` see the fields alone.
+    The derived constants are set once, at construction, where they are
+    validated, and every reader shares them: decay_exponent
+    s = sigma0/(A eps0), the Bessel order beta = (1 + s)/2 (the square root
+    form is a perfect square), its argument scale k = c/(lambdaL A),
+    omega0_sq = c^2/lambdaL^2, and rho's exponent rho_exponent = (1 - s)/2
+    and prefactor rho_prefactor = sqrt(pi/(2A)).  Equality, hashing and
+    `dataclasses.replace` see the fields alone.
     """
 
     sigma0: float
@@ -76,72 +85,42 @@ class SuperconductorParams:
             if not (math.isfinite(value) and value > 0.0):
                 raise DomainError(f"{name} must be finite and > 0, got {name}={value!r}")
         # finite fields can still overflow a derived constant, or underflow
-        # it to 0 or a product to 0 (a division by it raises)
-        for what, derived, names, positive in (
+        # it to 0 or a product to 0 (a division by it raises): either is
+        # taken as inf, which the checks below reject
+        s = _or_inf(lambda: self.sigma0 / (self.A * self.eps0))
+        derived = {"decay_exponent": s, "beta": 0.5 * (1.0 + s),
+                   "k": _or_inf(lambda: self.c / (self.lambdaL * self.A)),
+                   "omega0_sq": _or_inf(lambda: (self.c / self.lambdaL) ** 2),
+                   "rho_exponent": 0.5 * (1.0 - s),
+                   "rho_prefactor": math.sqrt(math.pi / (2.0 * self.A))}
+        for what, name, names, positive in (
                 ("beta = (1 + sigma0/(A eps0))/2", "beta", ("sigma0", "A", "eps0"), False),
                 ("k = c/(lambdaL A)", "k", ("c", "lambdaL", "A"), True),
                 ("omega0^2 = (c/lambdaL)^2", "omega0_sq", ("c", "lambdaL"), False)):
-            try:
-                value = getattr(self, derived)
-                ok = math.isfinite(value) and (value > 0.0 or not positive)
-            except ArithmeticError:  # ZeroDivisionError, OverflowError
-                ok = False
-            if not ok:
-                given = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+            value = derived[name]
+            if not (math.isfinite(value) and (value > 0.0 or not positive)):
+                given = ", ".join(f"{field}={getattr(self, field)!r}" for field in names)
                 raise DomainError(f"{what} must be finite{' and > 0' if positive else ''}, "
                                   f"got {given}")
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
-    def __getstate__(self) -> dict:
-        # the fields alone: a cached constant is recomputed after unpickling
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @cached_property
-    def decay_exponent(self) -> float:
-        """s = sigma0 / (A eps0), the dimensionless damping strength."""
-        return self.sigma0 / (self.A * self.eps0)
-
-    @cached_property
-    def beta(self) -> float:
-        """Bessel order (1 + s)/2; the square root form is a perfect square."""
-        return 0.5 * (1.0 + self.decay_exponent)
-
-    @cached_property
-    def k(self) -> float:
-        """Bessel argument scale c / (lambdaL A)."""
-        return self.c / (self.lambdaL * self.A)
-
-    @cached_property
-    def omega0_sq(self) -> float:
-        """Asymptotic squared frequency c^2 / lambdaL^2."""
-        return (self.c / self.lambdaL) ** 2
-
-    @cached_property
-    def rho_exponent(self) -> float:
-        """p = (1 - s)/2, the power of A t + 1 in rho."""
-        return 0.5 * (1.0 - self.decay_exponent)
-
-    @cached_property
-    def rho_prefactor(self) -> float:
-        """sqrt(pi / (2A)), the constant factor of rho."""
-        return math.sqrt(math.pi / (2.0 * self.A))
-
-    def _pole(self, t: float) -> str:
-        """The DomainError message of sigma, sigma_dot, L and omega^2 at or
-        past the pole of sigma, where A t + 1 <= 0 (or is NaN)."""
-        return f"sigma(t) = sigma0/(A t + 1) needs A t + 1 > 0, got t={t!r} with A={self.A!r}"
+    def _tau(self, t: float) -> float:
+        """A t + 1; DomainError naming t at and past the pole of sigma, where
+        A t + 1 <= 0 (or is NaN)."""
+        tau = self.A * t + 1.0
+        if not tau > 0.0:
+            raise DomainError(f"sigma(t) = sigma0/(A t + 1) needs A t + 1 > 0, "
+                              f"got t={t!r} with A={self.A!r}")
+        return tau
 
     def sigma(self, t: float) -> float:
         """Conductivity sigma(t) = sigma0 / (A t + 1)."""
-        tau = self.A * t + 1.0
-        if not tau > 0.0:
-            raise DomainError(self._pole(t))
-        return self.sigma0 / tau
+        return self.sigma0 / self._tau(t)
 
     def sigma_dot(self, t: float) -> float:
         """Time derivative -sigma0 A / (A t + 1)^2 of the conductivity."""
-        tau = self.A * t + 1.0
-        if not tau > 0.0:
-            raise DomainError(self._pole(t))
+        tau = self._tau(t)
         try:
             return -self.sigma0 * self.A / tau ** 2
         except OverflowError:  # tau^2 is out of float range, sigma_dot is not
@@ -150,9 +129,7 @@ class SuperconductorParams:
     def L(self, t: float) -> float:
         """L(t) = exp(integral_0^t sigma/eps0 dt') = (A t + 1)^s; L(0) = 1.
         EnvelopeError names sigma0 and t where L is out of float range."""
-        tau = self.A * t + 1.0
-        if not tau > 0.0:
-            raise DomainError(self._pole(t))
+        tau = self._tau(t)
         try:
             return tau ** self.decay_exponent
         except OverflowError:

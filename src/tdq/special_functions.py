@@ -364,11 +364,16 @@ class HermiteTable:
 _QUANTUM_NUMBER_MAX = 2**63 - 1
 
 
-def _check_quantum_number(n: int) -> None:
-    """DomainError naming n unless n is an int or numpy integer >= 0, and
-    EnvelopeError naming n above _QUANTUM_NUMBER_MAX."""
+def _check_integer_level(n: int) -> None:
+    """DomainError naming n unless n is an int or numpy integer >= 0."""
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise DomainError(f"quantum number must be an integer >= 0, got n={n!r}")
+
+
+def _check_quantum_number(n: int) -> None:
+    """_check_integer_level, and EnvelopeError naming n above
+    _QUANTUM_NUMBER_MAX."""
+    _check_integer_level(n)
     if n > _QUANTUM_NUMBER_MAX:
         raise EnvelopeError(f"quantum numbers support n <= {_QUANTUM_NUMBER_MAX}, got n={n}")
 
@@ -387,7 +392,8 @@ def _check_hermite_bound(n: int) -> None:
 
 
 def _check_hermite_order(n: int) -> None:
-    _check_quantum_number(n)
+    # the Hermite bound is the tighter one, so the int64 bound is never reached
+    _check_integer_level(n)
     _check_hermite_bound(n)
 
 

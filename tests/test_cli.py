@@ -1084,15 +1084,19 @@ class TestExitCodes:
         assert err.startswith(f"error: {named} do not give a finite, strictly ascending ")
         assert err.count("\n") == 1
 
-    # numpy refuses 10**17 points (711 PiB) and 10**19 (above the largest
-    # array size) without allocating; these printed a traceback with exit 1
+    # numpy refuses 10**17 points (711 PiB), 2**63 - 1 to just under 2**64
+    # (linspace's IndexError) and 10**19 (above the largest array size)
+    # without allocating; these printed a traceback with exit 1
     @pytest.mark.parametrize("argv, named", [
         (["rho", "--steps", str(10 ** 17)], f"--t0=0.0, --t1=5.0, --steps={10 ** 17}"),
         (["density", "--qpoints", str(10 ** 17)],
          f"--qmin=-6.0, --qmax=6.0, --qpoints={10 ** 17}"),
         (["observables", "--steps", str(10 ** 19)],
          f"--t0=0.0, --t1=5.0, --steps={10 ** 19}"),
-    ], ids=["time", "charge", "above-max-size"])
+        (["rho", "--steps", str(2 ** 63 - 1)], f"--t0=0.0, --t1=5.0, --steps={2 ** 63 - 1}"),
+        (["density", "--steps", "2", "--qpoints", str(2 ** 63)],
+         f"--qmin=-6.0, --qmax=6.0, --qpoints={2 ** 63}"),
+    ], ids=["time", "charge", "above-max-size", "time-int64-max", "charge-int64-max-plus-1"])
     def test_unallocatable_grid_rejected(self, argv, named, capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")

@@ -21,6 +21,7 @@ from tdq.dynamics import (
 )
 from tdq.errors import DomainError, EnvelopeError, PinneySingularityError, TimeMismatchError
 from tdq.integrate import solve_rk45
+from tdq.observables import phase
 
 
 def pinney_residual_fd(params, t, h=1e-3):
@@ -119,7 +120,7 @@ class TestCachedConstants:
     def test_cached_constants_leave_the_dataclass_contract(self):
         params = SuperconductorParams(sigma0=1.3, A=0.7, c=3.3)
         fresh = SuperconductorParams(sigma0=1.3, A=0.7, c=3.3)
-        rho_analytic(params, 0.5)  # reads every cached constant
+        rho_analytic(params, 0.5)  # reads every derived constant
         for name in ("sigma0", "beta", "rho_exponent"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(params, name, 2.0)
@@ -133,6 +134,17 @@ class TestCachedConstants:
         assert other.beta == 0.5 * (1.0 + 2.6 / 0.7)
         assert other.rho_exponent == 0.5 * (1.0 - 2.6 / 0.7)
         assert dataclasses.replace(params, A=2.0).rho_prefactor == math.sqrt(math.pi / 4.0)
+
+
+def test_readers_leave_the_instance_as_built():
+    # every derived constant is set at construction; a reader writes none
+    params = SuperconductorParams(sigma0=1.3, A=0.7, eps0=2.1, c=3.3, lambdaL=1.9, hbar=0.5)
+    built = dict(vars(params))
+    rho_analytic(params, 0.5)
+    params.L(1.0)
+    params.omega_sq(1.0)
+    phase(params, 1, 0.5)
+    assert vars(params) == built
 
 
 class TestFloatRange:
