@@ -26,8 +26,9 @@ contract holds however the rows are grouped into blocks.
 
 Exit codes: 0 success, 1 verification failure, 2 for any `TdqError`
 (invalid configuration, envelope violation, a series that did not
-converge or a density that lost its norm), 141 (128 + SIGPIPE) when the
-reader closes stdout before the output is written.  `rho`, `observables`
+converge or a density that lost its norm) and for an output that cannot
+be written (a full disk, an --out that cannot be opened), 141 (128 +
+SIGPIPE) when the reader closes stdout before the output is written.  `rho`, `observables`
 and `info` print only finite numbers: `_stacked` raises EnvelopeError
 naming the first value out of the float range by its column, sigma0, n
 and t.
@@ -178,14 +179,11 @@ def _write_table(config: RunConfig, columns: list[str], table: _Table) -> None:
     """Write `table` under the header `columns`, one block at a time.
 
     The table is computed whole before this is called, so an invalid
-    configuration or envelope violation writes nothing.  ConfigError
-    names --out and the reason if that path cannot be opened.
+    configuration or envelope violation writes nothing.  An OSError from
+    opening or writing the output reaches `main`, which names the stream.
     """
-    try:
-        out = (contextlib.nullcontext(sys.stdout) if config.out == "-"
-               else open(config.out, "w", newline="\n"))
-    except OSError as exc:
-        raise ConfigError(f"--out {config.out!r} cannot be written: {exc.strerror}") from exc
+    out = (contextlib.nullcontext(sys.stdout) if config.out == "-"
+           else open(config.out, "w", newline="\n"))
     with out as handle:
         if config.fmt == "json":
             _write_json(handle, config.meta(), columns, table)
@@ -486,16 +484,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config.validate()
         code = _COMMANDS[config.command][0](config)
-        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+        sys.stdout.flush()  # a closed pipe or a full disk must fail here, not at exit
         return code
     except TdqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader has gone: point stdout at devnull so that the flush at
-        # exit cannot fail again, and exit as a SIGPIPE-killed process would
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+    except OSError as exc:
+        # the failed stream is stdout: point it at devnull, so that the
+        # flush at exit cannot fail again
+        if config.out == "-":
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):  # exit as a SIGPIPE-killed process would
+            return 141
+        stream = "stdout" if config.out == "-" else f"--out {config.out!r}"
+        print(f"error: {stream} cannot be written: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -82,11 +82,9 @@ class CheckResult:
 def _worst(residuals: Iterable[float]) -> float:
     """The largest of the residuals and 0.0, or NaN if any residual is NaN."""
     largest = 0.0
-    for r in residuals:
-        if r > largest:
+    for r in residuals:  # nothing is greater than a NaN, so once taken it stays
+        if r > largest or math.isnan(r):
             largest = r
-        elif math.isnan(r):
-            return math.nan
     return float(largest)
 
 
@@ -98,7 +96,8 @@ def _check(tolerance: float, informational: bool = False):
     """Declare the check `check_<name>(tol)` of the generator `check_<name>()`
     at base tolerance `tolerance` (0.0 for the count- and sign-based ones):
     the result <name> with the `_worst` of the residuals it yields, and the
-    value it returns, if any, as the note."""
+    value it returns, if any, as the note.  A check that raises fails with
+    residual inf and the exception as its note, so the suite runs on."""
     def declare(residuals: Callable[[], Iterator[float]]) -> Callable[[float], CheckResult]:
         name = residuals.__name__.removeprefix("check_")
 
@@ -108,11 +107,10 @@ def _check(tolerance: float, informational: bool = False):
 
             def noted():
                 notes.append((yield from residuals()) or "")
-            values = noted()
-            worst = _worst(values)
-            for _ in values:  # `_worst` stops at a NaN; the note comes last
-                pass
-            return CheckResult(name, worst, tol, informational, notes[0])
+            try:
+                return CheckResult(name, _worst(noted()), tol, informational, notes[0])
+            except Exception as exc:  # a broken check must not stop the suite
+                return CheckResult(name, math.inf, tol, note=f"{type(exc).__name__}: {exc}")
         _declared.append((check, tolerance))
         return check
     return declare
@@ -463,15 +461,5 @@ _ALL_CHECKS: tuple = tuple(_declared)
 
 
 def run_checks(tol_scale: float = 1.0) -> list[CheckResult]:
-    """Run every check at its base tolerance times tol_scale.  A check that
-    raises fails with residual inf and the exception as its note; the
-    remaining checks still run."""
-    results = []
-    for fn, base in _ALL_CHECKS:
-        tol = base * tol_scale
-        try:
-            results.append(fn(tol))
-        except Exception as exc:  # a broken check must not stop the suite
-            results.append(CheckResult(fn.__name__.removeprefix("check_"), math.inf, tol,
-                                       note=f"{type(exc).__name__}: {exc}"))
-    return results
+    """Run every check at its base tolerance times tol_scale."""
+    return [fn(base * tol_scale) for fn, base in _ALL_CHECKS]

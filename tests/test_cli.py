@@ -1,6 +1,5 @@
 import contextlib
 import dataclasses
-import functools
 import hashlib
 import io
 import json
@@ -8,6 +7,7 @@ import math
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -1112,22 +1112,23 @@ class TestExitCodes:
         assert "--tol-verify" in err
 
 
+def _start_tdq(*argv, stdout):
+    """`python -m tdq.cli argv` on the source tree, its stderr a pipe."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.Popen([sys.executable, "-m", "tdq.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
 class TestClosedPipe:
     """A reader that leaves early ends the run quietly with 141 (128 + SIGPIPE)."""
-
-    @staticmethod
-    def _start(*argv, stdout):
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-        return subprocess.Popen([sys.executable, "-m", "tdq.cli", *argv],
-                                stdout=stdout, stderr=subprocess.PIPE, env=env)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_table_reader_closes_after_one_line(self, fmt):
         # ~0.8 MB of rows overflow the pipe buffer, so the table is still
         # being written when the reader closes its end
-        proc = self._start("density", "--sigma0", "1,2", "--n", "0,1", "--steps", "11",
-                           "--qmin", "-8", "--qmax", "8", "--format", fmt,
-                           stdout=subprocess.PIPE)
+        proc = _start_tdq("density", "--sigma0", "1,2", "--n", "0,1", "--steps", "11",
+                          "--qmin", "-8", "--qmax", "8", "--format", fmt,
+                          stdout=subprocess.PIPE)
         assert proc.stdout.readline()
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)
@@ -1140,11 +1141,40 @@ class TestClosedPipe:
         read, write = os.pipe()
         os.close(read)
         try:
-            proc = self._start("verify", stdout=write)
+            proc = _start_tdq("verify", stdout=write)
         finally:
             os.close(write)
         _, err = proc.communicate(timeout=120)
         assert (proc.returncode, err) == (141, b"")
+
+
+_FULL = Path("/dev/full")
+
+
+@pytest.mark.skipif(not (_FULL.exists() and stat.S_ISCHR(_FULL.stat().st_mode)),
+                    reason="no /dev/full character device")
+class TestFullDisk:
+    """An output that cannot be written exits 2 with one error line, not a
+    traceback and exit 1; /dev/full fails every write with ENOSPC."""
+
+    @pytest.mark.parametrize("argv", [
+        ("rho", "--steps", "3"),
+        ("rho", "--steps", "3", "--format", "json"),
+        ("verify",),
+    ])
+    def test_stdout_on_a_full_disk(self, argv):
+        with _FULL.open("wb") as full:
+            proc = _start_tdq(*argv, stdout=full)
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (
+            2, b"error: stdout cannot be written: No space left on device\n")
+
+    def test_out_on_a_full_disk(self):
+        proc = _start_tdq("rho", "--steps", "3", "--out", str(_FULL), stdout=subprocess.PIPE)
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, out, err) == (
+            2, b"", b"error: --out '/dev/full' cannot be written: No space left on device\n")
+        assert _FULL.exists()
 
 
 @pytest.fixture(scope="module")
@@ -1213,21 +1243,26 @@ class TestVerify:
         monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "bench")
         import outputs
 
-        def raising(fn):
-            @functools.wraps(fn)
-            def check(tol):
+        def raising(name):
+            def residuals():
                 raise errors.NormalizationError("density norm 0.5 deviates from 1")
-            return check
+                yield
+            residuals.__name__ = name
+            return residuals
 
         _, passing = verify_run()
         checks = list(verify._ALL_CHECKS)
         names = [outputs._CHECK_LINE.match(line).group(2)
                  for line in passing.splitlines()[:len(checks)]]
         # one check whose function name always matched its result name, and
-        # one that was renamed to match it
+        # one that was renamed to match it; each broken check is declared
+        # by the real `_check`, into a list of its own
+        monkeypatch.setattr(verify, "_declared", [])
         broken = [names.index("hermite_root_residuals"), names.index("density_normalization")]
         for index in broken:
-            checks[index] = (raising(checks[index][0]), checks[index][1])
+            fn, base = checks[index]
+            checks[index] = (verify._check(base)(raising(fn.__name__)), base)
+        assert [fn for fn, _ in verify._declared] == [checks[index][0] for index in broken]
         monkeypatch.setattr(verify, "_ALL_CHECKS", tuple(checks))
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

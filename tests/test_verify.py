@@ -30,6 +30,13 @@ class TestWorst:
     def test_nan_anywhere_is_nan(self, residuals):
         assert math.isnan(verify._worst(residuals))
 
+    def test_reads_past_a_nan_to_the_end(self):
+        # a check's note is returned after its last residual, so the
+        # reduction must drain the generator whatever it meets
+        residuals = iter([1.0, math.nan, 2.0, math.nan, 3.0])
+        assert math.isnan(verify._worst(residuals))
+        assert next(residuals, None) is None
+
     def test_numpy_values(self):
         result = verify._worst(np.array([1e-15, 4e-15, 2e-15]))
         assert result == 4e-15 and type(result) is float
@@ -76,8 +83,8 @@ class TestNaNMutants:
         _fails_with_nan(check, base)
 
     def test_measures_nan_at_n0_keeps_the_note(self, monkeypatch):
-        # `_worst` stops at the first NaN, the first C; the note, which the
-        # generator returns after its last residual, must still be there
+        # the first C is NaN; the note, which the generator returns after
+        # its last residual, is there because `_worst` reads past the NaN
         self.nan_measures_at(0, monkeypatch)
         result = verify.check_complexity_ground_state_value(1e-9)
         assert not result.passed and math.isnan(result.residual)
@@ -113,11 +120,11 @@ def test_every_check_reduces_through_worst():
         # `_check` names the result: no literal of the name in the body
         literals = {c.value for c in ast.walk(node) if isinstance(c, ast.Constant)}
         assert fn.__name__.removeprefix("check_") not in literals, fn.__name__
-    # only `_check` and `run_checks`' exception path build a result
+    # only `_check` builds a result, that of a raising check too
     builders = {name for name, node in defs.items()
                 if any(isinstance(c, ast.Call) and ast.unparse(c.func) == "CheckResult"
                        for c in ast.walk(node))}
-    assert builders == {"_check", "run_checks"}
+    assert builders == {"_check"}
     assert "max(worst" not in VERIFY_SOURCE
 
 
