@@ -10,39 +10,39 @@ external tools.
 Determinism contract: identical flags give byte-identical output.  Rows
 are ordered lexicographically by (sigma0, n, t, q); floats are printed
 with 17 significant digits (binary64 round-trip); run metadata lives in
-'#' comment lines above the csv header.  A table is computed whole and
-then streamed block by block: csv as ASCII bytes, one write per block to
-the binary buffer under the output stream, its floats formatted by
-`float17.format_17g` together with those of the blocks that follow, up
-to `float17.CHUNK` values a call; json as the bytes of one
-`json.dumps(..., indent=1)`.  Every table command walks `_levels`, one
-(sigma0, n) level over the whole time grid at a time (`rho`, which reads
-no --n, one n = 0 level per sigma0); `rho`, `observables` and `info`
-print one block, `density` one block per (sigma0, n, t) profile, whose
-table declares the charge grid as the column every block shares, so
-that it is formatted once.  Every csv field has the bytes `_fmt` gives
-its value (`%d` for an integer, 17 significant digits otherwise), so the
-contract holds however the rows are grouped into blocks.
+'#' comment lines above the csv header.  Every table command walks
+`_levels`, one (sigma0, n) level over the whole time grid at a time
+(`rho`, which reads no --n, one n = 0 level per sigma0), and builds
+every level before the first row is written, so every error comes
+first.  `rho`, `observables` and `info` print one block, computed whole;
+`density` one block per (sigma0, n, t) profile on the charge grid that
+every block shares, its P evaluated one level at a time as the writer
+reaches it, so its memory is bounded by a level.  The writers stream a
+table block by block, and every csv field has the bytes `_fmt` gives
+its value, so the contract holds however the rows are grouped.
 
 Exit codes: 0 success, 1 verification failure, 2 for any `TdqError`
 (invalid configuration, envelope violation, a series that did not
 converge or a density that lost its norm) and for an output that cannot
-be written (a full disk, an --out that cannot be opened), 141 (128 +
-SIGPIPE) when the reader closes stdout before the output is written.  `rho`, `observables`
-and `info` print only finite numbers: `_stacked` raises EnvelopeError
-naming the first value out of the float range by its column, sigma0, n
-and t.
+be written (a full disk, a closed stdout, an --out that cannot be
+opened), 141 (128 + SIGPIPE) when the reader closes stdout before the
+output is written.  `rho`, `observables` and `info` print only finite
+numbers: `_stacked` raises EnvelopeError naming the first value out of
+the float range by its column, sigma0, n and t.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
+import itertools
 import json
 import math
 import os
 import re
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -162,23 +162,29 @@ class _Table:
     one value from every `shared` column, then one from each of the
     block's columns, and all of these columns share one length.  `shared`
     holds the columns every block carries (the charge grid of `density`),
-    which the csv writer formats once.  len() is the number of rows.
+    which the csv writer formats once.  A writer pulls `blocks` once, in
+    row order, so that they may be evaluated as they are reached; `heads`
+    and len(), the number of rows, are known up front.
     """
 
     shared: tuple = ()
-    blocks: list[tuple[tuple, tuple]] = field(default_factory=list)
+    heads: list[tuple] = field(default_factory=list)
+    rows: int = 0
+    blocks: Iterable[tuple[tuple, tuple]] = field(default_factory=list)
 
     def add(self, head: tuple, *columns) -> None:
+        self.heads.append(head)
+        self.rows += len(columns[0])
         self.blocks.append((head, columns))
 
     def __len__(self) -> int:
-        return sum(len(columns[0]) for _, columns in self.blocks)
+        return self.rows
 
 
 def _write_table(config: RunConfig, columns: list[str], table: _Table) -> None:
     """Write `table` under the header `columns`, one block at a time.
 
-    The table is computed whole before this is called, so an invalid
+    Every check that can raise runs before this is called, so an invalid
     configuration or envelope violation writes nothing.  An OSError from
     opening or writing the output reaches `main`, which names the stream.
     """
@@ -196,27 +202,26 @@ def _write_csv(handle, meta: str, columns: list[str], table: _Table) -> None:
 
     The bytes go to `handle.buffer` after one flush, so that text written
     to `handle` before keeps its place; a handle with no buffer, such as
-    io.StringIO, gets them decoded.  Every field has the bytes `_fmt`
-    gives its value.  The shared columns are formatted once, without
-    their all-NUL byte columns, so their lines carry less padding; the
-    blocks' columns are formatted ahead by `_formatted`, so that one
-    `format_17g` call serves several blocks and memory is bounded by its
-    group, not by the table.  A block's lines are one NUL-padded byte
-    matrix whose head is as wide as the table's widest, so the blocks
-    that follow with as many rows and fields as wide share it: its
-    commas, newlines and shared fields are laid once, and each block lays
-    only its head and its own fields.
+    io.StringIO, gets them decoded.  The shared columns are formatted
+    once, without their all-NUL byte columns; the blocks' columns ahead,
+    by `_formatted` on a tee of the blocks, so that one `format_17g` call
+    serves several blocks and memory is bounded by its group.  A block's
+    lines are one NUL-padded byte matrix whose head is as wide as the
+    widest of `table.heads`, so the blocks that follow with as many rows
+    and fields as wide share it: its commas, newlines and shared fields
+    are laid once, and each block lays only its head and its own fields.
     """
     handle.flush()
     raw = getattr(handle, "buffer", None)
     write = raw.write if raw is not None else lambda data: handle.write(data.decode("ascii"))
     write(f"# {meta}\n{','.join(columns)}\n".encode("ascii"))
-    heads = ["".join(_fmt(v) + "," for v in head).encode() for head, _ in table.blocks]
+    heads = ["".join(_fmt(v) + "," for v in head).encode() for head in table.heads]
     head_width = max(map(len, heads), default=0)
     shared = [text[:, text.any(axis=0)] for text in _formatted(table.shared)]
-    texts = _formatted(c for _, block in table.blocks for c in block)
+    blocks, ahead = itertools.tee(block for _, block in table.blocks)
+    texts = _formatted(c for block in ahead for c in block)
     layout = None
-    for head, (_, block) in zip(heads, table.blocks):
+    for head, block in zip(heads, blocks):
         fields = shared + [next(texts) for _ in block]
         rows, widths = len(fields[0]), [f.shape[1] for f in fields]
         new = len(shared)  # a kept matrix holds the shared fields already
@@ -336,25 +341,30 @@ def cmd_observables(config: RunConfig) -> int:
 def cmd_density(config: RunConfig) -> int:
     """Probability density P(q) per (t, sigma0, n) over the charge grid.
 
-    P is evaluated once per level.  The table's shared column is the
-    charge grid; one block per (sigma0, n, t) has the head (t, sigma0, n)
-    and the column P on that grid.
+    The table's shared column is the charge grid; one block per
+    (sigma0, n, t) has the head (t, sigma0, n) and the column P on that
+    grid.  Every level is built first, and P is evaluated once per level,
+    as the writer reaches it; its norm warnings are printed then.
     """
     for n in config.n:
         _check_hermite_bound(n)
     q_grid = config.q_grid()
-    table = _Table(shared=(q_grid,))
-    for level, keys in _levels(config):
-        p = density_values(level, q_grid)
-        with np.errstate(over="ignore"):  # an overflow is a norm of inf, and warned of
-            norms = np.trapezoid(p, q_grid, axis=-1).tolist()
-        heads = zip(*(column.tolist() for column in keys))
-        for (t, sigma0, n), row, norm in zip(heads, p, norms):
-            if not abs(norm - 1.0) <= 1e-6:  # NaN included
-                print(f"warning: density norm {norm:.9f} off unit at sigma0={_fmt(sigma0)}, "
-                      f"n={n}, t={_fmt(t)}; widen --qmin/--qmax, or raise "
-                      "--qpoints if the grid is too coarse", file=sys.stderr)
-            table.add((t, sigma0, n), row)
+    found = [(level, list(zip(*(c.tolist() for c in keys)))) for level, keys in _levels(config)]
+
+    def blocks():
+        for level, heads in found:
+            p = density_values(level, q_grid)
+            with np.errstate(over="ignore"):  # an overflow is a norm of inf, and warned of
+                norms = np.trapezoid(p, q_grid, axis=-1).tolist()
+            for (t, sigma0, n), norm in zip(heads, norms):
+                if not abs(norm - 1.0) <= 1e-6:  # NaN included
+                    print(f"warning: density norm {norm:.9f} off unit at sigma0={_fmt(sigma0)}, "
+                          f"n={n}, t={_fmt(t)}; widen --qmin/--qmax, or raise "
+                          "--qpoints if the grid is too coarse", file=sys.stderr)
+            yield from zip(heads, zip(p))
+
+    heads = [head for _, level_heads in found for head in level_heads]
+    table = _Table((q_grid,), heads, len(heads) * q_grid.size, blocks())
     _write_table(config, ["t", "sigma0", "n", "q", "P"], table)
     return 0
 
@@ -482,10 +492,14 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     config = RunConfig(**vars(build_parser(argv[0] if argv else None).parse_args(argv)))
     try:
-        config.validate()
-        code = _COMMANDS[config.command][0](config)
-        sys.stdout.flush()  # a closed pipe or a full disk must fail here, not at exit
-        return code
+        if config.out == "-" and sys.stdout is None:  # closed at start, as by `>&-`
+            strerror = os.strerror(errno.EBADF)
+        else:
+            config.validate()
+            code = _COMMANDS[config.command][0](config)
+            if config.out == "-":  # a closed pipe or a full disk must fail here, not at exit
+                sys.stdout.flush()
+            return code
     except TdqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -496,9 +510,10 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):  # exit as a SIGPIPE-killed process would
             return 141
-        stream = "stdout" if config.out == "-" else f"--out {config.out!r}"
-        print(f"error: {stream} cannot be written: {exc.strerror}", file=sys.stderr)
-        return 2
+        strerror = exc.strerror
+    stream = "stdout" if config.out == "-" else f"--out {config.out!r}"
+    print(f"error: {stream} cannot be written: {strerror}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -666,6 +667,66 @@ class TestTableWriter:
         assert lengths == [len(out.splitlines()) - 2]
 
 
+class TestDensityStreaming:
+    """`density` evaluates P one level at a time, as the writer reaches it."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_evaluation_per_level_and_none_for_len(self, fmt, capsys, monkeypatch):
+        # the benchmark's density_table has 3 sigma0 x 5 n = 15 levels
+        calls, lengths = [], []
+        density_values, write_table = cli.density_values, cli._write_table
+
+        def spy(config, columns, table):  # the calls made before and after len()
+            lengths.append((len(calls), len(table), len(calls)))
+            return write_table(config, columns, table)
+
+        monkeypatch.setattr(cli, "density_values",
+                            lambda *args: (calls.append(args), density_values(*args))[1])
+        monkeypatch.setattr(cli, "_write_table", spy)
+        code, out, _ = run(capsys, *BENCH_ARGVS[2], "--format", fmt)
+        assert code == 0 and out
+        assert lengths == [(0, 15 * 2 * 2001, 0)]
+        assert len(calls) == 15
+
+    @pytest.mark.parametrize("fmt, qpoints, rows_before", [("json", "3", 6),
+                                                           ("csv", "4001", 4001)])
+    def test_warnings_of_a_level_follow_rows_before_it(self, fmt, qpoints, rows_before):
+        # n = 5 misses its norm on [-2, 2], and its warnings are printed when
+        # its P is evaluated: after every n = 0 row (2 times x 3 charges) in
+        # json; in csv, which formats up to CHUNK values ahead, after the
+        # first n = 0 block of 4001 rows
+        stream = io.StringIO()
+        with contextlib.redirect_stdout(stream), contextlib.redirect_stderr(stream):
+            code = main(["density", "--qmin", "-2", "--qmax", "2", "--qpoints", qpoints,
+                         "--n", "0,5", "--steps", "2", "--format", fmt])
+        assert code == 0
+        lines = stream.getvalue().splitlines()
+        warned = [i for i, line in enumerate(lines) if ", n=5, " in line]
+        rows = [i for i, line in enumerate(lines)
+                if (line.strip() == "[" if fmt == "json" else line[:1].isdigit())]
+        assert len(warned) == 2 and warned[1] == warned[0] + 1
+        assert len(rows) == 4 * int(qpoints)
+        assert sum(i < warned[0] for i in rows) == rows_before
+
+    def test_memory_does_not_grow_with_the_table(self, capsys):
+        # numpy reports its buffers to tracemalloc; a table that held every
+        # level's P peaked 5.4 MB higher for 8 sigma0 than for 2
+        def peak(sigma0):
+            tracemalloc.start()
+            try:
+                code = main(["density", "--sigma0", sigma0, "--n", "0,1,2,3,4", "--t1", "2",
+                             "--steps", "11", "--qmin", "-10", "--qmax", "10",
+                             "--qpoints", "2001", "--out", os.devnull])
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        two, eight = peak("0.5,1.5"), peak("0.25,0.5,0.75,1,1.5,2,2.5,3")
+        assert (two[0], eight[0]) == (0, 0)
+        assert eight[1] - two[1] < 1e6
+        capsys.readouterr()
+
+
 class TestParser:
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_help_lists_exactly_the_commands_flags(self, command, capsys):
@@ -1175,6 +1236,36 @@ class TestFullDisk:
         assert (proc.returncode, out, err) == (
             2, b"", b"error: --out '/dev/full' cannot be written: No space left on device\n")
         assert _FULL.exists()
+
+
+class TestClosedStdout:
+    """A stdout closed at start (`>&-`, so that `sys.stdout` is None) exits
+    2 with one error line, not a traceback and exit 1; an --out run does
+    not write to stdout and succeeds."""
+
+    @staticmethod
+    def _run(*argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        return subprocess.run(["sh", "-c", '"$0" -m tdq.cli "$@" >&-', sys.executable, *argv],
+                              capture_output=True, env=env, timeout=120)
+
+    @pytest.mark.parametrize("argv", [
+        ("rho", "--steps", "3"),
+        ("density", "--steps", "2", "--qpoints", "5", "--format", "json"),
+        ("verify",),
+    ])
+    def test_closed_stdout(self, argv):
+        proc = self._run(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, b"", f"error: stdout cannot be written: {os.strerror(errno.EBADF)}\n".encode())
+
+    def test_out_with_a_closed_stdout(self, tmp_path, capsys):
+        path = tmp_path / "rho.csv"
+        proc = self._run("rho", "--steps", "3", "--out", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        code, out, _ = run(capsys, "rho", "--steps", "3")
+        assert code == 0
+        assert path.read_text() == out
 
 
 @pytest.fixture(scope="module")
