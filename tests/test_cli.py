@@ -229,6 +229,31 @@ class TestInfo:
             assert r["D_closed"] == pytest.approx(r["D_quad"], rel=1e-8)
 
 
+class TestNoLapack:
+    """The Hermite roots come from the recurrence alone, so `info` and
+    `verify` print their usual output while numpy's eigen-solvers raise."""
+
+    @pytest.mark.parametrize("argv", [
+        ("info", "--n", ",".join(map(str, range(15))), "--steps", "3"),
+        ("verify",),
+    ], ids=["info", "verify"])
+    def test_runs_with_the_eigen_solvers_refused(self, argv, capsys, monkeypatch):
+        want = run(capsys, *argv)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in ("eigvalsh", "eigh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        # the level tables are cached too, so they would not reach hermite
+        for cached in (special_functions.hermite, information._level_closed_form,
+                       information._level_quadrature):
+            cached.cache_clear()
+        assert run(capsys, *argv) == want
+        assert want[0] == 0
+        assert special_functions.hermite.cache_info().misses >= 13
+
+
 class TestSweep:
     @pytest.mark.parametrize("command", ["observables", "density", "info"])
     def test_amplitude_once_per_sigma_and_time(self, command, capsys, monkeypatch):

@@ -15,6 +15,7 @@ from tdq.special_functions import (
     _bessel_jy,
     _bessel_modulus_sq,
     _debye_phase,
+    _hermite_and_prev,
     _legendre_and_prev,
     _legendre_nodes_weights,
     bessel_jy,
@@ -378,6 +379,48 @@ class TestHermite:
                 verify._newton_step(hermite(n).coefficients, r)
             return
         assert verify._newton_step(hermite(n).coefficients, r) == want
+
+    def test_roots_within_an_ulp_up_to_n14(self):
+        # 40-digit Newton steps from each root, in ulps of the root; the
+        # centre 0.0 of odd n is exact
+        errors = [oracles.hermite_root_error_mp(n, r) / math.ulp(r)
+                  for n in range(1, 15) for r in hermite(n).roots]
+        assert len(errors) == 105
+        assert max(errors) <= 1.06
+        assert sum(errors) / len(errors) <= 0.32
+
+    @pytest.mark.parametrize("n", [30, 100, 300, 620])
+    def test_sampled_roots_within_four_ulps(self, n):
+        roots = hermite(n).roots
+        for k in np.linspace(n // 2, n - 1, 6).astype(int).tolist():
+            assert oracles.hermite_root_error_mp(n, roots[k]) <= 4.0 * math.ulp(roots[k])
+
+    def test_every_order_in_two_passes_ascending_and_symmetric(self, monkeypatch):
+        passes = []
+
+        def counting(order, x):
+            passes.append(order)
+            return _hermite_and_prev(order, x)
+
+        monkeypatch.setattr(special_functions, "_hermite_and_prev", counting)
+        for n in range(special_functions._HERMITE_N_MAX + 1):
+            passes.clear()
+            roots = hermite.__wrapped__(n).roots
+            assert len(passes) <= 2, n
+            assert len(roots) == n and all(a < b for a, b in zip(roots, roots[1:])), n
+            assert all(r == -s for r, s in zip(roots, roots[::-1])), n
+            if n % 2:
+                assert math.copysign(1.0, roots[n // 2]) == 1.0 and roots[n // 2] == 0.0
+
+    @pytest.mark.parametrize("n", [0, 1, 12, 620])
+    def test_function_bit_identical_to_the_plain_recurrence(self, n):
+        xi = np.random.default_rng(n).uniform(-40.0, 40.0, 513)
+        for x in (xi, 0.5):
+            h_prev, h = 0.0, math.pi ** -0.25 * np.exp(-0.5 * x * x)
+            for k in range(n):
+                h_prev, h = h, (math.sqrt(2.0 / (k + 1)) * x * h
+                                - math.sqrt(k / (k + 1.0)) * h_prev)
+            assert np.array_equal(hermite_function(n, x), h)
 
     def test_roots_against_scipy(self):
         from scipy.special import roots_hermite
